@@ -8,10 +8,6 @@ from .gfseries import (
     FiniteField,
     TruncSeries,
     frobenius_twist,
-    series_add,
-    series_comp_inverse,
-    series_compose,
-    series_mul,
 )
 from .herbrand import (
     BreakData,

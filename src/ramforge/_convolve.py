@@ -1,13 +1,20 @@
-"""Dense truncated convolution kernels over Z/m.
+"""Dense truncated series kernels over Z/m and over F_p[Y]/(modulus).
 
 Residue vectors are plain lists of ints in [0, m).  The numpy int64 path
 is used only when the worst-case accumulator provably fits; otherwise we
 fall back to exact Python integers, so results are identical either way.
+
+A series over F_{p^w} = F_p[Y]/(modulus) is packed into one flat list
+(Kronecker substitution in Y): the coefficient of X^k is a polynomial in Y
+of degree below w, stored in slots [k*s, k*s + w) of a block of
+s = 2w - 1 slots, the other w - 1 slots being zero.  A product of two
+such coefficients has Y-degree at most 2w - 2, so one convolution mod p
+of two packed lists multiplies the series with no overlap between blocks;
+each block is then reduced mod the modulus.  Without a modulus (the rings
+F_p and Z/p^P) s = 1, a block is one residue and nothing is reduced.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 _INT64_SAFE = 2**62
 
@@ -23,6 +30,8 @@ def conv_mod(a, b, n, mod):
     a = [x % mod for x in a[:la]]
     b = [x % mod for x in b[:lb]]
     if (mod - 1) * (mod - 1) * min(la, lb) < _INT64_SAFE:
+        import numpy as np
+
         full = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
         out = (full[:n] % mod).tolist()
     else:
@@ -38,28 +47,101 @@ def conv_mod(a, b, n, mod):
     return out
 
 
-def compose_mod(outer, inner, n, mod):
-    """First n coefficients of outer(inner(X)) by Horner; inner[0] must be 0."""
+def block_size(modulus):
+    """Slots per X-power in a packed list: 2w - 1, or 1 without a modulus."""
+    return 1 if modulus is None else 2 * len(modulus) - 3
+
+
+def mul_mod(a, b, n, mod, modulus=None):
+    """First n blocks of the packed product a*b."""
+    if modulus is None:
+        return conv_mod(a, b, n, mod)
+    w = len(modulus) - 1
+    s = 2 * w - 1
+    c = conv_mod(a, b, n * s, mod)
+    # Y^(w+e) = -Y^e * (modulus - Y^w): fold slots 2w-2 .. w of each block down
+    for top in range(0, n * s, s):
+        for d in range(top + s - 1, top + w - 1, -1):
+            t = c[d]
+            if t:
+                c[d] = 0
+                for j in range(w):
+                    c[d - w + j] = (c[d - w + j] - t * modulus[j]) % mod
+    return c
+
+
+def unit_inverse(a, mod, modulus=None):
+    """Inverse of the unit block a[0:s], as a block."""
+    if modulus is None:
+        return [pow(a[0], -1, mod)]
+    # F_{p^w}^* has order p^w - 1; mod is p here
+    e = mod ** (len(modulus) - 1) - 2
+    s = block_size(modulus)
+    base = a[:s]
+    out = [1] + [0] * (s - 1)
+    while e:
+        if e & 1:
+            out = mul_mod(out, base, 1, mod, modulus)
+        base = mul_mod(base, base, 1, mod, modulus)
+        e >>= 1
+    return out
+
+
+def compose_mod(outer, inner, n, mod, modulus=None):
+    """First n blocks of outer(inner(X)) by Horner; inner's first block must be 0."""
     if n == 0:
         return []
-    outer = outer[:n]
-    acc = [outer[-1] % mod]
-    for c in reversed(outer[:-1]):
-        acc = conv_mod(acc, inner, n, mod)
-        acc[0] = (acc[0] + c) % mod
-    if len(acc) < n:
-        acc.extend([0] * (n - len(acc)))
+    s = block_size(modulus)
+    outer = outer[: n * s]
+    top = len(outer) - s
+    acc = [x % mod for x in outer[top:]]
+    for k in range(top - s, -1, -s):
+        acc = mul_mod(acc, inner, n, mod, modulus)
+        for j in range(s):
+            acc[j] = (acc[j] + outer[k + j]) % mod
+    if len(acc) < n * s:
+        acc.extend([0] * (n * s - len(acc)))
     return acc
 
 
-def recip_mod(a, n, mod):
-    """First n coefficients of 1/a where a[0] is a unit mod m."""
-    inv0 = pow(a[0], -1, mod)
-    out = [inv0] + [0] * (n - 1)
-    la = len(a)
-    for k in range(1, n):
-        s = 0
-        for j in range(1, min(k, la - 1) + 1):
-            s += a[j] * out[k - j]
-        out[k] = (-inv0 * s) % mod
-    return out
+def recip_mod(a, n, mod, modulus=None):
+    """First n blocks of 1/a where a's first block is a unit.
+
+    Newton iteration h -> h - h*(a*h - 1) doubles the number of correct
+    blocks per step.
+    """
+    s = block_size(modulus)
+    h = unit_inverse(a, mod, modulus)
+    m = 1
+    while m < n:
+        m = min(2 * m, n)
+        e = mul_mod(a[: m * s], h, m, mod, modulus)
+        e[0] -= 1
+        corr = mul_mod(h, e, m, mod, modulus)
+        h = h + [0] * (m * s - len(h))
+        h = [(x - y) % mod for x, y in zip(h, corr)]
+    return h + [0] * (n * s - len(h))
+
+
+def reversion_mod(g, n, mod, modulus=None):
+    """First n blocks of the substitution inverse h of g, g(h) == X.
+
+    g's first block is zero and its second a unit.  Newton iteration on
+    h -> h - (g(h) - X)/g'(h); correct-through exponent k means
+    g(h) == X mod X^(k+1).
+    """
+    s = block_size(modulus)
+    g = g[: n * s]
+    dg = [(i // s) * c % mod for i, c in enumerate(g)][s:]
+    h = [0] * s + unit_inverse(g[s:], mod, modulus)
+    k = 1
+    while k < n - 1:
+        m = min(2 * k + 2, n)
+        hp = h + [0] * (m * s - len(h))
+        e = compose_mod(g[: m * s], hp, m, mod, modulus)
+        e[s] = (e[s] - 1) % mod
+        dgh = compose_mod(dg[: m * s], hp, m, mod, modulus)
+        corr = mul_mod(e, recip_mod(dgh, m, mod, modulus), m, mod, modulus)
+        h = [(a - b) % mod for a, b in zip(hp, corr)]
+        k = 2 * k + 1
+    return h + [0] * (n * s - len(h))

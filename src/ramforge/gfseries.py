@@ -6,6 +6,13 @@ binary operation returns a result at the minimum truncation of its inputs
 and never extends precision.  All values are immutable and every operation
 is a pure function, so concurrent use is safe.
 
+Series products, composition and substitution inverses run in the
+``_convolve`` kernel for every extension degree: a series is handed over
+packed into one flat residue list, one block of 2w - 1 slots per power of
+X with the Y-coefficients of X^k in slots [k(2w-1), k(2w-1) + w), and the
+kernel reduces each block of a product mod the field's modulus.  For w = 1
+a block is a single residue.
+
 Field extensions require an explicit monic irreducible modulus from the
 caller; no built-in modulus tables are shipped.
 """
@@ -13,10 +20,12 @@ caller; no built-in modulus tables are shipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from ._convolve import compose_mod, conv_mod, recip_mod
+from ._convolve import block_size, compose_mod, mul_mod, reversion_mod
 
 
+@lru_cache(maxsize=256)  # every PadicSeries result re-checks its p
 def _is_prime(n):
     if n < 2:
         return False
@@ -311,9 +320,10 @@ class TruncSeries:
         if not isinstance(other, TruncSeries) or other.field != self.field:
             raise ValueError("field mismatch")
 
-    def _ints(self):
-        # prime-field fast path representation
-        return [c.rep[0] for c in self.coeffs]
+    def _packed(self, n):
+        # the first n coefficients in the kernel's packed block layout
+        pad = (0,) * (block_size(self.field.modulus) - self.field.w)
+        return [x for c in self.coeffs[:n] for x in c.rep + pad]
 
     def truncate(self, n):
         """Forget coefficients at and above X^n (n <= current truncation)."""
@@ -343,18 +353,8 @@ class TruncSeries:
         self._check(other)
         n = min(self.trunc, other.trunc)
         f = self.field
-        if f.w == 1:
-            out = conv_mod(self._ints()[:n], other._ints()[:n], n, f.p)
-            return TruncSeries(f, out, n)
-        out = [f.zero() for _ in range(n)]
-        for i, a in enumerate(self.coeffs[:n]):
-            if a.is_zero():
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries(f, out, n)
+        out = mul_mod(self._packed(n), other._packed(n), n, f.p, f.modulus)
+        return _unpacked(f, out, n)
 
     def compose(self, inner):
         """outer(inner(X)); inner must have zero constant term."""
@@ -363,15 +363,8 @@ class TruncSeries:
             raise ValueError("inner series must have zero constant term")
         n = min(self.trunc, inner.trunc)
         f = self.field
-        if f.w == 1:
-            out = compose_mod(self._ints()[:n], inner._ints()[:n], n, f.p)
-            return TruncSeries(f, out, n)
-        acc = TruncSeries(f, (self.coeffs[n - 1],) + (f.zero(),) * (n - 1), n)
-        inner_n = inner.truncate(n)
-        for c in reversed(self.coeffs[: n - 1]):
-            acc = acc * inner_n
-            acc = TruncSeries(f, (acc.coeffs[0] + c,) + acc.coeffs[1:], n)
-        return acc
+        out = compose_mod(self._packed(n), inner._packed(n), n, f.p, f.modulus)
+        return _unpacked(f, out, n)
 
     def comp_inverse(self):
         """Substitution inverse h with g(h) == h(g) == X mod X^N.
@@ -382,14 +375,11 @@ class TruncSeries:
         """
         if not self.coeffs[0].is_zero():
             raise ValueError("not a substitution unit: constant term is nonzero")
-        c1 = self.coeffs[1] if self.trunc >= 2 else self.field.zero()
-        if c1.is_zero():
+        if self.trunc < 2 or self.coeffs[1].is_zero():
             raise ValueError("not a substitution unit: linear coefficient is zero")
         f = self.field
         n = self.trunc
-        if f.w == 1:
-            return TruncSeries(f, _reversion_ints(self._ints(), n, f.p), n)
-        return TruncSeries(f, _reversion_generic(self, n), n)
+        return _unpacked(f, reversion_mod(self._packed(n), n, f.p, f.modulus), n)
 
     def frobenius_twist(self, j):
         """Apply the coefficient automorphism x -> x^{p^(j mod w)}."""
@@ -426,90 +416,10 @@ class TruncSeries:
         return f"<{body} mod X^{self.trunc} over {self.field!r}>"
 
 
-def _reversion_ints(g, n, p):
-    # Newton iteration entirely on residue lists; correct-through exponent
-    # k means g(h) == X mod X^{k+1}.
-    dg = [(i * g[i]) % p for i in range(1, len(g))]
-    h = [0, pow(g[1], -1, p)]
-    k = 1
-    while k < n - 1:
-        m = min(2 * k + 2, n)
-        hp = h + [0] * (m - len(h))
-        e = compose_mod(g[:m], hp, m, p)
-        e[1] = (e[1] - 1) % p
-        dgh = compose_mod(dg[:m], hp, m, p)
-        corr = conv_mod(e, recip_mod(dgh, m, p), m, p)
-        h = [(a - b) % p for a, b in zip(hp, corr)]
-        k = 2 * k + 1
-    return h + [0] * (n - len(h))
-
-
-def _reversion_generic(g, n):
-    # same Newton scheme with FFElem coefficient lists (w > 1 path)
-    f = g.field
-    zero, one = f.zero(), f.one()
-
-    def conv(a, b, m):
-        out = [zero] * m
-        for i, ai in enumerate(a[:m]):
-            if ai.is_zero():
-                continue
-            for j in range(min(len(b), m - i)):
-                if not b[j].is_zero():
-                    out[i + j] = out[i + j] + ai * b[j]
-        return out
-
-    def compose(outer, inner, m):
-        acc = [outer[m - 1] if m - 1 < len(outer) else zero] + [zero] * (m - 1)
-        for c in reversed(outer[: m - 1]):
-            acc = conv(acc, inner, m)
-            acc[0] = acc[0] + c
-        return acc
-
-    def recip(a, m):
-        inv0 = a[0].inverse()
-        out = [inv0] + [zero] * (m - 1)
-        for k in range(1, m):
-            s = zero
-            for j in range(1, min(k, len(a) - 1) + 1):
-                s = s + a[j] * out[k - j]
-            out[k] = -(inv0 * s)
-        return out
-
-    coeffs = list(g.coeffs)
-    dg = [coeffs[i] * f.coerce(i) for i in range(1, len(coeffs))]
-    h = [zero, coeffs[1].inverse()]
-    k = 1
-    while k < g.trunc - 1:
-        m = min(2 * k + 2, g.trunc)
-        hp = h + [zero] * (m - len(h))
-        e = compose(coeffs[:m], hp, m)
-        e[1] = e[1] - one
-        dgh = compose(dg[:m], hp, m)
-        corr = conv(e, recip(dgh, m), m)
-        h = [a - b for a, b in zip(hp, corr)]
-        k = 2 * k + 1
-    h = h + [zero] * (g.trunc - len(h))
-    return h
-
-
-# module-level aliases for the operation names used by the CLI and docs
-
-
-def series_add(a, b):
-    return a + b
-
-
-def series_mul(a, b):
-    return a * b
-
-
-def series_compose(outer, inner):
-    return outer.compose(inner)
-
-
-def series_comp_inverse(g):
-    return g.comp_inverse()
+def _unpacked(field, flat, n):
+    # a series from the first n blocks of a packed list
+    w, s = field.w, block_size(field.modulus)
+    return TruncSeries(field, [flat[k : k + w] for k in range(0, n * s, s)], n)
 
 
 def frobenius_twist(g, j):

@@ -72,18 +72,27 @@ def depth(g):
     return AtLeast(g.trunc - 1)
 
 
+def iterate(g, k, compose):
+    """The k-fold composite of g, k >= 1, by left-to-right binary powering.
+
+    ``compose(outer, inner)`` composes two series.  Each bit of k after the
+    leading one costs a squaring, and one more composition with g when set.
+    """
+    result = g
+    for bit in bin(k)[3:]:
+        result = compose(result, result)
+        if bit == "1":
+            result = compose(result, g)
+    return result
+
+
 def compose_power(g, k):
     """k-fold self-composition g^(k) by binary powering."""
     if k < 0:
         raise ValueError("composition power must be >= 0")
-    result = TruncSeries.x(g.field, g.trunc)
-    base = g
-    while k:
-        if k & 1:
-            result = result.compose(base)
-        base = base.compose(base)
-        k >>= 1
-    return result
+    if k == 0:
+        return TruncSeries.x(g.field, g.trunc)
+    return iterate(g, k, TruncSeries.compose)
 
 
 def p_iterate(g, n):

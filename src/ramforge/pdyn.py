@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from ._convolve import compose_mod, conv_mod, recip_mod
 from .errors import PrecisionError
-from .gfseries import FiniteField, TruncSeries
-from .nottingham import IndexReport, index_of, lower_breaks, upper_from_lower
+from .gfseries import FiniteField, TruncSeries, _is_prime
+from .nottingham import IndexReport, index_of, iterate, lower_breaks, upper_from_lower
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,8 @@ class PadicSeries:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
+        if not _is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
         if self.prec < 1 or self.trunc < 1:
             raise ValueError("prec and trunc must be >= 1")
         mod = self.modulus
@@ -97,14 +99,9 @@ def pad_iterate(u, k):
         raise ValueError("iteration count must be >= 0")
     if u.coeffs[0] != 0:
         raise ValueError("dynamical series must satisfy u(0) = 0")
-    result = PadicSeries.x(u.p, u.prec, u.trunc)
-    base = u
-    while k:
-        if k & 1:
-            result = pad_compose(result, base)
-        base = pad_compose(base, base)
-        k >>= 1
-    return result
+    if k == 0:
+        return PadicSeries.x(u.p, u.prec, u.trunc)
+    return iterate(u, k, pad_compose)
 
 
 def reduce_mod_p(u):
@@ -174,8 +171,9 @@ def qn_divide(u, n):
     p, P, M = u.p, u.prec, u.trunc
     mod = p**P
     x = PadicSeries.x(p, P, M)
-    num = (pad_iterate(u, p**n) - x).coeffs[1:]
-    den = (pad_iterate(u, p ** (n - 1)) - x).coeffs[1:]
+    prev = pad_iterate(u, p ** (n - 1))
+    num = (pad_iterate(prev, p) - x).coeffs[1:]
+    den = (prev - x).coeffs[1:]
     L = M - 1
 
     i0 = next((k for k, c in enumerate(den) if c % p != 0), None)

@@ -201,6 +201,19 @@ class TestDynamics:
         code, doc = run(capsys, "dynamics", "qn", "--series", inline, "--n", "1")
         assert code == 3 and doc["error"]["type"] == "precision"
 
+    @pytest.mark.parametrize(
+        "op, series, flag",
+        [
+            ("newton", {"p": 0, "prec": 3, "trunc": 4, "coeffs": [5, 1, 0, 1]}, ["--degree", "2"]),
+            ("qn", {"p": 4, "prec": 3, "trunc": 8, "coeffs": [0, 5, 1, 0, 0, 0, 0, 0]}, ["--n", "1"]),
+            ("newton", {"p": 1, "prec": 3, "trunc": 4, "coeffs": [5, 1, 0, 1]}, ["--degree", "2"]),
+        ],
+    )
+    def test_non_prime_p_is_input_error(self, capsys, op, series, flag):
+        code, doc = run(capsys, "dynamics", op, "--series", json.dumps(series), *flag)
+        assert code == 2 and doc["error"]["type"] == "input"
+        assert "not prime" in doc["error"]["reason"]
+
 
 class TestContract:
     def test_input_error_exit_code(self, capsys):

@@ -9,6 +9,22 @@ from helpers import brute_comp_inverse, brute_compose
 F5 = FiniteField(5)
 F2 = FiniteField(2)
 F4 = FiniteField(2, 2, (1, 1, 1))  # t^2 + t + 1
+F8 = FiniteField(2, 3, (1, 1, 0, 1))
+F9 = FiniteField(3, 2, (1, 0, 1))
+F25 = FiniteField(5, 2, (3, 0, 1))
+F27 = FiniteField(3, 3, (1, 2, 0, 1))
+EXTENSIONS = (F4, F8, F9, F25, F27)
+
+
+def elem(rng, field, unit=False):
+    while True:
+        c = tuple(rng.randrange(field.p) for _ in range(field.w))
+        if not unit or any(c):
+            return c
+
+
+def unit_series(rng, field, n):
+    return S(field, [0, elem(rng, field, unit=True)] + [elem(rng, field) for _ in range(n - 2)], n)
 
 
 def S(field, coeffs, trunc=None):
@@ -115,30 +131,33 @@ class TestCompose:
 
     def test_matches_generic_path_on_extension_field(self):
         rng = random.Random(11)
-        for _ in range(10):
-            n = rng.randint(2, 8)
-            outer = [(rng.randrange(2), rng.randrange(2)) for _ in range(n)]
-            inner = [(0, 0)] + [(rng.randrange(2), rng.randrange(2)) for _ in range(n - 1)]
-            got = S(F4, outer, n).compose(S(F4, inner, n))
-            # recompute by ascending powers with FFElem arithmetic
-            result = TruncSeries.zero(F4, n)
-            power = TruncSeries.one(F4, n)
-            inner_s = S(F4, inner, n)
-            for c in outer:
-                ce = F4.coerce(c)
-                result = result + TruncSeries(F4, tuple(ce * pc for pc in power.coeffs), n)
-                power = power * inner_s
-            assert got == result
+        for f in EXTENSIONS:
+            for _ in range(10):
+                n = rng.randint(2, 8)
+                outer = [elem(rng, f) for _ in range(n)]
+                inner = [(0,) * f.w] + [elem(rng, f) for _ in range(n - 1)]
+                got = S(f, outer, n).compose(S(f, inner, n))
+                # recompute by ascending powers with FFElem arithmetic only
+                inner_e = [f.coerce(c) for c in inner]
+                result = [f.zero()] * n
+                power = [f.one()] + [f.zero()] * (n - 1)
+                for c in outer:
+                    ce = f.coerce(c)
+                    result = [r + ce * pc for r, pc in zip(result, power)]
+                    nxt = [f.zero()] * n
+                    for i, pi in enumerate(power):
+                        for j in range(n - i):
+                            nxt[i + j] = nxt[i + j] + pi * inner_e[j]
+                    power = nxt
+                assert got == TruncSeries(f, result, n)
 
     def test_associativity_random(self):
         rng = random.Random(13)
-        for _ in range(15):
-            n = rng.randint(3, 12)
-            a, b, c = (
-                S(F5, [0, rng.randrange(1, 5)] + [rng.randrange(5) for _ in range(n - 2)], n)
-                for _ in range(3)
-            )
-            assert a.compose(b).compose(c) == a.compose(b.compose(c))
+        for f in (F5,) + EXTENSIONS:
+            for _ in range(15):
+                n = rng.randint(3, 12)
+                a, b, c = (unit_series(rng, f, n) for _ in range(3))
+                assert a.compose(b).compose(c) == a.compose(b.compose(c))
 
 
 class TestCompInverse:
@@ -169,12 +188,13 @@ class TestCompInverse:
 
     def test_two_sided_inverse_random(self):
         rng = random.Random(17)
-        for _ in range(10):
-            n = rng.randint(4, 24)
-            g = S(F5, [0, rng.randrange(1, 5)] + [rng.randrange(5) for _ in range(n - 2)], n)
-            h = g.comp_inverse()
-            x = TruncSeries.x(F5, n)
-            assert g.compose(h) == x and h.compose(g) == x
+        for f in (F5,) + EXTENSIONS:
+            for _ in range(10):
+                n = rng.randint(4, 24)
+                g = unit_series(rng, f, n)
+                h = g.comp_inverse()
+                x = TruncSeries.x(f, n)
+                assert g.compose(h) == x and h.compose(g) == x
 
     def test_rejects_non_units(self):
         with pytest.raises(ValueError, match="constant term"):
@@ -209,11 +229,12 @@ class TestFrobeniusTwist:
 
     def test_ring_homomorphism(self):
         rng = random.Random(29)
-        for _ in range(8):
-            a = S(F4, [(rng.randrange(2), rng.randrange(2)) for _ in range(5)], 5)
-            b = S(F4, [(rng.randrange(2), rng.randrange(2)) for _ in range(5)], 5)
-            assert (a * b).frobenius_twist(1) == a.frobenius_twist(1) * b.frobenius_twist(1)
-            assert (a + b).frobenius_twist(1) == a.frobenius_twist(1) + b.frobenius_twist(1)
+        for f in EXTENSIONS:
+            for _ in range(8):
+                a = S(f, [elem(rng, f) for _ in range(5)], 5)
+                b = S(f, [elem(rng, f) for _ in range(5)], 5)
+                assert (a * b).frobenius_twist(1) == a.frobenius_twist(1) * b.frobenius_twist(1)
+                assert (a + b).frobenius_twist(1) == a.frobenius_twist(1) + b.frobenius_twist(1)
 
 
 class TestTruncationDiscipline:

@@ -4,12 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from ramforge import pdyn
 from ramforge import (
     FiniteField,
     PadicSeries,
     PrecisionError,
     TruncSeries,
     analyze,
+    compose_power,
     ext_quantities,
     newton_polygon,
     p_iterate,
@@ -86,6 +88,26 @@ class TestPadIterate:
     def test_rejects_nonzero_constant(self):
         with pytest.raises(ValueError):
             pad_iterate(PadicSeries(5, 3, 3, (1, 1, 0)), 2)
+
+    @pytest.mark.parametrize("p, expected", [(2, 1), (3, 2), (5, 3)])
+    def test_p_th_iterate_composition_count(self, monkeypatch, p, expected):
+        calls = []
+
+        def counting(compose):
+            def wrapper(outer, inner):
+                calls.append(1)
+                return compose(outer, inner)
+
+            return wrapper
+
+        monkeypatch.setattr(TruncSeries, "compose", counting(TruncSeries.compose))
+        monkeypatch.setattr(pdyn, "pad_compose", counting(pdyn.pad_compose))
+        u = cyclotomic(p, 4, 12)
+        it = pad_iterate(u, p)
+        assert len(calls) == expected
+        calls.clear()
+        assert compose_power(reduce_mod_p(u), p) == reduce_mod_p(it)
+        assert len(calls) == expected
 
 
 class TestReduceModP:
