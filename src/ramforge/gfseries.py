@@ -25,20 +25,38 @@ from functools import lru_cache
 from ._convolve import block_size, compose_mod, mul_mod, reversion_mod
 
 
+# Miller-Rabin with the first 13 prime bases decides primality of every n
+# below this bound (Sorenson and Webster, Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 @lru_cache(maxsize=256)  # every PadicSeries result re-checks its p
-def _is_prime(n):
+def _require_prime(n):
+    """Raise ValueError unless n is a prime that can be certified."""
+    if n >= _MR_BOUND:
+        raise ValueError(
+            f"primality of {n} cannot be certified: deterministic Miller-Rabin "
+            f"is proven only below {_MR_BOUND}"
+        )
     if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+        raise ValueError(f"{n} is not prime")
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _MR_BASES:
+        if b >= n:
+            break
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            raise ValueError(f"{n} is not prime")
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +141,9 @@ class FiniteField:
     ``modulus`` is the coefficient tuple (low degree first, monic) of an
     irreducible degree-w polynomial over F_p; it is checked at construction
     by verifying X^{p^w} == X mod modulus together with the gcd conditions
-    for the proper divisors of w.  Primality of p is checked by trial
-    division; this toolkit targets desk-scale characteristics.
+    for the proper divisors of w.  Primality of p is checked by
+    deterministic Miller-Rabin, which is proven below 3.3e24; a larger p
+    is rejected as uncertifiable.
     """
 
     p: int
@@ -132,8 +151,7 @@ class FiniteField:
     modulus: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+        _require_prime(self.p)
         if self.w < 1:
             raise ValueError("extension degree must be >= 1")
         if self.w == 1:

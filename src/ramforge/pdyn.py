@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from ._convolve import compose_mod, conv_mod, recip_mod
 from .errors import PrecisionError
-from .gfseries import FiniteField, TruncSeries, _is_prime
+from .gfseries import FiniteField, TruncSeries, _require_prime
 from .nottingham import IndexReport, index_of, iterate, lower_breaks, upper_from_lower
 
 
@@ -32,8 +32,7 @@ class PadicSeries:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+        _require_prime(self.p)
         if self.prec < 1 or self.trunc < 1:
             raise ValueError("prec and trunc must be >= 1")
         mod = self.modulus
@@ -168,11 +167,16 @@ def qn_divide(u, n):
         raise ValueError("level n must be >= 1")
     if u.coeffs[0] != 0:
         raise ValueError("dynamical series must satisfy u(0) = 0")
-    p, P, M = u.p, u.prec, u.trunc
+    prev = pad_iterate(u, u.p ** (n - 1))
+    return _divide_level(prev, pad_iterate(prev, u.p), n)
+
+
+def _divide_level(prev, cur, n):
+    """qn_divide from the iterates prev = u^(p^(n-1)) and cur = u^(p^n)."""
+    p, P, M = prev.p, prev.prec, prev.trunc
     mod = p**P
     x = PadicSeries.x(p, P, M)
-    prev = pad_iterate(u, p ** (n - 1))
-    num = (pad_iterate(prev, p) - x).coeffs[1:]
+    num = (cur - x).coeffs[1:]
     den = (prev - x).coeffs[1:]
     L = M - 1
 
@@ -436,9 +440,13 @@ def analyze(u, n_max):
     index = index_of(p, upper) if len(upper) >= 2 else None
     d = index.d if index is not None and index.status == "determined" else None
 
+    # one chain u, u^p, u^(p^2), ...: level n divides by its two last links
     levels = []
+    prev = u
     for n in range(1, n_max + 1):
-        levels.append(_analyze_level(u, n, depths, d))
+        cur = pad_iterate(prev, p)
+        levels.append(_analyze_level(prev, cur, n, depths, d))
+        prev = cur
 
     rn, flags = rn_values(p, depths, d) if depths else ((), None)
     return DynamicsReport(
@@ -448,10 +456,10 @@ def analyze(u, n_max):
     )
 
 
-def _analyze_level(u, n, depths, d):
-    p = u.p
+def _analyze_level(prev, cur, n, depths, d):
+    p = prev.p
     try:
-        q = qn_divide(u, n)
+        q = _divide_level(prev, cur, n)
     except (PrecisionError, ValueError) as exc:
         return LevelReport(n, None, None, None, None, None, None, None, None, None,
                            note=f"quotient unavailable: {exc}")
@@ -467,7 +475,7 @@ def _analyze_level(u, n, depths, d):
         r = q.coeffs[0] % p ** q.coeff_prec[0]
         if r != 0:
             const_val = _vp_mod(r, p, q.coeff_prec[0])
-    expected_const = _expected_constant_valuation(u, n)
+    expected_const = _expected_constant_valuation(n)
     const_matches = (
         const_val == expected_const
         if (const_val is not None and expected_const is not None)
@@ -494,7 +502,7 @@ def _analyze_level(u, n, depths, d):
     )
 
 
-def _expected_constant_valuation(u, n):
+def _expected_constant_valuation(n):
     # over Z_p-coefficients the constant term of every level quotient has
     # valuation exactly 1: each p-th power step adds v(p) = 1 to
     # v(a0^(p^k) - 1) for a0 a 1-unit, and the a0 = 1 case gives exactly p

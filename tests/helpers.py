@@ -34,6 +34,38 @@ def brute_compose(outer, inner, p, n):
     return result
 
 
+def ext_compose(outer, inner, p, modulus, n):
+    """outer(inner) mod X^n over F_p[Y]/(modulus), coefficients as w-tuples.
+
+    Ascending powers as in brute_compose; a coefficient product is a
+    schoolbook product in Y followed by long division by the monic modulus.
+    """
+    w = len(modulus) - 1
+
+    def cmul(a, b):
+        prod = poly_mul_mod(list(a), list(b), p, 2 * w - 1)
+        for d in range(2 * w - 2, w - 1, -1):
+            t = prod[d]
+            for j in range(w + 1):
+                prod[d - w + j] = (prod[d - w + j] - t * modulus[j]) % p
+        return tuple(prod[:w])
+
+    def cadd(a, b):
+        return tuple((x + y) % p for x, y in zip(a, b))
+
+    zero = (0,) * w
+    result = [zero] * n
+    power = [(1,) + zero[1:]] + [zero] * (n - 1)
+    for c in outer[:n]:
+        result = [cadd(r, cmul(c, pc)) for r, pc in zip(result, power)]
+        new = [zero] * n
+        for i, pi in enumerate(power):
+            for j in range(min(len(inner), n - i)):
+                new[i + j] = cadd(new[i + j], cmul(pi, inner[j]))
+        power = new
+    return result
+
+
 def brute_comp_inverse(g, p, n):
     """Solve g(h) = X coefficient by exhaustive search over each digit."""
     inv1 = pow(g[1], p - 2, p)

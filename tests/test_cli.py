@@ -214,6 +214,12 @@ class TestDynamics:
         assert code == 2 and doc["error"]["type"] == "input"
         assert "not prime" in doc["error"]["reason"]
 
+    def test_uncertifiable_p_is_input_error(self, capsys):
+        series = {"p": 2**89 - 1, "prec": 2, "trunc": 8, "coeffs": [0, 5, 1, 0, 0, 0, 0, 0]}
+        code, doc = run(capsys, "dynamics", "qn", "--series", json.dumps(series), "--n", "1")
+        assert code == 2 and doc["error"]["type"] == "input"
+        assert "cannot be certified" in doc["error"]["reason"]
+
 
 class TestContract:
     def test_input_error_exit_code(self, capsys):

@@ -38,6 +38,16 @@ class TestFiniteField:
         with pytest.raises(ValueError, match="not prime"):
             FiniteField(6)
 
+    def test_primality_is_deterministic_miller_rabin(self):
+        assert FiniteField(2**61 - 1).p == 2**61 - 1  # trial division would take ~10^9 steps
+        # a Carmichael number, a strong pseudoprime to bases 2, 3, 5, 7, and
+        # one to every prime base below 37
+        for n in (561, 3215031751, 3825123056546413051):
+            with pytest.raises(ValueError, match="not prime"):
+                FiniteField(n)
+        with pytest.raises(ValueError, match="cannot be certified"):
+            FiniteField(2**89 - 1)  # prime, but above the proven Miller-Rabin range
+
     def test_rejects_reducible_modulus(self):
         # X^2 + 1 = (X+1)^2 over F_2
         with pytest.raises(ValueError, match="irreducible"):

@@ -392,6 +392,21 @@ class TestAnalyze:
         assert lv.polygon.single_root_valuation == F(1, 500)
         assert lv.single_segment_matches and lv.constant_valuation == 1
 
+    def test_levels_share_one_iterate_chain(self, monkeypatch):
+        # u^3 from u and u^9 from u^3, two compositions each; rebuilding
+        # u^3 for level 2 would make 6
+        u = cyclotomic(3, 8, 60)
+        calls = []
+        compose = pdyn.pad_compose
+        monkeypatch.setattr(pdyn, "pad_compose", lambda f, g: calls.append(1) or compose(f, g))
+        rep = analyze(u, 2)
+        assert len(calls) == 4
+        monkeypatch.undo()
+        for n, level in enumerate(rep.levels, start=1):
+            q = qn_divide(u, n)
+            assert level.weierstrass_degree == weierstrass_degree(q) is not None
+            assert level.polygon == newton_polygon(q, level.weierstrass_degree)
+
     def test_identity_rejected(self):
         with pytest.raises(ValueError, match="identity"):
             analyze(PadicSeries.x(5, 4, 20), 1)
