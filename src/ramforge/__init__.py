@@ -2,7 +2,7 @@
 substitution groups, piecewise-linear transfer functions, truncated
 valuation rings, and p-adic dynamics."""
 
-from .errors import PrecisionError, RamforgeError, SenViolationError
+from .errors import InvariantError, PrecisionError, RamforgeError, SenViolationError
 from .gfseries import (
     FFElem,
     FiniteField,

@@ -1,12 +1,14 @@
 """Dense truncated series kernels over Z/m and over F_p[Y]/(modulus).
 
-Residue vectors are plain lists of ints in [0, m).  A product takes the
-numpy int64 path only when the worst-case accumulator provably fits.
-Past that bound it is one big-integer multiply (Kronecker substitution
-in X): each list is packed into one Python int with a fixed slot of
-bytes per coefficient, wide enough for any coefficient of the product,
-and the slots of the product are read back and reduced.  Both paths are
-exact, so results are identical either way.
+Residue vectors are sequences of ints in [0, m); ``compose_mod`` also
+passes numpy arrays of them to the product functions, which then return
+arrays.  A product takes the numpy int64 path only when the worst-case
+accumulator provably fits.  Past that bound it is one big-integer
+multiply (Kronecker substitution in X): each list is packed into one
+Python int with a fixed slot of bytes per coefficient, wide enough for
+any coefficient of the product, and the slots of the product are read
+back and reduced.  Both paths are exact, so results are identical either
+way.
 
 A series over F_{p^w} = F_p[Y]/(modulus) is packed into one flat list
 (Kronecker substitution in Y): the coefficient of X^k is a polynomial in Y
@@ -19,11 +21,13 @@ F_p and Z/p^P) s = 1, a block is one residue and nothing is reduced.
 
 Composition is Paterson-Stockmeyer (baby steps, giant steps): about
 2*sqrt(L) products for an outer series of L blocks, where Horner's rule
-takes L - 1; see ``compose_mod``.
+takes L - 1.  It stays array-resident: int64 arrays below the bound,
+object arrays of Python ints past it; see ``compose_mod``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
 
 _INT64_SAFE = 2**62
@@ -42,28 +46,58 @@ def _unpack(x, size, count, mod):
 
 
 def conv_mod(a, b, n, mod):
-    """Truncated product: first n coefficients of a*b with entries mod m."""
+    """Truncated product: first n coefficients of a*b with entries mod m.
+
+    a and b are sequences of ints, or two numpy arrays of residues below
+    mod as compose_mod passes them (int64 below the bound, Python ints in
+    object arrays past it); arrays give an array of a's dtype, anything
+    else a list.
+    """
     la = min(len(a), n)
     lb = min(len(b), n)
-    if la == 0 or lb == 0 or n == 0:
-        return [0] * n
-    # reduce first: callers may hand residues from a larger modulus, and
-    # both bounds below assume entries below mod
-    a = [x % mod for x in a[:la]]
-    b = [x % mod for x in b[:lb]]
-    if (mod - 1) * (mod - 1) * min(la, lb) < _INT64_SAFE:
+    arrays = hasattr(a, "dtype")
+    if not arrays:
+        # reduce first: callers may hand residues from a larger modulus, and
+        # both bounds below assume entries below mod
+        a = [x % mod for x in a[:la]]
+        b = [x % mod for x in b[:lb]]
+    if la == 0 or lb == 0:
+        out = []
+    elif (mod - 1) * (mod - 1) * min(la, lb) < _INT64_SAFE:
         import numpy as np
 
-        full = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        out = (full[:n] % mod).tolist()
+        out = np.convolve(np.asarray(a[:la], dtype=np.int64), np.asarray(b[:lb], dtype=np.int64))
+        out = out[:n] % mod
+        if not arrays:
+            out = out.tolist()
     else:
         # a product coefficient sums at most min(la, lb) terms below mod^2
         size = (2 * (mod - 1).bit_length() + min(la, lb).bit_length() + 7) // 8
-        m = min(n, la + lb - 1)
-        out = _unpack(_pack(a, size) * _pack(b, size), size, m, mod)
+        out = _unpack(_pack(a[:la], size) * _pack(b[:lb], size), size, min(n, la + lb - 1), mod)
+    if arrays:
+        return _residues(out, n, None, a.dtype)
     if len(out) < n:
         out.extend([0] * (n - len(out)))
     return out
+
+
+def _residues(x, length, mod, dtype):
+    """x as a numpy array of dtype, cut or zero-padded to length.
+
+    The entries are reduced mod mod (those past int64 before conversion),
+    or taken as they are when mod is None.
+    """
+    import numpy as np
+
+    v = np.zeros(length, dtype=dtype)
+    x = x[:length]
+    try:
+        v[: len(x)] = x
+    except OverflowError:  # residues of a larger modulus, past int64
+        v[: len(x)] = [c % mod for c in x]
+    if mod is not None:
+        v %= mod
+    return v
 
 
 def block_size(modulus):
@@ -71,23 +105,40 @@ def block_size(modulus):
     return 1 if modulus is None else 2 * len(modulus) - 3
 
 
+@lru_cache(maxsize=64)
+def _reduction(modulus, mod):
+    """Rows Y^d mod (modulus, mod) for d = 0 .. 2w-2, w coefficients each."""
+    w = len(modulus) - 1
+    rows = [tuple(int(d == j) for j in range(w)) for d in range(w)]
+    for _ in range(w - 1):
+        # Y * Y^(d-1), with Y^w = -(modulus - Y^w)
+        prev = rows[-1]
+        rows.append(tuple(((prev[j - 1] if j else 0) - prev[-1] * modulus[j]) % mod for j in range(w)))
+    return tuple(rows)
+
+
 def _fold(c, n, mod, modulus):
-    """Reduce each of the first n blocks of c mod the modulus, in place."""
+    """Reduce each of the first n blocks of c mod the modulus.
+
+    c is a list, or a numpy array that is reduced in place.  All blocks go
+    at once: a block of 2w - 1 slots times the rows Y^d mod the modulus.
+    """
+    import numpy as np
+
     w = len(modulus) - 1
     s = 2 * w - 1
-    # Y^(w+e) = -Y^e * (modulus - Y^w): fold slots 2w-2 .. w of each block down
-    for top in range(0, n * s, s):
-        for d in range(top + s - 1, top + w - 1, -1):
-            t = c[d]
-            if t:
-                c[d] = 0
-                for j in range(w):
-                    c[d - w + j] = (c[d - w + j] - t * modulus[j]) % mod
-    return c
+    arr = c
+    if not hasattr(c, "dtype"):
+        # a folded slot sums s products of two residues
+        arr = np.asarray(c, dtype=np.int64 if (mod - 1) * (mod - 1) * s < _INT64_SAFE else object)
+    blocks = arr[: n * s].reshape(n, s)
+    blocks[:, :w] = blocks @ np.asarray(_reduction(tuple(modulus), mod), dtype=arr.dtype) % mod
+    blocks[:, w:] = 0
+    return arr if arr is c else arr.tolist()
 
 
 def mul_mod(a, b, n, mod, modulus=None):
-    """First n blocks of the packed product a*b."""
+    """First n blocks of the packed product a*b (lists, or arrays as conv_mod)."""
     if modulus is None:
         return conv_mod(a, b, n, mod)
     return _fold(conv_mod(a, b, n * block_size(modulus), mod), n, mod, modulus)
@@ -122,52 +173,58 @@ def compose_mod(outer, inner, n, mod, modulus=None):
     shifts stay inside each block, so all chunks are one matrix product of
     scalars for every ring.  Horner's rule in inner^k takes the last
     ceil(L/k) - 1 products.
+
+    The operands are converted once, and the baby powers, the chunks and the
+    Horner accumulator stay numpy arrays until the result is returned as a
+    list: int64 arrays when every product and chunk sum fits, object arrays
+    of Python ints (with big-integer products) otherwise.
     """
     if n == 0:
         return []
     s = block_size(modulus)
     w = (s + 1) // 2
     width = n * s
-    outer = [x % mod for x in outer[:width]]
-    blocks = -(-len(outer) // s)
+    blocks = -(-min(len(outer), width) // s)
     if blocks == 0:
         return [0] * width
     k = isqrt(blocks - 1) + 1
     m = -(-blocks // k)
-    outer.extend([0] * (m * k * s - len(outer)))
-    inner = [x % mod for x in inner[:width]]
-    inner.extend([0] * (width - len(inner)))
-    powers = [[1] + [0] * (width - 1), inner]
+    import numpy as np
+
+    # a product coefficient sums at most width terms below (mod - 1)^2, a
+    # chunk coefficient k*w <= width of them and a folded slot s <= width,
+    # so one bound covers all three
+    small = (mod - 1) * (mod - 1) * width < _INT64_SAFE
+    dtype = np.int64 if small else object
+    outer = _residues(outer, m * k * s, mod, dtype)
+    inner = _residues(inner, width, mod, dtype)
+    powers = [_residues([1], width, None, dtype), inner]
     while len(powers) < (k + 1 if m > 1 else k):
         powers.append(mul_mod(powers[-1], inner, n, mod, modulus))
 
     # chunk i, row (j, t): the coefficient c_t of Y^t in block ik + j of outer
-    coef = [[outer[(i * k + j) * s + t] for j in range(k) for t in range(w)] for i in range(m)]
-    if (mod - 1) * (mod - 1) * k * w < _INT64_SAFE:
-        import numpy as np
-
-        base = np.asarray(powers[:k], dtype=np.int64)
+    coef = outer.reshape(m, k, s)[:, :, :w].reshape(m, k * w)
+    if small:
+        base = np.stack(powers[:k])
         shifted = np.zeros((k, w, width), dtype=np.int64)
         for t in range(w):
             shifted[:, t, t:] = base[:, : width - t]
-        chunks = (np.asarray(coef, dtype=np.int64) @ shifted.reshape(k * w, width)) % mod
-        chunks = chunks.tolist()
+        chunks = coef @ shifted.reshape(k * w, width) % mod
     else:
         # the same sums over Kronecker-packed powers: a slot shift is a bit shift
         size = (2 * (mod - 1).bit_length() + (k * w).bit_length() + 7) // 8
         rows = [_pack(pw, size) << (8 * size * t) for pw in powers[:k] for t in range(w)]
-        chunks = [_unpack(sum(c * r for c, r in zip(row, rows) if c), size, width, mod)
-                  for row in coef]
+        chunks = np.array([_unpack(sum(c * r for c, r in zip(row, rows) if c), size, width, mod)
+                           for row in coef.tolist()], dtype=object)
     if modulus is not None:
-        for c in chunks:
-            _fold(c, n, mod, modulus)
+        _fold(chunks.reshape(-1), m * n, mod, modulus)
 
     # chunk i is multiplied by (inner^k)^i, which vanishes below block ik
     acc = chunks[-1]
     for i in range(m - 2, -1, -1):
         prod = mul_mod(acc, powers[k], n - i * k, mod, modulus)
-        acc = [(x + y) % mod for x, y in zip(prod, chunks[i])]
-    return acc
+        acc = (prod + chunks[i, : len(prod)]) % mod
+    return acc.tolist()
 
 
 def recip_mod(a, n, mod, modulus=None):

@@ -1,7 +1,8 @@
 """The ramforge command line: JSON in, JSON out, deterministic output.
 
 Exit codes: 0 success, 2 input validation failure, 3 precision
-insufficiency (retry with a larger truncation or coefficient precision).
+insufficiency (retry with a larger truncation or coefficient precision),
+4 a failed internal cross-check (the answer is withheld; a toolkit defect).
 Error documents are structured JSON with a machine-readable reason.
 """
 
@@ -13,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import jsonio
-from .errors import PrecisionError
+from .errors import InvariantError, PrecisionError
 from .herbrand import phi_from_breaks, pl_compose, psi_from_breaks, validate_breaks
 from .nottingham import depth, index_of, lower_breaks, p_iterate, upper_from_lower
 from .pdyn import analyze, newton_polygon, qn_divide
@@ -251,6 +252,9 @@ def main(argv=None):
     except PrecisionError as exc:
         _emit({"error": {"type": "precision", "reason": str(exc)}}, args.format)
         return 3
+    except InvariantError as exc:
+        _emit({"error": {"type": "invariant", "reason": str(exc)}}, args.format)
+        return 4
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         _emit({"error": {"type": "input", "reason": str(exc)}}, args.format)
         return 2

@@ -2,7 +2,9 @@
 
 Input problems raise ValueError (or a subclass); a PrecisionError means
 the requested quantity cannot be certified at the supplied truncation or
-coefficient precision and the caller should retry with more digits.
+coefficient precision and the caller should retry with more digits.  An
+InvariantError means a mathematical cross-check inside the toolkit failed:
+the answer is not to be trusted, whatever the input.
 """
 
 
@@ -28,3 +30,11 @@ class PrecisionError(RamforgeError):
 
 class SenViolationError(RamforgeError, ValueError):
     """A lower-break sequence is not consistent with any Z_p-action."""
+
+
+class InvariantError(RamforgeError):
+    """Two independent computations of one quantity disagree.
+
+    Raised by the explicit cross-checks, which, unlike ``assert``, also run
+    under ``python -O``.  It signals a defect in the toolkit, not in the input.
+    """

@@ -7,11 +7,13 @@ and never extends precision.  All values are immutable and every operation
 is a pure function, so concurrent use is safe.
 
 Series products, composition and substitution inverses run in the
-``_convolve`` kernel for every extension degree: a series is handed over
-packed into one flat residue list, one block of 2w - 1 slots per power of
-X with the Y-coefficients of X^k in slots [k(2w-1), k(2w-1) + w), and the
-kernel reduces each block of a product mod the field's modulus.  For w = 1
-a block is a single residue.
+``_convolve`` kernel for every extension degree.  A series is stored in
+the kernel's layout, one flat tuple of residues mod p with one block of
+2w - 1 slots per power of X and the Y-coefficients of X^k in slots
+[k(2w-1), k(2w-1) + w), so it is handed to the kernel as it is and the
+kernel's result (each block reduced mod the field's modulus) is wrapped
+without per-coefficient work.  For w = 1 a block is a single residue.
+The coefficients as ``FFElem`` values are a view built on first use.
 
 Field extensions require an explicit monic irreducible modulus from the
 caller; no built-in modulus tables are shipped.
@@ -188,18 +190,21 @@ class FiniteField:
 
     def coerce(self, value):
         """Wrap an int, coefficient vector, or FFElem as an element."""
+        rep = self._rep(value)
+        return value if isinstance(value, FFElem) else FFElem(self, rep)
+
+    def _rep(self, value):
+        """The reduced coefficient vector (w entries) of an int, vector or FFElem."""
         if isinstance(value, FFElem):
             if value.field != self:
                 raise ValueError("field mismatch")
-            return value
+            return value.rep
         if isinstance(value, int):
-            rep = (value % self.p,) + (0,) * (self.w - 1)
-            return FFElem(self, rep)
+            return (value % self.p,) + (0,) * (self.w - 1)
         rep = tuple(int(c) % self.p for c in value)
         if len(rep) > self.w:
             raise ValueError("coefficient vector longer than extension degree")
-        rep = rep + (0,) * (self.w - len(rep))
-        return FFElem(self, rep)
+        return rep + (0,) * (self.w - len(rep))
 
     def zero(self):
         return self.coerce(0)
@@ -298,14 +303,25 @@ class FFElem:
 class TruncSeries:
     """A power series over a finite field known modulo X^N.
 
-    ``coeffs`` always has exactly ``trunc`` entries; the k-th entry is the
-    coefficient of X^k.  Instances are immutable.
+    The series is stored as ``packed``, the kernel's residue list as a
+    tuple: ``trunc`` blocks of 2w - 1 slots, the reduced Y-coefficients of
+    X^k in slots [k(2w-1), k(2w-1) + w) and zeros in the rest (one slot per
+    coefficient over F_p).  ``coeffs`` is a view of it as ``trunc``
+    FFElem values, built on first use; the k-th entry is the coefficient
+    of X^k.  Instances are immutable.
     """
 
-    __slots__ = ("field", "trunc", "coeffs")
+    __slots__ = ("field", "trunc", "packed", "_coeffs")
 
     def __init__(self, field, coeffs, trunc=None):
-        coeffs = tuple(field.coerce(c) for c in coeffs)
+        coeffs = tuple(coeffs)
+        s = block_size(field.modulus)
+        packed = [0] * (len(coeffs) * s)
+        if all(type(c) is int for c in coeffs):
+            packed[::s] = [c % field.p for c in coeffs]
+        else:
+            for k, c in enumerate(coeffs):
+                packed[k * s : k * s + field.w] = field._rep(c)
         if trunc is None:
             trunc = len(coeffs)
         if trunc < 1:
@@ -314,7 +330,17 @@ class TruncSeries:
             raise ValueError(f"expected {trunc} coefficients, got {len(coeffs)}")
         self.field = field
         self.trunc = trunc
-        self.coeffs = coeffs
+        self.packed = tuple(packed)
+        self._coeffs = None
+
+    @property
+    def coeffs(self):
+        if self._coeffs is None:
+            f, w = self.field, self.field.w
+            s = block_size(f.modulus)
+            self._coeffs = tuple(FFElem(f, self.packed[i : i + w])
+                                 for i in range(0, len(self.packed), s))
+        return self._coeffs
 
     # -- constructors -------------------------------------------------
 
@@ -338,10 +364,10 @@ class TruncSeries:
         if not isinstance(other, TruncSeries) or other.field != self.field:
             raise ValueError("field mismatch")
 
-    def _packed(self, n):
-        # the first n coefficients in the kernel's packed block layout
-        pad = (0,) * (block_size(self.field.modulus) - self.field.w)
-        return [x for c in self.coeffs[:n] for x in c.rep + pad]
+    def block(self, k):
+        """The packed block of X^k: its w Y-coefficients, then w - 1 zeros."""
+        s = block_size(self.field.modulus)
+        return self.packed[k * s : (k + 1) * s]
 
     def truncate(self, n):
         """Forget coefficients at and above X^n (n <= current truncation)."""
@@ -349,40 +375,43 @@ class TruncSeries:
             raise ValueError("cannot extend precision by truncating")
         if n == self.trunc:
             return self
-        return TruncSeries(self.field, self.coeffs[:n], n)
+        return _from_packed(self.field, self.packed[: n * block_size(self.field.modulus)], n)
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        self._check(other)
-        n = min(self.trunc, other.trunc)
-        return TruncSeries(
-            self.field, tuple(a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])), n
-        )
+        return self._termwise(other, 1)
 
     def __sub__(self, other):
+        return self._termwise(other, -1)
+
+    def _termwise(self, other, sign):
         self._check(other)
         n = min(self.trunc, other.trunc)
-        return TruncSeries(
-            self.field, tuple(a - b for a, b in zip(self.coeffs[:n], other.coeffs[:n])), n
+        p = self.field.p
+        width = n * block_size(self.field.modulus)
+        return _from_packed(
+            self.field, [(a + sign * b) % p for a, b in zip(self.packed[:width], other.packed[:width])], n
         )
 
     def __mul__(self, other):
         self._check(other)
         n = min(self.trunc, other.trunc)
         f = self.field
-        out = mul_mod(self._packed(n), other._packed(n), n, f.p, f.modulus)
-        return _unpacked(f, out, n)
+        width = n * block_size(f.modulus)
+        out = mul_mod(self.packed[:width], other.packed[:width], n, f.p, f.modulus)
+        return _from_packed(f, out, n)
 
     def compose(self, inner):
         """outer(inner(X)); inner must have zero constant term."""
         self._check(inner)
-        if not inner.coeffs[0].is_zero():
+        if any(inner.block(0)):
             raise ValueError("inner series must have zero constant term")
         n = min(self.trunc, inner.trunc)
         f = self.field
-        out = compose_mod(self._packed(n), inner._packed(n), n, f.p, f.modulus)
-        return _unpacked(f, out, n)
+        width = n * block_size(f.modulus)
+        out = compose_mod(self.packed[:width], inner.packed[:width], n, f.p, f.modulus)
+        return _from_packed(f, out, n)
 
     def comp_inverse(self):
         """Substitution inverse h with g(h) == h(g) == X mod X^N.
@@ -391,13 +420,13 @@ class TruncSeries:
         Computed by Newton iteration on h -> h - (g(h) - X)/g'(h), which
         doubles the number of correct coefficients per step.
         """
-        if not self.coeffs[0].is_zero():
+        if any(self.block(0)):
             raise ValueError("not a substitution unit: constant term is nonzero")
-        if self.trunc < 2 or self.coeffs[1].is_zero():
+        if self.trunc < 2 or not any(self.block(1)):
             raise ValueError("not a substitution unit: linear coefficient is zero")
         f = self.field
         n = self.trunc
-        return _unpacked(f, reversion_mod(self._packed(n), n, f.p, f.modulus), n)
+        return _from_packed(f, reversion_mod(self.packed, n, f.p, f.modulus), n)
 
     def frobenius_twist(self, j):
         """Apply the coefficient automorphism x -> x^{p^(j mod w)}."""
@@ -412,11 +441,11 @@ class TruncSeries:
             isinstance(other, TruncSeries)
             and other.field == self.field
             and other.trunc == self.trunc
-            and other.coeffs == self.coeffs
+            and other.packed == self.packed
         )
 
     def __hash__(self):
-        return hash((self.field, self.trunc, self.coeffs))
+        return hash((self.field, self.trunc, self.packed))
 
     def __repr__(self):
         terms = []
@@ -434,10 +463,15 @@ class TruncSeries:
         return f"<{body} mod X^{self.trunc} over {self.field!r}>"
 
 
-def _unpacked(field, flat, n):
-    # a series from the first n blocks of a packed list
-    w, s = field.w, block_size(field.modulus)
-    return TruncSeries(field, [flat[k : k + w] for k in range(0, n * s, s)], n)
+def _from_packed(field, packed, n):
+    # a series from n blocks of reduced residues with zero upper slots, as
+    # the kernel returns them: no per-coefficient work
+    g = object.__new__(TruncSeries)
+    g.field = field
+    g.trunc = n
+    g.packed = tuple(packed)
+    g._coeffs = None
+    return g
 
 
 def frobenius_twist(g, j):

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._convolve import block_size
 from .errors import PrecisionError, SenViolationError
-from .gfseries import TruncSeries
+from .gfseries import TruncSeries, _from_packed
 
 
 @dataclass(frozen=True)
@@ -54,22 +55,22 @@ class IndexReport:
 
 
 def _require_group_element(g):
-    if not g.coeffs[0].is_zero():
+    if any(g.block(0)):
         raise ValueError("not a substitution-group element: constant term is nonzero")
-    if g.trunc < 2 or g.coeffs[1].is_zero():
+    if g.trunc < 2 or not any(g.block(1)):
         raise ValueError("not a substitution-group element: linear coefficient is zero")
 
 
 def depth(g):
     """Depth of g, or AtLeast(N-1) when no nonzero term is visible."""
     _require_group_element(g)
-    one = g.field.one()
-    if g.coeffs[1] != one:
+    s = block_size(g.field.modulus)
+    if g.block(1) != (1,) + (0,) * (s - 1):
         return 0
-    for k in range(2, g.trunc):
-        if not g.coeffs[k].is_zero():
-            return k - 1
-    return AtLeast(g.trunc - 1)
+    # upper slots of a block are zero, so the first nonzero slot past X^1
+    # lies in the block of the leading term
+    first = next((i for i in range(2 * s, len(g.packed)) if g.packed[i]), None)
+    return AtLeast(g.trunc - 1) if first is None else first // s - 1
 
 
 def iterate(g, k, compose):
@@ -111,31 +112,47 @@ def lower_breaks(g, n_max):
     truncation.
     """
     p = g.field.p
-    d = depth(g)
-    if isinstance(d, AtLeast):
-        raise PrecisionError(
-            f"depth of the generator is uncertified (>= {d.bound}) at truncation {g.trunc}",
-            quantity="lower_break",
-            level=0,
-            partial=(),
-        )
-    if d < 1:
-        raise ValueError("generator must have linear coefficient 1 and finite depth")
-    lower = [d]
-    h = g
-    for n in range(1, n_max + 1):
-        h = compose_power(h, p)
+
+    def chain():
+        h = g
+        yield h
+        for _ in range(n_max):
+            h = compose_power(h, p)
+            yield h
+
+    lower = certified_depths(chain(), g.trunc)
+    return RamSequence(p, tuple(lower), upper_from_lower(p, lower), g.trunc)
+
+
+def certified_depths(chain, trunc):
+    """The depths i_0, i_1, ... of a chain g, g^(p), g^(p^2), ... over F_p.
+
+    The chain is read lazily and stops at the first depth that cannot be
+    certified at truncation trunc: that raises PrecisionError carrying the
+    certified prefix in ``partial``.
+    """
+    lower = []
+    for n, h in enumerate(chain):
         d = depth(h)
         if isinstance(d, AtLeast):
+            if n == 0:
+                raise PrecisionError(
+                    f"depth of the generator is uncertified (>= {d.bound}) at truncation {trunc}",
+                    quantity="lower_break",
+                    level=0,
+                    partial=(),
+                )
             raise PrecisionError(
                 f"depth of the p^{n}-th iterate is uncertified (>= {d.bound}) "
-                f"at truncation {g.trunc}; retry with a larger truncation",
+                f"at truncation {trunc}; retry with a larger truncation",
                 quantity="lower_break",
                 level=n,
                 partial=tuple(lower),
             )
+        if d < 1:
+            raise ValueError("generator must have linear coefficient 1 and finite depth")
         lower.append(d)
-    return RamSequence(p, tuple(lower), upper_from_lower(p, lower), g.trunc)
+    return lower
 
 
 def upper_from_lower(p, lower):
@@ -196,11 +213,11 @@ def index_of(p, upper):
 
 def unit_part(g):
     """h with g(X) = X*h(X); truncation drops by one."""
-    if not g.coeffs[0].is_zero():
+    if any(g.block(0)):
         raise ValueError("constant term must vanish")
     if g.trunc < 2:
         raise ValueError("truncation too small to shift")
-    return TruncSeries(g.field, g.coeffs[1:], g.trunc - 1)
+    return _from_packed(g.field, g.packed[block_size(g.field.modulus) :], g.trunc - 1)
 
 
 def series_agree_mod(a, b, m):
@@ -209,7 +226,8 @@ def series_agree_mod(a, b, m):
         raise ValueError(f"m = {m} exceeds a truncation ({a.trunc}, {b.trunc})")
     if a.field != b.field:
         raise ValueError("field mismatch")
-    return a.coeffs[:m] == b.coeffs[:m]
+    s = block_size(a.field.modulus)
+    return a.packed[: m * s] == b.packed[: m * s]
 
 
 def _image_order_exponent(g, m):

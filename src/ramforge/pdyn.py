@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from ._convolve import compose_mod, conv_mod, recip_mod
 from .errors import PrecisionError
-from .gfseries import FiniteField, TruncSeries, _require_prime
-from .nottingham import IndexReport, index_of, iterate, lower_breaks, upper_from_lower
+from .gfseries import FiniteField, _from_packed, _require_prime
+from .nottingham import IndexReport, certified_depths, index_of, iterate, upper_from_lower
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,7 @@ def pad_iterate(u, k):
 
 def reduce_mod_p(u):
     """Coefficientwise reduction into F_p[[X]] at the same truncation."""
-    f = FiniteField(u.p)
-    return TruncSeries(f, tuple(c % u.p for c in u.coeffs), u.trunc)
+    return _from_packed(FiniteField(u.p), [c % u.p for c in u.coeffs], u.trunc)
 
 
 @dataclass(frozen=True)
@@ -425,14 +424,18 @@ def analyze(u, n_max):
             "u is the identity at this precision; its group closure is not infinite"
         )
 
+    # one chain u, u^p, u^(p^2), ...: its reductions mod p give the depths
+    # (reduction commutes with composition), and level n divides by its
+    # two last links
+    chain = [u]
+    for _ in range(n_max):
+        chain.append(pad_iterate(chain[-1], p))
     notes = []
-    ubar = reduce_mod_p(u)
     try:
-        ram = lower_breaks(ubar, n_max)
-        depths = ram.lower
+        depths = tuple(certified_depths((reduce_mod_p(h) for h in chain), M))
         uncertified_at = None
     except PrecisionError as exc:
-        depths = exc.partial if exc.partial is not None else ()
+        depths = exc.partial
         uncertified_at = exc.level
         notes.append(f"depth at level {exc.level} uncertified at truncation {M}")
 
@@ -440,13 +443,7 @@ def analyze(u, n_max):
     index = index_of(p, upper) if len(upper) >= 2 else None
     d = index.d if index is not None and index.status == "determined" else None
 
-    # one chain u, u^p, u^(p^2), ...: level n divides by its two last links
-    levels = []
-    prev = u
-    for n in range(1, n_max + 1):
-        cur = pad_iterate(prev, p)
-        levels.append(_analyze_level(prev, cur, n, depths, d))
-        prev = cur
+    levels = [_analyze_level(chain[n - 1], chain[n], n, depths, d) for n in range(1, n_max + 1)]
 
     rn, flags = rn_values(p, depths, d) if depths else ((), None)
     return DynamicsReport(

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import InvariantError
 from .herbrand import (
     BreakData,
     extract_yhz,
@@ -42,8 +43,8 @@ def tame_params(p, e, w=None):
         raise ValueError("the base must be tame: p does not divide e")
     g = math.gcd(e, p - 1)
     tp = TameParams(p, e, (p - 1) // g, e // g, w)
-    assert tp.e0 * (p - 1) == e * tp.s  # e0 = e*s/(p-1)
-    assert (p - 1) % tp.s == 0 and tp.e0 % p != 0
+    if tp.e0 * (p - 1) != e * tp.s or (p - 1) % tp.s or tp.e0 % p == 0:
+        raise InvariantError(f"cross-check failed: tame parameters {tp} break e0 = e*s/(p-1)")
     return tp
 
 
@@ -135,7 +136,8 @@ def m0(ti):
         k += 1
     if best is not None:
         h = extract_yhz(ti.bd).h
-        assert best <= ti.n - h - 1
+        if best > ti.n - h - 1:
+            raise InvariantError(f"cross-check failed: m0 = {best} exceeds n - h - 1 = {ti.n - h - 1}")
     return best
 
 
@@ -262,7 +264,11 @@ def _evaluate(ti, m):
     for t in ts:
         bound = psi_ML_lower_bound(ti, tp, yhz, m, t)
         if m <= n - yhz.h and (yhz.y <= e or t == m):
-            assert bound == _ces_floor(ti, tp, yhz, m, t)
+            if bound != _ces_floor(ti, tp, yhz, m, t):
+                raise InvariantError(
+                    f"cross-check failed: psi_ML lower bound at m = {m}, t = {t} "
+                    "differs from the ceiling-sum floor"
+                )
         threshold = p ** (n + t - m) * q
         items.append(Cond1Item(t, bound, threshold, bound > threshold))
     cond1 = all(it.ok for it in items)

@@ -119,6 +119,27 @@ def exact_int_compose(outer, inner, n):
     return result
 
 
+def apply_ring_by_powers(f, a):
+    """Image of a under the ring map of morphism f, power by power.
+
+    sum_k Frob(c_k) * mu(pi)^k in k[pi]/(pi^e2), with one field-element
+    product per coefficient and a schoolbook product for each next power
+    of mu(pi); no series kernel is used.
+    """
+    from ramforge import TruncSeries
+
+    field, e = f.target.field, f.target.e
+    zero = field.zero()
+    mu = f.mu_image.coeffs
+    acc = [zero] * e
+    power = [field.one()] + [zero] * (e - 1)
+    for c in a.coeffs:
+        ct = c.frobenius(f.res_twist)
+        acc = [x + ct * y for x, y in zip(acc, power)]
+        power = [sum((power[i] * mu[k - i] for i in range(k + 1)), zero) for k in range(e)]
+    return TruncSeries(field, acc, e)
+
+
 # -- exact rational power-series division -------------------------------------
 
 

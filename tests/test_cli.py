@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ramforge
+from ramforge import ramcheck
 from ramforge.cli import main
 
 
@@ -225,6 +231,29 @@ class TestContract:
     def test_input_error_exit_code(self, capsys):
         code, doc = run(capsys, "series", "depth", "--series", '{"p": 4, "w": 1, "trunc": 2, "coeffs": [0, 1]}')
         assert code == 2 and doc["error"]["type"] == "input"
+
+    def test_failed_cross_check_exit_code(self, capsys, monkeypatch, theorem_inputs):
+        monkeypatch.setattr(ramcheck, "_ces_floor", lambda *args: -1)
+        code, doc = run(capsys, "check", "main", "--input", theorem_inputs)
+        assert code == 4 and doc["error"]["type"] == "invariant"
+        assert "cross-check failed" in doc["error"]["reason"]
+
+    def test_cross_checks_run_under_optimize(self, theorem_inputs):
+        # python -O strips assert statements; the cross-checks must still run
+        script = (
+            "import sys\n"
+            "from ramforge import cli, ramcheck\n"
+            "if not sys.flags.optimize:\n"
+            "    sys.exit(5)\n"
+            "ramcheck._ces_floor = lambda *args: -1\n"
+            f"sys.exit(cli.main(['check', 'main', '--input', {theorem_inputs!r}]))\n"
+        )
+        src = str(Path(ramforge.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 4, proc.stderr
+        assert json.loads(proc.stdout)["error"]["type"] == "invariant"
 
     def test_determinism(self, capsys, theorem_inputs):
         main(["check", "main", "--input", theorem_inputs])

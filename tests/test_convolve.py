@@ -94,6 +94,22 @@ class TestConvMod:
             a, b = [mod - 1] * la, [mod - 1] * lb
             assert conv_mod(a, b, la + lb, mod) == poly_mul_mod(a, b, mod, la + lb)
 
+    def test_array_operands(self):
+        # compose_mod's form: arrays of reduced residues in, an array of the
+        # first operand's dtype out, equal to the list product
+        import numpy as np
+
+        rng = random.Random(33)
+        for mod, dtype in ((5, np.int64), (7**10, np.int64), (7**10, object), (3**40, object)):
+            for la, lb, n in ((1, 1, 1), (9, 4, 12), (40, 40, 79), (70, 70, 70)):
+                if dtype is np.int64 and exact_branch(mod, min(la, lb)):
+                    continue  # int64 arrays are only passed below the bound
+                a = [rng.randrange(mod) for _ in range(la)]
+                b = [rng.randrange(mod) for _ in range(lb)]
+                got = conv_mod(np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype), n, mod)
+                assert isinstance(got, np.ndarray) and got.dtype == dtype
+                assert got.tolist() == conv_mod(a, b, n, mod) == poly_mul_mod(a, b, mod, n)
+
     def test_zero_and_empty_inputs(self):
         mod = 3**40
         assert conv_mod([], [1, 2], 4, mod) == [0, 0, 0, 0]
@@ -115,8 +131,8 @@ class TestComposeMod:
 
     @pytest.mark.parametrize("mod, n", [(7**10, 64), (7**25, 24)])
     def test_padic_ring_past_int64_bound(self, mod, n):
-        # 7^10, n = 64: products take the exact branch, the chunk sums int64;
-        # 7^25: both take the big-integer path
+        # both sizes are past the int64 bound, so the composition runs on
+        # arrays of Python ints with big-integer products
         assert exact_branch(mod, n)
         rng = random.Random(42)
         for length in list(range(1, 21)) + [n]:
@@ -125,6 +141,20 @@ class TestComposeMod:
                 inner = [0] + [rng.randrange(mod) for _ in range(inner_len - 1)]
                 want = [c % mod for c in exact_int_compose(outer, inner, n)]
                 assert compose_mod(outer, inner, n, mod) == want
+
+    def test_residues_of_a_larger_modulus(self):
+        # entries past int64 are reduced before the int64 arrays are built
+        rng = random.Random(47)
+        for mod, modulus in ((5, None), (7**10, None), (3, EXTENSIONS["F27"][1])):
+            s = _convolve.block_size(modulus)
+            for n in (1, 7, 30):
+                outer = random_series(rng, mod, modulus, n, 0)
+                inner = random_series(rng, mod, modulus, n, 1)
+                big_outer = [c + mod * rng.randrange(2**70) for c in outer]
+                big_inner = [c - mod * rng.randrange(2**70) for c in inner]
+                want = compose_mod(outer, inner, n, mod, modulus)
+                assert len(want) == n * s
+                assert compose_mod(big_outer, big_inner, n, mod, modulus) == want
 
     def test_worst_case_chunk_sums(self):
         # outer coefficients mod - 1 against 64-bit residues fill the slots

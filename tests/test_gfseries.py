@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ramforge import FiniteField, TruncSeries
+from ramforge import FFElem, FiniteField, TruncSeries, series_agree_mod, unit_part
 
 from helpers import brute_comp_inverse, brute_compose
 
@@ -261,3 +261,66 @@ class TestTruncationDiscipline:
     def test_truncate_cannot_extend(self):
         with pytest.raises(ValueError, match="extend"):
             S(F5, [0, 1], 2).truncate(5)
+
+
+class TestPackedStorage:
+    """A series built from coefficients and the same series as a kernel result."""
+
+    FIELDS = (F5, F4, F27)
+
+    def both_forms(self, rng, field, n):
+        coeffs = [0, elem(rng, field, unit=True)] + [elem(rng, field) for _ in range(n - 2)]
+        built = TruncSeries(field, coeffs, n)
+        # the kernel hands back packed residues that are wrapped as they are
+        returned = built.compose(TruncSeries.x(field, n))
+        assert returned is not built and returned._coeffs is None
+        return built, returned
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_forms_agree(self, field):
+        rng = random.Random(61)
+        for n in (2, 3, 12):
+            built, returned = self.both_forms(rng, field, n)
+            s = 2 * field.w - 1
+            assert len(built.packed) == len(returned.packed) == n * s
+            assert built == returned and hash(built) == hash(returned)
+            assert repr(built) == repr(returned)
+            assert returned.coeffs == built.coeffs
+            assert all(isinstance(c, FFElem) and c.field == field for c in returned.coeffs)
+            assert returned.coeffs is returned.coeffs  # built once, then cached
+            assert all(returned.block(k)[: field.w] == c.rep for k, c in enumerate(returned.coeffs))
+            assert all(not any(returned.block(k)[field.w :]) for k in range(n))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_operations_on_both_forms(self, field):
+        rng = random.Random(62)
+        n = 9
+        a_built, a_ret = self.both_forms(rng, field, n)
+        b_built, b_ret = self.both_forms(rng, field, n)
+        for m in (1, 4, n):
+            assert a_built.truncate(m) == a_ret.truncate(m)
+            assert a_ret.truncate(m).coeffs == a_built.coeffs[:m]
+        assert unit_part(a_built) == unit_part(a_ret)
+        assert unit_part(a_ret).coeffs == a_built.coeffs[1:]
+        assert series_agree_mod(a_built, a_ret, n)
+        changed = TruncSeries(field, a_built.coeffs[:5] + (field.one(),) + a_built.coeffs[6:], n)
+        if changed != a_built:
+            assert series_agree_mod(changed, a_ret, 5) and not series_agree_mod(changed, a_ret, 6)
+        for x, y in ((a_built, b_ret), (a_ret, b_built), (a_ret, b_ret)):
+            total, diff = x + y, x - y
+            assert total == a_built + b_built and diff == a_built - b_built
+            assert total.coeffs == tuple(c + d for c, d in zip(a_built.coeffs, b_built.coeffs))
+            assert diff.coeffs == tuple(c - d for c, d in zip(a_built.coeffs, b_built.coeffs))
+            assert (diff + y) == x
+
+    def test_construction_reduces_every_input_form(self):
+        # ints, vectors and field elements give the same packed residues
+        for field, value, block in ((F5, 7, (2,)), (F5, -1, (4,)), (F4, 3, (1, 0, 0)),
+                                    (F4, (3, 2), (1, 0, 0)), (F27, (4, -1), (1, 2, 0, 0, 0))):
+            g = TruncSeries(field, [value, 0], 2)
+            assert g.block(0) == block
+            assert g == TruncSeries(field, [field.coerce(value), 0], 2)
+        with pytest.raises(ValueError, match="longer"):
+            TruncSeries(F4, [(1, 0, 1)], 1)
+        with pytest.raises(ValueError, match="mismatch"):
+            TruncSeries(F4, [F9.one()], 1)

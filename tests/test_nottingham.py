@@ -72,6 +72,22 @@ class TestDepth:
                 else:
                     assert got == b
 
+    def test_extension_fields(self):
+        # the leading term may sit in any Y-slot of its block
+        rng = random.Random(6)
+        for f in (FiniteField(2, 2, (1, 1, 1)), FiniteField(3, 2, (1, 0, 1)),
+                  FiniteField(3, 3, (1, 2, 0, 1))):
+            zero = (0,) * f.w
+            for trunc in (3, 7, 12):
+                for k in range(2, trunc):
+                    top = rng.randrange(f.w)  # the highest nonzero Y-slot of the leading term
+                    lead = tuple(rng.randrange(f.p) for _ in range(top)) + (rng.randrange(1, f.p),)
+                    coeffs = [zero, (1,)] + [zero] * (k - 2) + [lead]
+                    coeffs += [tuple(rng.randrange(f.p) for _ in range(f.w)) for _ in range(trunc - k - 1)]
+                    assert depth(S(f, coeffs, trunc)) == k - 1
+                assert depth(TruncSeries.x(f, trunc)) == AtLeast(trunc - 1)
+                assert depth(S(f, [zero, (0, 1)], trunc)) == 0
+
 
 class TestPIterate:
     def test_zero_iterations(self):

@@ -13,6 +13,7 @@ from ramforge import (
     analyze,
     compose_power,
     ext_quantities,
+    lower_breaks,
     newton_polygon,
     p_iterate,
     pad_compose,
@@ -406,6 +407,46 @@ class TestAnalyze:
             q = qn_divide(u, n)
             assert level.weierstrass_degree == weierstrass_degree(q) is not None
             assert level.polygon == newton_polygon(q, level.weierstrass_degree)
+
+    def test_depths_read_off_the_iterate_chain(self, monkeypatch):
+        # the depths are those of the Z/p^P chain's reductions mod p: no
+        # composition over F_p, and still the chain's four pad_compose calls
+        u = cyclotomic(3, 8, 60)
+        calls = {"pad_compose": 0, "TruncSeries.compose": 0}
+        pad, series = pdyn.pad_compose, TruncSeries.compose
+
+        def count(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(pdyn, "pad_compose", count("pad_compose", pad))
+        monkeypatch.setattr(TruncSeries, "compose", count("TruncSeries.compose", series))
+        rep = analyze(u, 2)
+        assert calls == {"pad_compose": 4, "TruncSeries.compose": 0}
+        assert rep.depths == (2, 8, 26)
+
+    def test_depths_match_lower_breaks(self):
+        rng = random.Random(71)
+        cases = [(cyclotomic(3, 8, 60), 2), (cyclotomic(5, 8, 30), 2), (cyclotomic(5, 8, 130), 2),
+                 (PadicSeries(5, 2, 12, (0, 6, 5) + (0,) * 9), 1)]
+        for p in (2, 3, 5):
+            for trunc in (8, 20, 40):
+                coeffs = [0, 1 + p * rng.randrange(p)] + [rng.randrange(p**4) for _ in range(trunc - 2)]
+                coeffs[2 + rng.randrange(trunc // 4)] += 1  # mostly a low, certified depth
+                cases.append((PadicSeries(p, 4, trunc, coeffs), 3))
+        outcomes = set()
+        for u, n_max in cases:
+            rep = analyze(u, n_max)
+            try:
+                want = (lower_breaks(reduce_mod_p(u), n_max).lower, None, ())
+            except PrecisionError as exc:
+                note = f"depth at level {exc.level} uncertified at truncation {u.trunc}"
+                want = (exc.partial, exc.level, (note,))
+            assert (rep.depths, rep.depth_uncertified_at, rep.notes) == want
+            outcomes.add(want[1])
+        assert {None, 0, 1, 2} <= outcomes  # certified, and uncertified at levels 0, 1 and 2
 
     def test_identity_rejected(self):
         with pytest.raises(ValueError, match="identity"):

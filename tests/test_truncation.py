@@ -13,8 +13,12 @@ from ramforge import (
     r_equivalent,
 )
 
+from helpers import apply_ring_by_powers
+
 F5 = FiniteField(5)
 F4 = FiniteField(2, 2, (1, 1, 1))
+F9 = FiniteField(3, 2, (1, 0, 1))
+F27 = FiniteField(3, 3, (1, 2, 0, 1))
 
 
 def make_morphism(src, dst, r, twist=0, eta=None, rng=None):
@@ -206,3 +210,30 @@ class TestIsIsomorphism:
         obj = TruncObject(F4, 3)
         f = TruncMorphism(obj, obj, 1, 1, obj.one())
         assert is_isomorphism(f)
+
+
+class TestApplyRing:
+    # (e1, e2, r) with r*e1 >= e2: e1 < e2, e1 = e2 and e1 > e2
+    SHAPES = [(3, 7, 3), (2, 5, 3), (5, 5, 1), (4, 4, 2), (7, 3, 1), (6, 2, 2), (4, 1, 1), (1, 1, 1)]
+
+    @staticmethod
+    def elem(rng, field, unit=False):
+        while True:
+            c = tuple(rng.randrange(field.p) for _ in range(field.w))
+            if not unit or any(c):
+                return c
+
+    @pytest.mark.parametrize("field", [F4, F9, F27], ids=repr)
+    @pytest.mark.parametrize("e1, e2, r", SHAPES)
+    def test_matches_power_by_power(self, field, e1, e2, r):
+        rng = random.Random(f"{field!r}:{e1}:{e2}:{r}")
+        src, dst = TruncObject(field, e1), TruncObject(field, e2)
+        for twist in range(field.w):
+            eta = dst.element([self.elem(rng, field, unit=True)]
+                              + [self.elem(rng, field) for _ in range(e2 - 1)])
+            f = TruncMorphism(src, dst, r, twist, eta)
+            for _ in range(4):
+                a = src.element([self.elem(rng, field) for _ in range(e1)])
+                assert f.apply_ring(a) == apply_ring_by_powers(f, a)
+            assert f.apply_ring(src.one()) == dst.one()
+            assert f.apply_ring(src.pi()) == f.mu_image
