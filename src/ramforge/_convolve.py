@@ -144,21 +144,27 @@ def mul_mod(a, b, n, mod, modulus=None):
     return _fold(conv_mod(a, b, n * block_size(modulus), mod), n, mod, modulus)
 
 
+def power(x, k, op):
+    """x combined with itself k >= 1 times under the associative op.
+
+    Left-to-right binary powering: each bit of k after the leading one
+    costs one op squaring the result, and one more op with x when set.
+    """
+    result = x
+    for bit in bin(k)[3:]:
+        result = op(result, result)
+        if bit == "1":
+            result = op(result, x)
+    return result
+
+
 def unit_inverse(a, mod, modulus=None):
     """Inverse of the unit block a[0:s], as a block."""
     if modulus is None:
         return [pow(a[0], -1, mod)]
     # F_{p^w}^* has order p^w - 1; mod is p here
-    e = mod ** (len(modulus) - 1) - 2
-    s = block_size(modulus)
-    base = a[:s]
-    out = [1] + [0] * (s - 1)
-    while e:
-        if e & 1:
-            out = mul_mod(out, base, 1, mod, modulus)
-        base = mul_mod(base, base, 1, mod, modulus)
-        e >>= 1
-    return out
+    return power(a[: block_size(modulus)], mod ** (len(modulus) - 1) - 2,
+                 lambda x, y: mul_mod(x, y, 1, mod, modulus))
 
 
 def compose_mod(outer, inner, n, mod, modulus=None):
@@ -177,7 +183,8 @@ def compose_mod(outer, inner, n, mod, modulus=None):
     The operands are converted once, and the baby powers, the chunks and the
     Horner accumulator stay numpy arrays until the result is returned as a
     list: int64 arrays when every product and chunk sum fits, object arrays
-    of Python ints (with big-integer products) otherwise.
+    of Python ints otherwise.  The chunk sums are the same matrix product
+    for both dtypes; only the products in conv_mod change method.
     """
     if n == 0:
         return []
@@ -204,18 +211,11 @@ def compose_mod(outer, inner, n, mod, modulus=None):
 
     # chunk i, row (j, t): the coefficient c_t of Y^t in block ik + j of outer
     coef = outer.reshape(m, k, s)[:, :, :w].reshape(m, k * w)
-    if small:
-        base = np.stack(powers[:k])
-        shifted = np.zeros((k, w, width), dtype=np.int64)
-        for t in range(w):
-            shifted[:, t, t:] = base[:, : width - t]
-        chunks = coef @ shifted.reshape(k * w, width) % mod
-    else:
-        # the same sums over Kronecker-packed powers: a slot shift is a bit shift
-        size = (2 * (mod - 1).bit_length() + (k * w).bit_length() + 7) // 8
-        rows = [_pack(pw, size) << (8 * size * t) for pw in powers[:k] for t in range(w)]
-        chunks = np.array([_unpack(sum(c * r for c, r in zip(row, rows) if c), size, width, mod)
-                           for row in coef.tolist()], dtype=object)
+    base = np.stack(powers[:k])
+    shifted = np.zeros((k, w, width), dtype=dtype)
+    for t in range(w):
+        shifted[:, t, t:] = base[:, : width - t]
+    chunks = coef @ shifted.reshape(k * w, width) % mod
     if modulus is not None:
         _fold(chunks.reshape(-1), m * n, mod, modulus)
 

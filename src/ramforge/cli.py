@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import jsonio
 from .errors import InvariantError, PrecisionError
@@ -36,7 +35,7 @@ def _int_list(text):
 
 
 def _frac_list(text):
-    return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
+    return [jsonio.frac_in(tok.strip()) for tok in text.split(",") if tok.strip()]
 
 
 def _emit(doc, fmt):
@@ -93,7 +92,7 @@ def _herbrand_cmd(args):
         return jsonio.plfunc_out(phi_from_breaks(jsonio.break_data_in(_load(args.input))))
     if args.op == "eval":
         f = jsonio.plfunc_in(_load(args.plfunc))
-        return {"value": jsonio.frac_out(f(Fraction(args.x)))}
+        return {"value": jsonio.frac_out(f(jsonio.frac_in(args.x)))}
     if args.op == "compose":
         f = jsonio.plfunc_in(_load(args.outer))
         g = jsonio.plfunc_in(_load(args.inner))

@@ -61,6 +61,18 @@ def _require_prime(n):
             raise ValueError(f"{n} is not prime")
 
 
+def vp(n, p, cap):
+    """The p-adic valuation of the integer n, at most cap; vp(0) is cap.
+
+    A zero residue mod p^cap certifies only a valuation >= cap.
+    """
+    v = 0
+    while v < cap and n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 # ---------------------------------------------------------------------------
 # dense polynomial helpers over F_p (coefficient lists, low degree first)
 
@@ -120,6 +132,18 @@ def _pgcd(a, b, p):
         a = _pmod(a, bm, p)
         a, b = b, a
     return a
+
+
+@lru_cache(maxsize=64)
+def _frobenius_rows(modulus, p, k):
+    """Rows (Y^t)^(p^k) mod the modulus for t = 0 .. w-1, w coefficients each."""
+    w = len(modulus) - 1
+    y = _ppowmod([0, 1], p**k, modulus, p)
+    rows, r = [], [1]
+    for _ in range(w):
+        rows.append(tuple(r) + (0,) * (w - len(r)))
+        r = _pmulmod(r, y, modulus, p)
+    return tuple(rows)
 
 
 def _prime_factors(n):
@@ -369,6 +393,22 @@ class TruncSeries:
         s = block_size(self.field.modulus)
         return self.packed[k * s : (k + 1) * s]
 
+    def valuation(self, start=0):
+        """Exponent of the first nonzero coefficient at or above X^start, or None."""
+        s = block_size(self.field.modulus)
+        # upper slots of a block are zero, so the first nonzero slot lies in
+        # the block of the first nonzero coefficient
+        first = next((i for i in range(start * s, len(self.packed)) if self.packed[i]), None)
+        return None if first is None else first // s
+
+    def shift(self, k, n):
+        """X^k times the series mod X^n; k < 0 drops the first -k coefficients."""
+        if n - k > self.trunc:
+            raise ValueError("cannot extend precision by shifting")
+        s = block_size(self.field.modulus)
+        packed = (0,) * (min(max(k, 0), n) * s) + self.packed[max(-k, 0) * s : max(n - k, 0) * s]
+        return _from_packed(self.field, packed, n)
+
     def truncate(self, n):
         """Forget coefficients at and above X^n (n <= current truncation)."""
         if n > self.trunc:
@@ -430,9 +470,19 @@ class TruncSeries:
 
     def frobenius_twist(self, j):
         """Apply the coefficient automorphism x -> x^{p^(j mod w)}."""
-        if self.field.w == 1 or j % self.field.w == 0:
+        f = self.field
+        if f.w == 1 or j % f.w == 0:
             return self
-        return TruncSeries(self.field, tuple(c.frobenius(j) for c in self.coeffs), self.trunc)
+        # x -> x^(p^j) fixes F_p, so it maps sum c_t Y^t to sum c_t (Y^t)^(p^j)
+        w, s = f.w, block_size(f.modulus)
+        rows = _frobenius_rows(f.modulus, f.p, j % f.w)
+        packed = list(self.packed)
+        for i in range(0, len(packed), s):
+            block = packed[i : i + w]
+            if any(block):
+                packed[i : i + w] = [sum(c * row[d] for c, row in zip(block, rows)) % f.p
+                                     for d in range(w)]
+        return _from_packed(f, packed, self.trunc)
 
     # -- comparisons / display ----------------------------------------
 

@@ -16,15 +16,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-def _frac(x):
+def frac_in(x):
+    """An exact rational from a Fraction, an int, a string like "13/4" or a
+    [numerator, denominator] pair; anything else, or a zero denominator,
+    is a ValueError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (tuple, list)) and len(x) == 2:
-        return Fraction(int(x[0]), int(x[1]))
+    try:
+        if isinstance(x, (int, str)):
+            return Fraction(x)
+        if isinstance(x, (tuple, list)) and len(x) == 2:
+            return Fraction(int(x[0]), int(x[1]))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {x!r}") from None
     raise ValueError(f"not an exact rational: {x!r}")
 
 
@@ -37,8 +41,8 @@ class BreakData:
     upper: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "e", _frac(self.e))
-        object.__setattr__(self, "upper", tuple(_frac(b) for b in self.upper))
+        object.__setattr__(self, "e", frac_in(self.e))
+        object.__setattr__(self, "upper", tuple(frac_in(b) for b in self.upper))
         if self.p < 2:
             raise ValueError("p must be a prime >= 2")
         if self.e <= 0:
@@ -69,9 +73,9 @@ class PLFunc:
     value_at_origin: Fraction
 
     def __post_init__(self):
-        bps = tuple(_frac(b) for b in self.breakpoints)
-        sls = tuple(_frac(s) for s in self.slopes)
-        v0 = _frac(self.value_at_origin)
+        bps = tuple(frac_in(b) for b in self.breakpoints)
+        sls = tuple(frac_in(s) for s in self.slopes)
+        v0 = frac_in(self.value_at_origin)
         if not bps or bps[0] != 0:
             raise ValueError("breakpoints must start at 0")
         if len(sls) != len(bps):
@@ -95,7 +99,7 @@ class PLFunc:
         return cls((Fraction(0),), (Fraction(1),), Fraction(0))
 
     def __call__(self, x):
-        x = _frac(x)
+        x = frac_in(x)
         if x < 0:
             raise ValueError("PLFunc domain starts at 0")
         value = self.value_at_origin
@@ -108,7 +112,7 @@ class PLFunc:
 
     def slope_at(self, x):
         """Slope of the segment containing x (right-continuous at kinks)."""
-        x = _frac(x)
+        x = frac_in(x)
         if x < 0:
             raise ValueError("PLFunc domain starts at 0")
         for i in range(len(self.breakpoints) - 1, -1, -1):
@@ -118,7 +122,7 @@ class PLFunc:
 
     def preimage(self, y):
         """The unique x >= 0 with self(x) = y; requires y >= self(0)."""
-        y = _frac(y)
+        y = frac_in(y)
         if y < self.value_at_origin:
             raise ValueError(f"{y} is below the range of this function")
         value = self.value_at_origin
@@ -176,12 +180,12 @@ def pl_compose(f, g):
 
 def tame_psi(e):
     """Transfer function of a tame totally ramified step of index e: x -> e*x."""
-    return PLFunc((Fraction(0),), (_frac(e),), Fraction(0))
+    return PLFunc((Fraction(0),), (frac_in(e),), Fraction(0))
 
 
 def tame_phi(e):
     """Inverse tame step: x -> x/e on x >= 0."""
-    return PLFunc((Fraction(0),), (1 / _frac(e),), Fraction(0))
+    return PLFunc((Fraction(0),), (1 / frac_in(e),), Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import os
 from fractions import Fraction
 
 from .gfseries import FiniteField, TruncSeries
-from .herbrand import BreakData, PLFunc
+from .herbrand import BreakData, PLFunc, frac_in
 from .nottingham import AtLeast
 from .pdyn import PadicSeries
 from .ramcheck import TheoremInputs
@@ -45,18 +45,6 @@ def int_in(v):
 def frac_out(x):
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
-
-
-def frac_in(v):
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return Fraction(int(v[0]), int(v[1]))
-    raise ValueError(f"not a rational: {v!r}")
 
 
 def frac_pair_out(x):

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._convolve import block_size
+from ._convolve import power
 from .errors import PrecisionError, SenViolationError
-from .gfseries import TruncSeries, _from_packed
+from .gfseries import TruncSeries, _require_prime
 
 
 @dataclass(frozen=True)
@@ -64,27 +64,11 @@ def _require_group_element(g):
 def depth(g):
     """Depth of g, or AtLeast(N-1) when no nonzero term is visible."""
     _require_group_element(g)
-    s = block_size(g.field.modulus)
-    if g.block(1) != (1,) + (0,) * (s - 1):
+    linear = g.block(1)
+    if linear[0] != 1 or any(linear[1:]):
         return 0
-    # upper slots of a block are zero, so the first nonzero slot past X^1
-    # lies in the block of the leading term
-    first = next((i for i in range(2 * s, len(g.packed)) if g.packed[i]), None)
-    return AtLeast(g.trunc - 1) if first is None else first // s - 1
-
-
-def iterate(g, k, compose):
-    """The k-fold composite of g, k >= 1, by left-to-right binary powering.
-
-    ``compose(outer, inner)`` composes two series.  Each bit of k after the
-    leading one costs a squaring, and one more composition with g when set.
-    """
-    result = g
-    for bit in bin(k)[3:]:
-        result = compose(result, result)
-        if bit == "1":
-            result = compose(result, g)
-    return result
+    lead = g.valuation(2)
+    return AtLeast(g.trunc - 1) if lead is None else lead - 1
 
 
 def compose_power(g, k):
@@ -93,7 +77,7 @@ def compose_power(g, k):
         raise ValueError("composition power must be >= 0")
     if k == 0:
         return TruncSeries.x(g.field, g.trunc)
-    return iterate(g, k, TruncSeries.compose)
+    return power(g, k, TruncSeries.compose)
 
 
 def p_iterate(g, n):
@@ -157,6 +141,7 @@ def certified_depths(chain, trunc):
 
 def upper_from_lower(p, lower):
     """Upper breaks from lower ones: b_0 = i_0, b_n = b_{n-1} + (i_n - i_{n-1})/p^n."""
+    _require_prime(p)
     lower = tuple(int(i) for i in lower)
     if any(b <= a for a, b in zip(lower, lower[1:])):
         raise ValueError("lower breaks must be strictly increasing")
@@ -174,6 +159,7 @@ def upper_from_lower(p, lower):
 
 def index_of(p, upper):
     """Detect the eventual constant difference d of an upper-break sequence."""
+    _require_prime(p)
     upper = tuple(Fraction(b) for b in upper)
     if len(upper) < 2:
         raise ValueError("need at least two upper breaks")
@@ -217,7 +203,7 @@ def unit_part(g):
         raise ValueError("constant term must vanish")
     if g.trunc < 2:
         raise ValueError("truncation too small to shift")
-    return _from_packed(g.field, g.packed[block_size(g.field.modulus) :], g.trunc - 1)
+    return g.shift(-1, g.trunc - 1)
 
 
 def series_agree_mod(a, b, m):
@@ -226,8 +212,7 @@ def series_agree_mod(a, b, m):
         raise ValueError(f"m = {m} exceeds a truncation ({a.trunc}, {b.trunc})")
     if a.field != b.field:
         raise ValueError("field mismatch")
-    s = block_size(a.field.modulus)
-    return a.packed[: m * s] == b.packed[: m * s]
+    return a.truncate(m) == b.truncate(m)
 
 
 def _image_order_exponent(g, m):

@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._convolve import compose_mod, conv_mod, recip_mod
+from ._convolve import compose_mod, conv_mod, power, recip_mod
 from .errors import PrecisionError
-from .gfseries import FiniteField, _from_packed, _require_prime
-from .nottingham import IndexReport, certified_depths, index_of, iterate, upper_from_lower
+from .gfseries import FiniteField, TruncSeries, _require_prime, vp
+from .nottingham import IndexReport, certified_depths, index_of, upper_from_lower
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,11 @@ class PadicSeries:
     def modulus(self):
         return self.p**self.prec
 
+    @property
+    def coeff_prec(self):
+        """Certified digits per coefficient: all prec of them."""
+        return (self.prec,) * self.trunc
+
     @classmethod
     def x(cls, p, prec, trunc):
         if trunc < 2:
@@ -51,20 +56,15 @@ class PadicSeries:
         return cls(p, prec, trunc, (0, 1) + (0,) * (trunc - 2))
 
     def __add__(self, other):
-        p, prec, n = self._common(other)
-        mod = p**prec
-        return PadicSeries(
-            p, prec, n,
-            tuple((a + b) % mod for a, b in zip(self.coeffs[:n], other.coeffs[:n])),
-        )
+        return self._termwise(other, 1)
 
     def __sub__(self, other):
+        return self._termwise(other, -1)
+
+    def _termwise(self, other, sign):
+        # the constructor reduces mod p^prec
         p, prec, n = self._common(other)
-        mod = p**prec
-        return PadicSeries(
-            p, prec, n,
-            tuple((a - b) % mod for a, b in zip(self.coeffs[:n], other.coeffs[:n])),
-        )
+        return PadicSeries(p, prec, n, [a + sign * b for a, b in zip(self.coeffs[:n], other.coeffs[:n])])
 
     def __mul__(self, other):
         p, prec, n = self._common(other)
@@ -100,12 +100,12 @@ def pad_iterate(u, k):
         raise ValueError("dynamical series must satisfy u(0) = 0")
     if k == 0:
         return PadicSeries.x(u.p, u.prec, u.trunc)
-    return iterate(u, k, pad_compose)
+    return power(u, k, pad_compose)
 
 
 def reduce_mod_p(u):
     """Coefficientwise reduction into F_p[[X]] at the same truncation."""
-    return _from_packed(FiniteField(u.p), [c % u.p for c in u.coeffs], u.trunc)
+    return TruncSeries(FiniteField(u.p), u.coeffs, u.trunc)
 
 
 @dataclass(frozen=True)
@@ -140,12 +140,11 @@ class DividedSeries:
 def weierstrass_degree(f):
     """Index of the first unit coefficient, or None when undetermined.
 
-    Accepts a PadicSeries (uniform precision) or a DividedSeries, in which
-    case scanning stops at the first uncertified coefficient.
+    Accepts a PadicSeries (uniform precision) or a DividedSeries; scanning
+    stops at the first uncertified coefficient.
     """
-    prec_profile = f.coeff_prec if isinstance(f, DividedSeries) else None
-    for k, c in enumerate(f.coeffs):
-        if prec_profile is not None and prec_profile[k] < 1:
+    for k, (c, prec) in enumerate(zip(f.coeffs, f.coeff_prec)):
+        if prec < 1:
             return None
         if c % f.p != 0:
             return k
@@ -198,7 +197,7 @@ def _divide_level(prev, cur, n):
             quantity="qn_quotient", level=n,
         )
 
-    v_lo = min((_vp_mod(c, p, P) for c in den[:i0]), default=P)
+    v_lo = min((vp(c, p, P) for c in den[:i0]), default=P)
     den_lo = list(den[:i0])
     den_hi = list(den[i0:L])
     den_hi_inv = recip_mod(den_hi, K, mod)
@@ -221,28 +220,21 @@ def _divide_level(prev, cur, n):
             "quotient iteration failed to stabilize", quantity="qn_quotient", level=n
         )
 
-    residual = [(a - b) % mod for a, b in zip(num_l, conv_mod(q, list(den), L, mod))]
-    if any(residual[:i0]):
-        raise ValueError(
-            "division is inexact at certified digits: the series is not of the required form"
-        )
-
     if i0 == 0:
         coeff_prec = (P,) * K  # unit divisor: division is exact
     else:
         coeff_prec = tuple(min(P, max(0, v_lo * ((L - 1 - k) // i0))) for k in range(K))
+
+    # residual j < i0 sums q_k * den_(j-k) over k <= min(j, K - 1), each
+    # den_(j-k) of valuation >= v_lo; coeff_prec falls with k, so residual j
+    # is certified to coeff_prec[min(j, K - 1)] + v_lo digits, and only
+    # those must vanish
+    residual = [(a - b) % mod for a, b in zip(num_l, conv_mod(q, list(den), L, mod))]
+    if any(residual[j] % p ** min(P, coeff_prec[min(j, K - 1)] + v_lo) for j in range(i0)):
+        raise ValueError(
+            "division is inexact at certified digits: the series is not of the required form"
+        )
     return DividedSeries(PadicSeries(p, P, K, q), coeff_prec)
-
-
-def _vp_mod(c, p, P):
-    # p-adic valuation of a residue mod p^P; a zero residue certifies only >= P
-    if c == 0:
-        return P
-    v = 0
-    while c % p == 0:
-        c //= p
-        v += 1
-    return v
 
 
 @dataclass(frozen=True)
@@ -278,7 +270,6 @@ def newton_polygon(f, degree):
     points; if such a coefficient could sit on the hull, the polygon is not
     determined and a PrecisionError is raised.
     """
-    prec_profile = f.coeff_prec if isinstance(f, DividedSeries) else None
     if degree < 1:
         raise ValueError("degree must be >= 1")
     if degree > f.trunc - 1:
@@ -286,8 +277,7 @@ def newton_polygon(f, degree):
     p = f.p
     exact = []
     bounded = []
-    for i in range(degree + 1):
-        prec_i = prec_profile[i] if prec_profile is not None else f.prec
+    for i, prec_i in enumerate(f.coeff_prec[: degree + 1]):
         if prec_i <= 0:
             bounded.append((i, 0))
             continue
@@ -295,7 +285,7 @@ def newton_polygon(f, degree):
         if r == 0:
             bounded.append((i, prec_i))
         else:
-            exact.append((i, Fraction(_vp_mod(r, p, prec_i))))
+            exact.append((i, Fraction(vp(r, p, prec_i))))
     if not exact or exact[0][0] != 0 or exact[-1][0] != degree:
         raise PrecisionError(
             "valuation of an endpoint coefficient is uncertified",
@@ -471,7 +461,7 @@ def _analyze_level(prev, cur, n, depths, d):
     if q.coeff_prec[0] > 0:
         r = q.coeffs[0] % p ** q.coeff_prec[0]
         if r != 0:
-            const_val = _vp_mod(r, p, q.coeff_prec[0])
+            const_val = vp(r, p, q.coeff_prec[0])
     expected_const = _expected_constant_valuation(n)
     const_matches = (
         const_val == expected_const

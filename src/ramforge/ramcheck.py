@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvariantError
+from .gfseries import vp
 from .herbrand import (
     BreakData,
     extract_yhz,
@@ -48,14 +49,6 @@ def tame_params(p, e, w=None):
     return tp
 
 
-def _vp(n, p):
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def f_shift(tp, m, t):
     """The three-case shift value at t, with t0 = t - e0*p^m.
 
@@ -68,12 +61,8 @@ def f_shift(tp, m, t):
     t0 = t - e0 * p**m
     if t0 % s:
         return 0
-    if t0 == 0:
-        return e0 * (p ** (m + 1) - 1)
-    v = _vp(abs(t0), p)
-    if v >= m:
-        return e0 * (p ** (m + 1) - 1)
-    return e0 * (p ** (v + 1) - 1)
+    # levels >= m (t0 = 0 included) all give the level-m value
+    return e0 * (p ** (vp(t0, p, m) + 1) - 1)
 
 
 def f_shift_sum_check(tp, m):
@@ -307,8 +296,8 @@ def check_conditions(ti):
     the flag is false, the checker falls back to the degree-p^(n-1)
     variant and reports its result.
     """
-    m_val = ti.m if ti.m is not None else m0(ti)
     m0_val = m0(ti)
+    m_val = ti.m if ti.m is not None else m0_val
     if m_val is None or m_val == 0:
         status = "no_m" if m_val is None else "m0_zero"
         return ConditionReport(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._convolve import block_size, compose_mod
+from ._convolve import compose_mod, power
 from .gfseries import FiniteField, TruncSeries, _from_packed
 
 
@@ -45,19 +45,6 @@ class TruncObject:
         return self.element([1])
 
 
-def _val(series):
-    # pi-adic valuation inside the truncated ring; None for the zero class
-    first = next((i for i, c in enumerate(series.packed) if c), None)
-    return None if first is None else first // block_size(series.field.modulus)
-
-
-def _pi_power_times(obj, unit, r):
-    """unit * pi^r inside A, truncating exponents >= e to zero."""
-    s = block_size(obj.field.modulus)
-    shifted = (0,) * (min(r, obj.e) * s) + unit.packed[: max(obj.e - r, 0) * s]
-    return _from_packed(obj.field, shifted, obj.e)
-
-
 class TruncMorphism:
     """A category morphism (r, mu, eta) between two TruncObjects."""
 
@@ -71,7 +58,7 @@ class TruncMorphism:
         eta_coeff = target.element(eta_coeff.coeffs if isinstance(eta_coeff, TruncSeries) else eta_coeff)
         if not any(eta_coeff.block(0)):
             raise ValueError("eta coefficient must be a unit of the target ring")
-        derived = _pi_power_times(target, eta_coeff, r)
+        derived = eta_coeff.shift(r, target.e)  # eta_coeff * pi^r in A_2
         if mu_image is None:
             mu_image = derived
         else:
@@ -133,11 +120,7 @@ def compose_morphism(g, f):
     """g o f = (s*r, nu o mu, theta^(x r) o eta); endpoints must match."""
     if f.target != g.source:
         raise ValueError("target of f must equal source of g")
-    eta = g.apply_ring(f.eta_coeff)
-    eta_g_r = g.target.one()
-    for _ in range(f.r):
-        eta_g_r = eta_g_r * g.eta_coeff
-    eta_out = eta * eta_g_r
+    eta_out = g.apply_ring(f.eta_coeff) * power(g.eta_coeff, f.r, TruncSeries.__mul__)
     out = TruncMorphism(
         f.source, g.target, g.r * f.r, g.res_twist + f.res_twist, eta_out
     )
@@ -169,8 +152,8 @@ def r_equivalent(f, f2, c):
         raise ValueError("c must be a positive integer")
     if f.r != f2.r or f.res_twist != f2.res_twist:
         return False
-    diff = f.eta_coeff - f2.eta_coeff
-    v = _val(diff)
+    # pi-adic valuation of the difference; None for the zero class
+    v = (f.eta_coeff - f2.eta_coeff).valuation()
     if v is None:
         return True
     return v >= f.r * c
@@ -182,6 +165,6 @@ def is_isomorphism(f):
         return False
     # for e >= 2 the uniformizer must map to an exact uniformizer; for
     # e = 1 the ring is the residue field and mu is already bijective
-    if f.target.e > 1 and _val(f.mu_image) != 1:
+    if f.target.e > 1 and f.mu_image.valuation() != 1:
         return False
     return any(f.eta_coeff.block(0))

@@ -6,6 +6,7 @@ inverses by exhaustive coefficient search, quotient division over exact
 rationals, and quotient groups by full enumeration.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -210,3 +211,26 @@ def random_nottingham(rng, field, trunc, depth_one=False):
     if depth_one and trunc > 2:
         coeffs[2] = rng.randrange(1, field.p)
     return TruncSeries(field, coeffs, trunc)
+
+
+# -- the cyclotomic family ---------------------------------------------------
+
+
+def cyclotomic_coeffs(p, trunc):
+    """(1+X)^(p+1) - 1 mod X^trunc, whose reduction X + X^p + X^(p+1) mod p
+    has depths p^(n+1) - 1."""
+    return [math.comb(p + 1, k) if 1 <= k <= p + 1 else 0 for k in range(trunc)]
+
+
+def cyclotomic_reduction(p, trunc):
+    """The cyclotomic series over F_p."""
+    from ramforge import FiniteField, TruncSeries
+
+    return TruncSeries(FiniteField(p), cyclotomic_coeffs(p, trunc), trunc)
+
+
+def cyclotomic_padic(p, prec, trunc):
+    """The cyclotomic series mod (p^prec, X^trunc)."""
+    from ramforge import PadicSeries
+
+    return PadicSeries(p, prec, trunc, cyclotomic_coeffs(p, trunc))

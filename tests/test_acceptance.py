@@ -39,21 +39,11 @@ from ramforge import (
 )
 from ramforge.truncation import TruncMorphism, TruncObject
 
-from helpers import random_break_data
+from helpers import cyclotomic_padic, cyclotomic_reduction, random_break_data
 
 
 def report(number, label, started):
     print(f"ACCEPTANCE {number:2d}: PASS [{time.time() - started:6.2f}s] {label}")
-
-
-def cyclotomic_reduction(p, trunc):
-    coeffs = [math.comb(1 + p, k) % p if 1 <= k <= p + 1 else 0 for k in range(trunc)]
-    return TruncSeries(FiniteField(p), coeffs, trunc)
-
-
-def cyclotomic_padic(p, prec, trunc):
-    coeffs = [math.comb(1 + p, k) if 1 <= k <= p + 1 else 0 for k in range(trunc)]
-    return PadicSeries(p, prec, trunc, coeffs)
 
 
 def test_criterion_01_shift_sum_identity():

@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import subprocess
 import sys
@@ -11,6 +10,8 @@ import ramforge
 from ramforge import ramcheck
 from ramforge.cli import main
 
+from helpers import cyclotomic_coeffs
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -21,8 +22,7 @@ def run(capsys, *argv):
 @pytest.fixture
 def cyclotomic_series(tmp_path):
     path = tmp_path / "g.json"
-    coeffs = [math.comb(6, k) % 5 if 1 <= k <= 6 else 0 for k in range(130)]
-    path.write_text(json.dumps({"p": 5, "w": 1, "trunc": 130, "coeffs": coeffs}))
+    path.write_text(json.dumps({"p": 5, "w": 1, "trunc": 130, "coeffs": cyclotomic_coeffs(5, 130)}))
     return str(path)
 
 
@@ -52,8 +52,7 @@ def theorem_inputs(tmp_path):
 @pytest.fixture
 def padic_series(tmp_path):
     path = tmp_path / "u.json"
-    coeffs = [math.comb(6, k) if 1 <= k <= 6 else 0 for k in range(130)]
-    path.write_text(json.dumps({"p": 5, "prec": 8, "trunc": 130, "coeffs": coeffs}))
+    path.write_text(json.dumps({"p": 5, "prec": 8, "trunc": 130, "coeffs": cyclotomic_coeffs(5, 130)}))
     return str(path)
 
 
@@ -107,6 +106,14 @@ class TestBreaks:
         code, doc = run(capsys, "breaks", "upper", "--p", "5", "--lower", "4,23")
         assert code == 2 and doc["error"]["type"] == "input"
 
+    def test_upper_zero_p_is_input_error(self, capsys):
+        code, doc = run(capsys, "breaks", "upper", "--p", "0", "--lower", "1,2")
+        assert code == 2 and doc["error"]["type"] == "input"
+
+    def test_index_non_prime_p_is_input_error(self, capsys):
+        code, doc = run(capsys, "breaks", "index", "--p", "1", "--upper", "1,2,3")
+        assert code == 2 and doc["error"]["type"] == "input"
+
 
 class TestHerbrand:
     def test_psi_and_eval(self, capsys, break_data, tmp_path):
@@ -116,6 +123,13 @@ class TestHerbrand:
         func.write_text(json.dumps(doc))
         code, doc = run(capsys, "herbrand", "eval", "--func", str(func), "--x", "13/4")
         assert code == 0 and doc == {"value": "249/4"}
+
+    def test_eval_zero_denominator_is_input_error(self, capsys, break_data, tmp_path):
+        _, psi = run(capsys, "herbrand", "psi", "--input", break_data)
+        func = tmp_path / "psi.json"
+        func.write_text(json.dumps(psi))
+        code, doc = run(capsys, "herbrand", "eval", "--func", str(func), "--x", "1/0")
+        assert code == 2 and doc["error"]["type"] == "input"
 
     def test_phi(self, capsys, break_data):
         code, doc = run(capsys, "herbrand", "phi", "--input", break_data)

@@ -237,6 +237,16 @@ class TestFrobeniusTwist:
         g = S(F4, [(0, 0), (0, 1), (1, 0)], 3)
         assert g.frobenius_twist(1).frobenius_twist(-1) == g
 
+    def test_matches_coefficientwise_frobenius(self):
+        # the packed twist against one FFElem.frobenius per coefficient
+        rng = random.Random(31)
+        for f in EXTENSIONS:
+            g = S(f, [elem(rng, f) for _ in range(12)] + [0], 13)
+            for j in range(-f.w, 2 * f.w + 1):
+                twisted = g.frobenius_twist(j)
+                assert twisted.coeffs == tuple(c.frobenius(j) for c in g.coeffs), (f, j)
+                assert twisted == TruncSeries(f, twisted.coeffs, 13)
+
     def test_ring_homomorphism(self):
         rng = random.Random(29)
         for f in EXTENSIONS:

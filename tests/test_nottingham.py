@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -20,7 +19,13 @@ from ramforge import (
     upper_from_lower,
 )
 
-from helpers import brute_compose, brute_depth, enumerate_subgroup, random_nottingham
+from helpers import (
+    brute_compose,
+    brute_depth,
+    cyclotomic_reduction,
+    enumerate_subgroup,
+    random_nottingham,
+)
 
 F2 = FiniteField(2)
 F5 = FiniteField(5)
@@ -30,12 +35,6 @@ def S(field, coeffs, trunc=None):
     if trunc is not None and len(coeffs) < trunc:
         coeffs = list(coeffs) + [0] * (trunc - len(coeffs))
     return TruncSeries(field, coeffs, trunc)
-
-
-def cyclotomic_reduction(p, trunc):
-    """Reduction of (1+X)^(1+p) - 1 modulo p, truncated."""
-    coeffs = [math.comb(1 + p, k) % p if 1 <= k <= p + 1 else 0 for k in range(trunc)]
-    return TruncSeries(FiniteField(p), coeffs, trunc)
 
 
 class TestDepth:

@@ -24,14 +24,7 @@ from ramforge import (
     weierstrass_degree,
 )
 
-from helpers import exact_int_compose, exact_series_divide, frac_mod, vp_frac
-
-
-def cyclotomic(p, prec, trunc):
-    """(1+X)^(1+p) - 1 as a PadicSeries."""
-    coeffs = [math.comb(1 + p, k) if 1 <= k <= p + 1 else 0 for k in range(trunc)]
-    coeffs[0] = 0
-    return PadicSeries(p, prec, trunc, coeffs)
+from helpers import cyclotomic_padic, exact_int_compose, exact_series_divide, frac_mod, vp_frac
 
 
 def closed_form_q1(p, prec, trunc):
@@ -62,11 +55,11 @@ def closed_form_q1(p, prec, trunc):
 
 class TestPadIterate:
     def test_single(self):
-        u = cyclotomic(5, 5, 12)
+        u = cyclotomic_padic(5, 5, 12)
         assert pad_iterate(u, 1) == u
 
     def test_linear_coefficient_multiplies(self):
-        u = cyclotomic(5, 5, 30)
+        u = cyclotomic_padic(5, 5, 30)
         it = pad_iterate(u, 5)
         assert it.coeffs[1] == pow(6, 5, 5**5)
 
@@ -83,7 +76,7 @@ class TestPadIterate:
             assert pad_iterate(u, k).coeffs[1] == pow(coeffs[1], k, p**4)
 
     def test_zero_gives_identity(self):
-        u = cyclotomic(5, 5, 8)
+        u = cyclotomic_padic(5, 5, 8)
         assert pad_iterate(u, 0) == PadicSeries.x(5, 5, 8)
 
     def test_rejects_nonzero_constant(self):
@@ -103,7 +96,7 @@ class TestPadIterate:
 
         monkeypatch.setattr(TruncSeries, "compose", counting(TruncSeries.compose))
         monkeypatch.setattr(pdyn, "pad_compose", counting(pdyn.pad_compose))
-        u = cyclotomic(p, 4, 12)
+        u = cyclotomic_padic(p, 4, 12)
         it = pad_iterate(u, p)
         assert len(calls) == expected
         calls.clear()
@@ -113,7 +106,7 @@ class TestPadIterate:
 
 class TestReduceModP:
     def test_cyclotomic(self):
-        u = cyclotomic(5, 8, 7)
+        u = cyclotomic_padic(5, 8, 7)
         F5 = FiniteField(5)
         assert reduce_mod_p(u) == TruncSeries(F5, (0, 1, 0, 0, 0, 1, 1), 7)
 
@@ -148,7 +141,7 @@ class TestWeierstrassDegree:
         assert weierstrass_degree(f) == 2
 
     def test_u_minus_x(self):
-        u = cyclotomic(5, 8, 10)
+        u = cyclotomic_padic(5, 8, 10)
         f = u - PadicSeries.x(5, 8, 10)
         assert weierstrass_degree(f) == 5  # i_0 + 1
 
@@ -159,13 +152,13 @@ class TestWeierstrassDegree:
 
 class TestQnDivide:
     def test_constant_term_valuation(self):
-        q1 = qn_divide(cyclotomic(5, 8, 130), 1)
+        q1 = qn_divide(cyclotomic_padic(5, 8, 130), 1)
         c0 = q1.coeffs[0]
         assert c0 % 5**8 == (6**5 - 1) // 5 % 5**8
         assert c0 % 5 == 0 and (c0 // 5) % 5 != 0  # valuation exactly 1
 
     def test_weierstrass_degree(self):
-        q1 = qn_divide(cyclotomic(5, 8, 130), 1)
+        q1 = qn_divide(cyclotomic_padic(5, 8, 130), 1)
         assert weierstrass_degree(q1) == 20
 
     def test_tangent_to_identity_constant_is_p(self):
@@ -184,7 +177,7 @@ class TestQnDivide:
         num[0] -= 1
         den[0] -= 1
         oracle = exact_series_divide(num, den, M - 1 - 4)
-        q1 = qn_divide(cyclotomic(p, P, M), 1)
+        q1 = qn_divide(cyclotomic_padic(p, P, M), 1)
         for k, (got, prec_k) in enumerate(zip(q1.coeffs, q1.coeff_prec)):
             if prec_k > 0:
                 assert got % p**prec_k == frac_mod(oracle[k], p, prec_k), k
@@ -217,7 +210,7 @@ class TestQnDivide:
     def test_matches_closed_form_cyclotomic(self):
         for p in (5, 7):
             P, M = 8, p**3 + 5
-            q1 = qn_divide(cyclotomic(p, P, M), 1)
+            q1 = qn_divide(cyclotomic_padic(p, P, M), 1)
             expected = closed_form_q1(p, P, q1.trunc)
             for k in range(q1.trunc):
                 prec_k = q1.coeff_prec[k]
@@ -232,7 +225,7 @@ class TestQnDivide:
         p, P, M = 5, 8, 130
         a = 1 + p
         S = (a ** (p * p) - 1) // (a**p - 1)
-        q2 = qn_divide(cyclotomic(p, P, M), 2)
+        q2 = qn_divide(cyclotomic_padic(p, P, M), 2)
         trunc = q2.trunc
         mod = p**P
         Y = [math.comb(a**p - 1, k) % mod for k in range(trunc)]
@@ -258,7 +251,7 @@ class TestQnDivide:
         # second oracle: constant-term recursion run at a much larger P,
         # so its own precision loss still exceeds the claimed profile
         p, P_impl, M = 5, 6, 40
-        u_hi = cyclotomic(p, 40, M)
+        u_hi = cyclotomic_padic(p, 40, M)
         x_hi = PadicSeries.x(p, 40, M)
         num = (pad_iterate(u_hi, p) - x_hi).coeffs[1:]
         den = (pad_iterate(u_hi, 1) - x_hi).coeffs[1:]
@@ -277,7 +270,7 @@ class TestQnDivide:
                 v += 1
             assert v >= 1  # den[0] has valuation 1; division must be exact
             naive.append((s * p ** (v - 1)) % mod_hi)
-        q1 = qn_divide(cyclotomic(p, P_impl, M), 1)
+        q1 = qn_divide(cyclotomic_padic(p, P_impl, M), 1)
         for k in range(q1.trunc):
             prec_k = min(q1.coeff_prec[k], 30 - 1 - k // i0)
             if prec_k > 0:
@@ -290,7 +283,28 @@ class TestQnDivide:
 
     def test_rejects_bad_level(self):
         with pytest.raises(ValueError):
-            qn_divide(cyclotomic(5, 4, 20), 0)
+            qn_divide(cyclotomic_padic(5, 4, 20), 0)
+
+    @pytest.mark.parametrize("prec", [16, 20])
+    def test_residual_checked_only_to_certified_digits(self, prec):
+        # p = 3, M = 90, level 2: the divisor's pivot is i0 = 8, the quotient
+        # is certified to 10-11 digits there and the residual below the
+        # pivot has valuations 14-16, short of the full prec
+        u = cyclotomic_padic(3, prec, 90)
+        assert weierstrass_degree(qn_divide(u, 2)) == 18
+        level = analyze(u, 2).levels[1]
+        assert level.note is None
+        assert level.weierstrass_degree == level.expected_wd == 18
+        assert level.polygon.single_root_valuation == F(1, 18)
+
+    def test_inexact_division_is_rejected(self):
+        # the divisor p + X pivots on X, so the numerator 1 would need a
+        # quotient with q_0 * p = 1
+        p, P, M = 5, 6, 12
+        prev = PadicSeries(p, P, M, (0, 1 + p, 1) + (0,) * (M - 3))
+        cur = PadicSeries(p, P, M, (0, 2) + (0,) * (M - 2))
+        with pytest.raises(ValueError, match="inexact"):
+            pdyn._divide_level(prev, cur, 1)
 
 
 class TestNewtonPolygon:
@@ -301,13 +315,13 @@ class TestNewtonPolygon:
         assert poly.segments[0].root_valuation == F(1, 2) and poly.segments[0].length == 2
 
     def test_shifted_u_minus_x(self):
-        u = cyclotomic(5, 8, 10)
+        u = cyclotomic_padic(5, 8, 10)
         shifted = PadicSeries(5, 8, 9, (u - PadicSeries.x(5, 8, 10)).coeffs[1:])
         poly = newton_polygon(shifted, 4)
         assert poly.single_root_valuation == F(1, 4)
 
     def test_q1_single_segment(self):
-        q1 = qn_divide(cyclotomic(5, 8, 130), 1)
+        q1 = qn_divide(cyclotomic_padic(5, 8, 130), 1)
         poly = newton_polygon(q1, 20)
         assert poly.single_root_valuation == F(1, 20)
         assert poly.segments[0].length == 20
@@ -327,7 +341,7 @@ class TestNewtonPolygon:
 
     def test_valuation_mass_equals_constant_valuation(self):
         for p in (5, 7):
-            q1 = qn_divide(cyclotomic(p, 8, p**3 + 5), 1)
+            q1 = qn_divide(cyclotomic_padic(p, 8, p**3 + 5), 1)
             wd = weierstrass_degree(q1)
             poly = newton_polygon(q1, wd)
             mass = sum(s.root_valuation * s.length for s in poly.segments)
@@ -364,7 +378,7 @@ class TestExtQuantities:
 
 class TestAnalyze:
     def test_cyclotomic_end_to_end(self):
-        rep = analyze(cyclotomic(5, 8, 130), 2)
+        rep = analyze(cyclotomic_padic(5, 8, 130), 2)
         assert rep.depths == (4, 24, 124)
         assert rep.upper == (4, 8, 12)
         assert rep.fixed_point_counts == (5, 25, 125)
@@ -378,7 +392,7 @@ class TestAnalyze:
 
     def test_fixed_point_count_is_wd_of_iterate(self):
         # i_n + 1 equals the Weierstrass degree of u^(p^n)(X) - X
-        u = cyclotomic(5, 8, 130)
+        u = cyclotomic_padic(5, 8, 130)
         rep = analyze(u, 2)
         for n, count in enumerate(rep.fixed_point_counts):
             it = pad_iterate(u, 5**n)
@@ -386,7 +400,7 @@ class TestAnalyze:
 
     def test_level_three_valuation_law(self):
         # the exact-period valuation 1/(d*p^n) is a theorem only for n >= 3
-        rep = analyze(cyclotomic(5, 8, 640), 3)
+        rep = analyze(cyclotomic_padic(5, 8, 640), 3)
         assert rep.depths == (4, 24, 124, 624)
         lv = rep.levels[2]
         assert lv.weierstrass_degree == lv.expected_wd == 500
@@ -396,7 +410,7 @@ class TestAnalyze:
     def test_levels_share_one_iterate_chain(self, monkeypatch):
         # u^3 from u and u^9 from u^3, two compositions each; rebuilding
         # u^3 for level 2 would make 6
-        u = cyclotomic(3, 8, 60)
+        u = cyclotomic_padic(3, 8, 60)
         calls = []
         compose = pdyn.pad_compose
         monkeypatch.setattr(pdyn, "pad_compose", lambda f, g: calls.append(1) or compose(f, g))
@@ -411,7 +425,7 @@ class TestAnalyze:
     def test_depths_read_off_the_iterate_chain(self, monkeypatch):
         # the depths are those of the Z/p^P chain's reductions mod p: no
         # composition over F_p, and still the chain's four pad_compose calls
-        u = cyclotomic(3, 8, 60)
+        u = cyclotomic_padic(3, 8, 60)
         calls = {"pad_compose": 0, "TruncSeries.compose": 0}
         pad, series = pdyn.pad_compose, TruncSeries.compose
 
@@ -429,7 +443,7 @@ class TestAnalyze:
 
     def test_depths_match_lower_breaks(self):
         rng = random.Random(71)
-        cases = [(cyclotomic(3, 8, 60), 2), (cyclotomic(5, 8, 30), 2), (cyclotomic(5, 8, 130), 2),
+        cases = [(cyclotomic_padic(3, 8, 60), 2), (cyclotomic_padic(5, 8, 30), 2), (cyclotomic_padic(5, 8, 130), 2),
                  (PadicSeries(5, 2, 12, (0, 6, 5) + (0,) * 9), 1)]
         for p in (2, 3, 5):
             for trunc in (8, 20, 40):
