@@ -19,6 +19,12 @@ of two packed lists multiplies the series with no overlap between blocks;
 each block is then reduced mod the modulus.  Without a modulus (the rings
 F_p and Z/p^P) s = 1, a block is one residue and nothing is reduced.
 
+A field element is one block, and the field's product is the one-block
+``mul_mod(a, b, 1, p, modulus)``.  Lists of at most ``_SHORT`` slots take
+the big-integer multiply, which at that length costs about numpy's call
+overhead, and one list block is reduced in pure Python: arithmetic in
+fields up to w = 4 never imports numpy.
+
 Composition is Paterson-Stockmeyer (baby steps, giant steps): about
 2*sqrt(L) products for an outer series of L blocks, where Horner's rule
 takes L - 1.  It stays array-resident: int64 arrays below the bound,
@@ -31,6 +37,7 @@ from functools import lru_cache
 from math import isqrt
 
 _INT64_SAFE = 2**62
+_SHORT = 8
 
 
 def _pack(vals, size):
@@ -63,7 +70,7 @@ def conv_mod(a, b, n, mod):
         b = [x % mod for x in b[:lb]]
     if la == 0 or lb == 0:
         out = []
-    elif (mod - 1) * (mod - 1) * min(la, lb) < _INT64_SAFE:
+    elif (mod - 1) * (mod - 1) * min(la, lb) < _INT64_SAFE and (arrays or max(la, lb) > _SHORT):
         import numpy as np
 
         out = np.convolve(np.asarray(a[:la], dtype=np.int64), np.asarray(b[:lb], dtype=np.int64))
@@ -117,22 +124,31 @@ def _reduction(modulus, mod):
     return tuple(rows)
 
 
+def row_combination(vec, rows, mod):
+    """sum_d vec[d] * rows[d] mod mod: the vector vec times the matrix rows."""
+    return [sum(c * row[j] for c, row in zip(vec, rows)) % mod for j in range(len(rows[0]))]
+
+
 def _fold(c, n, mod, modulus):
     """Reduce each of the first n blocks of c mod the modulus.
 
-    c is a list, or a numpy array that is reduced in place.  All blocks go
-    at once: a block of 2w - 1 slots times the rows Y^d mod the modulus.
+    c is a list, or a numpy array that is reduced in place.  A block of
+    2w - 1 slots is reduced as the block times the rows Y^d mod the
+    modulus: one list block in pure Python, more blocks at once in numpy.
     """
-    import numpy as np
-
     w = len(modulus) - 1
     s = 2 * w - 1
+    rows = _reduction(tuple(modulus), mod)
+    if n == 1 and not hasattr(c, "dtype"):
+        return row_combination(c, rows, mod) + [0] * (w - 1)
+    import numpy as np
+
     arr = c
     if not hasattr(c, "dtype"):
         # a folded slot sums s products of two residues
         arr = np.asarray(c, dtype=np.int64 if (mod - 1) * (mod - 1) * s < _INT64_SAFE else object)
     blocks = arr[: n * s].reshape(n, s)
-    blocks[:, :w] = blocks @ np.asarray(_reduction(tuple(modulus), mod), dtype=arr.dtype) % mod
+    blocks[:, :w] = blocks @ np.asarray(rows, dtype=arr.dtype) % mod
     blocks[:, w:] = 0
     return arr if arr is c else arr.tolist()
 

@@ -15,6 +15,11 @@ kernel's result (each block reduced mod the field's modulus) is wrapped
 without per-coefficient work.  For w = 1 a block is a single residue.
 The coefficients as ``FFElem`` values are a view built on first use.
 
+Field elements are single blocks of the same kernel: their product is
+the one-block ``mul_mod``, and powers, inverses and the Frobenius rows
+behind the irreducibility test use its ``power``.  That product needs no
+numpy, so building a field and computing in it never import it.
+
 Field extensions require an explicit monic irreducible modulus from the
 caller; no built-in modulus tables are shipped.
 """
@@ -22,9 +27,9 @@ caller; no built-in modulus tables are shipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from ._convolve import block_size, compose_mod, mul_mod, reversion_mod
+from ._convolve import block_size, compose_mod, mul_mod, power, reversion_mod, row_combination, unit_inverse
 
 
 # Miller-Rabin with the first 13 prime bases decides primality of every n
@@ -73,63 +78,20 @@ def vp(n, p, cap):
     return v
 
 
-# ---------------------------------------------------------------------------
-# dense polynomial helpers over F_p (coefficient lists, low degree first)
-
-
 def _ptrim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pmod(a, mod, p):
-    # mod is monic
-    a = list(a)
-    dm = len(mod) - 1
-    while len(a) > dm:
-        c = a[-1]
-        if c:
-            off = len(a) - 1 - dm
-            for j in range(dm):
-                a[off + j] = (a[off + j] - c * mod[j]) % p
-        a.pop()
-    return _ptrim(a)
-
-
-def _pmulmod(a, b, mod, p):
-    return _pmod(_pmul(a, b, p), mod, p)
-
-
-def _ppowmod(a, e, mod, p):
-    result = [1]
-    base = _pmod(a, mod, p)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, mod, p)
-        base = _pmulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
 def _pgcd(a, b, p):
-    a, b = list(a), list(b)
+    """A gcd over F_p of coefficient lists, low degree first, by Euclid."""
+    a, b = _ptrim(list(a)), _ptrim(list(b))
     while b:
-        # make b monic, then reduce a mod b
-        inv = pow(b[-1], p - 2, p)
-        bm = [(c * inv) % p for c in b]
-        a = _pmod(a, bm, p)
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):  # a -= c * X^off * b cancels a's top coefficient
+            c, off = a[-1] * inv % p, len(a) - len(b)
+            a = _ptrim([(x - c * b[j - off]) % p if j >= off else x for j, x in enumerate(a)])
         a, b = b, a
     return a
 
@@ -138,11 +100,12 @@ def _pgcd(a, b, p):
 def _frobenius_rows(modulus, p, k):
     """Rows (Y^t)^(p^k) mod the modulus for t = 0 .. w-1, w coefficients each."""
     w = len(modulus) - 1
-    y = _ppowmod([0, 1], p**k, modulus, p)
-    rows, r = [], [1]
+    mul = partial(mul_mod, n=1, mod=p, modulus=modulus)
+    y = power([0, 1], p**k, mul)
+    rows, r = [], [1] + [0] * (w - 1)
     for _ in range(w):
-        rows.append(tuple(r) + (0,) * (w - len(r)))
-        r = _pmulmod(r, y, modulus, p)
+        rows.append(tuple(r[:w]))
+        r = mul(r, y)
     return tuple(rows)
 
 
@@ -193,19 +156,14 @@ class FiniteField:
         self._check_irreducible(mod)
 
     def _check_irreducible(self, mod):
+        # Rabin's test; row 1 of the Frobenius rows for k is X^(p^k)
         p, w = self.p, self.w
-        x = [0, 1]
-        xq = _ppowmod(x, p**w, mod, p)
-        if xq != x:
+        if _frobenius_rows(mod, p, w)[1] != (0, 1) + (0,) * (w - 2):
             raise ValueError("modulus is not irreducible (X^{p^w} != X)")
         for r in _prime_factors(w):
-            xr = _ppowmod(x, p ** (w // r), mod, p)
-            diff = list(xr)
-            while len(diff) < 2:
-                diff.append(0)
+            diff = list(_frobenius_rows(mod, p, w // r)[1])
             diff[1] = (diff[1] - 1) % p
-            g = _pgcd(diff, list(mod), p)
-            if len(g) - 1 > 0:
+            if len(_pgcd(diff, list(mod), p)) > 1:
                 raise ValueError("modulus is not irreducible (gcd condition fails)")
 
     @property
@@ -243,7 +201,11 @@ class FiniteField:
 
 
 class FFElem:
-    """An element of a FiniteField, stored as a reduced coefficient vector."""
+    """An element of a FiniteField: the w low slots of one reduced kernel block.
+
+    Products are one-block ``mul_mod`` calls; the Frobenius applies the
+    cached rows (Y^t)^(p^k), as ``TruncSeries.frobenius_twist`` does per block.
+    """
 
     __slots__ = ("field", "rep")
 
@@ -272,26 +234,18 @@ class FFElem:
     def __mul__(self, other):
         self._check(other)
         f = self.field
-        if f.w == 1:
-            return FFElem(f, ((self.rep[0] * other.rep[0]) % f.p,))
-        prod = _pmod(_pmul(list(self.rep), list(other.rep), f.p), list(f.modulus), f.p)
-        prod = prod + [0] * (f.w - len(prod))
-        return FFElem(f, tuple(prod))
+        return FFElem(f, tuple(mul_mod(self.rep, other.rep, 1, f.p, f.modulus)[: f.w]))
 
     def __pow__(self, e):
-        f = self.field
         if e < 0:
-            return self.inverse() ** (-e)
-        if f.w == 1:
-            return FFElem(f, (pow(self.rep[0], e, f.p),))
-        res = _ppowmod(list(self.rep), e, list(f.modulus), f.p)
-        res = res + [0] * (f.w - len(res))
-        return FFElem(f, tuple(res))
+            return self.inverse() ** -e
+        return power(self, e, FFElem.__mul__) if e else self.field.one()
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        return self ** (self.field.order - 2)
+        f = self.field
+        return FFElem(f, tuple(unit_inverse(self.rep, f.p, f.modulus)[: f.w]))
 
     def __truediv__(self, other):
         self._check(other)
@@ -303,7 +257,7 @@ class FFElem:
         k = j % f.w
         if k == 0:
             return self
-        return self ** (f.p**k)
+        return FFElem(f, tuple(row_combination(self.rep, _frobenius_rows(f.modulus, f.p, k), f.p)))
 
     def is_zero(self):
         return all(a == 0 for a in self.rep)
@@ -480,8 +434,7 @@ class TruncSeries:
         for i in range(0, len(packed), s):
             block = packed[i : i + w]
             if any(block):
-                packed[i : i + w] = [sum(c * row[d] for c, row in zip(block, rows)) % f.p
-                                     for d in range(w)]
+                packed[i : i + w] = row_combination(block, rows, f.p)
         return _from_packed(f, packed, self.trunc)
 
     # -- comparisons / display ----------------------------------------

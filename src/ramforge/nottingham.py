@@ -95,6 +95,8 @@ def lower_breaks(g, n_max):
     as soon as some iterate's depth cannot be certified at the working
     truncation.
     """
+    if n_max < 0:
+        raise ValueError("the level count must be >= 0")
     p = g.field.p
 
     def chain():

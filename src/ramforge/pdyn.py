@@ -402,6 +402,8 @@ def analyze(u, n_max):
     rejected outright: its group closure is not infinite.
     """
     p, P, M = u.p, u.prec, u.trunc
+    if n_max < 0:
+        raise ValueError("the level count must be >= 0")
     if M < 2:
         raise ValueError("truncation must be >= 2 to analyze a dynamical series")
     if u.coeffs[0] != 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvariantError
-from .gfseries import vp
+from .gfseries import _require_prime, vp
 from .herbrand import (
     BreakData,
     extract_yhz,
@@ -38,6 +38,7 @@ class TameParams:
 
 
 def tame_params(p, e, w=None):
+    _require_prime(p)
     if e < 1:
         raise ValueError("e must be a positive integer")
     if e % p == 0:

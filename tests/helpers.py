@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's own algorithms: series
 composition is done by ascending-power polynomial expansion, substitution
 inverses by exhaustive coefficient search, quotient division over exact
-rationals, and quotient groups by full enumeration.
+rationals, quotient groups by full enumeration, and extension-field
+arithmetic by schoolbook products in Y with long division by the modulus,
+powers by repeated products.
 """
 
 import math
@@ -35,34 +37,54 @@ def brute_compose(outer, inner, p, n):
     return result
 
 
+# -- arithmetic in F_p[Y]/(modulus), elements as w-tuples ---------------------
+#
+# The modulus is monic, low degree first; the prime field F_p is
+# F_p[Y]/(Y), modulus (0, 1).
+
+
+def cadd(a, b, p):
+    return tuple((x + y) % p for x, y in zip(a, b))
+
+
+def cmul(a, b, p, modulus):
+    """a*b: a schoolbook product in Y, then long division by the modulus."""
+    w = len(modulus) - 1
+    prod = poly_mul_mod(list(a), list(b), p, 2 * w - 1)
+    for d in range(2 * w - 2, w - 1, -1):
+        t = prod[d]
+        for j in range(w + 1):
+            prod[d - w + j] = (prod[d - w + j] - t * modulus[j]) % p
+    return tuple(prod[:w])
+
+
+def cpow(a, e, p, modulus):
+    """a^e for e >= 0, as e repeated products."""
+    out = (1,) + (0,) * (len(modulus) - 2)
+    for _ in range(e):
+        out = cmul(out, a, p, modulus)
+    return out
+
+
+def cfrob(a, j, p, modulus):
+    """The Frobenius power a -> a^(p^(j mod w)); negative j inverts it."""
+    return cpow(a, p ** (j % (len(modulus) - 1)), p, modulus)
+
+
 def ext_compose(outer, inner, p, modulus, n):
     """outer(inner) mod X^n over F_p[Y]/(modulus), coefficients as w-tuples.
 
-    Ascending powers as in brute_compose; a coefficient product is a
-    schoolbook product in Y followed by long division by the monic modulus.
+    Ascending powers as in brute_compose, with cmul and cadd.
     """
-    w = len(modulus) - 1
-
-    def cmul(a, b):
-        prod = poly_mul_mod(list(a), list(b), p, 2 * w - 1)
-        for d in range(2 * w - 2, w - 1, -1):
-            t = prod[d]
-            for j in range(w + 1):
-                prod[d - w + j] = (prod[d - w + j] - t * modulus[j]) % p
-        return tuple(prod[:w])
-
-    def cadd(a, b):
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    zero = (0,) * w
+    zero = (0,) * (len(modulus) - 1)
     result = [zero] * n
     power = [(1,) + zero[1:]] + [zero] * (n - 1)
     for c in outer[:n]:
-        result = [cadd(r, cmul(c, pc)) for r, pc in zip(result, power)]
+        result = [cadd(r, cmul(c, pc, p, modulus), p) for r, pc in zip(result, power)]
         new = [zero] * n
         for i, pi in enumerate(power):
             for j in range(min(len(inner), n - i)):
-                new[i + j] = cadd(new[i + j], cmul(pi, inner[j]))
+                new[i + j] = cadd(new[i + j], cmul(pi, inner[j], p, modulus), p)
         power = new
     return result
 
@@ -123,21 +145,26 @@ def exact_int_compose(outer, inner, n):
 def apply_ring_by_powers(f, a):
     """Image of a under the ring map of morphism f, power by power.
 
-    sum_k Frob(c_k) * mu(pi)^k in k[pi]/(pi^e2), with one field-element
-    product per coefficient and a schoolbook product for each next power
-    of mu(pi); no series kernel is used.
+    sum_k Frob(c_k) * mu(pi)^k in k[pi]/(pi^e2), with one cmul per
+    coefficient and a schoolbook product for each next power of mu(pi);
+    no arithmetic of the library is used.
     """
     from ramforge import TruncSeries
 
     field, e = f.target.field, f.target.e
-    zero = field.zero()
-    mu = f.mu_image.coeffs
+    p, modulus = field.p, field.modulus or (0, 1)
+    zero = (0,) * field.w
+    mu = [c.rep for c in f.mu_image.coeffs]
     acc = [zero] * e
-    power = [field.one()] + [zero] * (e - 1)
+    power = [(1,) + zero[1:]] + [zero] * (e - 1)
     for c in a.coeffs:
-        ct = c.frobenius(f.res_twist)
-        acc = [x + ct * y for x, y in zip(acc, power)]
-        power = [sum((power[i] * mu[k - i] for i in range(k + 1)), zero) for k in range(e)]
+        ct = cfrob(c.rep, f.res_twist, p, modulus)
+        acc = [cadd(x, cmul(ct, y, p, modulus), p) for x, y in zip(acc, power)]
+        new = [zero] * e
+        for k in range(e):
+            for i in range(k + 1):
+                new[k] = cadd(new[k], cmul(power[i], mu[k - i], p, modulus), p)
+        power = new
     return TruncSeries(field, acc, e)
 
 

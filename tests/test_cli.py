@@ -102,6 +102,10 @@ class TestBreaks:
         code, doc = run(capsys, "breaks", "validate", "--input", break_data)
         assert code == 0 and doc["valid"]
 
+    def test_negative_n_max_is_input_error(self, capsys, cyclotomic_series):
+        code, doc = run(capsys, "breaks", "lower", "--series", cyclotomic_series, "--n-max", "-1")
+        assert code == 2 and doc["error"]["type"] == "input"
+
     def test_sen_violation_is_input_error(self, capsys):
         code, doc = run(capsys, "breaks", "upper", "--p", "5", "--lower", "4,23")
         assert code == 2 and doc["error"]["type"] == "input"
@@ -200,12 +204,21 @@ class TestCheck:
         code, doc = run(capsys, "check", "fshift", "--p", "5", "--e", "1", "--m", "1", "--sum-check")
         assert code == 0 and doc == {"sum_check": True}
 
+    def test_fshift_zero_p_is_input_error(self, capsys):
+        code, doc = run(capsys, "check", "fshift", "--p", "0", "--e", "1", "--m", "1")
+        assert code == 2 and doc["error"]["type"] == "input"
+        assert "not prime" in doc["error"]["reason"]
+
 
 class TestDynamics:
     def test_analyze(self, capsys, padic_series):
         code, doc = run(capsys, "dynamics", "analyze", "--series", padic_series, "--levels", "1")
         assert code == 0
         assert doc["depths"] == [4, 24] and doc["levels"][0]["weierstrass_degree"] == 20
+
+    def test_negative_levels_is_input_error(self, capsys, padic_series):
+        code, doc = run(capsys, "dynamics", "analyze", "--series", padic_series, "--levels", "-1")
+        assert code == 2 and doc["error"]["type"] == "input"
 
     def test_qn_and_newton(self, capsys, padic_series, tmp_path):
         code, doc = run(capsys, "dynamics", "qn", "--series", padic_series, "--n", "1")

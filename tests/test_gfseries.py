@@ -1,10 +1,16 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ramforge
 from ramforge import FFElem, FiniteField, TruncSeries, series_agree_mod, unit_part
 
-from helpers import brute_comp_inverse, brute_compose
+from helpers import brute_comp_inverse, brute_compose, cfrob, cmul, cpow, ext_compose
 
 F5 = FiniteField(5)
 F2 = FiniteField(2)
@@ -50,8 +56,17 @@ class TestFiniteField:
 
     def test_rejects_reducible_modulus(self):
         # X^2 + 1 = (X+1)^2 over F_2
-        with pytest.raises(ValueError, match="irreducible"):
+        with pytest.raises(ValueError, match=r"irreducible \(X\^\{p\^w\} != X\)"):
             FiniteField(2, 2, (1, 0, 1))
+
+    def test_rejects_modulus_failing_only_the_gcd_condition(self):
+        # Y^2 + Y = Y(Y+1) over F_2 divides Y^4 - Y, but shares the factor
+        # Y^2 - Y with Y^(2^1) - Y
+        with pytest.raises(ValueError, match="gcd condition fails"):
+            FiniteField(2, 2, (0, 1, 1))
+        # Y^3 - Y over F_3, the product of its three roots
+        with pytest.raises(ValueError, match="gcd condition fails"):
+            FiniteField(3, 3, (0, 2, 0, 1))
 
     def test_rejects_non_monic_modulus(self):
         with pytest.raises(ValueError, match="monic"):
@@ -59,9 +74,9 @@ class TestFiniteField:
 
     def test_extension_arithmetic(self):
         t = F4.coerce((0, 1))
-        assert t * t == F4.coerce((1, 1))  # t^2 = t + 1
-        assert (t * t * t) == F4.one()
-        assert t.inverse() * t == F4.one()
+        assert t * t == F4.coerce((1, 1)) == F4.coerce(cmul((0, 1), (0, 1), 2, F4.modulus))
+        assert t * t * t == F4.one() == F4.coerce(cpow((0, 1), 3, 2, F4.modulus))
+        assert t.inverse() == F4.coerce((1, 1))
 
     def test_frobenius_element(self):
         t = F4.coerce((0, 1))
@@ -71,6 +86,61 @@ class TestFiniteField:
     def test_prime_field_inverse(self):
         for a in range(1, 5):
             assert F5.coerce(a).inverse() * F5.coerce(a) == F5.one()
+
+
+class TestFieldArithmetic:
+    """Every element of each extension field against the schoolbook oracles."""
+
+    @pytest.mark.parametrize("field", EXTENSIONS, ids=repr)
+    def test_exhaustive(self, field):
+        p, w, mod = field.p, field.w, field.modulus
+        reps = list(itertools.product(range(p), repeat=w))
+        one = (1,) + (0,) * (w - 1)
+        elems = {a: field.coerce(a) for a in reps}
+        for a, b in itertools.product(reps, repeat=2):
+            assert (elems[a] * elems[b]).rep == cmul(a, b, p, mod)
+        for a in reps:
+            x = elems[a]
+            if any(a):
+                inv = next(b for b in reps if cmul(a, b, p, mod) == one)
+                assert x.inverse().rep == inv
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x.inverse()
+                with pytest.raises(ZeroDivisionError):
+                    x ** -1
+            # a^e by one more product per exponent, from 0 up past the
+            # group order, and (a^-1)^e for the negative exponents
+            up = one
+            for e in range(field.order + 2):
+                assert (x**e).rep == up, (a, e)
+                up = cmul(up, a, p, mod)
+            if any(a):
+                down = inv
+                for e in range(1, field.order + 2):
+                    assert (x**-e).rep == down, (a, -e)
+                    down = cmul(down, inv, p, mod)
+            for j in range(-w, 2 * w + 1):
+                assert x.frobenius(j).rep == cfrob(a, j, p, mod), (a, j)
+
+    def test_field_arithmetic_imports_no_numpy(self):
+        # field setup and element work in a fresh process stay pure Python
+        script = (
+            "import sys\n"
+            "from ramforge import FiniteField, TruncSeries\n"
+            "f = FiniteField(3, 3, (1, 2, 0, 1))\n"
+            "a, b = f.coerce((1, 2, 0)), f.coerce((0, 1, 1))\n"
+            "assert (a * b).rep == (1, 0, 0) and (a * a.inverse()) == f.one()\n"
+            "assert a ** 26 == f.one() and a ** -3 == (a ** 3).inverse()\n"
+            "g = TruncSeries(f, [(0, 0, 0), (1, 0, 0), (2, 1, 0)], 3)\n"
+            "assert g.frobenius_twist(1).frobenius_twist(2) == g\n"
+            "sys.exit(3 if 'numpy' in sys.modules else 0)\n"
+        )
+        src = str(Path(ramforge.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr or "numpy was imported"
 
 
 class TestAdd:
@@ -147,19 +217,7 @@ class TestCompose:
                 outer = [elem(rng, f) for _ in range(n)]
                 inner = [(0,) * f.w] + [elem(rng, f) for _ in range(n - 1)]
                 got = S(f, outer, n).compose(S(f, inner, n))
-                # recompute by ascending powers with FFElem arithmetic only
-                inner_e = [f.coerce(c) for c in inner]
-                result = [f.zero()] * n
-                power = [f.one()] + [f.zero()] * (n - 1)
-                for c in outer:
-                    ce = f.coerce(c)
-                    result = [r + ce * pc for r, pc in zip(result, power)]
-                    nxt = [f.zero()] * n
-                    for i, pi in enumerate(power):
-                        for j in range(n - i):
-                            nxt[i + j] = nxt[i + j] + pi * inner_e[j]
-                    power = nxt
-                assert got == TruncSeries(f, result, n)
+                assert got == TruncSeries(f, ext_compose(outer, inner, f.p, f.modulus, n), n)
 
     def test_associativity_random(self):
         rng = random.Random(13)
@@ -238,13 +296,15 @@ class TestFrobeniusTwist:
         assert g.frobenius_twist(1).frobenius_twist(-1) == g
 
     def test_matches_coefficientwise_frobenius(self):
-        # the packed twist against one FFElem.frobenius per coefficient
+        # the packed twist against the oracle's power of each coefficient
         rng = random.Random(31)
         for f in EXTENSIONS:
-            g = S(f, [elem(rng, f) for _ in range(12)] + [0], 13)
+            coeffs = [elem(rng, f) for _ in range(12)] + [(0,) * f.w]
+            g = S(f, coeffs, 13)
             for j in range(-f.w, 2 * f.w + 1):
                 twisted = g.frobenius_twist(j)
-                assert twisted.coeffs == tuple(c.frobenius(j) for c in g.coeffs), (f, j)
+                expected = [cfrob(c, j, f.p, f.modulus) for c in coeffs]
+                assert [c.rep for c in twisted.coeffs] == expected, (f, j)
                 assert twisted == TruncSeries(f, twisted.coeffs, 13)
 
     def test_ring_homomorphism(self):
