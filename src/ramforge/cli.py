@@ -1,9 +1,12 @@
 """The ramforge command line: JSON in, JSON out, deterministic output.
 
-Exit codes: 0 success, 2 input validation failure, 3 precision
-insufficiency (retry with a larger truncation or coefficient precision),
-4 a failed internal cross-check (the answer is withheld; a toolkit defect).
-Error documents are structured JSON with a machine-readable reason.
+Exit codes: 0 success, 2 input validation failure (including input
+nested too deeply to parse), 3 precision insufficiency (retry with a
+larger truncation or coefficient precision), 4 a toolkit defect: a failed
+internal cross-check (type ``invariant``) or any other exception (type
+``internal``, with its traceback on stderr); either way the answer is
+withheld.  Error documents are structured JSON with a type and a
+machine-readable reason.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import jsonio
 from .errors import InvariantError, PrecisionError
@@ -254,9 +258,13 @@ def main(argv=None):
     except InvariantError as exc:
         _emit({"error": {"type": "invariant", "reason": str(exc)}}, args.format)
         return 4
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError, RecursionError) as exc:
         _emit({"error": {"type": "input", "reason": str(exc)}}, args.format)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        _emit({"error": {"type": "internal", "reason": f"{type(exc).__name__}: {exc}"}}, args.format)
+        return 4
     _emit(doc, args.format)
     return 0
 

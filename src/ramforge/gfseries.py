@@ -1,19 +1,21 @@
 """Exact arithmetic in finite fields and truncated power-series rings.
 
-A ``TruncSeries`` holds the first N coefficients of a power series over
-``F_{p^w}``; it represents the series modulo X^N and nothing more.  Every
-binary operation returns a result at the minimum truncation of its inputs
-and never extends precision.  All values are immutable and every operation
-is a pure function, so concurrent use is safe.
+A ``TruncSeries`` holds the first N coefficients of a power series over a
+``FiniteField``, the ring F_p, Z/p^P or F_{p^w}; it represents the series
+modulo X^N and nothing more.  Every binary operation returns a result at
+the minimum truncation of its inputs and never extends precision.  All
+values are immutable and every operation is a pure function, so
+concurrent use is safe.
 
 Series products, composition and substitution inverses run in the
-``_convolve`` kernel for every extension degree.  A series is stored in
-the kernel's layout, one flat tuple of residues mod p with one block of
-2w - 1 slots per power of X and the Y-coefficients of X^k in slots
-[k(2w-1), k(2w-1) + w), so it is handed to the kernel as it is and the
-kernel's result (each block reduced mod the field's modulus) is wrapped
-without per-coefficient work.  For w = 1 a block is a single residue.
-The coefficients as ``FFElem`` values are a view built on first use.
+``_convolve`` kernel for every ring.  A series is stored in the kernel's
+layout, one flat tuple of residues mod ``field.mod`` (p, or p^P over
+Z/p^P) with one block of 2w - 1 slots per power of X and the
+Y-coefficients of X^k in slots [k(2w-1), k(2w-1) + w), so it is handed
+to the kernel as it is and the kernel's result (each block reduced mod
+the field's modulus) is wrapped without per-coefficient work.  For w = 1
+a block is a single residue.  The coefficients as ``FFElem`` values are
+a view built on first use.
 
 Field elements are single blocks of the same kernel: their product is
 the one-block ``mul_mod``, and powers, inverses and the Frobenius rows
@@ -38,7 +40,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
 
-@lru_cache(maxsize=256)  # every PadicSeries result re-checks its p
+@lru_cache(maxsize=256)  # every FiniteField built re-checks its p
 def _require_prime(n):
     """Raise ValueError unless n is a prime that can be certified."""
     if n >= _MR_BOUND:
@@ -125,24 +127,30 @@ def _prime_factors(n):
 
 @dataclass(frozen=True)
 class FiniteField:
-    """The field F_{p^w}, with an explicit modulus when w > 1.
+    """The field F_{p^w}, with an explicit modulus when w > 1; for prec > 1
+    (and w = 1) the ring Z/p^prec.
 
     ``modulus`` is the coefficient tuple (low degree first, monic) of an
     irreducible degree-w polynomial over F_p; it is checked at construction
     by verifying X^{p^w} == X mod modulus together with the gcd conditions
     for the proper divisors of w.  Primality of p is checked by
     deterministic Miller-Rabin, which is proven below 3.3e24; a larger p
-    is rejected as uncertifiable.
+    is rejected as uncertifiable.  ``mod`` = p^prec, set once here, is the
+    modulus of the residues the kernel computes with.
     """
 
     p: int
     w: int = 1
     modulus: tuple[int, ...] | None = None
+    prec: int = 1
 
     def __post_init__(self):
         _require_prime(self.p)
         if self.w < 1:
             raise ValueError("extension degree must be >= 1")
+        if self.prec < 1 or (self.prec > 1 and self.w != 1):
+            raise ValueError("precision must be >= 1, and > 1 only for w = 1 (the ring Z/p^prec)")
+        object.__setattr__(self, "mod", self.p**self.prec)
         if self.w == 1:
             if self.modulus is not None:
                 raise ValueError("prime fields take no modulus")
@@ -168,7 +176,7 @@ class FiniteField:
 
     @property
     def order(self):
-        return self.p**self.w
+        return self.p ** (self.w * self.prec)
 
     def coerce(self, value):
         """Wrap an int, coefficient vector, or FFElem as an element."""
@@ -182,8 +190,8 @@ class FiniteField:
                 raise ValueError("field mismatch")
             return value.rep
         if isinstance(value, int):
-            return (value % self.p,) + (0,) * (self.w - 1)
-        rep = tuple(int(c) % self.p for c in value)
+            return (value % self.mod,) + (0,) * (self.w - 1)
+        rep = tuple(int(c) % self.mod for c in value)
         if len(rep) > self.w:
             raise ValueError("coefficient vector longer than extension degree")
         return rep + (0,) * (self.w - len(rep))
@@ -195,6 +203,8 @@ class FiniteField:
         return self.coerce(1)
 
     def __repr__(self):
+        if self.prec > 1:
+            return f"Z/{self.p}^{self.prec}"
         if self.w == 1:
             return f"F_{self.p}"
         return f"F_{self.p}^{self.w}"
@@ -219,22 +229,22 @@ class FFElem:
 
     def __add__(self, other):
         self._check(other)
-        p = self.field.p
-        return FFElem(self.field, tuple((a + b) % p for a, b in zip(self.rep, other.rep)))
+        m = self.field.mod
+        return FFElem(self.field, tuple((a + b) % m for a, b in zip(self.rep, other.rep)))
 
     def __sub__(self, other):
         self._check(other)
-        p = self.field.p
-        return FFElem(self.field, tuple((a - b) % p for a, b in zip(self.rep, other.rep)))
+        m = self.field.mod
+        return FFElem(self.field, tuple((a - b) % m for a, b in zip(self.rep, other.rep)))
 
     def __neg__(self):
-        p = self.field.p
-        return FFElem(self.field, tuple((-a) % p for a in self.rep))
+        m = self.field.mod
+        return FFElem(self.field, tuple((-a) % m for a in self.rep))
 
     def __mul__(self, other):
         self._check(other)
         f = self.field
-        return FFElem(f, tuple(mul_mod(self.rep, other.rep, 1, f.p, f.modulus)[: f.w]))
+        return FFElem(f, tuple(mul_mod(self.rep, other.rep, 1, f.mod, f.modulus)[: f.w]))
 
     def __pow__(self, e):
         if e < 0:
@@ -245,7 +255,7 @@ class FFElem:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
         f = self.field
-        return FFElem(f, tuple(unit_inverse(self.rep, f.p, f.modulus)[: f.w]))
+        return FFElem(f, tuple(unit_inverse(self.rep, f.mod, f.modulus)[: f.w]))
 
     def __truediv__(self, other):
         self._check(other)
@@ -279,12 +289,12 @@ class FFElem:
 
 
 class TruncSeries:
-    """A power series over a finite field known modulo X^N.
+    """A power series over F_p, Z/p^P or F_{p^w} known modulo X^N.
 
     The series is stored as ``packed``, the kernel's residue list as a
     tuple: ``trunc`` blocks of 2w - 1 slots, the reduced Y-coefficients of
     X^k in slots [k(2w-1), k(2w-1) + w) and zeros in the rest (one slot per
-    coefficient over F_p).  ``coeffs`` is a view of it as ``trunc``
+    coefficient over F_p and Z/p^P).  ``coeffs`` is a view of it as ``trunc``
     FFElem values, built on first use; the k-th entry is the coefficient
     of X^k.  Instances are immutable.
     """
@@ -296,7 +306,7 @@ class TruncSeries:
         s = block_size(field.modulus)
         packed = [0] * (len(coeffs) * s)
         if all(type(c) is int for c in coeffs):
-            packed[::s] = [c % field.p for c in coeffs]
+            packed[::s] = [c % field.mod for c in coeffs]
         else:
             for k, c in enumerate(coeffs):
                 packed[k * s : k * s + field.w] = field._rep(c)
@@ -326,7 +336,8 @@ class TruncSeries:
     def x(cls, field, trunc):
         if trunc < 2:
             raise ValueError("truncation must be >= 2 to represent X")
-        return cls(field, (0, 1) + (0,) * (trunc - 2), trunc)
+        s = block_size(field.modulus)
+        return _from_packed(field, (0,) * s + (1,) + (0,) * ((trunc - 1) * s - 1), trunc)
 
     @classmethod
     def one(cls, field, trunc):
@@ -382,10 +393,10 @@ class TruncSeries:
     def _termwise(self, other, sign):
         self._check(other)
         n = min(self.trunc, other.trunc)
-        p = self.field.p
+        m = self.field.mod
         width = n * block_size(self.field.modulus)
         return _from_packed(
-            self.field, [(a + sign * b) % p for a, b in zip(self.packed[:width], other.packed[:width])], n
+            self.field, [(a + sign * b) % m for a, b in zip(self.packed[:width], other.packed[:width])], n
         )
 
     def __mul__(self, other):
@@ -393,7 +404,7 @@ class TruncSeries:
         n = min(self.trunc, other.trunc)
         f = self.field
         width = n * block_size(f.modulus)
-        out = mul_mod(self.packed[:width], other.packed[:width], n, f.p, f.modulus)
+        out = mul_mod(self.packed[:width], other.packed[:width], n, f.mod, f.modulus)
         return _from_packed(f, out, n)
 
     def compose(self, inner):
@@ -404,7 +415,7 @@ class TruncSeries:
         n = min(self.trunc, inner.trunc)
         f = self.field
         width = n * block_size(f.modulus)
-        out = compose_mod(self.packed[:width], inner.packed[:width], n, f.p, f.modulus)
+        out = compose_mod(self.packed[:width], inner.packed[:width], n, f.mod, f.modulus)
         return _from_packed(f, out, n)
 
     def comp_inverse(self):
@@ -420,7 +431,7 @@ class TruncSeries:
             raise ValueError("not a substitution unit: linear coefficient is zero")
         f = self.field
         n = self.trunc
-        return _from_packed(f, reversion_mod(self.packed, n, f.p, f.modulus), n)
+        return _from_packed(f, reversion_mod(self.packed, n, f.mod, f.modulus), n)
 
     def frobenius_twist(self, j):
         """Apply the coefficient automorphism x -> x^{p^(j mod w)}."""

@@ -10,6 +10,7 @@ form a writer can emit, so emitted documents round-trip unchanged.
 from __future__ import annotations
 
 import os
+import re
 from fractions import Fraction
 
 from .gfseries import FiniteField, TruncSeries
@@ -39,7 +40,18 @@ def int_out(v):
 
 
 def int_in(v):
-    return int(v)
+    """An int from a JSON integer or a decimal string (as int_out writes
+    past 2^53); bools, floats and any other string raise ValueError."""
+    if type(v) is int:
+        return v
+    if isinstance(v, str) and re.fullmatch(r"-?[0-9]+", v):
+        return int(v)
+    raise ValueError(f"expected an integer, got {v!r}")
+
+
+def _coeff_in(c):
+    """A prime-field coefficient (an integer) or an extension-field vector."""
+    return tuple(int_in(x) for x in c) if isinstance(c, list) else int_in(c)
 
 
 def frac_out(x):
@@ -56,6 +68,8 @@ def frac_pair_out(x):
 
 
 def field_out(f):
+    if f.prec > 1:
+        raise ValueError(f"a series over {f!r} is written by padic_out")
     doc = {"p": f.p, "w": f.w}
     if f.modulus is not None:
         doc["modulus"] = [int(c) for c in f.modulus]
@@ -66,7 +80,7 @@ def field_in(doc):
     return FiniteField(
         int_in(doc["p"]),
         int_in(doc.get("w", 1)),
-        tuple(int(c) for c in doc["modulus"]) if doc.get("modulus") else None,
+        tuple(int_in(c) for c in doc["modulus"]) if doc.get("modulus") else None,
     )
 
 
@@ -84,10 +98,7 @@ def series_in(doc):
     f = field_in(doc)
     trunc = int_in(doc["trunc"])
     check_budget(trunc * f.w * len(str(f.p)))
-    coeffs = [
-        c if isinstance(c, int) else tuple(int(x) for x in c) for c in doc["coeffs"]
-    ]
-    return TruncSeries(f, coeffs, trunc)
+    return TruncSeries(f, [_coeff_in(c) for c in doc["coeffs"]], trunc)
 
 
 # -- break sequences and transfer functions ---------------------------------
@@ -176,12 +187,10 @@ def morphism_out(f):
 def morphism_in(doc):
     src = trunc_object_in(doc["source"])
     dst = trunc_object_in(doc["target"])
-    eta = dst.element(
-        [c if isinstance(c, int) else tuple(c) for c in doc["eta_coeff"]]
-    )
+    eta = dst.element([_coeff_in(c) for c in doc["eta_coeff"]])
     mu = None
     if doc.get("mu_image") is not None:
-        mu = dst.element([c if isinstance(c, int) else tuple(c) for c in doc["mu_image"]])
+        mu = dst.element([_coeff_in(c) for c in doc["mu_image"]])
     return TruncMorphism(src, dst, int_in(doc["r"]), int_in(doc["res_twist"]), eta, mu)
 
 
@@ -247,10 +256,10 @@ def condition_report_out(r):
 
 def padic_out(u):
     return {
-        "p": u.p,
-        "prec": u.prec,
+        "p": u.field.p,
+        "prec": u.field.prec,
         "trunc": u.trunc,
-        "coeffs": [int_out(c) for c in u.coeffs],
+        "coeffs": [int_out(c) for c in u.packed],
     }
 
 

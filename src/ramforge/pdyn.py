@@ -1,13 +1,12 @@
 """Truncated p-adic dynamics: iteration, level quotients, Newton polygons.
 
-A PadicSeries carries a fixed precision pair (P, M): coefficients are
-residues modulo p^P and the series is known modulo X^M.  Ring operations
-(sum, product, composition) commute with reduction, so they keep full
-coefficient precision.  The level-quotient division is the only lossy
-step; its result carries an explicit per-coefficient certification
-profile, and nothing is ever asserted beyond it.  There is no automatic
-precision escalation: the caller picks (P, M), results are certified or
-flagged.
+A p-adic series is a ``TruncSeries`` over Z/p^P (``FiniteField(p,
+prec=P)``), known modulo X^M.  Its ring operations commute with reduction
+mod p, a change of ring, so they keep full coefficient precision.  The
+level-quotient division is the only lossy step; its result carries an
+explicit per-coefficient certification profile, and nothing is ever
+asserted beyond it.  There is no automatic precision escalation: the
+caller picks (P, M), results are certified or flagged.
 """
 
 from __future__ import annotations
@@ -16,137 +15,75 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._convolve import compose_mod, conv_mod, power, recip_mod
+from ._convolve import conv_mod, recip_mod
 from .errors import PrecisionError
-from .gfseries import FiniteField, TruncSeries, _require_prime, vp
-from .nottingham import IndexReport, certified_depths, index_of, upper_from_lower
+from .gfseries import FiniteField, TruncSeries, _from_packed, vp
+from .nottingham import IndexReport, certified_depths, compose_power, index_of, upper_from_lower
 
 
-@dataclass(frozen=True)
-class PadicSeries:
-    """A power series with integer coefficients tracked mod p^prec, mod X^trunc."""
+def PadicSeries(p, prec, trunc, coeffs):
+    """The series with integer coefficients coeffs mod p^prec, mod X^trunc."""
+    return TruncSeries(FiniteField(p, prec=prec), coeffs, trunc)
 
-    p: int
-    prec: int
-    trunc: int
-    coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        _require_prime(self.p)
-        if self.prec < 1 or self.trunc < 1:
-            raise ValueError("prec and trunc must be >= 1")
-        mod = self.modulus
-        object.__setattr__(self, "coeffs", tuple(int(c) % mod for c in self.coeffs))
-        if len(self.coeffs) != self.trunc:
-            raise ValueError(f"expected {self.trunc} coefficients, got {len(self.coeffs)}")
-
-    @property
-    def modulus(self):
-        return self.p**self.prec
-
-    @property
-    def coeff_prec(self):
-        """Certified digits per coefficient: all prec of them."""
-        return (self.prec,) * self.trunc
-
-    @classmethod
-    def x(cls, p, prec, trunc):
-        if trunc < 2:
-            raise ValueError("truncation must be >= 2 to represent X")
-        return cls(p, prec, trunc, (0, 1) + (0,) * (trunc - 2))
-
-    def __add__(self, other):
-        return self._termwise(other, 1)
-
-    def __sub__(self, other):
-        return self._termwise(other, -1)
-
-    def _termwise(self, other, sign):
-        # the constructor reduces mod p^prec
-        p, prec, n = self._common(other)
-        return PadicSeries(p, prec, n, [a + sign * b for a, b in zip(self.coeffs[:n], other.coeffs[:n])])
-
-    def __mul__(self, other):
-        p, prec, n = self._common(other)
-        return PadicSeries(
-            p, prec, n, conv_mod(list(self.coeffs[:n]), list(other.coeffs[:n]), n, p**prec)
-        )
-
-    def _common(self, other):
-        if not isinstance(other, PadicSeries) or other.p != self.p:
-            raise ValueError("series must share the same prime")
-        return self.p, min(self.prec, other.prec), min(self.trunc, other.trunc)
-
-    def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:6])
-        tail = ", ..." if self.trunc > 6 else ""
-        return f"PadicSeries(p={self.p}, prec={self.prec}, trunc={self.trunc}, [{head}{tail}])"
+def _require_dynamical(u):
+    if u.field.w != 1:
+        raise ValueError("expected a series over Z/p^P")
+    if u.packed[0]:
+        raise ValueError("dynamical series must satisfy u(0) = 0")
 
 
 def pad_compose(outer, inner):
     """outer(inner(X)) mod (p^P, X^M); inner must have zero constant term."""
-    p, prec, n = outer._common(inner)
-    if inner.coeffs[0] % p**prec != 0:
-        raise ValueError("inner series must have zero constant term")
-    out = compose_mod(list(outer.coeffs[:n]), list(inner.coeffs[:n]), n, p**prec)
-    return PadicSeries(p, prec, n, out)
+    return outer.compose(inner)
 
 
 def pad_iterate(u, k):
     """k-fold composite of u with itself, by binary powering."""
-    if k < 0:
-        raise ValueError("iteration count must be >= 0")
-    if u.coeffs[0] != 0:
-        raise ValueError("dynamical series must satisfy u(0) = 0")
-    if k == 0:
-        return PadicSeries.x(u.p, u.prec, u.trunc)
-    return power(u, k, pad_compose)
+    _require_dynamical(u)
+    return compose_power(u, k)
 
 
 def reduce_mod_p(u):
     """Coefficientwise reduction into F_p[[X]] at the same truncation."""
-    return TruncSeries(FiniteField(u.p), u.coeffs, u.trunc)
+    return TruncSeries(FiniteField(u.field.p), u.packed, u.trunc)
 
 
 @dataclass(frozen=True)
 class DividedSeries:
     """A quotient series with a per-coefficient certification profile.
 
-    ``series.coeffs[k]`` is the computed residue mod p^prec, but only its
+    ``series.packed[k]`` is the computed residue mod p^prec, but only its
     bottom ``coeff_prec[k]`` digits are certified; a zero entry means the
     coefficient is unknown.
     """
 
-    series: PadicSeries
+    series: TruncSeries
     coeff_prec: tuple[int, ...]
 
-    @property
-    def p(self):
-        return self.series.p
 
-    @property
-    def prec(self):
-        return self.series.prec
-
-    @property
-    def trunc(self):
-        return self.series.trunc
-
-    @property
-    def coeffs(self):
-        return self.series.coeffs
+def _certified(f):
+    """The series of f and its certified digits per coefficient: a
+    quotient's own profile, or all prec digits of a series over Z/p^P."""
+    if isinstance(f, DividedSeries):
+        return f.series, f.coeff_prec
+    if f.field.w != 1:
+        raise ValueError("expected a series over Z/p^P")
+    return f, (f.field.prec,) * f.trunc
 
 
 def weierstrass_degree(f):
     """Index of the first unit coefficient, or None when undetermined.
 
-    Accepts a PadicSeries (uniform precision) or a DividedSeries; scanning
-    stops at the first uncertified coefficient.
+    Accepts a series over Z/p^P (uniform precision) or a DividedSeries;
+    scanning stops at the first uncertified coefficient.
     """
-    for k, (c, prec) in enumerate(zip(f.coeffs, f.coeff_prec)):
+    series, coeff_prec = _certified(f)
+    p = series.field.p
+    for k, (c, prec) in enumerate(zip(series.packed, coeff_prec)):
         if prec < 1:
             return None
-        if c % f.p != 0:
+        if c % p != 0:
             return k
     return None
 
@@ -163,19 +100,18 @@ def qn_divide(u, n):
     """
     if n < 1:
         raise ValueError("level n must be >= 1")
-    if u.coeffs[0] != 0:
-        raise ValueError("dynamical series must satisfy u(0) = 0")
-    prev = pad_iterate(u, u.p ** (n - 1))
-    return _divide_level(prev, pad_iterate(prev, u.p), n)
+    p = u.field.p
+    prev = pad_iterate(u, p ** (n - 1))
+    return _divide_level(prev, pad_iterate(prev, p), n)
 
 
 def _divide_level(prev, cur, n):
     """qn_divide from the iterates prev = u^(p^(n-1)) and cur = u^(p^n)."""
-    p, P, M = prev.p, prev.prec, prev.trunc
-    mod = p**P
-    x = PadicSeries.x(p, P, M)
-    num = (cur - x).coeffs[1:]
-    den = (prev - x).coeffs[1:]
+    f = prev.field
+    p, P, M, mod = f.p, f.prec, prev.trunc, f.mod
+    x = TruncSeries.x(f, M)
+    num = (cur - x).packed[1:]
+    den = (prev - x).packed[1:]
     L = M - 1
 
     i0 = next((k for k, c in enumerate(den) if c % p != 0), None)
@@ -234,7 +170,7 @@ def _divide_level(prev, cur, n):
         raise ValueError(
             "division is inexact at certified digits: the series is not of the required form"
         )
-    return DividedSeries(PadicSeries(p, P, K, q), coeff_prec)
+    return DividedSeries(_from_packed(f, q, K), coeff_prec)
 
 
 @dataclass(frozen=True)
@@ -270,18 +206,19 @@ def newton_polygon(f, degree):
     points; if such a coefficient could sit on the hull, the polygon is not
     determined and a PrecisionError is raised.
     """
+    series, coeff_prec = _certified(f)
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    if degree > f.trunc - 1:
-        raise ValueError(f"degree {degree} exceeds the truncation window {f.trunc}")
-    p = f.p
+    if degree > series.trunc - 1:
+        raise ValueError(f"degree {degree} exceeds the truncation window {series.trunc}")
+    p = series.field.p
     exact = []
     bounded = []
-    for i, prec_i in enumerate(f.coeff_prec[: degree + 1]):
+    for i, prec_i in enumerate(coeff_prec[: degree + 1]):
         if prec_i <= 0:
             bounded.append((i, 0))
             continue
-        r = f.coeffs[i] % p**prec_i
+        r = series.packed[i] % p**prec_i
         if r == 0:
             bounded.append((i, prec_i))
         else:
@@ -401,17 +338,15 @@ def analyze(u, n_max):
     fabricated values.  A series indistinguishable from the identity is
     rejected outright: its group closure is not infinite.
     """
-    p, P, M = u.p, u.prec, u.trunc
+    p, P, M = u.field.p, u.field.prec, u.trunc
     if n_max < 0:
         raise ValueError("the level count must be >= 0")
     if M < 2:
         raise ValueError("truncation must be >= 2 to analyze a dynamical series")
-    if u.coeffs[0] != 0:
-        raise ValueError("dynamical series must satisfy u(0) = 0")
-    if u.coeffs[1] % p != 1:
+    _require_dynamical(u)
+    if u.packed[1] % p != 1:
         raise ValueError("u'(0) must be a 1-unit")
-    x = PadicSeries.x(p, P, M)
-    if all(c == 0 for c in (u - x).coeffs):
+    if u == TruncSeries.x(u.field, M):
         raise ValueError(
             "u is the identity at this precision; its group closure is not infinite"
         )
@@ -446,7 +381,7 @@ def analyze(u, n_max):
 
 
 def _analyze_level(prev, cur, n, depths, d):
-    p = prev.p
+    p = prev.field.p
     try:
         q = _divide_level(prev, cur, n)
     except (PrecisionError, ValueError) as exc:
@@ -461,7 +396,7 @@ def _analyze_level(prev, cur, n, depths, d):
 
     const_val = None
     if q.coeff_prec[0] > 0:
-        r = q.coeffs[0] % p ** q.coeff_prec[0]
+        r = q.series.packed[0] % p ** q.coeff_prec[0]
         if r != 0:
             const_val = vp(r, p, q.coeff_prec[0])
     expected_const = _expected_constant_valuation(n)

@@ -34,17 +34,16 @@ class TameParams:
     e: int
     s: int
     e0: int
-    w: int | None = None  # residue degree of the cyclotomic step; metadata only
 
 
-def tame_params(p, e, w=None):
+def tame_params(p, e):
     _require_prime(p)
     if e < 1:
         raise ValueError("e must be a positive integer")
     if e % p == 0:
         raise ValueError("the base must be tame: p does not divide e")
     g = math.gcd(e, p - 1)
-    tp = TameParams(p, e, (p - 1) // g, e // g, w)
+    tp = TameParams(p, e, (p - 1) // g, e // g)
     if tp.e0 * (p - 1) != e * tp.s or (p - 1) % tp.s or tp.e0 % p == 0:
         raise InvariantError(f"cross-check failed: tame parameters {tp} break e0 = e*s/(p-1)")
     return tp

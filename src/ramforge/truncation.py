@@ -90,7 +90,7 @@ class TruncMorphism:
             raise ValueError("element does not belong to the source ring")
         f, e = self.target.field, self.target.e
         twisted = a.frobenius_twist(self.res_twist)
-        return _from_packed(f, compose_mod(twisted.packed, self.mu_image.packed, e, f.p, f.modulus), e)
+        return _from_packed(f, compose_mod(twisted.packed, self.mu_image.packed, e, f.mod, f.modulus), e)
 
     def __eq__(self, other):
         return (

@@ -247,6 +247,20 @@ class TestDynamics:
         assert code == 2 and doc["error"]["type"] == "input"
         assert "not prime" in doc["error"]["reason"]
 
+    @pytest.mark.parametrize(
+        "op, text, flag",
+        [
+            ("newton", '{"p": 5, "prec": 2.9, "trunc": 3, "coeffs": [5, 0, 1]}', ["--degree", "2"]),
+            ("qn", '{"p": 5, "prec": 3, "trunc": 4, "coeffs": [0, 1.9, 1, 0]}', ["--n", "1"]),
+            ("newton", '{"p": 5, "prec": 1e400, "trunc": 3, "coeffs": [5, 0, 1]}', ["--degree", "2"]),
+        ],
+    )
+    def test_non_integer_is_input_error(self, capsys, op, text, flag):
+        # a float precision or coefficient was truncated by int(), or overflowed
+        code, doc = run(capsys, "dynamics", op, "--series", text, *flag)
+        assert code == 2 and doc["error"]["type"] == "input"
+        assert "expected an integer" in doc["error"]["reason"]
+
     def test_uncertifiable_p_is_input_error(self, capsys):
         series = {"p": 2**89 - 1, "prec": 2, "trunc": 8, "coeffs": [0, 5, 1, 0, 0, 0, 0, 0]}
         code, doc = run(capsys, "dynamics", "qn", "--series", json.dumps(series), "--n", "1")
@@ -264,6 +278,22 @@ class TestContract:
         code, doc = run(capsys, "check", "main", "--input", theorem_inputs)
         assert code == 4 and doc["error"]["type"] == "invariant"
         assert "cross-check failed" in doc["error"]["reason"]
+
+    def test_deep_nesting_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, doc = run(capsys, "dynamics", "analyze", "--series", str(path), "--levels", "1")
+        assert code == 2 and doc["error"]["type"] == "input"
+
+    def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
+        from ramforge import cli
+
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_breaks_cmd", broken)
+        code, doc = run(capsys, "breaks", "upper", "--p", "5", "--lower", "4,24")
+        assert code == 4 and doc["error"] == {"type": "internal", "reason": "RuntimeError: boom"}
 
     def test_cross_checks_run_under_optimize(self, theorem_inputs):
         # python -O strips assert statements; the cross-checks must still run

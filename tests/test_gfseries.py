@@ -88,6 +88,46 @@ class TestFiniteField:
             assert F5.coerce(a).inverse() * F5.coerce(a) == F5.one()
 
 
+class TestPadicRing:
+    Z5_8 = FiniteField(5, prec=8)
+
+    def test_ring_data(self):
+        assert repr(self.Z5_8) == "Z/5^8"
+        assert self.Z5_8.mod == self.Z5_8.order == 5**8
+        assert self.Z5_8 != F5 and FiniteField(5, prec=1) == F5
+
+    def test_rejects_precision_below_one(self):
+        with pytest.raises(ValueError, match="precision"):
+            FiniteField(5, prec=0)
+
+    def test_rejects_extension_with_precision(self):
+        with pytest.raises(ValueError, match="w = 1"):
+            FiniteField(3, 2, (1, 0, 1), prec=2)
+
+    def test_mixed_precision_operands_raise(self):
+        a = TruncSeries(FiniteField(5, prec=4), (0, 6, 5, 1))
+        b = TruncSeries(self.Z5_8, (0, 6, 5, 1))
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a.compose(b)):
+            with pytest.raises(ValueError, match="field mismatch"):
+                op()
+        with pytest.raises(ValueError, match="field mismatch"):
+            a.coeffs[1] * b.coeffs[1]
+
+    def test_arithmetic_mod_p_power(self):
+        m = 5**8
+        g = TruncSeries(self.Z5_8, (0, 6, -1, m + 3))
+        assert g.packed == (0, 6, m - 1, 3)
+        assert (g * g).packed == (0, 0, 36, (2 * 6 * (m - 1)) % m)
+        assert g.compose(TruncSeries.x(self.Z5_8, 4)) == g
+        assert g.compose(g.comp_inverse()) == TruncSeries.x(self.Z5_8, 4)
+        c = g.coeffs[1]
+        assert (c * c.inverse()).rep == (1,) and (c - c).is_zero()
+
+    def test_equals_padic_series(self):
+        coeffs = (0, 6, 15, 20, 15, 6)
+        assert TruncSeries(self.Z5_8, coeffs) == ramforge.PadicSeries(5, 8, 6, coeffs)
+
+
 class TestFieldArithmetic:
     """Every element of each extension field against the schoolbook oracles."""
 

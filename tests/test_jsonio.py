@@ -3,10 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from ramforge import BreakData, FiniteField, PadicSeries, TruncSeries
+from ramforge import BreakData, FiniteField, PadicSeries, TruncSeries, qn_divide
 from ramforge.jsonio import (
     break_data_in,
     break_data_out,
+    divided_out,
     frac_in,
     frac_out,
     int_in,
@@ -23,6 +24,8 @@ from ramforge.jsonio import (
 from ramforge.herbrand import psi_from_breaks
 from ramforge.truncation import TruncMorphism, TruncObject
 
+from helpers import cyclotomic_coeffs
+
 
 class TestScalars:
     def test_int_policy(self):
@@ -30,6 +33,12 @@ class TestScalars:
         big = 2**60 + 7
         assert int_out(big) == str(big)
         assert int_in(str(big)) == big
+        assert int_in(str(-big)) == -big
+
+    @pytest.mark.parametrize("bad", [True, 2.9, 1.0, float("inf"), "1.5", "0x10", " 7", "1_000", "", None, [1]])
+    def test_int_in_rejects_non_integers(self, bad):
+        with pytest.raises(ValueError, match="expected an integer"):
+            int_in(bad)
 
     def test_rational_forms(self):
         assert frac_in("3/4") == F(3, 4)
@@ -92,6 +101,27 @@ class TestPadicRoundTrip:
     def test_cycle(self):
         u = PadicSeries(5, 8, 6, (0, 6, 15, 20, 15, 6))
         assert padic_in(json.loads(json.dumps(padic_out(u)))) == u
+
+    def test_documents_unchanged(self):
+        # pinned documents: the p-adic wire format does not depend on how series are stored
+        u = PadicSeries(5, 8, 6, (0, 6, 15, -20, 15, 5**8 + 6))
+        assert padic_out(u) == {"p": 5, "prec": 8, "trunc": 6, "coeffs": [0, 6, 15, 390605, 15, 6]}
+        q = qn_divide(PadicSeries(5, 3, 12, cyclotomic_coeffs(5, 12)), 1)
+        assert divided_out(q) == {
+            "p": 5, "prec": 3, "trunc": 7, "coeffs": [55, 50, 100, 100, 50, 110, 25],
+            "coeff_prec": [2, 2, 2, 1, 1, 1, 1],
+        }
+        q = qn_divide(PadicSeries(3, 40, 8, (0, 4, 6, 4, 1, 0, 0, 0)), 1)
+        assert divided_out(q) == {
+            "p": 3, "prec": 40, "trunc": 5,
+            "coeffs": [4960059024, "12157665454090302489", 3319854480, "12157665457386247041", 572974488],
+            "coeff_prec": [3, 2, 2, 1, 1],
+        }
+
+    def test_series_document_refuses_padic_series(self):
+        # an F_p document would drop the precision and read back mod p
+        with pytest.raises(ValueError, match="padic_out"):
+            series_out(PadicSeries(5, 8, 3, (0, 6, 25)))
 
     def test_big_coefficients_as_strings(self):
         p, prec = 5, 40

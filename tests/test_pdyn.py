@@ -61,7 +61,7 @@ class TestPadIterate:
     def test_linear_coefficient_multiplies(self):
         u = cyclotomic_padic(5, 5, 30)
         it = pad_iterate(u, 5)
-        assert it.coeffs[1] == pow(6, 5, 5**5)
+        assert it.packed[1] == pow(6, 5, 5**5)
 
     def test_random_linear_coefficients(self):
         rng = random.Random(3)
@@ -73,11 +73,11 @@ class TestPadIterate:
             ]
             u = PadicSeries(p, 4, trunc, coeffs)
             k = rng.randint(1, 9)
-            assert pad_iterate(u, k).coeffs[1] == pow(coeffs[1], k, p**4)
+            assert pad_iterate(u, k).packed[1] == pow(coeffs[1], k, p**4)
 
     def test_zero_gives_identity(self):
         u = cyclotomic_padic(5, 5, 8)
-        assert pad_iterate(u, 0) == PadicSeries.x(5, 5, 8)
+        assert pad_iterate(u, 0) == TruncSeries.x(FiniteField(5, prec=5), 8)
 
     def test_rejects_nonzero_constant(self):
         with pytest.raises(ValueError):
@@ -124,6 +124,14 @@ class TestReduceModP:
             a, b = mk(), mk()
             assert reduce_mod_p(pad_compose(a, b)) == reduce_mod_p(a).compose(reduce_mod_p(b))
 
+    def test_group_side_needs_the_reduction(self):
+        # depths over Z/p^P would read 6X as a non-1-unit and give depth 0
+        u = cyclotomic_padic(5, 8, 30)
+        for call in (lambda: lower_breaks(u, 1), lambda: p_iterate(u, 1)):
+            with pytest.raises(ValueError, match="reduce a Z/p"):
+                call()
+        assert lower_breaks(reduce_mod_p(u), 1).lower == (4, 24)
+
     def test_commutes_with_iteration(self):
         rng = random.Random(11)
         for _ in range(10):
@@ -142,7 +150,7 @@ class TestWeierstrassDegree:
 
     def test_u_minus_x(self):
         u = cyclotomic_padic(5, 8, 10)
-        f = u - PadicSeries.x(5, 8, 10)
+        f = u - TruncSeries.x(FiniteField(5, prec=8), 10)
         assert weierstrass_degree(f) == 5  # i_0 + 1
 
     def test_undetermined(self):
@@ -153,7 +161,7 @@ class TestWeierstrassDegree:
 class TestQnDivide:
     def test_constant_term_valuation(self):
         q1 = qn_divide(cyclotomic_padic(5, 8, 130), 1)
-        c0 = q1.coeffs[0]
+        c0 = q1.series.packed[0]
         assert c0 % 5**8 == (6**5 - 1) // 5 % 5**8
         assert c0 % 5 == 0 and (c0 // 5) % 5 != 0  # valuation exactly 1
 
@@ -165,7 +173,7 @@ class TestQnDivide:
         # u = X + X^2 has u'(0) = 1; the level-1 quotient has constant term p
         u = PadicSeries(5, 6, 40, (0, 1, 1) + (0,) * 37)
         q1 = qn_divide(u, 1)
-        assert q1.coeffs[0] == 5
+        assert q1.series.packed[0] == 5
 
     def test_matches_exact_rational_division(self):
         # independent oracle: the p-th iterate of the cyclotomic series is
@@ -178,7 +186,7 @@ class TestQnDivide:
         den[0] -= 1
         oracle = exact_series_divide(num, den, M - 1 - 4)
         q1 = qn_divide(cyclotomic_padic(p, P, M), 1)
-        for k, (got, prec_k) in enumerate(zip(q1.coeffs, q1.coeff_prec)):
+        for k, (got, prec_k) in enumerate(zip(q1.series.packed, q1.coeff_prec)):
             if prec_k > 0:
                 assert got % p**prec_k == frac_mod(oracle[k], p, prec_k), k
 
@@ -202,8 +210,8 @@ class TestQnDivide:
             i0 = next(k for k, c in enumerate(den) if vp_frac(c, p) == 0)
             oracle = exact_series_divide(num, den, M - 1 - i0)
             q1 = qn_divide(PadicSeries(p, P, M, coeffs), 1)
-            assert q1.trunc == M - 1 - i0
-            for k, (got, prec_k) in enumerate(zip(q1.coeffs, q1.coeff_prec)):
+            assert q1.series.trunc == M - 1 - i0
+            for k, (got, prec_k) in enumerate(zip(q1.series.packed, q1.coeff_prec)):
                 if prec_k > 0:
                     assert got % p**prec_k == frac_mod(oracle[k], p, prec_k), k
 
@@ -211,11 +219,11 @@ class TestQnDivide:
         for p in (5, 7):
             P, M = 8, p**3 + 5
             q1 = qn_divide(cyclotomic_padic(p, P, M), 1)
-            expected = closed_form_q1(p, P, q1.trunc)
-            for k in range(q1.trunc):
+            expected = closed_form_q1(p, P, q1.series.trunc)
+            for k in range(q1.series.trunc):
                 prec_k = q1.coeff_prec[k]
                 if prec_k > 0:
-                    assert q1.coeffs[k] % p**prec_k == expected[k] % p**prec_k, k
+                    assert q1.series.packed[k] % p**prec_k == expected[k] % p**prec_k, k
 
     def test_level_two_matches_closed_form(self):
         # same binomial identity one level up: Y = (1+X)^(a^p - 1) - 1 and
@@ -226,7 +234,7 @@ class TestQnDivide:
         a = 1 + p
         S = (a ** (p * p) - 1) // (a**p - 1)
         q2 = qn_divide(cyclotomic_padic(p, P, M), 2)
-        trunc = q2.trunc
+        trunc = q2.series.trunc
         mod = p**P
         Y = [math.comb(a**p - 1, k) % mod for k in range(trunc)]
         Y[0] = 0
@@ -245,16 +253,16 @@ class TestQnDivide:
         for k in range(trunc):
             prec_k = q2.coeff_prec[k]
             if prec_k > 0:
-                assert q2.coeffs[k] % p**prec_k == expected[k] % p**prec_k, k
+                assert q2.series.packed[k] % p**prec_k == expected[k] % p**prec_k, k
 
     def test_matches_naive_recursion_at_higher_precision(self):
         # second oracle: constant-term recursion run at a much larger P,
         # so its own precision loss still exceeds the claimed profile
         p, P_impl, M = 5, 6, 40
         u_hi = cyclotomic_padic(p, 40, M)
-        x_hi = PadicSeries.x(p, 40, M)
-        num = (pad_iterate(u_hi, p) - x_hi).coeffs[1:]
-        den = (pad_iterate(u_hi, 1) - x_hi).coeffs[1:]
+        x_hi = TruncSeries.x(FiniteField(p, prec=40), M)
+        num = (pad_iterate(u_hi, p) - x_hi).packed[1:]
+        den = (pad_iterate(u_hi, 1) - x_hi).packed[1:]
         mod_hi = p**40
         i0 = 4
         naive = []
@@ -271,10 +279,10 @@ class TestQnDivide:
             assert v >= 1  # den[0] has valuation 1; division must be exact
             naive.append((s * p ** (v - 1)) % mod_hi)
         q1 = qn_divide(cyclotomic_padic(p, P_impl, M), 1)
-        for k in range(q1.trunc):
+        for k in range(q1.series.trunc):
             prec_k = min(q1.coeff_prec[k], 30 - 1 - k // i0)
             if prec_k > 0:
-                assert q1.coeffs[k] % p**prec_k == naive[k] % p**prec_k, k
+                assert q1.series.packed[k] % p**prec_k == naive[k] % p**prec_k, k
 
     def test_divisor_without_unit_raises(self):
         u = PadicSeries(5, 3, 10, (0, 6, 5) + (0,) * 7)
@@ -316,7 +324,7 @@ class TestNewtonPolygon:
 
     def test_shifted_u_minus_x(self):
         u = cyclotomic_padic(5, 8, 10)
-        shifted = PadicSeries(5, 8, 9, (u - PadicSeries.x(5, 8, 10)).coeffs[1:])
+        shifted = PadicSeries(5, 8, 9, (u - TruncSeries.x(FiniteField(5, prec=8), 10)).packed[1:])
         poly = newton_polygon(shifted, 4)
         assert poly.single_root_valuation == F(1, 4)
 
@@ -396,7 +404,7 @@ class TestAnalyze:
         rep = analyze(u, 2)
         for n, count in enumerate(rep.fixed_point_counts):
             it = pad_iterate(u, 5**n)
-            assert weierstrass_degree(it - PadicSeries.x(5, 8, 130)) == count
+            assert weierstrass_degree(it - TruncSeries.x(FiniteField(5, prec=8), 130)) == count
 
     def test_level_three_valuation_law(self):
         # the exact-period valuation 1/(d*p^n) is a theorem only for n >= 3
@@ -412,8 +420,8 @@ class TestAnalyze:
         # u^3 for level 2 would make 6
         u = cyclotomic_padic(3, 8, 60)
         calls = []
-        compose = pdyn.pad_compose
-        monkeypatch.setattr(pdyn, "pad_compose", lambda f, g: calls.append(1) or compose(f, g))
+        compose = TruncSeries.compose
+        monkeypatch.setattr(TruncSeries, "compose", lambda f, g: calls.append(1) or compose(f, g))
         rep = analyze(u, 2)
         assert len(calls) == 4
         monkeypatch.undo()
@@ -424,21 +432,13 @@ class TestAnalyze:
 
     def test_depths_read_off_the_iterate_chain(self, monkeypatch):
         # the depths are those of the Z/p^P chain's reductions mod p: no
-        # composition over F_p, and still the chain's four pad_compose calls
+        # composition over F_p, only the chain's four over Z/3^8
         u = cyclotomic_padic(3, 8, 60)
-        calls = {"pad_compose": 0, "TruncSeries.compose": 0}
-        pad, series = pdyn.pad_compose, TruncSeries.compose
-
-        def count(name, fn):
-            def counted(*args):
-                calls[name] += 1
-                return fn(*args)
-            return counted
-
-        monkeypatch.setattr(pdyn, "pad_compose", count("pad_compose", pad))
-        monkeypatch.setattr(TruncSeries, "compose", count("TruncSeries.compose", series))
+        rings = []
+        compose = TruncSeries.compose
+        monkeypatch.setattr(TruncSeries, "compose", lambda f, g: rings.append(f.field) or compose(f, g))
         rep = analyze(u, 2)
-        assert calls == {"pad_compose": 4, "TruncSeries.compose": 0}
+        assert rings == [FiniteField(3, prec=8)] * 4
         assert rep.depths == (2, 8, 26)
 
     def test_depths_match_lower_breaks(self):
@@ -464,7 +464,7 @@ class TestAnalyze:
 
     def test_identity_rejected(self):
         with pytest.raises(ValueError, match="identity"):
-            analyze(PadicSeries.x(5, 4, 20), 1)
+            analyze(TruncSeries.x(FiniteField(5, prec=4), 20), 1)
 
     def test_low_precision_markers(self):
         u = PadicSeries(5, 2, 12, (0, 6, 5) + (0,) * 9)
@@ -472,6 +472,14 @@ class TestAnalyze:
         assert rep.depths == () and rep.depth_uncertified_at == 0
         assert rep.levels[0].note is not None
         assert rep.levels[0].weierstrass_degree is None
+
+    def test_rejects_extension_field_series(self):
+        g = TruncSeries(FiniteField(2, 2, (1, 1, 1)), (0, 1, 1, 0))
+        calls = (lambda: analyze(g, 1), lambda: qn_divide(g, 1), lambda: weierstrass_degree(g),
+                 lambda: newton_polygon(g, 2))
+        for call in calls:
+            with pytest.raises(ValueError, match=r"Z/p\^P"):
+                call()
 
     def test_requires_one_unit_derivative(self):
         with pytest.raises(ValueError, match="1-unit"):
