@@ -2,13 +2,24 @@
 
 Residue vectors are sequences of ints in [0, m); ``compose_mod`` also
 passes numpy arrays of them to the product functions, which then return
-arrays.  A product takes the numpy int64 path only when the worst-case
-accumulator provably fits.  Past that bound it is one big-integer
-multiply (Kronecker substitution in X): each list is packed into one
-Python int with a fixed slot of bytes per coefficient, wide enough for
-any coefficient of the product, and the slots of the product are read
-back and reduced.  Both paths are exact, so results are identical either
-way.
+arrays.  A product takes one of three exact methods, chosen by one size
+test on m and the number of terms a coefficient of the product sums:
+
+- direct: one numpy int64 op, when the worst-case accumulator, terms
+  products below (m - 1)^2, provably fits;
+- halves: past that bound, while the halves fit (see ``_int64_exact``),
+  each residue is split into two h-bit halves, h = ceil(bits(m - 1)/2),
+  and three int64 ops on the halves (Karatsuba) are recombined mod m;
+- Kronecker: past the halves band, one big-integer multiply
+  (Kronecker substitution in X): each list is packed into one Python int
+  with a fixed slot of bytes per coefficient, wide enough for any
+  coefficient of the product, and the slots of the product are read back
+  and reduced.
+
+Every method is exact, so results are identical whichever runs.  The
+direct and halves methods serve every bilinear op of the kernel: series
+products, the chunk sums of ``compose_mod`` and the block reduction of
+``_fold``.
 
 A series over F_{p^w} = F_p[Y]/(modulus) is packed into one flat list
 (Kronecker substitution in Y): the coefficient of X^k is a polynomial in Y
@@ -27,8 +38,9 @@ fields up to w = 4 never imports numpy.
 
 Composition is Paterson-Stockmeyer (baby steps, giant steps): about
 2*sqrt(L) products for an outer series of L blocks, where Horner's rule
-takes L - 1.  It stays array-resident: int64 arrays below the bound,
-object arrays of Python ints past it; see ``compose_mod``.
+takes L - 1.  It stays array-resident: int64 arrays while the direct or
+halves method fits, object arrays of Python ints past the halves band;
+see ``compose_mod``.
 """
 
 from __future__ import annotations
@@ -52,13 +64,61 @@ def _unpack(x, size, count, mod):
             for i in range(0, size * count, size)]
 
 
+def _int64_exact(mod, terms):
+    """True when a bilinear op on residues below mod, each output entry a
+    sum of at most terms products, is exact in int64: directly, or in the
+    halves of ``_halves``.
+
+    In halves, an entry of the product of the sums of halves is below
+    terms * 2^(2h+2), and a reduced value times 2^h mod mod is below
+    mod * 2^h; both must stay below the int64 bound.
+    """
+    if (mod - 1) * (mod - 1) * terms < _INT64_SAFE:
+        return True
+    h = ((mod - 1).bit_length() + 1) // 2
+    return terms << (2 * h + 2) < _INT64_SAFE and mod << h < _INT64_SAFE
+
+
+def _halves(op, a, b, mod):
+    """op(a, b) mod mod for a bilinear numpy op on int64 residue arrays.
+
+    Each residue is split as x = x1 * 2^h + x0 with h-bit halves,
+    h = ceil(bits(mod - 1) / 2).  op runs three times (Karatsuba): on the
+    low halves, on the high halves, and on the sums of halves, from which
+    the cross term follows.  The three are recombined mod mod by two
+    multiplications by 2^h mod mod.  Exact when the halves bound of
+    ``_int64_exact`` holds for the terms op sums per entry.
+    """
+    h = ((mod - 1).bit_length() + 1) // 2
+    mask = (1 << h) - 1
+    a0, a1, b0, b1 = a & mask, a >> h, b & mask, b >> h
+    lo = op(a0, b0)
+    hi = op(a1, b1)
+    mid = op(a0 + a1, b0 + b1) - lo - hi
+    r = (1 << h) % mod
+    return ((hi % mod * r + mid) % mod * r + lo) % mod
+
+
+def _bilinear(op, a, b, terms, mod):
+    """op(a, b) mod mod for a bilinear numpy op on residue arrays, each
+    output entry a sum of at most terms products.
+
+    Object arrays and int64 arrays below the direct bound take op once;
+    int64 arrays past it, which are only made where ``_int64_exact`` holds,
+    take ``_halves``.
+    """
+    if a.dtype == object or (mod - 1) * (mod - 1) * terms < _INT64_SAFE:
+        return op(a, b) % mod
+    return _halves(op, a, b, mod)
+
+
 def conv_mod(a, b, n, mod):
     """Truncated product: first n coefficients of a*b with entries mod m.
 
     a and b are sequences of ints, or two numpy arrays of residues below
-    mod as compose_mod passes them (int64 below the bound, Python ints in
-    object arrays past it); arrays give an array of a's dtype, anything
-    else a list.
+    mod as compose_mod passes them (int64 where ``_int64_exact`` holds,
+    Python ints in object arrays past it); arrays give an array of a's
+    dtype, anything else a list.
     """
     la = min(len(a), n)
     lb = min(len(b), n)
@@ -75,6 +135,13 @@ def conv_mod(a, b, n, mod):
 
         out = np.convolve(np.asarray(a[:la], dtype=np.int64), np.asarray(b[:lb], dtype=np.int64))
         out = out[:n] % mod
+        if not arrays:
+            out = out.tolist()
+    elif (arrays or max(la, lb) > _SHORT) and _int64_exact(mod, min(la, lb)):
+        import numpy as np
+
+        out = _halves(lambda x, y: np.convolve(x, y)[:n], np.asarray(a[:la], dtype=np.int64),
+                      np.asarray(b[:lb], dtype=np.int64), mod)
         if not arrays:
             out = out.tolist()
     else:
@@ -146,9 +213,9 @@ def _fold(c, n, mod, modulus):
     arr = c
     if not hasattr(c, "dtype"):
         # a folded slot sums s products of two residues
-        arr = np.asarray(c, dtype=np.int64 if (mod - 1) * (mod - 1) * s < _INT64_SAFE else object)
+        arr = np.asarray(c, dtype=np.int64 if _int64_exact(mod, s) else object)
     blocks = arr[: n * s].reshape(n, s)
-    blocks[:, :w] = blocks @ np.asarray(rows, dtype=arr.dtype) % mod
+    blocks[:, :w] = _bilinear(np.matmul, blocks, np.asarray(rows, dtype=arr.dtype), s, mod)
     blocks[:, w:] = 0
     return arr if arr is c else arr.tolist()
 
@@ -198,9 +265,10 @@ def compose_mod(outer, inner, n, mod, modulus=None):
 
     The operands are converted once, and the baby powers, the chunks and the
     Horner accumulator stay numpy arrays until the result is returned as a
-    list: int64 arrays when every product and chunk sum fits, object arrays
-    of Python ints otherwise.  The chunk sums are the same matrix product
-    for both dtypes; only the products in conv_mod change method.
+    list: int64 arrays when every product and chunk sum is exact in int64,
+    directly or in halves, and object arrays of Python ints otherwise.  The
+    chunk sums are the one matrix product ``coef @ shifted`` of
+    ``_bilinear``, run once, or three times on halves.
     """
     if n == 0:
         return []
@@ -214,11 +282,10 @@ def compose_mod(outer, inner, n, mod, modulus=None):
     m = -(-blocks // k)
     import numpy as np
 
-    # a product coefficient sums at most width terms below (mod - 1)^2, a
-    # chunk coefficient k*w <= width of them and a folded slot s <= width,
-    # so one bound covers all three
-    small = (mod - 1) * (mod - 1) * width < _INT64_SAFE
-    dtype = np.int64 if small else object
+    # a product coefficient sums at most width terms, a chunk coefficient
+    # k*w <= width of them and a folded slot s <= width, so one test covers
+    # all three
+    dtype = np.int64 if _int64_exact(mod, width) else object
     outer = _residues(outer, m * k * s, mod, dtype)
     inner = _residues(inner, width, mod, dtype)
     powers = [_residues([1], width, None, dtype), inner]
@@ -231,7 +298,7 @@ def compose_mod(outer, inner, n, mod, modulus=None):
     shifted = np.zeros((k, w, width), dtype=dtype)
     for t in range(w):
         shifted[:, t, t:] = base[:, : width - t]
-    chunks = coef @ shifted.reshape(k * w, width) % mod
+    chunks = _bilinear(np.matmul, coef, shifted.reshape(k * w, width), k * w, mod)
     if modulus is not None:
         _fold(chunks.reshape(-1), m * n, mod, modulus)
 

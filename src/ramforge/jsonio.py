@@ -70,9 +70,9 @@ def frac_pair_out(x):
 def field_out(f):
     if f.prec > 1:
         raise ValueError(f"a series over {f!r} is written by padic_out")
-    doc = {"p": f.p, "w": f.w}
+    doc = {"p": int_out(f.p), "w": f.w}
     if f.modulus is not None:
-        doc["modulus"] = [int(c) for c in f.modulus]
+        doc["modulus"] = [int_out(c) for c in f.modulus]
     return doc
 
 
@@ -88,9 +88,9 @@ def series_out(s):
     doc = field_out(s.field)
     doc["trunc"] = s.trunc
     if s.field.w == 1:
-        doc["coeffs"] = [c.rep[0] for c in s.coeffs]
+        doc["coeffs"] = [int_out(c.rep[0]) for c in s.coeffs]
     else:
-        doc["coeffs"] = [list(c.rep) for c in s.coeffs]
+        doc["coeffs"] = [[int_out(x) for x in c.rep] for c in s.coeffs]
     return doc
 
 

@@ -29,6 +29,8 @@ class TruncObject:
     def __post_init__(self):
         if self.e < 1:
             raise ValueError("length e must be >= 1")
+        if self.field.prec > 1:
+            raise ValueError(f"k[pi]/(pi^e) needs a residue field, not the ring {self.field!r}")
 
     def element(self, coeffs):
         """An element of A = k[pi]/(pi^e) as a series truncated at e."""

@@ -66,6 +66,25 @@ class TestSeriesRoundTrip:
         assert doc["modulus"] == [1, 1, 1]
         assert series_in(json.loads(json.dumps(doc))) == s
 
+    def test_integers_past_2_53_are_strings(self):
+        # a double-based JSON reader would round bare numbers this large
+        p = 2**61 - 1
+        s = TruncSeries(FiniteField(p), (0, 1, 2**60, 5), 4)
+        doc = series_out(s)
+        assert doc["p"] == str(p)
+        assert doc["coeffs"] == [0, 1, str(2**60), 5]
+        assert series_in(json.loads(json.dumps(doc))) == s
+
+    def test_extension_field_entries_past_2_53_are_strings(self):
+        # Y^2 - 3 is irreducible mod 2^61 - 1, since 3 is not a square mod p
+        p = 2**61 - 1
+        F = FiniteField(p, 2, (p - 3, 0, 1))
+        s = TruncSeries(F, ((0, 0), (1, 2**60), (p - 1, 7)), 3)
+        doc = series_out(s)
+        assert doc["modulus"] == [str(p - 3), 0, 1]
+        assert doc["coeffs"] == [[0, 0], [1, str(2**60)], [str(p - 1), 7]]
+        assert series_in(json.loads(json.dumps(doc))) == s
+
     def test_reader_accepts_bare_ints_for_prime_field(self):
         doc = {"p": 5, "w": 1, "trunc": 2, "coeffs": [0, 1]}
         assert series_in(doc) == TruncSeries(FiniteField(5), (0, 1), 2)

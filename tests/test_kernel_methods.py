@@ -1,0 +1,259 @@
+"""Differential tests of the kernel's three exact product methods.
+
+``conv_mod``, ``mul_mod`` and ``compose_mod`` choose between a direct
+numpy int64 op, an int64 op on residues split in halves (Karatsuba) and a
+Kronecker big-integer multiply.  Each case here runs on the same inputs
+through every method that is exact for it, and is checked against the
+brute-force oracles in ``helpers.py``.  A method is forced by lowering
+``_convolve._INT64_SAFE``, as ``test_convolve.py`` does: to 0 every
+product takes Kronecker, and to just above the halves bound of the case
+no product fits directly but every one fits in halves.  Spies on
+``_halves`` and ``_pack`` check that the forced method ran.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ramforge import _convolve
+from ramforge._convolve import _SHORT, compose_mod, conv_mod, mul_mod, row_combination
+
+from helpers import cadd, cmul, exact_int_compose, ext_compose, poly_mul_mod
+
+KERNEL = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+SAFE = 2**62
+
+# both sides of every bound: direct at any length here (2, 5), direct or
+# halves by length (7^10, 5^12), halves from the first product (3^20,
+# 2^32 - 5), the top of the halves band (2^41 - 1), just above it
+# (2^41 + 1), and Kronecker (7^25, 3^40)
+MODULI = [2, 5, 7**10, 5**12, 3**20, 2**32 - 5, 2**41 - 1, 2**41 + 1, 7**25, 3**40]
+moduli = st.one_of(st.sampled_from(MODULI), st.integers(2, 2**66))
+
+# (p, monic irreducible modulus, low degree first): F9, F27, and F_{q^2}
+# and F_{q^3} for q = 2^31 - 1, where every product of two residues is past
+# the direct bound.  Y^2 + 1 is irreducible as q = 3 mod 4, and
+# Y^3 + 3Y + 3 by FiniteField's irreducibility test; Y^3 = -3Y - 3 and
+# Y^4 = -3Y^2 - 3Y have entries near q, so a folded slot sums two products
+# near 2^62.
+Q = 2**31 - 1
+EXTENSIONS = {
+    "F9": (3, (1, 0, 1)),
+    "F27": (3, (1, 2, 0, 1)),
+    "Fq2": (Q, (1, 0, 1)),
+    "Fq3": (Q, (3, 3, 0, 1)),
+}
+
+
+def halves_floor(mod, terms):
+    """The least bound under which products of at most terms terms fit in halves."""
+    h = ((mod - 1).bit_length() + 1) // 2
+    return max(terms << (2 * h + 2), mod << h) + 1
+
+
+def run_methods(fn, mod, terms):
+    """{method: (fn(), calls of _halves, calls of _pack)} for each exact method.
+
+    "natural" is the unforced choice; "direct" runs where every product of at
+    most terms terms fits directly, "halves" where it can be forced.
+    """
+    bounds = {"natural": SAFE, "kronecker": 0}
+    if (mod - 1) * (mod - 1) * terms < SAFE:
+        bounds["direct"] = SAFE
+    floor = halves_floor(mod, terms)
+    if floor <= SAFE and (mod - 1) * (mod - 1) >= floor:
+        bounds["halves"] = floor
+    calls = {"_halves": 0, "_pack": 0}
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            orig = getattr(_convolve, name)
+
+            def counted(*args, name=name, orig=orig):
+                calls[name] += 1
+                return orig(*args)
+
+            mp.setattr(_convolve, name, counted)
+        for method, bound in bounds.items():
+            mp.setattr(_convolve, "_INT64_SAFE", bound)
+            calls.update(dict.fromkeys(calls, 0))
+            out[method] = (fn(), calls["_halves"], calls["_pack"])
+    return out
+
+
+def check_methods(results, want, numpy_case):
+    """Every method gives want, and each forced method is the one that ran.
+
+    numpy_case: the products are long enough (or arrays) for numpy.
+    """
+    for method, (got, halves, packs) in results.items():
+        assert got == want, method
+        if method == "kronecker":
+            assert halves == 0
+        elif method == "direct" and numpy_case:
+            assert halves == 0 and packs == 0
+        elif method == "halves" and numpy_case:
+            assert halves > 0 and packs == 0
+
+
+def series(draw, mod, size, lead=0):
+    return [0] * lead + draw(st.lists(st.integers(0, mod - 1), min_size=size - lead, max_size=size - lead))
+
+
+@st.composite
+def products(draw):
+    mod = draw(moduli)
+    la, lb = draw(st.integers(0, 70)), draw(st.integers(0, 70))
+    n = draw(st.integers(0, la + lb + 3))
+    return mod, series(draw, mod, la), series(draw, mod, lb), n
+
+
+@st.composite
+def compositions(draw):
+    mod = draw(moduli)
+    n = draw(st.integers(1, 40))
+    outer = series(draw, mod, draw(st.integers(1, 45)))
+    inner = series(draw, mod, draw(st.integers(1, n)), lead=1)
+    return mod, outer, inner, n
+
+
+class TestConvMod:
+    @KERNEL
+    @given(products())
+    def test_methods_agree(self, case):
+        mod, a, b, n = case
+        want = poly_mul_mod(a, b, mod, n)
+        results = run_methods(lambda: conv_mod(a, b, n, mod), mod, max(n, 1))
+        la, lb = min(len(a), n), min(len(b), n)
+        check_methods(results, want, la and lb and max(la, lb) > _SHORT)
+        assert all(type(got) is list for got, _, _ in results.values())
+
+    @KERNEL
+    @given(products())
+    def test_int64_arrays_give_int64_arrays(self, case):
+        # compose_mod's operands: int64 arrays wherever an int64 method is exact
+        mod, a, b, n = case
+        if not _convolve._int64_exact(mod, max(n, 1)):
+            return
+        got = conv_mod(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64), n, mod)
+        assert isinstance(got, np.ndarray) and got.dtype == np.int64
+        assert got.tolist() == poly_mul_mod(a, b, mod, n)
+
+    @pytest.mark.parametrize("mod", [3**20, 2**32 - 5, 2**41 - 1])
+    @pytest.mark.parametrize("length", [9, 70, 130])
+    def test_worst_case_residues(self, mod, length):
+        a = b = [mod - 1] * length
+        results = run_methods(lambda: conv_mod(a, b, 2 * length, mod), mod, 2 * length)
+        assert results["natural"][1] > 0  # these moduli take halves unforced
+        check_methods(results, poly_mul_mod(a, b, mod, 2 * length), True)
+
+    def test_just_above_the_halves_band(self):
+        # (2^41 - 1) * 2^21 is below the int64 bound, (2^41 + 1) * 2^21 is not
+        assert _convolve._int64_exact(2**41 - 1, 130)
+        assert not _convolve._int64_exact(2**41 + 1, 1)
+        mod = 2**41 + 1
+        a = b = [mod - 1] * 70
+        results = run_methods(lambda: conv_mod(a, b, 140, mod), mod, 140)
+        assert set(results) == {"natural", "kronecker"}
+        got, halves, packs = results["natural"]
+        assert halves == 0 and packs > 0
+        check_methods(results, poly_mul_mod(a, b, mod, 140), True)
+
+    @KERNEL
+    @given(st.integers(2, 2**41 - 1), st.integers(1, 6), st.integers(1, 40), st.integers(1, 4), st.data())
+    def test_halves_of_any_bilinear_op(self, mod, rows, inner, cols, data):
+        # _halves on its own, over the whole band, for both ops the kernel uses
+        a = [series(data.draw, mod, inner) for _ in range(rows)]
+        b = [series(data.draw, mod, cols) for _ in range(inner)]
+        got = _convolve._halves(np.convolve, np.asarray(a[0], dtype=np.int64),
+                                np.asarray(b[0], dtype=np.int64), mod)
+        assert got.tolist() == poly_mul_mod(a[0], b[0], mod, inner + cols - 1)
+        got = _convolve._halves(np.matmul, np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64), mod)
+        assert got.tolist() == [[sum(x * row[j] for x, row in zip(r, b)) % mod for j in range(cols)] for r in a]
+
+
+class TestComposeMod:
+    @KERNEL
+    @given(compositions())
+    def test_methods_agree(self, case):
+        mod, outer, inner, n = case
+        want = [c % mod for c in exact_int_compose(outer, inner, n)]
+        results = run_methods(lambda: compose_mod(outer, inner, n, mod), mod, n)
+        check_methods(results, want, True)
+        assert all(type(got) is list for got, _, _ in results.values())
+
+    @pytest.mark.parametrize("mod", [3**20, 2**32 - 5, 2**41 - 1])
+    def test_worst_case_residues(self, mod):
+        n = 40
+        outer = [mod - 1] * n
+        inner = [0] + [mod - 1] * (n - 1)
+        results = run_methods(lambda: compose_mod(outer, inner, n, mod), mod, n)
+        assert results["natural"][1] > 0
+        check_methods(results, [c % mod for c in exact_int_compose(outer, inner, n)], True)
+
+    def test_just_above_the_halves_band(self):
+        mod, n = 2**41 + 1, 30
+        outer = [mod - 1] * n
+        inner = [0] + [mod - 1] * (n - 1)
+        results = run_methods(lambda: compose_mod(outer, inner, n, mod), mod, n)
+        assert results["natural"][1] == 0 and results["natural"][2] > 0
+        check_methods(results, [c % mod for c in exact_int_compose(outer, inner, n)], True)
+
+
+@st.composite
+def extension_cases(draw):
+    name = draw(st.sampled_from(sorted(EXTENSIONS)))
+    p, modulus = EXTENSIONS[name]
+    w = len(modulus) - 1
+    n = draw(st.integers(1, 12 if p == Q else 20))
+    elem = st.tuples(*[st.integers(0, p - 1)] * w)
+    outer = draw(st.lists(elem, min_size=1, max_size=n))
+    inner = [(0,) * w] + draw(st.lists(elem, min_size=n - 1, max_size=n - 1))
+    return p, modulus, outer, inner, n
+
+
+def ext_mul(a, b, p, modulus, n):
+    """a*b mod X^n over F_p[Y]/(modulus), coefficients as w-tuples."""
+    zero = (0,) * (len(modulus) - 1)
+    out = [zero] * n
+    for i, x in enumerate(a[:n]):
+        for j, y in enumerate(b[: n - i]):
+            out[i + j] = cadd(out[i + j], cmul(x, y, p, modulus), p)
+    return out
+
+
+def pack(coeffs, w):
+    return [c for coef in coeffs for c in tuple(coef) + (0,) * (w - 1)]
+
+
+def unpack(flat, w):
+    s = 2 * w - 1
+    return [tuple(flat[i : i + w]) for i in range(0, len(flat), s)]
+
+
+class TestExtensionFields:
+    @KERNEL
+    @given(extension_cases())
+    def test_methods_agree(self, case):
+        # over F_{q^w} the block folds of _fold take halves as well
+        p, modulus, outer, inner, n = case
+        w = len(modulus) - 1
+        width = n * (2 * w - 1)
+        want_comp = ext_compose(outer, inner, p, modulus, n)
+        results = run_methods(lambda: unpack(compose_mod(pack(outer, w), pack(inner, w), n, p, modulus), w),
+                              p, width)
+        check_methods(results, want_comp, True)
+        want_prod = ext_mul(outer, inner, p, modulus, n)
+        results = run_methods(lambda: unpack(mul_mod(pack(outer, w), pack(inner, w), n, p, modulus), w),
+                              p, width)
+        check_methods(results, want_prod, width > _SHORT)
+
+    def test_worst_case_fold(self):
+        # every slot q - 1: a direct int64 fold would overflow
+        p, modulus = EXTENSIONS["Fq3"]
+        n, s = 4, 5
+        rows = _convolve._reduction(modulus, p)
+        want = [x for _ in range(n) for x in row_combination([p - 1] * s, rows, p) + [0, 0]]
+        results = run_methods(lambda: _convolve._fold([p - 1] * (n * s), n, p, modulus), p, s)
+        assert results["natural"][1] > 0
+        check_methods(results, want, True)

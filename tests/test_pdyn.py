@@ -95,7 +95,6 @@ class TestPadIterate:
             return wrapper
 
         monkeypatch.setattr(TruncSeries, "compose", counting(TruncSeries.compose))
-        monkeypatch.setattr(pdyn, "pad_compose", counting(pdyn.pad_compose))
         u = cyclotomic_padic(p, 4, 12)
         it = pad_iterate(u, p)
         assert len(calls) == expected

@@ -52,6 +52,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="unit"):
             TruncMorphism(src, dst, 2, 0, dst.element([0, 1]))
 
+    def test_residue_ring_must_be_a_field(self):
+        with pytest.raises(ValueError, match="residue field"):
+            TruncObject(FiniteField(5, prec=2), 3)
+
     def test_ring_map_existence_bound(self):
         # r*e1 < e2 cannot define a ring map (pi^e1 must die)
         src, dst = TruncObject(F5, 2), TruncObject(F5, 6)
