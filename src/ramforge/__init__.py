@@ -33,6 +33,7 @@ from .nottingham import (
     depth,
     index_of,
     lower_breaks,
+    p_chain,
     p_iterate,
     series_agree_mod,
     subgroup_equal_mod,

@@ -130,18 +130,11 @@ def conv_mod(a, b, n, mod):
         b = [x % mod for x in b[:lb]]
     if la == 0 or lb == 0:
         out = []
-    elif (mod - 1) * (mod - 1) * min(la, lb) < _INT64_SAFE and (arrays or max(la, lb) > _SHORT):
-        import numpy as np
-
-        out = np.convolve(np.asarray(a[:la], dtype=np.int64), np.asarray(b[:lb], dtype=np.int64))
-        out = out[:n] % mod
-        if not arrays:
-            out = out.tolist()
     elif (arrays or max(la, lb) > _SHORT) and _int64_exact(mod, min(la, lb)):
         import numpy as np
 
-        out = _halves(lambda x, y: np.convolve(x, y)[:n], np.asarray(a[:la], dtype=np.int64),
-                      np.asarray(b[:lb], dtype=np.int64), mod)
+        out = _bilinear(lambda x, y: np.convolve(x, y)[:n], np.asarray(a[:la], dtype=np.int64),
+                        np.asarray(b[:lb], dtype=np.int64), min(la, lb), mod)
         if not arrays:
             out = out.tolist()
     else:

@@ -12,7 +12,8 @@ increasing upper breaks with index jumps of p.  Repeated breaks
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -65,12 +66,15 @@ class PLFunc:
 
     slopes[i] applies on [breakpoints[i], breakpoints[i+1]); the last slope
     extends to infinity.  Stored in canonical form (adjacent equal slopes
-    merged), so dataclass equality is function equality.
+    merged), so dataclass equality is function equality.  The value at each
+    breakpoint is summed once, on construction, into ``values``; evaluation,
+    slopes, preimages and the inverse each look up one segment in it.
     """
 
     breakpoints: tuple[Fraction, ...]
     slopes: tuple[Fraction, ...]
     value_at_origin: Fraction
+    values: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bps = tuple(frac_in(b) for b in self.breakpoints)
@@ -93,6 +97,10 @@ class PLFunc:
         object.__setattr__(self, "breakpoints", tuple(cb))
         object.__setattr__(self, "slopes", tuple(cs))
         object.__setattr__(self, "value_at_origin", v0)
+        values = [v0]
+        for left, right, s in zip(cb, cb[1:], cs):
+            values.append(values[-1] + s * (right - left))
+        object.__setattr__(self, "values", tuple(values))
 
     @classmethod
     def identity(cls):
@@ -102,47 +110,29 @@ class PLFunc:
         x = frac_in(x)
         if x < 0:
             raise ValueError("PLFunc domain starts at 0")
-        value = self.value_at_origin
-        for i, left in enumerate(self.breakpoints):
-            right = self.breakpoints[i + 1] if i + 1 < len(self.breakpoints) else None
-            if right is None or x <= right:
-                return value + self.slopes[i] * (x - left)
-            value += self.slopes[i] * (right - left)
-        raise AssertionError("unreachable")
+        i = bisect_right(self.breakpoints, x) - 1
+        return self.values[i] + self.slopes[i] * (x - self.breakpoints[i])
 
     def slope_at(self, x):
         """Slope of the segment containing x (right-continuous at kinks)."""
         x = frac_in(x)
         if x < 0:
             raise ValueError("PLFunc domain starts at 0")
-        for i in range(len(self.breakpoints) - 1, -1, -1):
-            if x >= self.breakpoints[i]:
-                return self.slopes[i]
-        raise AssertionError("unreachable")
+        return self.slopes[bisect_right(self.breakpoints, x) - 1]
 
     def preimage(self, y):
         """The unique x >= 0 with self(x) = y; requires y >= self(0)."""
         y = frac_in(y)
         if y < self.value_at_origin:
             raise ValueError(f"{y} is below the range of this function")
-        value = self.value_at_origin
-        for i, left in enumerate(self.breakpoints):
-            right = self.breakpoints[i + 1] if i + 1 < len(self.breakpoints) else None
-            if right is None:
-                return left + (y - value) / self.slopes[i]
-            nxt = value + self.slopes[i] * (right - left)
-            if y <= nxt:
-                return left + (y - value) / self.slopes[i]
-            value = nxt
-        raise AssertionError("unreachable")
+        i = bisect_right(self.values, y) - 1
+        return self.breakpoints[i] + (y - self.values[i]) / self.slopes[i]
 
     def inverse(self):
         """The compositional inverse; requires self(0) = 0 so the domain is [0, oo)."""
         if self.value_at_origin != 0:
             raise ValueError("inverse is only supported for functions fixing 0")
-        bps = tuple(self(b) for b in self.breakpoints)
-        sls = tuple(1 / s for s in self.slopes)
-        return PLFunc(bps, sls, Fraction(0))
+        return PLFunc(self.values, tuple(1 / s for s in self.slopes), Fraction(0))
 
 
 def psi_from_breaks(bd):

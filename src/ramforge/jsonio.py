@@ -106,7 +106,7 @@ def series_in(doc):
 
 def ram_sequence_out(rs):
     return {
-        "p": rs.p,
+        "p": int_out(rs.p),
         "lower": [int_out(i) for i in rs.lower],
         "upper": [int_out(b) for b in rs.upper],
         "certified_to": rs.certified_to,
@@ -125,7 +125,7 @@ def index_report_out(r):
 
 def break_data_out(bd):
     return {
-        "p": bd.p,
+        "p": int_out(bd.p),
         "e": frac_pair_out(bd.e),
         "upper": [frac_pair_out(b) for b in bd.upper],
     }
@@ -216,7 +216,7 @@ def theorem_inputs_in(doc):
 
 def condition_report_out(r):
     doc = {
-        "p": r.p, "e": r.e, "n": r.n, "a": int_out(r.a), "m": r.m, "m0": r.m0,
+        "p": int_out(r.p), "e": r.e, "n": r.n, "a": int_out(r.a), "m": r.m, "m0": r.m0,
         "status": r.status, "path": r.path, "guarantee": r.guarantee,
         "contained_in_zp": r.contained_in_zp,
     }
@@ -256,7 +256,7 @@ def condition_report_out(r):
 
 def padic_out(u):
     return {
-        "p": u.field.p,
+        "p": int_out(u.field.p),
         "prec": u.field.prec,
         "trunc": u.trunc,
         "coeffs": [int_out(c) for c in u.packed],
@@ -297,7 +297,7 @@ def depth_out(d):
 
 def dynamics_report_out(rep):
     return {
-        "p": rep.p,
+        "p": int_out(rep.p),
         "prec": rep.prec,
         "trunc": rep.trunc,
         "depths": [int_out(i) for i in rep.depths],

@@ -6,10 +6,16 @@ certified when it is at most N-2, so operations here never report a depth
 they cannot prove: they return an ``AtLeast`` marker instead.  Callers who
 need more must retry at a larger truncation; no a-priori bound on the
 required N is available.
+
+The iterates g, g^(p), g^(p^2), ... come from one chain, ``p_chain``, each
+link the p-fold composite of the one before: the lower breaks are the
+depths of its links, and ``p_iterate``, the image-order search and the
+level quotients and analysis of ``ramforge.pdyn`` read their iterates off it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,12 +88,21 @@ def compose_power(g, k):
     return power(g, k, TruncSeries.compose)
 
 
+def p_chain(g, n):
+    """The n + 1 iterates g, g^(p), ..., g^(p^n), computed lazily, each the
+    p-fold composite of the one before."""
+    yield g
+    for _ in range(n):
+        g = compose_power(g, g.field.p)
+        yield g
+
+
 def p_iterate(g, n):
     """g composed with itself p^n times."""
     _require_group_element(g)
     if n < 0:
         raise ValueError("iterate level must be >= 0")
-    return compose_power(g, g.field.p**n)
+    return deque(p_chain(g, n), maxlen=1)[0]
 
 
 def lower_breaks(g, n_max):
@@ -100,15 +115,7 @@ def lower_breaks(g, n_max):
     if n_max < 0:
         raise ValueError("the level count must be >= 0")
     p = g.field.p
-
-    def chain():
-        h = g
-        yield h
-        for _ in range(n_max):
-            h = compose_power(h, p)
-            yield h
-
-    lower = certified_depths(chain(), g.trunc)
+    lower = certified_depths(p_chain(g, n_max), g.trunc)
     return RamSequence(p, tuple(lower), upper_from_lower(p, lower), g.trunc)
 
 
@@ -222,10 +229,7 @@ def series_agree_mod(a, b, m):
 def _image_order_exponent(g, m):
     # j with p^j = order of the image of <g> in A(k)/{h : h == X mod X^{m+1}},
     # i.e. the number of certified lower breaks <= m-1.
-    j = 0
-    h = g
-    p = g.field.p
-    while True:
+    for j, h in enumerate(p_chain(g, m + 1)):
         d = depth(h)
         if isinstance(d, AtLeast):
             if d.bound >= m:
@@ -237,10 +241,7 @@ def _image_order_exponent(g, m):
             )
         if d >= m:
             return j
-        j += 1
-        if p**j > p ** (m + 1):
-            raise ValueError("runaway exponent search; input is not a pro-p generator")
-        h = compose_power(h, p)
+    raise ValueError("runaway exponent search; input is not a pro-p generator")
 
 
 def subgroup_equal_mod(g, g2, m):

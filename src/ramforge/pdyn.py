@@ -12,13 +12,14 @@ caller picks (P, M), results are certified or flagged.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ._convolve import conv_mod, recip_mod
 from .errors import PrecisionError
 from .gfseries import FiniteField, TruncSeries, _from_packed, vp
-from .nottingham import IndexReport, certified_depths, compose_power, index_of, upper_from_lower
+from .nottingham import IndexReport, certified_depths, compose_power, index_of, p_chain, upper_from_lower
 
 
 def PadicSeries(p, prec, trunc, coeffs):
@@ -100,9 +101,9 @@ def qn_divide(u, n):
     """
     if n < 1:
         raise ValueError("level n must be >= 1")
-    p = u.field.p
-    prev = pad_iterate(u, p ** (n - 1))
-    return _divide_level(prev, pad_iterate(prev, p), n)
+    _require_dynamical(u)
+    prev, cur = deque(p_chain(u, n), maxlen=2)
+    return _divide_level(prev, cur, n)
 
 
 def _divide_level(prev, cur, n):
@@ -351,12 +352,10 @@ def analyze(u, n_max):
             "u is the identity at this precision; its group closure is not infinite"
         )
 
-    # one chain u, u^p, u^(p^2), ...: its reductions mod p give the depths
+    # the chain u, u^p, u^(p^2), ...: its reductions mod p give the depths
     # (reduction commutes with composition), and level n divides by its
     # two last links
-    chain = [u]
-    for _ in range(n_max):
-        chain.append(pad_iterate(chain[-1], p))
+    chain = list(p_chain(u, n_max))
     notes = []
     try:
         depths = tuple(certified_depths((reduce_mod_p(h) for h in chain), M))

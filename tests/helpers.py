@@ -5,7 +5,8 @@ composition is done by ascending-power polynomial expansion, substitution
 inverses by exhaustive coefficient search, quotient division over exact
 rationals, quotient groups by full enumeration, and extension-field
 arithmetic by schoolbook products in Y with long division by the modulus,
-powers by repeated products.
+powers by repeated products, and piecewise-linear functions by walking
+their segments from 0.
 """
 
 import math
@@ -204,6 +205,53 @@ def vp_frac(fr, p):
         den //= p
         v -= 1
     return v
+
+
+# -- piecewise-linear functions by walking the segments ----------------------
+#
+# The reference for PLFunc: each query walks the segments from 0, adding up
+# the value at each breakpoint as it goes, and reads only the breakpoints,
+# slopes and value at the origin of the function.
+
+
+def pl_walk_value(f, x):
+    """f(x), the segments walked from 0 until one ends at or beyond x."""
+    value = f.value_at_origin
+    for i, left in enumerate(f.breakpoints):
+        right = f.breakpoints[i + 1] if i + 1 < len(f.breakpoints) else None
+        if right is None or x <= right:
+            return value + f.slopes[i] * (x - left)
+        value += f.slopes[i] * (right - left)
+    raise AssertionError("unreachable")
+
+
+def pl_walk_slope(f, x):
+    """The slope of the last segment starting at or before x."""
+    for i in range(len(f.breakpoints) - 1, -1, -1):
+        if x >= f.breakpoints[i]:
+            return f.slopes[i]
+    raise AssertionError("x below the domain")
+
+
+def pl_walk_preimage(f, y):
+    """The x >= 0 with f(x) = y, the segments walked until one reaches y."""
+    value = f.value_at_origin
+    for i, left in enumerate(f.breakpoints):
+        right = f.breakpoints[i + 1] if i + 1 < len(f.breakpoints) else None
+        if right is None:
+            return left + (y - value) / f.slopes[i]
+        nxt = value + f.slopes[i] * (right - left)
+        if y <= nxt:
+            return left + (y - value) / f.slopes[i]
+        value = nxt
+    raise AssertionError("unreachable")
+
+
+def pl_walk_inverse(f):
+    """(breakpoints, slopes) of the inverse of f, which fixes 0: the images
+    of f's breakpoints and the reciprocal slopes."""
+    return (tuple(pl_walk_value(f, b) for b in f.breakpoints),
+            tuple(1 / s for s in f.slopes))
 
 
 # -- randomized admissible break data -----------------------------------------

@@ -312,6 +312,36 @@ class TestContract:
         assert proc.returncode == 4, proc.stderr
         assert json.loads(proc.stdout)["error"]["type"] == "invariant"
 
+    def test_same_output_under_optimize(self, padic_series, cyclotomic_series, theorem_inputs):
+        # one command of each kind prints the same bytes and exit code with
+        # and without python -O
+        src = str(Path(ramforge.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        psi = '{"breakpoints": ["0/1", "1/1", "2/1"], "slopes": ["1/1", "5/1", "25/1"], "value_at_origin": "0/1"}'
+        commands = [
+            ["dynamics", "analyze", "--series", padic_series, "--levels", "2"],
+            ["breaks", "lower", "--series", cyclotomic_series, "--n-max", "2"],
+            ["check", "main", "--input", theorem_inputs],
+            ["herbrand", "eval", "--func", psi, "--x", "13/4"],
+        ]
+        script = (
+            "import sys\n"
+            "from ramforge import cli\n"
+            "print('optimize', sys.flags.optimize)\n"
+            f"for argv in {commands!r}:\n"
+            "    print('exit', cli.main(argv), flush=True)\n"
+        )
+        outputs = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True,
+                                  text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout.split("\n", 1))
+        assert [head for head, _ in outputs] == ["optimize 0", "optimize 1"]
+        plain, optimized = (body for _, body in outputs)
+        assert plain == optimized
+        assert [line for line in plain.splitlines() if line.startswith("exit")] == ["exit 0"] * 4
+
     def test_determinism(self, capsys, theorem_inputs):
         main(["check", "main", "--input", theorem_inputs])
         first = capsys.readouterr().out

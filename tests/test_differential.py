@@ -1,0 +1,171 @@
+"""Differential property tests of the two derived sequences.
+
+The iterate chain ``p_chain`` is checked link by link against repeated
+brute-force composition over F_p, F_{p^w} and Z/p^P, and the lower breaks
+read off it against Sen's congruence.  ``PLFunc``, which sums its knot
+values once, is checked against the segment-walk oracle in ``helpers.py``
+at its kinks and between them.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import given, settings, strategies as st
+
+from ramforge import (
+    FiniteField,
+    PadicSeries,
+    PLFunc,
+    PrecisionError,
+    TruncSeries,
+    lower_breaks,
+    p_chain,
+    phi_from_breaks,
+    pl_compose,
+    psi_from_breaks,
+)
+
+from helpers import (
+    brute_compose,
+    ext_compose,
+    pl_walk_inverse,
+    pl_walk_preimage,
+    pl_walk_slope,
+    pl_walk_value,
+    random_break_data,
+)
+
+PROPS = settings(derandomize=True, max_examples=30, deadline=None, database=None)
+
+# F_4 = F_2[Y]/(Y^2 + Y + 1) and F_9 = F_3[Y]/(Y^2 + 1)
+EXTENSIONS = [FiniteField(2, 2, (1, 1, 1)), FiniteField(3, 2, (1, 0, 1))]
+
+
+def brute_chain(g, p, n, compose):
+    """g^(p^k) for k = 0..n, each by composing g onto the last iterate
+    until p^k copies of g are used."""
+    links, h, count = [g], g, 1
+    for k in range(1, n + 1):
+        while count < p**k:
+            h = compose(h, g)
+            count += 1
+        links.append(h)
+    return links
+
+
+def residues(draw, p, mod, trunc):
+    """X times a unit mod (mod, X^trunc): the linear coefficient is prime to p."""
+    lin = draw(st.integers(1, mod - 1).filter(lambda c: c % p))
+    rest = draw(st.lists(st.integers(0, mod - 1), min_size=trunc - 2, max_size=trunc - 2))
+    return [0, lin] + rest
+
+
+class TestPChain:
+    @PROPS
+    @given(st.sampled_from([2, 3, 5]), st.integers(2, 12), st.integers(0, 2), st.data())
+    def test_prime_field(self, p, trunc, n, data):
+        g = residues(data.draw, p, p, trunc)
+        links = list(p_chain(TruncSeries(FiniteField(p), g, trunc), n))
+        want = brute_chain(g, p, n, lambda a, b: brute_compose(a, b, p, trunc))
+        assert [list(h.packed) for h in links] == want
+
+    @PROPS
+    @given(st.sampled_from([(2, 6), (3, 4), (5, 3)]), st.integers(2, 10), st.integers(0, 2), st.data())
+    def test_padic(self, case, trunc, n, data):
+        p, prec = case
+        g = residues(data.draw, p, p**prec, trunc)
+        links = list(p_chain(PadicSeries(p, prec, trunc, g), n))
+        want = brute_chain(g, p, n, lambda a, b: brute_compose(a, b, p**prec, trunc))
+        assert [list(h.packed) for h in links] == want
+
+    @PROPS
+    @given(st.sampled_from(EXTENSIONS), st.integers(2, 7), st.integers(0, 2), st.data())
+    def test_extension_field(self, field, trunc, n, data):
+        p, modulus = field.p, field.modulus
+        digit = st.integers(0, p - 1)
+        coeff = st.tuples(digit, digit)
+        lin = data.draw(coeff.filter(any))
+        g = [(0, 0), lin] + data.draw(st.lists(coeff, min_size=trunc - 2, max_size=trunc - 2))
+        links = list(p_chain(TruncSeries(field, g, trunc), n))
+        want = brute_chain(g, p, n, lambda a, b: ext_compose(a, b, p, modulus, trunc))
+        assert [[c.rep for c in h.coeffs] for h in links] == want
+
+    def test_yields_n_plus_one_links_lazily(self):
+        g = TruncSeries(FiniteField(5), [0, 1, 1, 0, 0, 0], 6)
+        assert len(list(p_chain(g, 3))) == 4
+        chain = p_chain(g, 10**30)
+        assert next(chain) is g and next(chain).trunc == 6
+
+
+class TestSenIntegrality:
+    @PROPS
+    @given(st.sampled_from([2, 3, 5]), st.integers(20, 60), st.integers(1, 3), st.data())
+    def test_lower_breaks(self, p, trunc, n_max, data):
+        # Sen: i_n > i_(n-1) and p^n divides i_n - i_(n-1), on every
+        # certified prefix, complete or cut short by the truncation
+        rest = data.draw(st.lists(st.integers(0, p - 1), min_size=trunc - 2, max_size=trunc - 2))
+        g = TruncSeries(FiniteField(p), [0, 1] + rest, trunc)
+        try:
+            lower = lower_breaks(g, n_max).lower
+            assert len(lower) == n_max + 1
+        except PrecisionError as exc:
+            lower = exc.partial
+        for n in range(1, len(lower)):
+            assert lower[n] > lower[n - 1]
+            assert (lower[n] - lower[n - 1]) % p**n == 0
+
+
+fracs = st.fractions(min_value=0, max_value=20, max_denominator=12)
+positive = st.fractions(min_value=F(1, 12), max_value=20, max_denominator=12)
+
+
+@st.composite
+def plfuncs(draw, fixing_zero=False):
+    bps = [F(0)] + sorted(set(draw(st.lists(positive, max_size=6))))
+    sls = draw(st.lists(positive, min_size=len(bps), max_size=len(bps)))
+    return PLFunc(tuple(bps), tuple(sls), F(0) if fixing_zero else draw(fracs))
+
+
+def probes(f):
+    """The kinks of f, the midpoint of every segment, and a point past the last kink."""
+    bps = f.breakpoints
+    return list(bps) + [(a + b) / 2 for a, b in zip(bps, bps[1:])] + [bps[-1] + 1]
+
+
+class TestPLFunc:
+    @PROPS
+    @given(plfuncs(), st.lists(fracs, max_size=4))
+    def test_value_and_slope(self, f, extra):
+        for x in probes(f) + extra:
+            assert f(x) == pl_walk_value(f, x)
+            assert f.slope_at(x) == pl_walk_slope(f, x)
+
+    @PROPS
+    @given(plfuncs(), st.lists(fracs, max_size=4))
+    def test_preimage(self, f, extra):
+        ys = [pl_walk_value(f, x) for x in probes(f)] + [f.value_at_origin + d for d in extra]
+        for y in ys:
+            assert f.preimage(y) == pl_walk_preimage(f, y)
+
+    @PROPS
+    @given(plfuncs(fixing_zero=True))
+    def test_inverse(self, f):
+        inv = f.inverse()
+        assert inv == PLFunc(*pl_walk_inverse(f), F(0))
+        for x in probes(f):
+            assert inv(pl_walk_value(f, x)) == x
+
+    @PROPS
+    @given(st.randoms(use_true_random=False))
+    def test_psi_phi_inverse(self, rng):
+        bd = random_break_data(rng)
+        psi, phi = psi_from_breaks(bd), phi_from_breaks(bd)
+        assert pl_compose(psi, phi) == PLFunc.identity() == pl_compose(phi, psi)
+        for x in probes(psi) + probes(phi):
+            assert psi(phi(x)) == x == phi(psi(x))
+
+    @PROPS
+    @given(plfuncs(), plfuncs(), st.lists(fracs, max_size=4))
+    def test_compose_pointwise(self, f, g, extra):
+        h = pl_compose(f, g)
+        for x in probes(h) + probes(g) + extra:
+            assert h(x) == pl_walk_value(f, pl_walk_value(g, x))

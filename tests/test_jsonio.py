@@ -3,11 +3,23 @@ from fractions import Fraction as F
 
 import pytest
 
-from ramforge import BreakData, FiniteField, PadicSeries, TruncSeries, qn_divide
+from ramforge import (
+    BreakData,
+    FiniteField,
+    PadicSeries,
+    TheoremInputs,
+    TruncSeries,
+    analyze,
+    check_conditions,
+    lower_breaks,
+    qn_divide,
+)
 from ramforge.jsonio import (
     break_data_in,
     break_data_out,
+    condition_report_out,
     divided_out,
+    dynamics_report_out,
     frac_in,
     frac_out,
     int_in,
@@ -18,6 +30,7 @@ from ramforge.jsonio import (
     padic_out,
     plfunc_in,
     plfunc_out,
+    ram_sequence_out,
     series_in,
     series_out,
 )
@@ -148,3 +161,33 @@ class TestPadicRoundTrip:
         doc = json.loads(json.dumps(padic_out(u)))
         assert isinstance(doc["coeffs"][1], str)
         assert padic_in(doc) == u
+
+
+class TestPrimePast2_53:
+    # every writer puts p through int_out: a double-based JSON reader
+    # would round a bare p = 2^61 - 1
+    P = 2**61 - 1
+
+    def test_ram_sequence(self):
+        rs = lower_breaks(TruncSeries(FiniteField(self.P), [0, 1, 1, 0, 0, 0, 0, 0], 8), 0)
+        assert ram_sequence_out(rs)["p"] == str(self.P)
+
+    def test_break_data(self):
+        bd = BreakData(self.P, 1, (1,))
+        doc = json.loads(json.dumps(break_data_out(bd)))
+        assert doc["p"] == str(self.P)
+        assert break_data_in(doc) == bd
+
+    def test_padic(self):
+        u = PadicSeries(self.P, 1, 4, (0, 1, 1, 0))
+        doc = json.loads(json.dumps(padic_out(u)))
+        assert doc["p"] == str(self.P)
+        assert padic_in(doc) == u
+
+    def test_dynamics_report(self):
+        rep = analyze(PadicSeries(self.P, 1, 8, (0, 1, 1, 0, 0, 0, 0, 0)), 0)
+        assert dynamics_report_out(rep)["p"] == str(self.P)
+
+    def test_condition_report(self):
+        ti = TheoremInputs(self.P, 1, 1, BreakData(self.P, 1, (1,)))
+        assert condition_report_out(check_conditions(ti))["p"] == str(self.P)
