@@ -65,18 +65,18 @@ def _unpack(x, size, count, mod):
 
 
 def _int64_exact(mod, terms):
-    """True when a bilinear op on residues below mod, each output entry a
-    sum of at most terms products, is exact in int64: directly, or in the
-    halves of ``_halves``.
+    """The int64 method exact for a bilinear op on residues below mod, each
+    output entry a sum of at most terms products: "direct", "halves" (see
+    ``_halves``), or None when neither is.
 
     In halves, an entry of the product of the sums of halves is below
     terms * 2^(2h+2), and a reduced value times 2^h mod mod is below
     mod * 2^h; both must stay below the int64 bound.
     """
     if (mod - 1) * (mod - 1) * terms < _INT64_SAFE:
-        return True
+        return "direct"
     h = ((mod - 1).bit_length() + 1) // 2
-    return terms << (2 * h + 2) < _INT64_SAFE and mod << h < _INT64_SAFE
+    return "halves" if terms << (2 * h + 2) < _INT64_SAFE and mod << h < _INT64_SAFE else None
 
 
 def _halves(op, a, b, mod):
@@ -130,11 +130,11 @@ def conv_mod(a, b, n, mod):
         b = [x % mod for x in b[:lb]]
     if la == 0 or lb == 0:
         out = []
-    elif (arrays or max(la, lb) > _SHORT) and _int64_exact(mod, min(la, lb)):
+    elif (arrays or max(la, lb) > _SHORT) and (method := _int64_exact(mod, min(la, lb))):
         import numpy as np
 
-        out = _bilinear(lambda x, y: np.convolve(x, y)[:n], np.asarray(a[:la], dtype=np.int64),
-                        np.asarray(b[:lb], dtype=np.int64), min(la, lb), mod)
+        x, y = np.asarray(a[:la], dtype=np.int64), np.asarray(b[:lb], dtype=np.int64)
+        out = np.convolve(x, y)[:n] % mod if method == "direct" else _halves(np.convolve, x, y, mod)[:n]
         if not arrays:
             out = out.tolist()
     else:

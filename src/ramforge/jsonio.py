@@ -170,7 +170,10 @@ def trunc_object_out(obj):
 
 
 def trunc_object_in(doc):
-    return TruncObject(field_in(doc["field"]), int_in(doc["e"]))
+    f = field_in(doc["field"])
+    e = int_in(doc["e"])
+    check_budget(e * f.w * len(str(f.p)))
+    return TruncObject(f, e)
 
 
 def morphism_out(f):

@@ -15,7 +15,6 @@ level quotients and analysis of ``ramforge.pdyn`` read their iterates off it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,11 +97,18 @@ def p_chain(g, n):
 
 
 def p_iterate(g, n):
-    """g composed with itself p^n times."""
+    """g composed with itself p^n times.  g mod X^N lies in a finite group,
+    so its chain is eventually periodic: link n is read off the cycle."""
     _require_group_element(g)
     if n < 0:
         raise ValueError("iterate level must be >= 0")
-    return deque(p_chain(g, n), maxlen=1)[0]
+    seen = {}
+    for j, h in enumerate(p_chain(g, n)):
+        if h in seen:
+            i = seen[h]
+            return list(seen)[i + (n - i) % (j - i)]
+        seen[h] = j
+    return h
 
 
 def lower_breaks(g, n_max):
@@ -227,21 +233,11 @@ def series_agree_mod(a, b, m):
 
 
 def _image_order_exponent(g, m):
-    # j with p^j = order of the image of <g> in A(k)/{h : h == X mod X^{m+1}},
-    # i.e. the number of certified lower breaks <= m-1.
-    for j, h in enumerate(p_chain(g, m + 1)):
-        d = depth(h)
-        if isinstance(d, AtLeast):
-            if d.bound >= m:
-                return j
-            raise PrecisionError(
-                f"cannot certify break {j} against level {m} at truncation {h.trunc}",
-                quantity="image_order",
-                level=j,
-            )
-        if d >= m:
-            return j
-    raise ValueError("runaway exponent search; input is not a pro-p generator")
+    # j with p^j = order of the image of <g> in A(k)/{h : h == X mod X^{m+1}}:
+    # the first link of the chain mod X^(m+1) equal to X.  Depth >= 1 rises
+    # strictly along the chain, so link m - 1 at the latest is X.
+    x = TruncSeries.x(g.field, m + 1)
+    return next(j for j, h in enumerate(p_chain(g.truncate(m + 1), m)) if h == x)
 
 
 def subgroup_equal_mod(g, g2, m):

@@ -7,14 +7,20 @@ level-quotient division is the only lossy step; its result carries an
 explicit per-coefficient certification profile, and nothing is ever
 asserted beyond it.  There is no automatic precision escalation: the
 caller picks (P, M), results are certified or flagged.
+
+One reader, ``_valuations``, turns each coefficient and its certified
+digits into an integer valuation and whether it is exact; the Weierstrass
+degree, the constant valuation of a level and the Newton polygon read it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from ._convolve import conv_mod, recip_mod
 from .errors import PrecisionError
@@ -73,19 +79,25 @@ def _certified(f):
     return f, (f.field.prec,) * f.trunc
 
 
+def _valuations(series, coeff_prec):
+    """(v, exact) per coefficient: v = vp(r) for r the coefficient mod p^prec,
+    prec its certified digits, and exact = r != 0; a zero residue gives its
+    certified digits, 0 when there are none, as a lower bound."""
+    p = series.field.p
+    for c, prec in zip(series.packed, coeff_prec):
+        r = c % p**prec
+        yield vp(r, p, prec), r != 0
+
+
 def weierstrass_degree(f):
     """Index of the first unit coefficient, or None when undetermined.
 
     Accepts a series over Z/p^P (uniform precision) or a DividedSeries;
     scanning stops at the first uncertified coefficient.
     """
-    series, coeff_prec = _certified(f)
-    p = series.field.p
-    for k, (c, prec) in enumerate(zip(series.packed, coeff_prec)):
-        if prec < 1:
-            return None
-        if c % p != 0:
-            return k
+    for k, (v, exact) in enumerate(_valuations(*_certified(f))):
+        if v == 0:
+            return k if exact else None
     return None
 
 
@@ -205,25 +217,17 @@ def newton_polygon(f, degree):
     Coefficients whose valuation cannot be certified (zero residues) are
     accepted only when they lie strictly above the hull of the certified
     points; if such a coefficient could sit on the hull, the polygon is not
-    determined and a PrecisionError is raised.
+    determined and a PrecisionError is raised.  The points are integers, so
+    the hull and that test are integer cross-products.
     """
     series, coeff_prec = _certified(f)
     if degree < 1:
         raise ValueError("degree must be >= 1")
     if degree > series.trunc - 1:
         raise ValueError(f"degree {degree} exceeds the truncation window {series.trunc}")
-    p = series.field.p
-    exact = []
-    bounded = []
-    for i, prec_i in enumerate(coeff_prec[: degree + 1]):
-        if prec_i <= 0:
-            bounded.append((i, 0))
-            continue
-        r = series.packed[i] % p**prec_i
-        if r == 0:
-            bounded.append((i, prec_i))
-        else:
-            exact.append((i, Fraction(vp(r, p, prec_i))))
+    exact, bounded = [], []
+    for i, (v, is_exact) in enumerate(islice(_valuations(series, coeff_prec), degree + 1)):
+        (exact if is_exact else bounded).append((i, v))
     if not exact or exact[0][0] != 0 or exact[-1][0] != degree:
         raise PrecisionError(
             "valuation of an endpoint coefficient is uncertified",
@@ -231,23 +235,21 @@ def newton_polygon(f, degree):
         )
 
     hull = []
-    for pt in exact:
+    for x, y in exact:
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
+            if (y2 - y1) * (x - x1) >= (y - y1) * (x2 - x1):
                 hull.pop()
             else:
                 break
-        hull.append(pt)
+        hull.append((x, y))
 
-    def hull_value(x):
-        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-            if x1 <= x <= x2:
-                return y1 + Fraction(y2 - y1, x2 - x1) * (x - x1)
-        raise AssertionError("abscissa outside hull range")
-
+    xs = [x for x, _ in hull]
     for i, bound in bounded:
-        if bound <= hull_value(i):
+        # the first segment x1 <= i <= x2; bound <= its value at i
+        k = bisect_left(xs, i, 1)
+        (x1, y1), (x2, y2) = hull[k - 1], hull[k]
+        if (bound - y1) * (x2 - x1) <= (y2 - y1) * (i - x1):
             raise PrecisionError(
                 f"coefficient {i} has uncertifiable valuation (>= {bound}) on the hull",
                 quantity="newton_polygon", level=i,
@@ -393,17 +395,13 @@ def _analyze_level(prev, cur, n, depths, d):
         expected_wd = depths[n] - depths[n - 1]
     wd_matches = (wd == expected_wd) if (wd is not None and expected_wd is not None) else None
 
-    const_val = None
-    if q.coeff_prec[0] > 0:
-        r = q.series.packed[0] % p ** q.coeff_prec[0]
-        if r != 0:
-            const_val = vp(r, p, q.coeff_prec[0])
-    expected_const = _expected_constant_valuation(n)
-    const_matches = (
-        const_val == expected_const
-        if (const_val is not None and expected_const is not None)
-        else None
-    )
+    v0, exact0 = next(_valuations(q.series, q.coeff_prec))
+    const_val = v0 if exact0 else None
+    # over Z_p-coefficients the constant term of every level quotient has
+    # valuation exactly 1: each p-th power step adds v(p) = 1 to
+    # v(a0^(p^k) - 1) for a0 a 1-unit, and the a0 = 1 case gives exactly p
+    expected_const = 1
+    const_matches = const_val == expected_const if const_val is not None else None
 
     polygon = None
     predicted = Fraction(1, d * p**n) if d is not None else None
@@ -423,10 +421,3 @@ def _analyze_level(prev, cur, n, depths, d):
         n, wd, expected_wd, wd_matches, const_val, expected_const,
         const_matches, polygon, predicted, single_matches, note,
     )
-
-
-def _expected_constant_valuation(n):
-    # over Z_p-coefficients the constant term of every level quotient has
-    # valuation exactly 1: each p-th power step adds v(p) = 1 to
-    # v(a0^(p^k) - 1) for a0 a 1-unit, and the a0 = 1 case gives exactly p
-    return 1

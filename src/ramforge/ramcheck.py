@@ -66,9 +66,17 @@ def f_shift(tp, m, t):
 
 
 def f_shift_sum_check(tp, m):
-    """Verify the window sum over one period equals (m+1)*e0*(p^(m+1)-p^m)."""
+    """Verify the window sum over one period equals (m+1)*e0*(p^(m+1)-p^m).
+
+    f_shift reads t0 = t - e0*p^m in 0 .. s*p^m - 1 only through whether s
+    divides it and its valuation capped at m, so the sum takes it once per
+    class times the class size: t0 = 0 once, s*p^v for the p^(m-v-1)*(p-1)
+    multiples of s of valuation v < m, and 1 for the (s-1)*p^m others.
+    """
     p, s, e0 = tp.p, tp.s, tp.e0
-    total = sum(f_shift(tp, m, t) for t in range(e0 * p**m, (e0 + s) * p**m))
+    classes = [(0, 1), (1, (s - 1) * p**m)]
+    classes += [(s * p**v, p ** (m - v - 1) * (p - 1)) for v in range(m)]
+    total = sum(size * f_shift(tp, m, e0 * p**m + t0) for t0, size in classes)
     return total == (m + 1) * e0 * (p ** (m + 1) - p**m)
 
 

@@ -2,11 +2,11 @@
 
 Everything here deliberately avoids the library's own algorithms: series
 composition is done by ascending-power polynomial expansion, substitution
-inverses by exhaustive coefficient search, quotient division over exact
-rationals, quotient groups by full enumeration, and extension-field
-arithmetic by schoolbook products in Y with long division by the modulus,
-powers by repeated products, and piecewise-linear functions by walking
-their segments from 0.
+inverses by exhaustive coefficient search, quotient division and Newton
+polygons over exact rationals, quotient groups by full enumeration,
+extension-field arithmetic by schoolbook products in Y with long division
+by the modulus, powers by repeated products, piecewise-linear functions by
+walking their segments from 0, and the shift function's window sum t by t.
 """
 
 import math
@@ -205,6 +205,91 @@ def vp_frac(fr, p):
         den //= p
         v -= 1
     return v
+
+
+# -- Newton polygons over exact rationals -------------------------------------
+
+
+def fraction_newton_polygon(p, coeffs, coeff_prec, degree):
+    """(vertices, segments) of the Newton polygon of coeffs[:degree + 1],
+    each coefficient certified to coeff_prec digits.
+
+    The lower hull of the certified points is built in Fractions, each
+    point with no certified nonzero digit is compared against the value of
+    the hull at its abscissa, found by a scan over the segments, and
+    segments are (slope, length) pairs.  Raises PrecisionError as
+    ``newton_polygon`` does, with the same message and level.
+    """
+    from ramforge import PrecisionError
+
+    exact = []
+    bounded = []
+    for i, prec_i in enumerate(coeff_prec[: degree + 1]):
+        if prec_i <= 0:
+            bounded.append((i, 0))
+            continue
+        r = coeffs[i] % p**prec_i
+        if r == 0:
+            bounded.append((i, prec_i))
+            continue
+        v = 0
+        while r % p == 0:
+            r //= p
+            v += 1
+        exact.append((i, Fraction(v)))
+    if not exact or exact[0][0] != 0 or exact[-1][0] != degree:
+        raise PrecisionError(
+            "valuation of an endpoint coefficient is uncertified",
+            quantity="newton_polygon",
+        )
+
+    hull = []
+    for pt in exact:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+
+    def hull_value(x):
+        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+            if x1 <= x <= x2:
+                return y1 + Fraction(y2 - y1, x2 - x1) * (x - x1)
+        raise AssertionError("abscissa outside hull range")
+
+    for i, bound in bounded:
+        if bound <= hull_value(i):
+            raise PrecisionError(
+                f"coefficient {i} has uncertifiable valuation (>= {bound}) on the hull",
+                quantity="newton_polygon", level=i,
+            )
+
+    segments = tuple(
+        (Fraction(y2 - y1, x2 - x1), x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:])
+    )
+    return tuple((x, Fraction(y)) for x, y in hull), segments
+
+
+def scan_weierstrass_degree(p, coeffs, coeff_prec):
+    """Index of the first coefficient certified to be a unit, or None when
+    an uncertified coefficient or the end comes first."""
+    for k, (c, prec) in enumerate(zip(coeffs, coeff_prec)):
+        if prec < 1:
+            return None
+        if c % p != 0:
+            return k
+    return None
+
+
+# -- the shift function's window sum, t by t ---------------------------------
+
+
+def f_shift_window_sum(f, tp, m):
+    """The sum of f(tp, m, t) over one period e0*p^m <= t < (e0+s)*p^m."""
+    p, s, e0 = tp.p, tp.s, tp.e0
+    return sum(f(tp, m, t) for t in range(e0 * p**m, (e0 + s) * p**m))
 
 
 # -- piecewise-linear functions by walking the segments ----------------------

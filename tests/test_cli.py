@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,19 @@ class TestSeries:
     def test_iterate(self, capsys, cyclotomic_series):
         code, doc = run(capsys, "series", "iterate", "--series", cyclotomic_series, "--n", "1")
         assert code == 0 and doc["coeffs"][25] != 0 and not any(doc["coeffs"][2:25])
+
+    @pytest.mark.parametrize("linear", [1, 2])
+    def test_iterate_astronomical_level(self, capsys, linear):
+        # the chain mod X^40 is eventually periodic: with linear coefficient 1
+        # it ends at X, with 2 it keeps 2^(5^n) = 2 mod 5
+        coeffs = [0, linear] + [(3 * k + 1) % 5 for k in range(2, 40)]
+        inline = json.dumps({"p": 5, "w": 1, "trunc": 40, "coeffs": coeffs})
+        started = time.perf_counter()
+        code, doc = run(capsys, "series", "iterate", "--series", inline, "--n", str(10**21))
+        assert code == 0 and time.perf_counter() - started < 1
+        assert doc["coeffs"][:2] == [0, linear]
+        if linear == 1:
+            assert not any(doc["coeffs"][2:])
 
 
 class TestBreaks:
@@ -203,6 +217,12 @@ class TestCheck:
         assert code == 0 and doc == {"f": 4}
         code, doc = run(capsys, "check", "fshift", "--p", "5", "--e", "1", "--m", "1", "--sum-check")
         assert code == 0 and doc == {"sum_check": True}
+
+    def test_fshift_sum_check_at_large_m(self, capsys):
+        started = time.perf_counter()
+        code, doc = run(capsys, "check", "fshift", "--p", "5", "--e", "1", "--m", "200", "--sum-check")
+        assert code == 0 and doc == {"sum_check": True}
+        assert time.perf_counter() - started < 1
 
     def test_fshift_zero_p_is_input_error(self, capsys):
         code, doc = run(capsys, "check", "fshift", "--p", "0", "--e", "1", "--m", "1")
@@ -348,6 +368,33 @@ class TestContract:
         main(["check", "main", "--input", theorem_inputs])
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize("argv", [
+        ("series", "depth", "--series",
+         json.dumps({"p": 5, "w": 1, "trunc": 3 * 10**6, "coeffs": [0, 1]})),
+        ("dynamics", "qn", "--n", "1", "--series",
+         json.dumps({"p": 5, "prec": 8, "trunc": 3 * 10**5, "coeffs": [0, 1]})),
+        ("trunc", "iso", "--f", json.dumps({
+            "source": {"field": {"p": 5, "w": 1}, "e": 3 * 10**6},
+            "target": {"field": {"p": 5, "w": 1}, "e": 3 * 10**6},
+            "r": 1, "res_twist": 0, "eta_coeff": [1]})),
+    ], ids=["series", "padic", "morphism"])
+    def test_default_precision_cap(self, capsys, monkeypatch, argv):
+        # each document is refused before anything of its size is built
+        monkeypatch.delenv("RAMFORGE_MAX_PRECISION", raising=False)
+        started = time.perf_counter()
+        code, doc = run(capsys, *argv)
+        assert code == 2 and "RAMFORGE_MAX_PRECISION cap of 1000000" in doc["error"]["reason"]
+        assert time.perf_counter() - started < 1
+
+    def test_lowered_cap_on_morphisms(self, capsys, monkeypatch):
+        obj = {"field": {"p": 5, "w": 1}, "e": 200}
+        f = json.dumps({"source": obj, "target": obj, "r": 1, "res_twist": 0, "eta_coeff": [1]})
+        monkeypatch.delenv("RAMFORGE_MAX_PRECISION", raising=False)
+        assert run(capsys, "trunc", "iso", "--f", f) == (0, {"is_isomorphism": True})
+        monkeypatch.setenv("RAMFORGE_MAX_PRECISION", "100")
+        code, doc = run(capsys, "trunc", "iso", "--f", f)
+        assert code == 2 and "RAMFORGE_MAX_PRECISION cap of 100" in doc["error"]["reason"]
 
     def test_precision_budget_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("RAMFORGE_MAX_PRECISION", "100")

@@ -1,10 +1,13 @@
-"""Differential property tests of the two derived sequences.
+"""Differential property tests of the derived sequences and certified digits.
 
 The iterate chain ``p_chain`` is checked link by link against repeated
-brute-force composition over F_p, F_{p^w} and Z/p^P, and the lower breaks
-read off it against Sen's congruence.  ``PLFunc``, which sums its knot
-values once, is checked against the segment-walk oracle in ``helpers.py``
-at its kinks and between them.
+brute-force composition over F_p, F_{p^w} and Z/p^P, the lower breaks read
+off it against Sen's congruence, and ``p_iterate``, which stops at the
+first repeated link, and the image order mod X^(m+1) against it and
+against repeated composition.  ``PLFunc``, which sums its knot values once,
+is checked against the segment-walk oracle in ``helpers.py`` at its kinks
+and between them, and the integer Newton hull and the Weierstrass degree
+against the Fraction-hull and digit-scan oracles there.
 """
 
 from fractions import Fraction as F
@@ -12,32 +15,41 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 from ramforge import (
+    DividedSeries,
     FiniteField,
     PadicSeries,
     PLFunc,
     PrecisionError,
     TruncSeries,
     lower_breaks,
+    newton_polygon,
     p_chain,
+    p_iterate,
     phi_from_breaks,
     pl_compose,
     psi_from_breaks,
+    weierstrass_degree,
 )
+from ramforge.nottingham import _image_order_exponent
 
 from helpers import (
     brute_compose,
     ext_compose,
+    fraction_newton_polygon,
     pl_walk_inverse,
     pl_walk_preimage,
     pl_walk_slope,
     pl_walk_value,
     random_break_data,
+    scan_weierstrass_degree,
 )
 
 PROPS = settings(derandomize=True, max_examples=30, deadline=None, database=None)
 
 # F_4 = F_2[Y]/(Y^2 + Y + 1) and F_9 = F_3[Y]/(Y^2 + 1)
 EXTENSIONS = [FiniteField(2, 2, (1, 1, 1)), FiniteField(3, 2, (1, 0, 1))]
+# F_2 .. F_7, F_4, F_8 = F_2[Y]/(Y^3 + Y + 1) and F_9
+FIELDS = [FiniteField(p) for p in (2, 3, 5, 7)] + EXTENSIONS + [FiniteField(2, 3, (1, 1, 0, 1))]
 
 
 def brute_chain(g, p, n, compose):
@@ -94,6 +106,94 @@ class TestPChain:
         assert len(list(p_chain(g, 3))) == 4
         chain = p_chain(g, 10**30)
         assert next(chain) is g and next(chain).trunc == 6
+
+
+def field_series(draw, field, trunc, linear=None):
+    """A series X*unit over field, coefficients as w-tuples: the linear
+    coefficient is linear, or a random nonzero one."""
+    digit = st.integers(0, field.p - 1)
+    coeff = st.tuples(*[digit] * field.w)
+    lin = linear or draw(coeff.filter(any))
+    return [(0,) * field.w, lin] + draw(st.lists(coeff, min_size=trunc - 2, max_size=trunc - 2))
+
+
+class TestPIterate:
+    @settings(PROPS, max_examples=100)
+    @given(st.sampled_from(FIELDS), st.integers(2, 8), st.integers(0, 6), st.data())
+    def test_matches_the_chain(self, field, trunc, n, data):
+        # linear coefficients other than 1 give chains that cycle with
+        # period above 1 without reaching X
+        g = TruncSeries(field, field_series(data.draw, field, trunc), trunc)
+        assert p_iterate(g, n) == list(p_chain(g, n))[-1]
+
+
+class TestImageOrder:
+    @PROPS
+    @given(st.sampled_from(FIELDS), st.integers(1, 6), st.integers(1, 3), st.data())
+    def test_against_repeated_composition(self, field, m, extra, data):
+        # the order of g mod X^(m+1), by composing g onto itself until X
+        p, modulus, trunc = field.p, field.modulus or (0, 1), m + 1 + extra
+        one = (1,) + (0,) * (field.w - 1)
+        g = field_series(data.draw, field, trunc, linear=one)
+        x = [(0,) * field.w, one] + [(0,) * field.w] * (m - 1)
+        h, order = g[: m + 1], 1
+        while h != x:
+            h = ext_compose(h, g, p, modulus, m + 1)
+            order += 1
+        assert p ** _image_order_exponent(TruncSeries(field, g, trunc), m) == order
+
+
+@st.composite
+def certified_series(draw):
+    """A series over Z/p^P with coefficients of every valuation, and either
+    its own uniform precision or a random certification profile."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    prec = draw(st.integers(1, 5))
+    trunc = draw(st.integers(2, 12))
+    # a nonzero constant term, so that the endpoint rejections come from
+    # the profile and the degree
+    coeffs = [draw(st.integers(1, p**prec - 1)) * p ** draw(st.integers(0, prec - (k == 0)))
+              % p**prec for k in range(trunc)]
+    series = PadicSeries(p, prec, trunc, coeffs)
+    if draw(st.booleans()):
+        return series, p, coeffs, (prec,) * trunc
+    digits = st.one_of(st.just(prec), st.integers(0, prec))
+    profile = tuple(draw(st.lists(digits, min_size=trunc, max_size=trunc)))
+    return DividedSeries(series, profile), p, coeffs, profile
+
+
+def outcome(fn):
+    """fn()'s value, or the message and level of the PrecisionError it raises."""
+    try:
+        return fn()
+    except PrecisionError as exc:
+        return ("PrecisionError", str(exc), exc.level)
+
+
+class TestCertifiedDigits:
+    @settings(PROPS, max_examples=400)
+    @given(certified_series(), st.data())
+    def test_newton_polygon(self, case, data):
+        f, p, coeffs, profile = case
+        # mostly a degree whose coefficient is certified nonzero, so that the
+        # hull is built more often than an endpoint is rejected
+        certified = [i for i in range(1, len(coeffs)) if coeffs[i] % p ** profile[i]]
+        degree = data.draw(st.sampled_from(certified) if certified and data.draw(st.booleans())
+                           else st.integers(1, len(coeffs) - 1))
+
+        def polygon():
+            poly = newton_polygon(f, degree)
+            return poly.vertices, tuple((s.slope, s.length) for s in poly.segments)
+
+        got = outcome(polygon)
+        want = outcome(lambda: fraction_newton_polygon(p, coeffs, profile, degree))
+        assert repr(got) == repr(want)
+
+    @settings(PROPS, max_examples=200)
+    @given(certified_series())
+    def test_weierstrass_degree(self, case):
+        f, p, coeffs, profile = case
+        assert weierstrass_degree(f) == scan_weierstrass_degree(p, coeffs, profile)
 
 
 class TestSenIntegrality:

@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -19,9 +21,11 @@ from ramforge import (
     q_r_values,
     tame_params,
 )
+from ramforge import ramcheck
+from ramforge.gfseries import vp
 from ramforge.ramcheck import phi_EK_closed_form
 
-from helpers import random_break_data
+from helpers import f_shift_window_sum, random_break_data
 
 
 def ladder(p, n, e=1):
@@ -87,6 +91,31 @@ class TestFShiftSumCheck:
                 tp = tame_params(p, e)
                 for m in (1, 2, 3):
                     assert f_shift_sum_check(tp, m)
+
+    @pytest.mark.parametrize("p, e, m", [(2, 1, 3), (3, 1, 2), (3, 2, 3), (5, 1, 2), (5, 2, 2),
+                                         (7, 3, 2), (11, 4, 1)])
+    def test_classes_against_the_window_sum(self, monkeypatch, p, e, m):
+        # the check reads f_shift once per class of t0 = t - e0*p^m: zero, not
+        # divisible by s, or s times valuation v < m.  A shift that still reads
+        # t only through its class, raised on one class and lowered on another
+        # so that the t-by-t sum is kept or moved, gets that sum's verdict.
+        tp = tame_params(p, e)
+        expected = (m + 1) * tp.e0 * (p ** (m + 1) - p**m)
+
+        def cls(t):
+            t0 = t - tp.e0 * p**m
+            return "zero" if t0 == 0 else "other" if t0 % tp.s else vp(t0, p, m)
+
+        sizes = Counter(cls(t) for t in range(tp.e0 * p**m, (tp.e0 + tp.s) * p**m))
+        for a, b in itertools.permutations(sizes, 2):
+            for weight, kept in ((sizes[b], True), (sizes[b] + 1, False)):
+                def shifted(tp_, m_, t, a=a, b=b, weight=weight):
+                    c = cls(t)
+                    return f_shift(tp_, m_, t) + (weight if c == a else -sizes[a] if c == b else 0)
+
+                assert (f_shift_window_sum(shifted, tp, m) == expected) is kept
+                monkeypatch.setattr(ramcheck, "f_shift", shifted)
+                assert f_shift_sum_check(tp, m) is kept
 
 
 class TestGFloor:
