@@ -43,11 +43,11 @@ def _frac_list(text):
 
 
 def _emit(doc, fmt):
-    if fmt == "table":
-        for line in _tabulate(doc):
-            print(line)
-    else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+    # rendered whole before printing: an integer too long for decimal output
+    # raises ValueError here, and nothing is printed yet
+    lines = list(_tabulate(doc)) if fmt == "table" else [json.dumps(doc, indent=2, sort_keys=True)]
+    for line in lines:
+        print(line)
 
 
 def _tabulate(doc, prefix=""):
@@ -81,7 +81,7 @@ def _breaks_cmd(args):
         rs = lower_breaks(jsonio.series_in(_load(args.series)), args.n_max)
         return jsonio.ram_sequence_out(rs)
     if args.op == "upper":
-        return {"upper": list(upper_from_lower(args.p, _int_list(args.lower)))}
+        return {"upper": [jsonio.int_out(b) for b in upper_from_lower(args.p, _int_list(args.lower))]}
     if args.op == "index":
         return jsonio.index_report_out(index_of(args.p, _frac_list(args.upper)))
     if args.op == "validate":
@@ -131,7 +131,7 @@ def _check_cmd(args):
         tp = tame_params(args.p, args.e)
         if args.sum_check:
             return {"sum_check": f_shift_sum_check(tp, args.m)}
-        return {"f": f_shift(tp, args.m, args.t)}
+        return {"f": jsonio.int_out(f_shift(tp, args.m, args.t))}
     raise AssertionError(args.op)
 
 
@@ -251,7 +251,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        doc = args.func(args)
+        _emit(args.func(args), args.format)
     except PrecisionError as exc:
         _emit({"error": {"type": "precision", "reason": str(exc)}}, args.format)
         return 3
@@ -265,7 +265,6 @@ def main(argv=None):
         traceback.print_exc()
         _emit({"error": {"type": "internal", "reason": f"{type(exc).__name__}: {exc}"}}, args.format)
         return 4
-    _emit(doc, args.format)
     return 0
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 
 def frac_in(x):
@@ -58,6 +59,13 @@ class BreakData:
     @property
     def n(self):
         return len(self.upper)
+
+    @cached_property
+    def psi(self):
+        """The lower-numbering transfer function, slope p^(j+1) after break b_j:
+        built on first use and kept, outside equality, hashing and the wire format."""
+        sls = tuple(Fraction(self.p) ** j for j in range(self.n + 1))
+        return PLFunc((Fraction(0),) + self.upper, sls, Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -136,16 +144,13 @@ class PLFunc:
 
 
 def psi_from_breaks(bd):
-    """The lower-numbering transfer function: slope p^(j+1) after break b_j."""
-    p = bd.p
-    bps = (Fraction(0),) + bd.upper
-    sls = tuple(Fraction(p) ** j for j in range(bd.n + 1))
-    return PLFunc(bps, sls, Fraction(0))
+    """The lower-numbering transfer function, the one kept on bd (``BreakData.psi``)."""
+    return bd.psi
 
 
 def phi_from_breaks(bd):
     """The upper-numbering transfer function, inverse of psi_from_breaks."""
-    return psi_from_breaks(bd).inverse()
+    return bd.psi.inverse()
 
 
 def pl_compose(f, g):
@@ -243,7 +248,7 @@ def extract_yhz(bd):
             h = j
             break
     y = bd.upper[h]
-    return YHZ(y, h, psi_from_breaks(bd)(y))
+    return YHZ(y, h, bd.psi(y))
 
 
 def lower_break_formula(bd, yhz, i):

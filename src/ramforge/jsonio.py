@@ -115,7 +115,7 @@ def ram_sequence_out(rs):
 
 def index_report_out(r):
     return {
-        "d": r.d if r.d is not None else f"undetermined({r.n_max})",
+        "d": int_out(r.d) if r.d is not None else f"undetermined({r.n_max})",
         "status": r.status,
         "stabilized_at": r.stabilized_at,
         "evidence": [frac_out(d) for d in r.evidence],

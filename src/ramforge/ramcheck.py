@@ -17,13 +17,7 @@ from fractions import Fraction
 
 from .errors import InvariantError
 from .gfseries import _require_prime, vp
-from .herbrand import (
-    BreakData,
-    extract_yhz,
-    phi_from_breaks,
-    psi_from_breaks,
-    validate_breaks,
-)
+from .herbrand import YHZ, BreakData, extract_yhz, validate_breaks
 
 
 @dataclass(frozen=True)
@@ -59,24 +53,27 @@ def f_shift(tp, m, t):
         raise ValueError("m must be >= 1")
     p, s, e0 = tp.p, tp.s, tp.e0
     t0 = t - e0 * p**m
-    if t0 % s:
-        return 0
     # levels >= m (t0 = 0 included) all give the level-m value
-    return e0 * (p ** (vp(t0, p, m) + 1) - 1)
+    return _class_value(tp, None if t0 % s else vp(t0, p, m))
+
+
+def _class_value(tp, v):
+    """f_shift on the class of t0: level v, or None when s does not divide t0."""
+    return 0 if v is None else tp.e0 * (tp.p ** (v + 1) - 1)
 
 
 def f_shift_sum_check(tp, m):
     """Verify the window sum over one period equals (m+1)*e0*(p^(m+1)-p^m).
 
-    f_shift reads t0 = t - e0*p^m in 0 .. s*p^m - 1 only through whether s
-    divides it and its valuation capped at m, so the sum takes it once per
-    class times the class size: t0 = 0 once, s*p^v for the p^(m-v-1)*(p-1)
-    multiples of s of valuation v < m, and 1 for the (s-1)*p^m others.
+    f_shift reads t0 = t - e0*p^m in 0 .. s*p^m - 1 only through its class,
+    so the sum takes each class value once, times the class size: the
+    (s-1)*p^m values s does not divide, t0 = 0 at level m, and the
+    p^(m-v-1)*(p-1) multiples of s at each level v < m.
     """
     p, s, e0 = tp.p, tp.s, tp.e0
-    classes = [(0, 1), (1, (s - 1) * p**m)]
-    classes += [(s * p**v, p ** (m - v - 1) * (p - 1)) for v in range(m)]
-    total = sum(size * f_shift(tp, m, e0 * p**m + t0) for t0, size in classes)
+    classes = [(None, (s - 1) * p**m), (m, 1)]
+    classes += [(v, p ** (m - v - 1) * (p - 1)) for v in range(m)]
+    total = sum(size * _class_value(tp, v) for v, size in classes)
     return total == (m + 1) * e0 * (p ** (m + 1) - p**m)
 
 
@@ -93,7 +90,7 @@ class TheoremInputs:
     ``contained_in_zp`` is caller-supplied: whether the extension embeds in
     a Z_p-extension is a class-field-theoretic fact this toolkit does not
     compute.  ``a`` defaults to e*p^n and ``m`` to the largest value with
-    psi((m+1+1/(p-1))e) < e*p^n.
+    psi((m+1+1/(p-1))e) < e*p^n.  ``tp`` and ``yhz`` are derived on construction.
     """
 
     p: int
@@ -103,16 +100,15 @@ class TheoremInputs:
     a: int = 0
     m: int | None = None
     contained_in_zp: bool = True
+    tp: TameParams = field(init=False, repr=False, compare=False)
+    yhz: YHZ = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p <= 3:
             raise ValueError("p > 3 is required")
-        if self.e % self.p == 0:
-            raise ValueError("the base must be tame: p does not divide e")
-        if self.bd.p != self.p or self.bd.e != self.e:
-            raise ValueError("break data does not match (p, e)")
-        if self.bd.n != self.n:
-            raise ValueError("break data does not match n")
+        object.__setattr__(self, "tp", tame_params(self.p, self.e))
+        if (self.bd.p, self.bd.e, self.bd.n) != (self.p, self.e, self.n):
+            raise ValueError("break data does not match (p, e, n)")
         if self.a == 0:
             object.__setattr__(self, "a", self.e * self.p**self.n)
         if not (1 <= self.a <= self.e * self.p**self.n):
@@ -120,31 +116,29 @@ class TheoremInputs:
         verdict = validate_breaks(self.bd)
         if not verdict.valid:
             raise ValueError(f"inadmissible break data: {verdict.first.detail}")
+        object.__setattr__(self, "yhz", extract_yhz(self.bd))
 
 
 def m0(ti):
     """Largest m >= 0 with psi((m+1+1/(p-1))e) < e*p^n, or None if none exists."""
-    psi = psi_from_breaks(ti.bd)
+    psi = ti.bd.psi
     target = ti.e * ti.p**ti.n
     best = None
     k = 0
     while psi((k + 1 + Fraction(1, ti.p - 1)) * ti.e) < target:
         best = k
         k += 1
-    if best is not None:
-        h = extract_yhz(ti.bd).h
-        if best > ti.n - h - 1:
-            raise InvariantError(f"cross-check failed: m0 = {best} exceeds n - h - 1 = {ti.n - h - 1}")
+    bound = ti.n - ti.yhz.h - 1
+    if best is not None and best > bound:
+        raise InvariantError(f"cross-check failed: m0 = {best} exceeds n - h - 1 = {bound}")
     return best
 
 
-def q_r_values(tp, yhz, e, m):
+def q_r_values(tp, yhz, m):
     """q = ((y-e)s + e0)p^m when h = 0 and y > e, else e0*p^m; r = q + e0(p^(m+1)-1)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if e != tp.e:
-        raise ValueError("e does not match the tame parameters")
-    p, s, e0 = tp.p, tp.s, tp.e0
+    p, e, s, e0 = tp.p, tp.e, tp.s, tp.e0
     if yhz.h == 0 and yhz.y > e:
         q = ((yhz.y - e) * s + e0) * p**m
         if q.denominator != 1:
@@ -155,7 +149,7 @@ def q_r_values(tp, yhz, e, m):
     return q, q + e0 * (p ** (m + 1) - 1)
 
 
-def psi_ML_lower_bound(ti, tp, yhz, m, t):
+def psi_ML_lower_bound(ti, m, t):
     """Certified lower bound for the lower-numbering image of the cutoff a.
 
     Substitutes the upper bounds psi((i+1)e) for the unknown positive upper
@@ -164,8 +158,8 @@ def psi_ML_lower_bound(ti, tp, yhz, m, t):
     """
     if not (0 <= t <= m):
         raise ValueError(f"t = {t} outside [0, m = {m}]")
-    p, s = tp.p, tp.s
-    psi = psi_from_breaks(ti.bd)
+    p, s = ti.p, ti.tp.s
+    psi = ti.bd.psi
     total = Fraction(s * p**t * ti.a)
     for k in range(t):
         beta = psi((m - t + k + 1) * ti.bd.e)
@@ -173,12 +167,12 @@ def psi_ML_lower_bound(ti, tp, yhz, m, t):
     return total
 
 
-def _ces_floor(ti, tp, yhz, m, t):
+def _ces_floor(ti, m, t):
     # closed form of the substituted bound; must agree exactly with
     # psi_ML_lower_bound whenever the break-range guard m <= n - h holds
-    p, s = tp.p, tp.s
+    p, s = ti.p, ti.tp.s
     e, a = Fraction(ti.e), Fraction(ti.a)
-    y, h, z = yhz.y, yhz.h, yhz.z
+    y, h, z = ti.yhz.y, ti.yhz.h, ti.yhz.z
     if y <= e:
         return (
             s * p**t * a
@@ -192,9 +186,10 @@ def _ces_floor(ti, tp, yhz, m, t):
     )
 
 
-def phi_EK_closed_form(tp, yhz, e, m):
+def phi_EK_closed_form(tp, yhz, m):
     """Upper-numbering image of r = q + e0(p^(m+1)-1) through the cyclotomic
     step, in closed form: (m+1+1/(p-1))e, plus (y-e) when h = 0 and y > e."""
+    e = tp.e
     base = (m + 1 + Fraction(1, tp.p - 1)) * e
     if yhz.h == 0 and yhz.y > e:
         return base + (yhz.y - e)
@@ -249,19 +244,16 @@ class ConditionReport:
 
 def _evaluate(ti, m):
     """Evaluate the three conditions at level m (1 <= m <= n) for cutoff ti.a."""
-    tp = tame_params(ti.p, ti.e)
-    yhz = extract_yhz(ti.bd)
-    psi = psi_from_breaks(ti.bd)
-    phi = phi_from_breaks(ti.bd)
+    tp, yhz, psi = ti.tp, ti.yhz, ti.bd.psi
     p, e, n, a = ti.p, ti.e, ti.n, ti.a
-    q, r = q_r_values(tp, yhz, e, m)
+    q, r = q_r_values(tp, yhz, m)
 
     ts = tuple(range(m + 1)) if yhz.y == e else (m,)
     items = []
     for t in ts:
-        bound = psi_ML_lower_bound(ti, tp, yhz, m, t)
+        bound = psi_ML_lower_bound(ti, m, t)
         if m <= n - yhz.h and (yhz.y <= e or t == m):
-            if bound != _ces_floor(ti, tp, yhz, m, t):
+            if bound != _ces_floor(ti, m, t):
                 raise InvariantError(
                     f"cross-check failed: psi_ML lower bound at m = {m}, t = {t} "
                     "differs from the ceiling-sum floor"
@@ -270,8 +262,8 @@ def _evaluate(ti, m):
         items.append(Cond1Item(t, bound, threshold, bound > threshold))
     cond1 = all(it.ok for it in items)
 
-    cond2_lhs = phi(a)
-    cond2_rhs = phi_EK_closed_form(tp, yhz, e, m)
+    cond2_lhs = psi.preimage(a)  # phi(a)
+    cond2_rhs = phi_EK_closed_form(tp, yhz, m)
     cond2 = cond2_lhs > cond2_rhs
 
     cond3_rhs = psi(ti.bd.upper[-1])
@@ -322,7 +314,7 @@ def check_conditions(ti):
         guarantee = f"p^{m_val}"
         path = "main"
     elif not ti.contained_in_zp:
-        proot_report = proot_check(ti)
+        proot_report = _proot_check(ti, m0_val)
         guarantee = proot_report.guarantee
         path = "proot" if guarantee != "none" else "main"
     else:
@@ -341,15 +333,17 @@ def proot_check(ti):
     Applicable only when n >= 3 and m0 >= 2; the certified guarantee is
     p^(m0-1) on success.
     """
-    m0_val = m0(ti)
+    return _proot_check(ti, m0(ti))
+
+
+def _proot_check(ti, m0_val):
     if ti.n < 3 or m0_val is None or m0_val < 2:
         return ConditionReport(
             ti.p, ti.e, ti.n, ti.a, None, m0=m0_val, guarantee="none",
             status="not_applicable", path="proot",
             notes=("requires n >= 3 and m0 >= 2",),
         )
-    psi = psi_from_breaks(ti.bd)
-    j = psi(ti.bd.upper[-1])
+    j = ti.bd.psi(ti.bd.upper[-1])
     l = math.ceil(Fraction(ti.p - 1, ti.p) * j)
     sub_bd = BreakData(ti.p, ti.bd.e, ti.bd.upper[:-1])
     sub = TheoremInputs(ti.p, ti.e, ti.n - 1, sub_bd, a=l, contained_in_zp=True)

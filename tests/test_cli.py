@@ -112,6 +112,13 @@ class TestBreaks:
         code, doc = run(capsys, "breaks", "index", "--p", "5", "--upper", "4,8,12")
         assert code == 0 and doc["d"] == 4 and doc["status"] == "determined"
 
+    def test_integers_past_2_53_are_strings(self, capsys):
+        code, doc = run(capsys, "breaks", "upper", "--p", "2", "--lower", "1,100000000000000001")
+        assert code == 0 and doc == {"upper": [1, "50000000000000001"]}
+        upper = ",".join(str(k * 10**17) for k in (1, 2, 3))
+        code, doc = run(capsys, "breaks", "index", "--p", "5", "--upper", upper)
+        assert code == 0 and doc["d"] == "100000000000000000"
+
     def test_validate(self, capsys, break_data):
         code, doc = run(capsys, "breaks", "validate", "--input", break_data)
         assert code == 0 and doc["valid"]
@@ -222,6 +229,19 @@ class TestCheck:
         started = time.perf_counter()
         code, doc = run(capsys, "check", "fshift", "--p", "5", "--e", "1", "--m", "200", "--sum-check")
         assert code == 0 and doc == {"sum_check": True}
+        code, doc = run(capsys, "check", "fshift", "--p", "5", "--e", "4", "--m", "2000", "--sum-check")
+        assert code == 0 and doc == {"sum_check": True}
+        assert time.perf_counter() - started < 1
+
+    def test_fshift_value_past_2_53_is_a_string(self, capsys):
+        code, doc = run(capsys, "check", "fshift", "--p", "5", "--e", "4", "--m", "30")
+        assert code == 0 and doc == {"f": "4656612873077392578124"}
+
+    def test_fshift_value_too_long_to_print_is_input_error(self, capsys):
+        # f has about 14,000 digits, past Python's int-to-decimal limit
+        started = time.perf_counter()
+        code, doc = run(capsys, "check", "fshift", "--p", "5", "--e", "4", "--m", "20000")
+        assert code == 2 and doc["error"]["type"] == "input"
         assert time.perf_counter() - started < 1
 
     def test_fshift_zero_p_is_input_error(self, capsys):
@@ -314,6 +334,21 @@ class TestContract:
         monkeypatch.setattr(cli, "_breaks_cmd", broken)
         code, doc = run(capsys, "breaks", "upper", "--p", "5", "--lower", "4,24")
         assert code == 4 and doc["error"] == {"type": "internal", "reason": "RuntimeError: boom"}
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_unprintable_document_is_input_error(self, capsys, monkeypatch, fmt):
+        # a document is rendered whole inside the error handling, so an
+        # integer past the int-to-decimal limit prints one error document
+        from ramforge import cli
+
+        monkeypatch.setattr(cli, "_breaks_cmd", lambda args: {"upper": [1, 10**5000]})
+        code = main(["--format", fmt, "breaks", "upper", "--p", "5", "--lower", "4,24"])
+        out = capsys.readouterr().out
+        assert code == 2
+        if fmt == "json":
+            assert json.loads(out)["error"]["type"] == "input"
+        else:
+            assert out.splitlines()[-1] == "error.type: input" and "upper" not in out
 
     def test_cross_checks_run_under_optimize(self, theorem_inputs):
         # python -O strips assert statements; the cross-checks must still run

@@ -37,6 +37,13 @@ class TestPsiFromBreaks:
         psi = psi_from_breaks(BreakData(7, 2, (3, 5)))
         assert psi(F(5, 2)) == F(5, 2)
 
+    def test_built_once_per_break_data(self):
+        bd = BreakData(5, 1, (1, 2, 3))
+        assert psi_from_breaks(bd) is psi_from_breaks(bd) is bd.psi
+        # the kept function changes neither equality nor hashing
+        fresh = BreakData(5, 1, (1, 2, 3))
+        assert bd == fresh and hash(bd) == hash(fresh) and repr(bd) == repr(fresh)
+
 
 class TestPhiFromBreaks:
     def test_inverse_on_samples(self):

@@ -7,6 +7,7 @@ import pytest
 
 from ramforge import (
     BreakData,
+    PLFunc,
     TheoremInputs,
     check_conditions,
     extract_yhz,
@@ -95,26 +96,26 @@ class TestFShiftSumCheck:
     @pytest.mark.parametrize("p, e, m", [(2, 1, 3), (3, 1, 2), (3, 2, 3), (5, 1, 2), (5, 2, 2),
                                          (7, 3, 2), (11, 4, 1)])
     def test_classes_against_the_window_sum(self, monkeypatch, p, e, m):
-        # the check reads f_shift once per class of t0 = t - e0*p^m: zero, not
-        # divisible by s, or s times valuation v < m.  A shift that still reads
-        # t only through its class, raised on one class and lowered on another
-        # so that the t-by-t sum is kept or moved, gets that sum's verdict.
+        # f_shift and the check both read t0 = t - e0*p^m only through its
+        # class: not divisible by s (None), or its level v <= m.  Class values
+        # raised on one class and lowered on another, so that the t-by-t sum
+        # of f_shift is kept or moved, get that sum's verdict from the check.
         tp = tame_params(p, e)
         expected = (m + 1) * tp.e0 * (p ** (m + 1) - p**m)
 
         def cls(t):
             t0 = t - tp.e0 * p**m
-            return "zero" if t0 == 0 else "other" if t0 % tp.s else vp(t0, p, m)
+            return None if t0 % tp.s else vp(t0, p, m)
 
         sizes = Counter(cls(t) for t in range(tp.e0 * p**m, (tp.e0 + tp.s) * p**m))
+        class_value = ramcheck._class_value
         for a, b in itertools.permutations(sizes, 2):
             for weight, kept in ((sizes[b], True), (sizes[b] + 1, False)):
-                def shifted(tp_, m_, t, a=a, b=b, weight=weight):
-                    c = cls(t)
-                    return f_shift(tp_, m_, t) + (weight if c == a else -sizes[a] if c == b else 0)
+                def shifted(tp_, v, a=a, b=b, weight=weight):
+                    return class_value(tp_, v) + (weight if v == a else -sizes[a] if v == b else 0)
 
-                assert (f_shift_window_sum(shifted, tp, m) == expected) is kept
-                monkeypatch.setattr(ramcheck, "f_shift", shifted)
+                monkeypatch.setattr(ramcheck, "_class_value", shifted)
+                assert (f_shift_window_sum(f_shift, tp, m) == expected) is kept
                 assert f_shift_sum_check(tp, m) is kept
 
 
@@ -159,35 +160,32 @@ class TestM0:
 class TestQRValues:
     def test_equal_case(self):
         bd = ladder(5, 3)
-        q, r = q_r_values(tame_params(5, 1), extract_yhz(bd), 1, 2)
+        q, r = q_r_values(tame_params(5, 1), extract_yhz(bd), 2)
         assert (q, r) == (25, 149)
 
     def test_y_above_e(self):
         bd = BreakData(5, 4, (5, 9))
-        q, r = q_r_values(tame_params(5, 4), extract_yhz(bd), 4, 1)
+        q, r = q_r_values(tame_params(5, 4), extract_yhz(bd), 1)
         assert (q, r) == (10, 34)
 
     def test_p7(self):
         bd = ladder(7, 2)
-        q, r = q_r_values(tame_params(7, 1), extract_yhz(bd), 1, 1)
+        q, r = q_r_values(tame_params(7, 1), extract_yhz(bd), 1)
         assert (q, r) == (7, 55)
 
 
 class TestPsiMLLowerBound:
     def test_t_zero(self):
         ti = TheoremInputs(5, 1, 3, ladder(5, 3))
-        tp, yhz = tame_params(5, 1), extract_yhz(ti.bd)
-        assert psi_ML_lower_bound(ti, tp, yhz, 2, 0) == 4 * 125
+        assert psi_ML_lower_bound(ti, 2, 0) == 4 * 125
 
     def test_full_depth(self):
         ti = TheoremInputs(5, 1, 3, ladder(5, 3))
-        tp, yhz = tame_params(5, 1), extract_yhz(ti.bd)
-        assert psi_ML_lower_bound(ti, tp, yhz, 2, 2) == 12004
+        assert psi_ML_lower_bound(ti, 2, 2) == 12004
 
     def test_intermediate(self):
         ti = TheoremInputs(5, 1, 2, ladder(5, 2))
-        tp, yhz = tame_params(5, 1), extract_yhz(ti.bd)
-        assert psi_ML_lower_bound(ti, tp, yhz, 1, 1) == 484
+        assert psi_ML_lower_bound(ti, 1, 1) == 484
 
 
 class TestCheckConditions:
@@ -221,9 +219,30 @@ class TestCheckConditions:
         assert rep.path == "proot" and rep.guarantee == "p^1 (proot)"
         assert rep.proot is not None and rep.proot.l == 25
 
+    def test_psi_built_once_per_break_data(self, monkeypatch):
+        # one psi for the input and one for the proot sub-data, and no other
+        # piecewise-linear function
+        built = []
+        post_init = PLFunc.__post_init__
+
+        def counted(f):
+            post_init(f)
+            built.append(f)
+
+        bd = ladder(5, 3)
+        monkeypatch.setattr(PLFunc, "__post_init__", counted)
+        rep = check_conditions(TheoremInputs(5, 1, 3, bd, contained_in_zp=False))
+        assert rep.proot is not None and rep.proot.status == "ok"
+        assert len(built) == 2 and built[0] is bd.psi
+
     def test_rejects_inadmissible_break_data(self):
         with pytest.raises(ValueError, match="inadmissible"):
             TheoremInputs(5, 1, 2, BreakData(5, 1, (1, 3)))
+
+    def test_rejects_non_prime_p(self):
+        # the tame parameters are derived on construction
+        with pytest.raises(ValueError, match="not prime"):
+            TheoremInputs(9, 1, 2, BreakData(9, 1, (1, 2)))
 
     def test_t_sweep_rule(self):
         # y = e sweeps every t in [0, m]; y != e pins t = m
@@ -258,8 +277,6 @@ class TestQIdentity:
         # independent route to q: the cyclotomic-step transfer function
         # applied to the top break of the level-m compositum, plus e0
         rng = random.Random(97)
-        from ramforge import PLFunc
-
         checked = 0
         while checked < 80:
             bd = random_break_data(rng, primes=(5, 7, 11), n_max=5)
@@ -268,7 +285,7 @@ class TestQIdentity:
             if m_val in (None, 0):
                 continue
             tp, yhz = tame_params(bd.p, int(bd.e)), extract_yhz(bd)
-            q, _ = q_r_values(tp, yhz, int(bd.e), m_val)
+            q, _ = q_r_values(tp, yhz, m_val)
             bps = (F(0),) + tuple(F(int(bd.e) * (i + 1)) for i in range(m_val))
             sls = tuple(F(tp.s * bd.p**i) for i in range(m_val + 1))
             psi_ek = PLFunc(bps, sls, F(0))
@@ -291,13 +308,11 @@ class TestPhiEKClosedForm:
             if m_val in (None, 0):
                 continue
             tp, yhz = tame_params(bd.p, int(bd.e)), extract_yhz(bd)
-            q, r = q_r_values(tp, yhz, int(bd.e), m_val)
-            from ramforge import PLFunc
-
+            q, r = q_r_values(tp, yhz, m_val)
             bps = (F(0),) + tuple(F(int(bd.e) * (i + 1)) for i in range(m_val))
             sls = tuple(F(tp.s * bd.p**i) for i in range(m_val + 1))
             psi_ek = PLFunc(bps, sls, F(0))
-            assert psi_ek.inverse()(r) == phi_EK_closed_form(tp, yhz, int(bd.e), m_val)
+            assert psi_ek.inverse()(r) == phi_EK_closed_form(tp, yhz, m_val)
 
 
 class TestProotCheck:
