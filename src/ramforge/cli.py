@@ -43,8 +43,8 @@ def _frac_list(text):
 
 
 def _emit(doc, fmt):
-    # rendered whole before printing: an integer too long for decimal output
-    # raises ValueError here, and nothing is printed yet
+    # rendered whole before printing, so a document that fails to render
+    # prints nothing before the error document
     lines = list(_tabulate(doc)) if fmt == "table" else [json.dumps(doc, indent=2, sort_keys=True)]
     for line in lines:
         print(line)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import re
+import sys
 from fractions import Fraction
 
 from .gfseries import FiniteField, TruncSeries
@@ -34,9 +35,21 @@ def check_budget(digits):
         )
 
 
+def _decimal(v):
+    """The decimal text of int v.  Past Python's limit on int-to-decimal
+    conversion the ValueError names the cause, not Python's remedy."""
+    try:
+        return str(v)
+    except ValueError:
+        raise ValueError(
+            f"the result has an integer of more than {sys.get_int_max_str_digits()} digits, "
+            "too long to print"
+        ) from None
+
+
 def int_out(v):
     v = int(v)
-    return v if abs(v) < _SAFE_INT else str(v)
+    return v if abs(v) < _SAFE_INT else _decimal(v)
 
 
 def int_in(v):
@@ -56,7 +69,10 @@ def _coeff_in(c):
 
 def frac_out(x):
     x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
 
 def frac_pair_out(x):
@@ -202,19 +218,8 @@ def morphism_in(doc):
 
 def theorem_inputs_in(doc):
     bd = break_data_in(doc)
-    p = int_in(doc["p"])
-    e_frac = frac_in(doc["e"])
-    if e_frac.denominator != 1:
-        raise ValueError("the tame index e must be an integer for condition checks")
-    kwargs = {}
-    if doc.get("a") is not None:
-        kwargs["a"] = int_in(doc["a"])
-    if doc.get("m") is not None:
-        kwargs["m"] = int_in(doc["m"])
-    return TheoremInputs(
-        p, int(e_frac), len(bd.upper), bd,
-        contained_in_zp=bool(doc.get("contained_in_zp", True)), **kwargs,
-    )
+    kwargs = {k: int_in(doc[k]) for k in ("a", "m") if doc.get(k) is not None}
+    return TheoremInputs(bd, contained_in_zp=bool(doc.get("contained_in_zp", True)), **kwargs)
 
 
 def condition_report_out(r):

@@ -121,16 +121,16 @@ def lower_breaks(g, n_max):
     if n_max < 0:
         raise ValueError("the level count must be >= 0")
     p = g.field.p
-    lower = certified_depths(p_chain(g, n_max), g.trunc)
+    lower = certified_depths(p_chain(g, n_max))
     return RamSequence(p, tuple(lower), upper_from_lower(p, lower), g.trunc)
 
 
-def certified_depths(chain, trunc):
+def certified_depths(chain):
     """The depths i_0, i_1, ... of a chain g, g^(p), g^(p^2), ... over F_p.
 
     The chain is read lazily and stops at the first depth that cannot be
-    certified at truncation trunc: that raises PrecisionError carrying the
-    certified prefix in ``partial``.
+    certified at the truncation of its link: that raises PrecisionError
+    carrying the certified prefix in ``partial``.
     """
     lower = []
     for n, h in enumerate(chain):
@@ -138,14 +138,14 @@ def certified_depths(chain, trunc):
         if isinstance(d, AtLeast):
             if n == 0:
                 raise PrecisionError(
-                    f"depth of the generator is uncertified (>= {d.bound}) at truncation {trunc}",
+                    f"depth of the generator is uncertified (>= {d.bound}) at truncation {h.trunc}",
                     quantity="lower_break",
                     level=0,
                     partial=(),
                 )
             raise PrecisionError(
                 f"depth of the p^{n}-th iterate is uncertified (>= {d.bound}) "
-                f"at truncation {trunc}; retry with a larger truncation",
+                f"at truncation {h.trunc}; retry with a larger truncation",
                 quantity="lower_break",
                 level=n,
                 partial=tuple(lower),

@@ -360,7 +360,7 @@ def analyze(u, n_max):
     chain = list(p_chain(u, n_max))
     notes = []
     try:
-        depths = tuple(certified_depths((reduce_mod_p(h) for h in chain), M))
+        depths = tuple(certified_depths(reduce_mod_p(h) for h in chain))
         uncertified_at = None
     except PrecisionError as exc:
         depths = exc.partial

@@ -12,7 +12,7 @@ just a boolean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import InvariantError
@@ -87,28 +87,33 @@ def g_floor(tp, m, n_val):
 class TheoremInputs:
     """Inputs to the condition checker.
 
-    ``contained_in_zp`` is caller-supplied: whether the extension embeds in
-    a Z_p-extension is a class-field-theoretic fact this toolkit does not
-    compute.  ``a`` defaults to e*p^n and ``m`` to the largest value with
-    psi((m+1+1/(p-1))e) < e*p^n.  ``tp`` and ``yhz`` are derived on construction.
+    p, e and n are those of the break data ``bd``, whose tame index e must
+    be an integer.  ``contained_in_zp`` is caller-supplied: whether the
+    extension embeds in a Z_p-extension is a class-field-theoretic fact this
+    toolkit does not compute.  ``a`` defaults to e*p^n and ``m`` to the
+    largest value with psi((m+1+1/(p-1))e) < e*p^n.  ``p``, ``e``, ``n``,
+    ``tp`` and ``yhz`` are derived on construction.
     """
 
-    p: int
-    e: int
-    n: int
     bd: BreakData
     a: int = 0
     m: int | None = None
     contained_in_zp: bool = True
+    p: int = field(init=False, repr=False, compare=False)
+    e: int = field(init=False, repr=False, compare=False)
+    n: int = field(init=False, repr=False, compare=False)
     tp: TameParams = field(init=False, repr=False, compare=False)
     yhz: YHZ = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.bd.e.denominator != 1:
+            raise ValueError("the tame index e must be an integer for condition checks")
+        object.__setattr__(self, "p", self.bd.p)
+        object.__setattr__(self, "e", int(self.bd.e))
+        object.__setattr__(self, "n", self.bd.n)
         if self.p <= 3:
             raise ValueError("p > 3 is required")
         object.__setattr__(self, "tp", tame_params(self.p, self.e))
-        if (self.bd.p, self.bd.e, self.bd.n) != (self.p, self.e, self.n):
-            raise ValueError("break data does not match (p, e, n)")
         if self.a == 0:
             object.__setattr__(self, "a", self.e * self.p**self.n)
         if not (1 <= self.a <= self.e * self.p**self.n):
@@ -242,7 +247,12 @@ class ConditionReport:
         return bool(self.cond1 and self.cond2 and self.cond3)
 
 
-def _evaluate(ti, m):
+def _report(ti, m, **fields):
+    """The report at level m, with p, e, n, a and the Z_p flag of ti."""
+    return ConditionReport(ti.p, ti.e, ti.n, ti.a, m, contained_in_zp=ti.contained_in_zp, **fields)
+
+
+def _evaluate(ti, m, **fields):
     """Evaluate the three conditions at level m (1 <= m <= n) for cutoff ti.a."""
     tp, yhz, psi = ti.tp, ti.yhz, ti.bd.psi
     p, e, n, a = ti.p, ti.e, ti.n, ti.a
@@ -260,32 +270,25 @@ def _evaluate(ti, m):
                 )
         threshold = p ** (n + t - m) * q
         items.append(Cond1Item(t, bound, threshold, bound > threshold))
-    cond1 = all(it.ok for it in items)
 
     cond2_lhs = psi.preimage(a)  # phi(a)
     cond2_rhs = phi_EK_closed_form(tp, yhz, m)
-    cond2 = cond2_lhs > cond2_rhs
-
     cond3_rhs = psi(ti.bd.upper[-1])
-    cond3 = Fraction(a) > cond3_rhs
 
-    return {
-        "y": yhz.y,
-        "h": yhz.h,
-        "z": yhz.z,
-        "q": q,
-        "r": r,
-        "t_examined": ts,
-        "cond1": cond1,
-        "cond1_details": tuple(items),
-        "psi_ml_lower_bound": min(it.bound for it in items),
-        "cond2": cond2,
-        "cond2_lhs": cond2_lhs,
-        "cond2_rhs": cond2_rhs,
-        "cond3": cond3,
-        "cond3_lhs": a,
-        "cond3_rhs": cond3_rhs,
-    }
+    return _report(
+        ti, m,
+        y=yhz.y, h=yhz.h, z=yhz.z, q=q, r=r, t_examined=ts,
+        cond1=all(it.ok for it in items),
+        cond1_details=tuple(items),
+        psi_ml_lower_bound=min(it.bound for it in items),
+        cond2=cond2_lhs > cond2_rhs,
+        cond2_lhs=cond2_lhs,
+        cond2_rhs=cond2_rhs,
+        cond3=Fraction(a) > cond3_rhs,
+        cond3_lhs=a,
+        cond3_rhs=cond3_rhs,
+        **fields,
+    )
 
 
 def check_conditions(ti):
@@ -299,32 +302,20 @@ def check_conditions(ti):
     m0_val = m0(ti)
     m_val = ti.m if ti.m is not None else m0_val
     if m_val is None or m_val == 0:
-        status = "no_m" if m_val is None else "m0_zero"
-        return ConditionReport(
-            ti.p, ti.e, ti.n, ti.a, m_val, contained_in_zp=ti.contained_in_zp,
-            guarantee="none", status=status, m0=m0_val,
+        return _report(
+            ti, m_val, m0=m0_val, status="no_m" if m_val is None else "m0_zero",
             notes=("no level m >= 1 is available; the guarantee is vacuous",),
         )
     if not (1 <= m_val <= ti.n):
         raise ValueError(f"m = {m_val} outside [1, n = {ti.n}]")
-    ev = _evaluate(ti, m_val)
-    all_pass = ev["cond1"] and ev["cond2"] and ev["cond3"]
-    proot_report = None
-    if all_pass and ti.contained_in_zp:
-        guarantee = f"p^{m_val}"
-        path = "main"
-    elif not ti.contained_in_zp:
-        proot_report = _proot_check(ti, m0_val)
-        guarantee = proot_report.guarantee
-        path = "proot" if guarantee != "none" else "main"
-    else:
-        guarantee = "none"
-        path = "main"
-    return ConditionReport(
-        ti.p, ti.e, ti.n, ti.a, m_val, m0=m0_val,
-        contained_in_zp=ti.contained_in_zp, guarantee=guarantee,
-        status="ok", path=path, proot=proot_report, **ev,
-    )
+    report = _evaluate(ti, m_val, m0=m0_val)
+    if not ti.contained_in_zp:
+        proot = _proot_check(ti, m0_val)
+        path = "proot" if proot.guarantee != "none" else "main"
+        return replace(report, guarantee=proot.guarantee, path=path, proot=proot)
+    if report.all_pass:
+        return replace(report, guarantee=f"p^{m_val}")
+    return report
 
 
 def proot_check(ti):
@@ -338,20 +329,19 @@ def proot_check(ti):
 
 def _proot_check(ti, m0_val):
     if ti.n < 3 or m0_val is None or m0_val < 2:
-        return ConditionReport(
-            ti.p, ti.e, ti.n, ti.a, None, m0=m0_val, guarantee="none",
-            status="not_applicable", path="proot",
+        return _report(
+            ti, None, m0=m0_val, status="not_applicable", path="proot",
             notes=("requires n >= 3 and m0 >= 2",),
         )
     j = ti.bd.psi(ti.bd.upper[-1])
     l = math.ceil(Fraction(ti.p - 1, ti.p) * j)
-    sub_bd = BreakData(ti.p, ti.bd.e, ti.bd.upper[:-1])
-    sub = TheoremInputs(ti.p, ti.e, ti.n - 1, sub_bd, a=l, contained_in_zp=True)
-    m = m0_val - 1
-    ev = _evaluate(sub, m)
-    all_pass = ev["cond1"] and ev["cond2"] and ev["cond3"]
-    guarantee = f"p^{m} (proot)" if all_pass else "none"
-    return ConditionReport(
-        sub.p, sub.e, sub.n, sub.a, m, m0=m0_val, guarantee=guarantee,
-        status="ok", path="proot", l=l, contained_in_zp=ti.contained_in_zp, **ev,
+    # the sub-extension's inputs carry ti's Z_p flag into the report; the
+    # conditions themselves do not read it
+    sub = TheoremInputs(
+        BreakData(ti.p, ti.bd.e, ti.bd.upper[:-1]), a=l, contained_in_zp=ti.contained_in_zp
     )
+    m = m0_val - 1
+    report = _evaluate(sub, m, m0=m0_val, path="proot", l=l)
+    if report.all_pass:
+        return replace(report, guarantee=f"p^{m} (proot)")
+    return report

@@ -121,7 +121,7 @@ def test_criterion_05_m0_reproduction():
     for p in (5, 7, 11):
         for n in range(2, 9):
             bd = BreakData(p, 1, tuple(range(1, n + 1)))
-            assert m0(TheoremInputs(p, 1, n, bd)) == n - 1
+            assert m0(TheoremInputs(bd)) == n - 1
     report(5, "m0 = n-1 for the forced break pattern over e = 1", started)
 
 
@@ -131,7 +131,7 @@ def test_criterion_06_condition_soundness():
     passed = 0
     while passed < 200:
         bd = random_break_data(rng, primes=(5, 7, 11, 13), n_max=5)
-        ti = TheoremInputs(bd.p, int(bd.e), bd.n, bd)
+        ti = TheoremInputs(bd)
         if m0(ti) in (None, 0):
             continue  # the guarantee is vacuous below m = 1
         rep = check_conditions(ti)

@@ -215,6 +215,12 @@ class TestCheck:
         assert code == 0 and doc["guarantee"] == "p^2"
         assert doc["cond1"]["ok"] and doc["cond2"]["ok"] and doc["cond3"]["ok"]
 
+    def test_main_non_integral_e_is_input_error(self, capsys):
+        text = json.dumps({"p": 5, "e": "3/2", "upper": [1, "5/2"]})
+        code, doc = run(capsys, "check", "main", "--input", text)
+        assert code == 2 and doc["error"]["type"] == "input"
+        assert doc["error"]["reason"] == "the tame index e must be an integer for condition checks"
+
     def test_proot(self, capsys, theorem_inputs):
         code, doc = run(capsys, "check", "proot", "--input", theorem_inputs)
         assert code == 0 and doc["guarantee"] == "p^1 (proot)" and doc["l"] == 25
@@ -242,6 +248,10 @@ class TestCheck:
         started = time.perf_counter()
         code, doc = run(capsys, "check", "fshift", "--p", "5", "--e", "4", "--m", "20000")
         assert code == 2 and doc["error"]["type"] == "input"
+        assert doc["error"]["reason"] == (
+            f"the result has an integer of more than {sys.get_int_max_str_digits()} digits, "
+            "too long to print"
+        )
         assert time.perf_counter() - started < 1
 
     def test_fshift_zero_p_is_input_error(self, capsys):

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -62,6 +63,11 @@ class TestScalars:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             frac_in({"num": 1})
+
+    @pytest.mark.parametrize("write", [int_out, frac_out, lambda v: frac_out(F(1, v))])
+    def test_too_long_to_print_names_the_cause(self, write):
+        with pytest.raises(ValueError, match=r"^the result has an integer of more than \d+ digits"):
+            write(10 ** (sys.get_int_max_str_digits() + 1))
 
 
 class TestSeriesRoundTrip:
@@ -189,5 +195,5 @@ class TestPrimePast2_53:
         assert dynamics_report_out(rep)["p"] == str(self.P)
 
     def test_condition_report(self):
-        ti = TheoremInputs(self.P, 1, 1, BreakData(self.P, 1, (1,)))
+        ti = TheoremInputs(BreakData(self.P, 1, (1,)))
         assert condition_report_out(check_conditions(ti))["p"] == str(self.P)

@@ -129,10 +129,15 @@ class TestLowerBreaks:
             lower_breaks(g, 2)
         assert exc.value.level == 2
         assert exc.value.partial == (4, 24)
+        assert str(exc.value) == (
+            "depth of the p^2-th iterate is uncertified (>= 29) at truncation 30; "
+            "retry with a larger truncation"
+        )
 
     def test_uncertified_generator(self):
-        with pytest.raises(PrecisionError):
+        with pytest.raises(PrecisionError) as exc:
             lower_breaks(TruncSeries.x(F5, 8), 1)
+        assert str(exc.value) == "depth of the generator is uncertified (>= 7) at truncation 8"
 
 
 class TestUpperFromLower:

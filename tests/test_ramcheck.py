@@ -134,27 +134,27 @@ class TestGFloor:
 
 class TestM0:
     def test_n3(self):
-        assert m0(TheoremInputs(5, 1, 3, ladder(5, 3))) == 2
+        assert m0(TheoremInputs(ladder(5, 3))) == 2
 
     def test_n2(self):
-        assert m0(TheoremInputs(5, 1, 2, ladder(5, 2))) == 1
+        assert m0(TheoremInputs(ladder(5, 2))) == 1
 
     def test_p7_n4(self):
-        assert m0(TheoremInputs(7, 1, 4, ladder(7, 4))) == 3
+        assert m0(TheoremInputs(ladder(7, 4))) == 3
 
     def test_unramified_pattern_sweep(self):
         for p in (5, 7, 11):
             for n in range(2, 9):
-                assert m0(TheoremInputs(p, 1, n, ladder(p, n))) == n - 1
+                assert m0(TheoremInputs(ladder(p, n))) == n - 1
 
     def test_two_break_ramified_base(self):
         bd = BreakData(5, 4, (5, 9))
-        assert m0(TheoremInputs(5, 4, 2, bd)) == 1
+        assert m0(TheoremInputs(bd)) == 1
 
     def test_vanishing_case(self):
         # n = 1 over e = 4: psi(5) = 21 > 20 = e*p, so no m >= 0 works
         bd = BreakData(5, 4, (1,))
-        assert m0(TheoremInputs(5, 4, 1, bd)) is None
+        assert m0(TheoremInputs(bd)) is None
 
 
 class TestQRValues:
@@ -176,21 +176,21 @@ class TestQRValues:
 
 class TestPsiMLLowerBound:
     def test_t_zero(self):
-        ti = TheoremInputs(5, 1, 3, ladder(5, 3))
+        ti = TheoremInputs(ladder(5, 3))
         assert psi_ML_lower_bound(ti, 2, 0) == 4 * 125
 
     def test_full_depth(self):
-        ti = TheoremInputs(5, 1, 3, ladder(5, 3))
+        ti = TheoremInputs(ladder(5, 3))
         assert psi_ML_lower_bound(ti, 2, 2) == 12004
 
     def test_intermediate(self):
-        ti = TheoremInputs(5, 1, 2, ladder(5, 2))
+        ti = TheoremInputs(ladder(5, 2))
         assert psi_ML_lower_bound(ti, 1, 1) == 484
 
 
 class TestCheckConditions:
     def test_unramified_n3(self):
-        rep = check_conditions(TheoremInputs(5, 1, 3, ladder(5, 3)))
+        rep = check_conditions(TheoremInputs(ladder(5, 3)))
         assert rep.all_pass and rep.guarantee == "p^2" and rep.m == 2
         # recompute each comparison with the piecewise-linear oracle
         psi, phi = psi_from_breaks(ladder(5, 3)), phi_from_breaks(ladder(5, 3))
@@ -201,21 +201,21 @@ class TestCheckConditions:
             assert item.bound > item.threshold
 
     def test_boundary_strictness(self):
-        rep = check_conditions(TheoremInputs(5, 1, 3, ladder(5, 3), a=31))
+        rep = check_conditions(TheoremInputs(ladder(5, 3), a=31))
         assert not rep.cond3 and rep.guarantee == "none"
         assert rep.cond3_lhs == 31 and rep.cond3_rhs == 31
 
     def test_n2_guarantee(self):
-        rep = check_conditions(TheoremInputs(5, 1, 2, ladder(5, 2), a=25, m=1))
+        rep = check_conditions(TheoremInputs(ladder(5, 2), a=25, m=1))
         assert rep.all_pass and rep.guarantee == "p^1"
 
     def test_vacuous_when_m0_missing(self):
         bd = BreakData(5, 4, (1,))
-        rep = check_conditions(TheoremInputs(5, 4, 1, bd))
+        rep = check_conditions(TheoremInputs(bd))
         assert rep.guarantee == "none" and rep.status == "no_m"
 
     def test_zp_flag_gates_main_guarantee(self):
-        rep = check_conditions(TheoremInputs(5, 1, 3, ladder(5, 3), contained_in_zp=False))
+        rep = check_conditions(TheoremInputs(ladder(5, 3), contained_in_zp=False))
         assert rep.path == "proot" and rep.guarantee == "p^1 (proot)"
         assert rep.proot is not None and rep.proot.l == 25
 
@@ -231,29 +231,45 @@ class TestCheckConditions:
 
         bd = ladder(5, 3)
         monkeypatch.setattr(PLFunc, "__post_init__", counted)
-        rep = check_conditions(TheoremInputs(5, 1, 3, bd, contained_in_zp=False))
+        rep = check_conditions(TheoremInputs(bd, contained_in_zp=False))
         assert rep.proot is not None and rep.proot.status == "ok"
         assert len(built) == 2 and built[0] is bd.psi
 
     def test_rejects_inadmissible_break_data(self):
         with pytest.raises(ValueError, match="inadmissible"):
-            TheoremInputs(5, 1, 2, BreakData(5, 1, (1, 3)))
+            TheoremInputs(BreakData(5, 1, (1, 3)))
 
     def test_rejects_non_prime_p(self):
         # the tame parameters are derived on construction
         with pytest.raises(ValueError, match="not prime"):
-            TheoremInputs(9, 1, 2, BreakData(9, 1, (1, 2)))
+            TheoremInputs(BreakData(9, 1, (1, 2)))
+
+    def test_p_e_n_come_from_the_break_data(self):
+        ti = TheoremInputs(BreakData(5, 4, (5, 9)))
+        assert (ti.p, ti.e, ti.n) == (5, 4, 2) and type(ti.e) is int
+        assert ti.a == 4 * 5**2
+
+    def test_rejects_non_integral_e(self):
+        with pytest.raises(ValueError, match="the tame index e must be an integer"):
+            TheoremInputs(BreakData(5, "3/2", (1, "5/2")))
+
+    def test_not_applicable_fallback_keeps_the_zp_flag(self):
+        # n = 2: the fallback does not apply, and its report says which
+        # flag the input carried
+        rep = check_conditions(TheoremInputs(BreakData(5, 1, (1, 2)), contained_in_zp=False))
+        assert rep.proot is not None and rep.proot.status == "not_applicable"
+        assert rep.contained_in_zp is False and rep.proot.contained_in_zp is False
 
     def test_t_sweep_rule(self):
         # y = e sweeps every t in [0, m]; y != e pins t = m
         bd = BreakData(5, 2, (2, 4, 6))
-        ti = TheoremInputs(5, 2, 3, bd)
+        ti = TheoremInputs(bd)
         assert m0(ti) == 2
         rep = check_conditions(ti)
         assert rep.t_examined == (0, 1, 2) and rep.all_pass
         # y > e needs e = p-1 with first break p
         bd2 = BreakData(7, 6, (7, 13))
-        ti2 = TheoremInputs(7, 6, 2, bd2)
+        ti2 = TheoremInputs(bd2)
         rep2 = check_conditions(ti2)
         assert extract_yhz(bd2).y == 7 > 6
         assert rep2.t_examined == (rep2.m,)
@@ -264,7 +280,7 @@ class TestCheckConditions:
         count = 0
         while count < 60:
             bd = random_break_data(rng, primes=(5, 7, 11), n_max=5)
-            ti = TheoremInputs(bd.p, int(bd.e), bd.n, bd)
+            ti = TheoremInputs(bd)
             if m0(ti) in (None, 0):
                 continue
             rep = check_conditions(ti)
@@ -280,7 +296,7 @@ class TestQIdentity:
         checked = 0
         while checked < 80:
             bd = random_break_data(rng, primes=(5, 7, 11), n_max=5)
-            ti = TheoremInputs(bd.p, int(bd.e), bd.n, bd)
+            ti = TheoremInputs(bd)
             m_val = m0(ti)
             if m_val in (None, 0):
                 continue
@@ -303,7 +319,7 @@ class TestPhiEKClosedForm:
         rng = random.Random(89)
         for _ in range(50):
             bd = random_break_data(rng, primes=(5, 7, 11), n_max=4)
-            ti = TheoremInputs(bd.p, int(bd.e), bd.n, bd)
+            ti = TheoremInputs(bd)
             m_val = m0(ti)
             if m_val in (None, 0):
                 continue
@@ -317,17 +333,23 @@ class TestPhiEKClosedForm:
 
 class TestProotCheck:
     def test_n3_path(self):
-        rep = proot_check(TheoremInputs(5, 1, 3, ladder(5, 3)))
+        rep = proot_check(TheoremInputs(ladder(5, 3)))
         assert rep.l == 25 and rep.m == 1 and rep.guarantee == "p^1 (proot)"
         assert rep.n == 2  # runs on the degree-p^(n-1) subextension
 
     def test_hypothesis_gate(self):
-        rep = proot_check(TheoremInputs(5, 1, 2, ladder(5, 2)))
+        rep = proot_check(TheoremInputs(ladder(5, 2)))
         assert rep.status == "not_applicable" and rep.guarantee == "none"
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_reports_carry_the_zp_flag(self, flag):
+        for bd in (ladder(5, 2), ladder(5, 3)):
+            rep = proot_check(TheoremInputs(bd, contained_in_zp=flag))
+            assert rep.contained_in_zp is flag
 
     def test_p7_l_value(self):
         # l = ceil((p-1)/p * psi(u)) with u = 4 the top break: psi(4) = 400
-        rep = proot_check(TheoremInputs(7, 1, 4, ladder(7, 4)))
+        rep = proot_check(TheoremInputs(ladder(7, 4)))
         assert psi_from_breaks(ladder(7, 4))(4) == 400
         assert rep.l == 343
         assert rep.m == 2 and rep.guarantee == "p^2 (proot)"
