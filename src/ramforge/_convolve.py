@@ -41,6 +41,12 @@ Composition is Paterson-Stockmeyer (baby steps, giant steps): about
 takes L - 1.  It stays array-resident: int64 arrays while the direct or
 halves method fits, object arrays of Python ints past the halves band;
 see ``compose_mod``.
+
+Reciprocals and substitution inverses are Newton iterations.
+``recip_mod`` converts its operand once and runs its steps on arrays,
+taking the inverse of the first block from the caller when it knows it.
+``reversion_mod`` makes one composition per step, E = g(h), and reads
+1/g'(h) off the chain rule as h'/E' (Brent and Kung, J. ACM 25, 1978).
 """
 
 from __future__ import annotations
@@ -146,6 +152,15 @@ def conv_mod(a, b, n, mod):
     if len(out) < n:
         out.extend([0] * (n - len(out)))
     return out
+
+
+def array_dtype(mod, terms):
+    """The numpy dtype of residue arrays mod mod whose bilinear ops sum at
+    most terms products: int64 where ``_int64_exact`` holds, else object
+    (Python ints)."""
+    import numpy as np
+
+    return np.int64 if _int64_exact(mod, terms) else object
 
 
 def _residues(x, length, mod, dtype):
@@ -278,7 +293,7 @@ def compose_mod(outer, inner, n, mod, modulus=None):
     # a product coefficient sums at most width terms, a chunk coefficient
     # k*w <= width of them and a folded slot s <= width, so one test covers
     # all three
-    dtype = np.int64 if _int64_exact(mod, width) else object
+    dtype = array_dtype(mod, width)
     outer = _residues(outer, m * k * s, mod, dtype)
     inner = _residues(inner, width, mod, dtype)
     powers = [_residues([1], width, None, dtype), inner]
@@ -303,44 +318,64 @@ def compose_mod(outer, inner, n, mod, modulus=None):
     return acc.tolist()
 
 
-def recip_mod(a, n, mod, modulus=None):
-    """First n blocks of 1/a where a's first block is a unit.
+def recip_mod(a, n, mod, modulus=None, inv=None):
+    """First n >= 1 blocks of 1/a where a's first block is a unit.
 
-    Newton iteration h -> h - h*(a*h - 1) doubles the number of correct
-    blocks per step.
+    inv is the inverse of that block when the caller knows it; otherwise
+    ``unit_inverse`` computes it.  Newton iteration h -> h - h*(a*h - 1)
+    doubles the number of correct blocks per step.  With h correct through
+    k blocks, a*h - 1 vanishes below block k, so the step to m <= 2k blocks
+    sets blocks k .. m-1 of h to -h * ((a*h) / X^k), a product of m - k
+    blocks.
+
+    a is a sequence of ints, or an array as compose_mod passes them.  It is
+    converted once, and the steps run on arrays; array operands give an
+    array of a's dtype, anything else a list.
     """
     s = block_size(modulus)
-    h = unit_inverse(a, mod, modulus)
+    width = n * s
+    arrays = hasattr(a, "dtype")
+    dtype = a.dtype if arrays else array_dtype(mod, width)
+    a = _residues(a, width, mod, dtype)
+    if inv is None:
+        inv = unit_inverse(a[:s].tolist(), mod, modulus)
+    h = _residues(inv, width, mod, dtype)
     m = 1
     while m < n:
-        m = min(2 * m, n)
-        e = mul_mod(a[: m * s], h, m, mod, modulus)
-        e[0] -= 1
-        corr = mul_mod(h, e, m, mod, modulus)
-        h = h + [0] * (m * s - len(h))
-        h = [(x - y) % mod for x, y in zip(h, corr)]
-    return h + [0] * (n * s - len(h))
+        k, m = m, min(2 * m, n)
+        e = mul_mod(a[: m * s], h[: k * s], m, mod, modulus)[k * s :]
+        h[k * s : m * s] = -mul_mod(h[: (m - k) * s], e, m - k, mod, modulus) % mod
+    return h if arrays else h.tolist()
+
+
+def _derivative(x, n, s, mod):
+    """First n blocks of the X-derivative of the packed series x."""
+    return [(i // s) * c % mod for i, c in enumerate(x[s : (n + 1) * s], s)]
 
 
 def reversion_mod(g, n, mod, modulus=None):
     """First n blocks of the substitution inverse h of g, g(h) == X.
 
-    g's first block is zero and its second a unit.  Newton iteration on
-    h -> h - (g(h) - X)/g'(h); correct-through exponent k means
-    g(h) == X mod X^(k+1).
+    g's first block is zero and its second a unit.  Newton iteration
+    h -> h - (E - X)/g'(h) on E = g(h), one composition per step (Brent and
+    Kung): by the chain rule E' = g'(h) h', so 1/g'(h) = h'/E', and
+    E'(0) = g_1 h_1 = 1 needs no unit inverse.  Correct-through exponent k
+    means E == X mod X^(k+1), so the step to m <= 2k + 2 blocks needs h'/E'
+    only mod X^(m-k-1), against (E - X)/X^(k+1); it fills blocks k+1 .. m-1.
     """
     s = block_size(modulus)
     g = g[: n * s]
-    dg = [(i // s) * c % mod for i, c in enumerate(g)][s:]
+    one = [1] + [0] * (s - 1)
     h = [0] * s + unit_inverse(g[s:], mod, modulus)
     k = 1
     while k < n - 1:
         m = min(2 * k + 2, n)
-        hp = h + [0] * (m * s - len(h))
-        e = compose_mod(g[: m * s], hp, m, mod, modulus)
-        e[s] = (e[s] - 1) % mod
-        dgh = compose_mod(dg[: m * s], hp, m, mod, modulus)
-        corr = mul_mod(e, recip_mod(dgh, m, mod, modulus), m, mod, modulus)
-        h = [(a - b) % mod for a, b in zip(hp, corr)]
+        t = m - k - 1
+        h += [0] * (m * s - len(h))
+        e = compose_mod(g[: m * s], h, m, mod, modulus)
+        ratio = mul_mod(_derivative(h, t, s, mod),
+                        recip_mod(_derivative(e, t, s, mod), t, mod, modulus, one), t, mod, modulus)
+        corr = mul_mod(e[(k + 1) * s :], ratio, t, mod, modulus)
+        h[(k + 1) * s :] = [-c % mod for c in corr]
         k = 2 * k + 1
     return h + [0] * (n * s - len(h))

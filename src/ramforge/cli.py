@@ -31,7 +31,7 @@ def _load(source):
     if not text.startswith(("{", "[")):
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return json.loads(text)
+    return json.loads(text, parse_int=jsonio.parse_decimal)
 
 
 def _int_list(text):

@@ -52,13 +52,25 @@ def int_out(v):
     return v if abs(v) < _SAFE_INT else _decimal(v)
 
 
+def parse_decimal(text):
+    """The int of a decimal string.  Past Python's limit on decimal-to-int
+    conversion the ValueError names the cause, not Python's remedy."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(
+            f"the input has an integer of more than {sys.get_int_max_str_digits()} digits, "
+            "too long to read"
+        ) from None
+
+
 def int_in(v):
     """An int from a JSON integer or a decimal string (as int_out writes
     past 2^53); bools, floats and any other string raise ValueError."""
     if type(v) is int:
         return v
     if isinstance(v, str) and re.fullmatch(r"-?[0-9]+", v):
-        return int(v)
+        return parse_decimal(v)
     raise ValueError(f"expected an integer, got {v!r}")
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from ._convolve import conv_mod, recip_mod
+from ._convolve import array_dtype, conv_mod, recip_mod
 from .errors import PrecisionError
 from .gfseries import FiniteField, TruncSeries, _from_packed, vp
 from .nottingham import IndexReport, certified_depths, compose_power, index_of, p_chain, upper_from_lower
@@ -147,20 +147,21 @@ def _divide_level(prev, cur, n):
         )
 
     v_lo = min((vp(c, p, P) for c in den[:i0]), default=P)
-    den_lo = list(den[:i0])
-    den_hi = list(den[i0:L])
-    den_hi_inv = recip_mod(den_hi, K, mod)
+    import numpy as np
 
-    q = [0] * K
-    num_l = list(num)
+    # every product below sums at most L terms
+    dtype = array_dtype(mod, L)
+    num = np.asarray(num, dtype=dtype)
+    den = np.asarray(den, dtype=dtype)
+    den_lo = den[:i0]
+    den_hi_inv = recip_mod(den[i0:], K, mod)
+
+    q = np.zeros(K, dtype=dtype)
     converged = False
     for _ in range(math.ceil(P / max(v_lo, 1)) + 2):
-        t = list(num_l)
-        if den_lo:
-            prod = conv_mod(q, den_lo, L, mod)
-            t = [(a - b) % mod for a, b in zip(t, prod)]
+        t = (num - conv_mod(q, den_lo, L, mod)) % mod if i0 else num
         q_new = conv_mod(t[i0:], den_hi_inv, K, mod)
-        if q_new == q:
+        if np.array_equal(q_new, q):
             converged = True
             break
         q = q_new
@@ -178,12 +179,12 @@ def _divide_level(prev, cur, n):
     # den_(j-k) of valuation >= v_lo; coeff_prec falls with k, so residual j
     # is certified to coeff_prec[min(j, K - 1)] + v_lo digits, and only
     # those must vanish
-    residual = [(a - b) % mod for a, b in zip(num_l, conv_mod(q, list(den), L, mod))]
+    residual = ((num[:i0] - conv_mod(q, den, i0, mod)) % mod).tolist()
     if any(residual[j] % p ** min(P, coeff_prec[min(j, K - 1)] + v_lo) for j in range(i0)):
         raise ValueError(
             "division is inexact at certified digits: the series is not of the required form"
         )
-    return DividedSeries(_from_packed(f, q, K), coeff_prec)
+    return DividedSeries(_from_packed(f, q.tolist(), K), coeff_prec)
 
 
 @dataclass(frozen=True)

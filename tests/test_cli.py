@@ -254,6 +254,27 @@ class TestCheck:
         )
         assert time.perf_counter() - started < 1
 
+    def test_fshift_sum_check_past_the_digit_limit_is_input_error(self, capsys):
+        # 5^20001 has about 14,000 digits; the sum used to run for seconds
+        started = time.perf_counter()
+        code, doc = run(capsys, "check", "fshift", "--p", "5", "--e", "4", "--m", "20000", "--sum-check")
+        assert code == 2 and doc["error"]["type"] == "input"
+        assert doc["error"]["reason"] == (
+            f"m = 20000 is too large: p^(m+1) has more than {sys.get_int_max_str_digits()} digits"
+        )
+        assert time.perf_counter() - started < 1
+
+    @pytest.mark.parametrize("quote", ['"', ""], ids=["string", "number"])
+    def test_integer_too_long_to_read_is_input_error(self, capsys, quote):
+        digits = "7" * (sys.get_int_max_str_digits() + 700)
+        doc = f'{{"p": 5, "e": 1, "upper": [1, 2], "a": {quote}{digits}{quote}}}'
+        code, doc = run(capsys, "check", "main", "--input", doc)
+        assert code == 2 and doc["error"]["type"] == "input"
+        assert doc["error"]["reason"] == (
+            f"the input has an integer of more than {sys.get_int_max_str_digits()} digits, "
+            "too long to read"
+        )
+
     def test_fshift_zero_p_is_input_error(self, capsys):
         code, doc = run(capsys, "check", "fshift", "--p", "0", "--e", "1", "--m", "1")
         assert code == 2 and doc["error"]["type"] == "input"

@@ -8,13 +8,15 @@ packed F_{p^w} series.
 
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ramforge import _convolve
 from ramforge._convolve import compose_mod, conv_mod, mul_mod, recip_mod, reversion_mod
 
-from helpers import brute_compose, exact_int_compose, ext_compose, poly_mul_mod
+from helpers import brute_comp_inverse, brute_compose, exact_int_compose, ext_compose, poly_mul_mod
 
 # (p, monic irreducible modulus, low degree first) for F4, F9 and F27
 EXTENSIONS = {
@@ -236,3 +238,49 @@ class TestRoundTrips:
             g = random_series(rng, mod, modulus, n, 1)
             x = [0] * s + [1] + [0] * ((n - 1) * s - 1)
             assert compose_mod(g, reversion_mod(g, n, mod, modulus), n, mod, modulus) == x
+
+    @pytest.mark.parametrize("mod, modulus", RINGS, ids=IDS)
+    def test_reciprocal_of_arrays_and_known_inverse(self, mod, modulus):
+        # array operands give an array of their dtype; a given inverse of the
+        # first block gives the same reciprocal as the computed one
+        import numpy as np
+
+        s = _convolve.block_size(modulus)
+        rng = random.Random(53)
+        for n in (1, 5, 30):
+            a = random_series(rng, mod, modulus, n, 0)
+            want = recip_mod(a, n, mod, modulus)
+            inv = want[:s]
+            assert recip_mod(a, n, mod, modulus, inv) == want
+            dtype = _convolve.array_dtype(mod, n * s)
+            got = recip_mod(np.asarray(a, dtype=dtype), n, mod, modulus)
+            assert isinstance(got, np.ndarray) and got.dtype == dtype and got.tolist() == want
+
+
+# (mod, modulus) for reversion: F_p, F_4 .. F_27, and Z/p^P in the int64
+# halves band (7^10) and past it (3^40)
+REVERSION_RINGS = [
+    (2, None), (3, None), (5, None), (7**10, None), (3**40, None),
+    (2, EXTENSIONS["F4"][1]), (2, (1, 1, 0, 1)), (3, EXTENSIONS["F9"][1]),
+    (2, (1, 1, 0, 0, 1)), (5, (2, 0, 1)), (3, EXTENSIONS["F27"][1]),
+]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(ring=st.sampled_from(REVERSION_RINGS), n=st.integers(2, 70), seed=st.integers(0, 2**32))
+@example(ring=(5, None), n=20, seed=0)  # last step clipped from 32 blocks to 20
+@example(ring=(3**40, None), n=70, seed=0)
+@example(ring=(3, EXTENSIONS["F27"][1]), n=3, seed=0)  # one step, clipped from 4 to 3
+def test_reversion_one_composition_per_step(ring, n, seed):
+    mod, modulus = ring
+    s = _convolve.block_size(modulus)
+    g = random_series(random.Random(seed), mod, modulus, n, 1)
+    with mock.patch.object(_convolve, "compose_mod", wraps=_convolve.compose_mod) as spy:
+        h = reversion_mod(g, n, mod, modulus)
+    # Newton step j makes g(h) == X correct through X^(2^(j+1) - 1)
+    assert spy.call_count == (n - 1).bit_length() - 1
+    x = [0] * s + [1] + [0] * ((n - 1) * s - 1)
+    assert compose_mod(g, h, n, mod, modulus) == x
+    assert compose_mod(h, g, n, mod, modulus) == x
+    if modulus is None and mod < 7 and n <= 24:
+        assert h == brute_comp_inverse(g, mod, n)
