@@ -43,10 +43,10 @@ halves method fits, object arrays of Python ints past the halves band;
 see ``compose_mod``.
 
 Reciprocals and substitution inverses are Newton iterations.
-``recip_mod`` converts its operand once and runs its steps on arrays,
-taking the inverse of the first block from the caller when it knows it.
+``recip_mod`` converts its operand once and runs its steps on arrays.
 ``reversion_mod`` makes one composition per step, E = g(h), and reads
-1/g'(h) off the chain rule as h'/E' (Brent and Kung, J. ACM 25, 1978).
+1/g'(h) off the chain rule as h'/E' (Brent and Kung, J. ACM 25, 1978),
+where 1/E' is 2 - E' to the precision the step needs.
 """
 
 from __future__ import annotations
@@ -221,7 +221,7 @@ def _fold(c, n, mod, modulus):
     arr = c
     if not hasattr(c, "dtype"):
         # a folded slot sums s products of two residues
-        arr = np.asarray(c, dtype=np.int64 if _int64_exact(mod, s) else object)
+        arr = np.asarray(c, dtype=array_dtype(mod, s))
     blocks = arr[: n * s].reshape(n, s)
     blocks[:, :w] = _bilinear(np.matmul, blocks, np.asarray(rows, dtype=arr.dtype), s, mod)
     blocks[:, w:] = 0
@@ -318,15 +318,13 @@ def compose_mod(outer, inner, n, mod, modulus=None):
     return acc.tolist()
 
 
-def recip_mod(a, n, mod, modulus=None, inv=None):
+def recip_mod(a, n, mod, modulus=None):
     """First n >= 1 blocks of 1/a where a's first block is a unit.
 
-    inv is the inverse of that block when the caller knows it; otherwise
-    ``unit_inverse`` computes it.  Newton iteration h -> h - h*(a*h - 1)
-    doubles the number of correct blocks per step.  With h correct through
-    k blocks, a*h - 1 vanishes below block k, so the step to m <= 2k blocks
-    sets blocks k .. m-1 of h to -h * ((a*h) / X^k), a product of m - k
-    blocks.
+    Newton iteration h -> h - h*(a*h - 1) doubles the number of correct
+    blocks per step.  With h correct through k blocks, a*h - 1 vanishes
+    below block k, so the step to m <= 2k blocks sets blocks k .. m-1 of h
+    to -h * ((a*h) / X^k), a product of m - k blocks.
 
     a is a sequence of ints, or an array as compose_mod passes them.  It is
     converted once, and the steps run on arrays; array operands give an
@@ -337,9 +335,7 @@ def recip_mod(a, n, mod, modulus=None, inv=None):
     arrays = hasattr(a, "dtype")
     dtype = a.dtype if arrays else array_dtype(mod, width)
     a = _residues(a, width, mod, dtype)
-    if inv is None:
-        inv = unit_inverse(a[:s].tolist(), mod, modulus)
-    h = _residues(inv, width, mod, dtype)
+    h = _residues(unit_inverse(a[:s].tolist(), mod, modulus), width, mod, dtype)
     m = 1
     while m < n:
         k, m = m, min(2 * m, n)
@@ -358,14 +354,15 @@ def reversion_mod(g, n, mod, modulus=None):
 
     g's first block is zero and its second a unit.  Newton iteration
     h -> h - (E - X)/g'(h) on E = g(h), one composition per step (Brent and
-    Kung): by the chain rule E' = g'(h) h', so 1/g'(h) = h'/E', and
-    E'(0) = g_1 h_1 = 1 needs no unit inverse.  Correct-through exponent k
-    means E == X mod X^(k+1), so the step to m <= 2k + 2 blocks needs h'/E'
-    only mod X^(m-k-1), against (E - X)/X^(k+1); it fills blocks k+1 .. m-1.
+    Kung): by the chain rule E' = g'(h) h', so 1/g'(h) = h'/E'.
+    Correct-through exponent k means E == X mod X^(k+1), so the step to
+    m <= 2k + 2 blocks needs h'/E' only mod X^(m-k-1), against
+    (E - X)/X^(k+1); it fills blocks k+1 .. m-1.  E' = 1 + D with D
+    vanishing below X^k, so D^2 vanishes below X^(2k), and m - k - 1 <= 2k:
+    mod X^(m-k-1), 1/E' = 1 - D = 2 - E', with no reciprocal to compute.
     """
     s = block_size(modulus)
     g = g[: n * s]
-    one = [1] + [0] * (s - 1)
     h = [0] * s + unit_inverse(g[s:], mod, modulus)
     k = 1
     while k < n - 1:
@@ -373,8 +370,9 @@ def reversion_mod(g, n, mod, modulus=None):
         t = m - k - 1
         h += [0] * (m * s - len(h))
         e = compose_mod(g[: m * s], h, m, mod, modulus)
-        ratio = mul_mod(_derivative(h, t, s, mod),
-                        recip_mod(_derivative(e, t, s, mod), t, mod, modulus, one), t, mod, modulus)
+        inv = [-c % mod for c in _derivative(e, t, s, mod)]
+        inv[0] = (inv[0] + 2) % mod
+        ratio = mul_mod(_derivative(h, t, s, mod), inv, t, mod, modulus)
         corr = mul_mod(e[(k + 1) * s :], ratio, t, mod, modulus)
         h[(k + 1) * s :] = [-c % mod for c in corr]
         k = 2 * k + 1

@@ -12,10 +12,27 @@ increasing upper breaks with index jumps of p.  Repeated breaks
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+
+
+def parse_decimal(text, kind=int):
+    """kind(text) for a reader of decimal text, int or Fraction.  Past
+    Python's limit on decimal-to-int conversion, whose ValueError names
+    ``sys.set_int_max_str_digits`` as the remedy, the ValueError names the
+    cause instead; any other ValueError passes unchanged."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        if "int_max_str_digits" not in str(exc):
+            raise
+        raise ValueError(
+            f"the input has an integer of more than {sys.get_int_max_str_digits()} digits, "
+            "too long to read"
+        ) from None
 
 
 def frac_in(x):
@@ -26,9 +43,9 @@ def frac_in(x):
         return x
     try:
         if isinstance(x, (int, str)):
-            return Fraction(x)
+            return parse_decimal(x, Fraction)
         if isinstance(x, (tuple, list)) and len(x) == 2:
-            return Fraction(int(x[0]), int(x[1]))
+            return Fraction(parse_decimal(x[0]), parse_decimal(x[1]))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {x!r}") from None
     raise ValueError(f"not an exact rational: {x!r}")

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .gfseries import FiniteField, TruncSeries
-from .herbrand import BreakData, PLFunc, frac_in
+from .herbrand import BreakData, PLFunc, frac_in, parse_decimal
 from .nottingham import AtLeast
 from .pdyn import PadicSeries
 from .ramcheck import TheoremInputs
@@ -50,18 +50,6 @@ def _decimal(v):
 def int_out(v):
     v = int(v)
     return v if abs(v) < _SAFE_INT else _decimal(v)
-
-
-def parse_decimal(text):
-    """The int of a decimal string.  Past Python's limit on decimal-to-int
-    conversion the ValueError names the cause, not Python's remedy."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(
-            f"the input has an integer of more than {sys.get_int_max_str_digits()} digits, "
-            "too long to read"
-        ) from None
 
 
 def int_in(v):

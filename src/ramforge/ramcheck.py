@@ -12,7 +12,6 @@ just a boolean.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -63,22 +62,29 @@ def _class_value(tp, v):
     return 0 if v is None else tp.e0 * (tp.p ** (v + 1) - 1)
 
 
+# The work bound of f_shift_sum_check: at most this many decimal digits in
+# p^(m+1).  At the bound the sum takes under a second (p = 2, m = 14,280).
+SUM_CHECK_DIGITS = 4300
+
+
 def f_shift_sum_check(tp, m):
     """Verify the window sum over one period equals (m+1)*e0*(p^(m+1)-p^m).
 
     f_shift reads t0 = t - e0*p^m in 0 .. s*p^m - 1 only through its class,
     so the sum takes each class value once, times the class size: the
     (s-1)*p^m values s does not divide, t0 = 0 at level m, and the
-    p^(m-v-1)*(p-1) multiples of s at each level v < m.  An m for which
-    p^(m+1) is past Python's limit on int-to-decimal conversion raises
-    ValueError: the class values could not be printed, and summing the
-    m + 2 classes, with values up to e0*p^(m+1), would take seconds.
+    p^(m-v-1)*(p-1) multiples of s at each level v < m.  The m + 2 class
+    values reach e0*p^(m+1), so the work grows like m times the size of
+    p^(m+1): an m for which p^(m+1) has more than ``SUM_CHECK_DIGITS``
+    decimal digits raises ValueError.
     """
     p, s, e0 = tp.p, tp.s, tp.e0
-    # p^(m+1) has more than `limit` digits when (m+1) log10(p) >= limit
-    limit = sys.get_int_max_str_digits()
-    if limit and (m + 1) * math.log10(p) >= limit:
-        raise ValueError(f"m = {m} is too large: p^(m+1) has more than {limit} digits")
+    # p^(m+1) has more than SUM_CHECK_DIGITS digits when (m+1) log10(p) >= it
+    if (m + 1) * math.log10(p) >= SUM_CHECK_DIGITS:
+        raise ValueError(
+            f"m = {m} is too large for the sum check: p^(m+1) has more than "
+            f"{SUM_CHECK_DIGITS} digits"
+        )
     classes = [(None, (s - 1) * p**m), (m, 1)]
     classes += [(v, p ** (m - v - 1) * (p - 1)) for v in range(m)]
     total = sum(size * _class_value(tp, v) for v, size in classes)

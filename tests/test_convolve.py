@@ -240,9 +240,8 @@ class TestRoundTrips:
             assert compose_mod(g, reversion_mod(g, n, mod, modulus), n, mod, modulus) == x
 
     @pytest.mark.parametrize("mod, modulus", RINGS, ids=IDS)
-    def test_reciprocal_of_arrays_and_known_inverse(self, mod, modulus):
-        # array operands give an array of their dtype; a given inverse of the
-        # first block gives the same reciprocal as the computed one
+    def test_reciprocal_of_arrays(self, mod, modulus):
+        # array operands give an array of their dtype
         import numpy as np
 
         s = _convolve.block_size(modulus)
@@ -250,8 +249,6 @@ class TestRoundTrips:
         for n in (1, 5, 30):
             a = random_series(rng, mod, modulus, n, 0)
             want = recip_mod(a, n, mod, modulus)
-            inv = want[:s]
-            assert recip_mod(a, n, mod, modulus, inv) == want
             dtype = _convolve.array_dtype(mod, n * s)
             got = recip_mod(np.asarray(a, dtype=dtype), n, mod, modulus)
             assert isinstance(got, np.ndarray) and got.dtype == dtype and got.tolist() == want

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
@@ -117,6 +118,20 @@ class TestFShiftSumCheck:
                 monkeypatch.setattr(ramcheck, "_class_value", shifted)
                 assert (f_shift_window_sum(f_shift, tp, m) == expected) is kept
                 assert f_shift_sum_check(tp, m) is kept
+
+    def test_work_bound_is_fixed(self):
+        # p^(m+1) for p = 10007 passes 4300 digits between m = 1073 and 1074;
+        # the bound does not move with the interpreter's printing limit
+        tp = tame_params(10007, 1)
+        limit = sys.get_int_max_str_digits()
+        try:
+            for setting in (0, 640, 10**5):
+                sys.set_int_max_str_digits(setting)
+                assert f_shift_sum_check(tp, 1073)
+                with pytest.raises(ValueError, match="too large for the sum check"):
+                    f_shift_sum_check(tp, 1074)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestGFloor:
