@@ -1,11 +1,11 @@
 """The ramforge command line: JSON in, JSON out, deterministic output.
 
-Exit codes: 0 success, 2 input validation failure (including input
-nested too deeply to parse), 3 precision insufficiency (retry with a
-larger truncation or coefficient precision), 4 a toolkit defect: a failed
-internal cross-check (type ``invariant``) or any other exception (type
-``internal``, with its traceback on stderr); either way the answer is
-withheld.  Error documents are structured JSON with a type and a
+Exit codes: 0 success, 2 input validation failure (including a usage
+error and input nested too deeply to parse), 3 precision insufficiency
+(retry with a larger truncation or coefficient precision), 4 a toolkit
+defect: a failed internal cross-check (type ``invariant``) or any other
+exception (type ``internal``, with its traceback on stderr); either way
+the answer is withheld.  Error documents are structured JSON with a type and a
 machine-readable reason.
 """
 
@@ -34,14 +34,6 @@ def _load(source):
     return json.loads(text, parse_int=jsonio.parse_decimal)
 
 
-def _int_list(text):
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _frac_list(text):
-    return [jsonio.frac_in(tok.strip()) for tok in text.split(",") if tok.strip()]
-
-
 def _emit(doc, fmt):
     # rendered whole before printing, so a document that fails to render
     # prints nothing before the error document
@@ -60,210 +52,140 @@ def _tabulate(doc, prefix=""):
         yield f"{prefix[:-1]}: {doc}"
 
 
-# -- handlers ---------------------------------------------------------------
+# -- the command table --------------------------------------------------------
+#
+# Each flag is read from its text after parsing, inside main's error
+# handling: integers and rationals as a document's are, documents (inline
+# JSON or a file path) by their wire-format reader.
 
 
-def _series_cmd(args):
-    if args.op == "compose":
-        out = jsonio.series_in(_load(args.outer)).compose(jsonio.series_in(_load(args.inner)))
-        return jsonio.series_out(out)
-    if args.op == "iterate":
-        return jsonio.series_out(p_iterate(jsonio.series_in(_load(args.series)), args.n))
-    if args.op == "depth":
-        return {"depth": jsonio.depth_out(depth(jsonio.series_in(_load(args.series))))}
-    if args.op == "inverse":
-        return jsonio.series_out(jsonio.series_in(_load(args.series)).comp_inverse())
-    raise AssertionError(args.op)
+def _doc(read):
+    """The reader of a document: inline JSON or a file path."""
+    return lambda text: read(_load(text))
 
 
-def _breaks_cmd(args):
-    if args.op == "lower":
-        rs = lower_breaks(jsonio.series_in(_load(args.series)), args.n_max)
-        return jsonio.ram_sequence_out(rs)
-    if args.op == "upper":
-        return {"upper": [jsonio.int_out(b) for b in upper_from_lower(args.p, _int_list(args.lower))]}
-    if args.op == "index":
-        return jsonio.index_report_out(index_of(args.p, _frac_list(args.upper)))
-    if args.op == "validate":
-        return jsonio.verdict_out(validate_breaks(jsonio.break_data_in(_load(args.input))))
-    raise AssertionError(args.op)
+def _each(read):
+    """The reader of a comma-separated list."""
+    return lambda text: [read(tok.strip()) for tok in text.split(",") if tok.strip()]
 
 
-def _herbrand_cmd(args):
-    if args.op == "psi":
-        return jsonio.plfunc_out(psi_from_breaks(jsonio.break_data_in(_load(args.input))))
-    if args.op == "phi":
-        return jsonio.plfunc_out(phi_from_breaks(jsonio.break_data_in(_load(args.input))))
-    if args.op == "eval":
-        f = jsonio.plfunc_in(_load(args.plfunc))
-        return {"value": jsonio.frac_out(f(jsonio.frac_in(args.x)))}
-    if args.op == "compose":
-        f = jsonio.plfunc_in(_load(args.outer))
-        g = jsonio.plfunc_in(_load(args.inner))
-        return jsonio.plfunc_out(pl_compose(f, g))
-    raise AssertionError(args.op)
+_INT, _FRAC = jsonio.int_in, jsonio.frac_in
+_SERIES, _PADIC = _doc(jsonio.series_in), _doc(jsonio.padic_in)
+_BREAKS, _INPUTS = _doc(jsonio.break_data_in), _doc(jsonio.theorem_inputs_in)
+_PLFUNC, _MORPHISM = _doc(jsonio.plfunc_in), _doc(jsonio.morphism_in)
 
 
-def _trunc_cmd(args):
-    if args.op == "compose":
-        g = jsonio.morphism_in(_load(args.g))
-        f = jsonio.morphism_in(_load(args.f))
-        return jsonio.morphism_out(compose_morphism(g, f))
-    if args.op == "extension":
-        return {"is_extension": is_extension(jsonio.morphism_in(_load(args.f)))}
-    if args.op == "requiv":
-        f = jsonio.morphism_in(_load(args.f))
-        f2 = jsonio.morphism_in(_load(args.f2))
-        return {"r_equivalent": r_equivalent(f, f2, args.c)}
-    if args.op == "iso":
-        return {"is_isomorphism": is_isomorphism(jsonio.morphism_in(_load(args.f)))}
-    raise AssertionError(args.op)
+def _fshift(p, e, m, t, sum_check):
+    tp = tame_params(p, e)
+    if sum_check:
+        return {"sum_check": f_shift_sum_check(tp, m)}
+    return {"f": jsonio.int_out(f_shift(tp, m, t))}
 
 
-def _check_cmd(args):
-    if args.op == "main":
-        return jsonio.condition_report_out(check_conditions(jsonio.theorem_inputs_in(_load(args.input))))
-    if args.op == "proot":
-        return jsonio.condition_report_out(proot_check(jsonio.theorem_inputs_in(_load(args.input))))
-    if args.op == "m0":
-        return {"m0": m0(jsonio.theorem_inputs_in(_load(args.input)))}
-    if args.op == "fshift":
-        tp = tame_params(args.p, args.e)
-        if args.sum_check:
-            return {"sum_check": f_shift_sum_check(tp, args.m)}
-        return {"f": jsonio.int_out(f_shift(tp, args.m, args.t))}
-    raise AssertionError(args.op)
+# group -> (help, {command -> (handler, *flags)}); a flag is (name, reader)
+# or (name, reader, argparse keywords), and is required unless it has a
+# default.  The handler takes each flag's value by its argparse dest.
+_COMMANDS = {
+    "series": ("truncated series operations", {
+        "compose": (lambda outer, inner: jsonio.series_out(outer.compose(inner)),
+                    ("--outer", _SERIES), ("--inner", _SERIES)),
+        "iterate": (lambda series, n: jsonio.series_out(p_iterate(series, n)),
+                    ("--series", _SERIES), ("--n", _INT, {"help": "compose p^n times"})),
+        "depth": (lambda series: {"depth": jsonio.depth_out(depth(series))}, ("--series", _SERIES)),
+        "inverse": (lambda series: jsonio.series_out(series.comp_inverse()), ("--series", _SERIES)),
+    }),
+    "breaks": ("ramification break sequences", {
+        "lower": (lambda series, n_max: jsonio.ram_sequence_out(lower_breaks(series, n_max)),
+                  ("--series", _SERIES), ("--n-max", _INT)),
+        "upper": (lambda p, lower: {"upper": [jsonio.int_out(b) for b in upper_from_lower(p, lower)]},
+                  ("--p", _INT), ("--lower", _each(_INT), {"help": "comma-separated lower breaks"})),
+        "index": (lambda p, upper: jsonio.index_report_out(index_of(p, upper)),
+                  ("--p", _INT), ("--upper", _each(_FRAC), {"help": "comma-separated upper breaks"})),
+        "validate": (lambda input: jsonio.verdict_out(validate_breaks(input)),
+                     ("--input", _BREAKS, {"help": "break-data JSON"})),
+    }),
+    "herbrand": ("piecewise-linear transfer functions", {
+        "psi": (lambda input: jsonio.plfunc_out(psi_from_breaks(input)), ("--input", _BREAKS)),
+        "phi": (lambda input: jsonio.plfunc_out(phi_from_breaks(input)), ("--input", _BREAKS)),
+        "eval": (lambda plfunc, x: {"value": jsonio.frac_out(plfunc(x))},
+                 ("--func", _PLFUNC, {"dest": "plfunc"}),
+                 ("--x", _FRAC, {"help": "rational evaluation point, e.g. 13/4"})),
+        "compose": (lambda outer, inner: jsonio.plfunc_out(pl_compose(outer, inner)),
+                    ("--outer", _PLFUNC), ("--inner", _PLFUNC)),
+    }),
+    "trunc": ("truncated valuation ring morphisms", {
+        "compose": (lambda g, f: jsonio.morphism_out(compose_morphism(g, f)),
+                    ("--g", _MORPHISM), ("--f", _MORPHISM)),
+        "extension": (lambda f: {"is_extension": is_extension(f)}, ("--f", _MORPHISM)),
+        "requiv": (lambda f, f2, c: {"r_equivalent": r_equivalent(f, f2, c)},
+                   ("--f", _MORPHISM), ("--f2", _MORPHISM), ("--c", _INT)),
+        "iso": (lambda f: {"is_isomorphism": is_isomorphism(f)}, ("--f", _MORPHISM)),
+    }),
+    "check": ("theorem-condition evaluation", {
+        "main": (lambda input: jsonio.condition_report_out(check_conditions(input)),
+                 ("--input", _INPUTS, {"help": "theorem-inputs JSON"})),
+        "proot": (lambda input: jsonio.condition_report_out(proot_check(input)), ("--input", _INPUTS)),
+        "m0": (lambda input: {"m0": m0(input)}, ("--input", _INPUTS)),
+        "fshift": (_fshift, ("--p", _INT), ("--e", _INT), ("--m", _INT), ("--t", _INT, {"default": "0"}),
+                   ("--sum-check", bool, {"action": "store_true", "default": False})),
+    }),
+    "dynamics": ("p-adic dynamical systems", {
+        "analyze": (lambda series, levels: jsonio.dynamics_report_out(analyze(series, levels)),
+                    ("--series", _PADIC), ("--levels", _INT)),
+        "newton": (lambda series, degree: jsonio.polygon_out(newton_polygon(series, degree)),
+                   ("--series", _PADIC), ("--degree", _INT)),
+        "qn": (lambda series, n: jsonio.divided_out(qn_divide(series, n)),
+               ("--series", _PADIC), ("--n", _INT)),
+    }),
+}
 
 
-def _dynamics_cmd(args):
-    if args.op == "analyze":
-        u = jsonio.padic_in(_load(args.series))
-        return jsonio.dynamics_report_out(analyze(u, args.levels))
-    if args.op == "newton":
-        f = jsonio.padic_in(_load(args.series))
-        return jsonio.polygon_out(newton_polygon(f, args.degree))
-    if args.op == "qn":
-        u = jsonio.padic_in(_load(args.series))
-        return jsonio.divided_out(qn_divide(u, args.n))
-    raise AssertionError(args.op)
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ValueError, which main writes as an input error."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ramforge",
         description="Exact computations on power-series groups, break data, "
         "truncated valuation rings, and p-adic dynamics.",
     )
     parser.add_argument("--format", choices=("json", "table"), default="json")
-    sub = parser.add_subparsers(dest="group", required=True)
-
-    series = sub.add_parser("series", help="truncated series operations")
-    sser = series.add_subparsers(dest="op", required=True)
-    c = sser.add_parser("compose")
-    c.add_argument("--outer", required=True)
-    c.add_argument("--inner", required=True)
-    c = sser.add_parser("iterate")
-    c.add_argument("--series", required=True)
-    c.add_argument("--n", type=int, required=True, help="compose p^n times")
-    c = sser.add_parser("depth")
-    c.add_argument("--series", required=True)
-    c = sser.add_parser("inverse")
-    c.add_argument("--series", required=True)
-    series.set_defaults(func=_series_cmd)
-
-    breaks = sub.add_parser("breaks", help="ramification break sequences")
-    sbr = breaks.add_subparsers(dest="op", required=True)
-    c = sbr.add_parser("lower")
-    c.add_argument("--series", required=True)
-    c.add_argument("--n-max", type=int, required=True)
-    c = sbr.add_parser("upper")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--lower", required=True, help="comma-separated lower breaks")
-    c = sbr.add_parser("index")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--upper", required=True, help="comma-separated upper breaks")
-    c = sbr.add_parser("validate")
-    c.add_argument("--input", required=True, help="break-data JSON")
-    breaks.set_defaults(func=_breaks_cmd)
-
-    herb = sub.add_parser("herbrand", help="piecewise-linear transfer functions")
-    sh = herb.add_subparsers(dest="op", required=True)
-    c = sh.add_parser("psi")
-    c.add_argument("--input", required=True)
-    c = sh.add_parser("phi")
-    c.add_argument("--input", required=True)
-    c = sh.add_parser("eval")
-    c.add_argument("--func", dest="plfunc", required=True)
-    c.add_argument("--x", required=True, help="rational evaluation point, e.g. 13/4")
-    c = sh.add_parser("compose")
-    c.add_argument("--outer", required=True)
-    c.add_argument("--inner", required=True)
-    herb.set_defaults(func=_herbrand_cmd)
-
-    trunc = sub.add_parser("trunc", help="truncated valuation ring morphisms")
-    st = trunc.add_subparsers(dest="op", required=True)
-    c = st.add_parser("compose")
-    c.add_argument("--g", required=True)
-    c.add_argument("--f", required=True)
-    c = st.add_parser("extension")
-    c.add_argument("--f", required=True)
-    c = st.add_parser("requiv")
-    c.add_argument("--f", required=True)
-    c.add_argument("--f2", required=True)
-    c.add_argument("--c", type=int, required=True)
-    c = st.add_parser("iso")
-    c.add_argument("--f", required=True)
-    trunc.set_defaults(func=_trunc_cmd)
-
-    check = sub.add_parser("check", help="theorem-condition evaluation")
-    sc = check.add_subparsers(dest="op", required=True)
-    c = sc.add_parser("main")
-    c.add_argument("--input", required=True, help="theorem-inputs JSON")
-    c = sc.add_parser("proot")
-    c.add_argument("--input", required=True)
-    c = sc.add_parser("m0")
-    c.add_argument("--input", required=True)
-    c = sc.add_parser("fshift")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--e", type=int, required=True)
-    c.add_argument("--m", type=int, required=True)
-    c.add_argument("--t", type=int, default=0)
-    c.add_argument("--sum-check", action="store_true")
-    check.set_defaults(func=_check_cmd)
-
-    dyn = sub.add_parser("dynamics", help="p-adic dynamical systems")
-    sd = dyn.add_subparsers(dest="op", required=True)
-    c = sd.add_parser("analyze")
-    c.add_argument("--series", required=True)
-    c.add_argument("--levels", type=int, required=True)
-    c = sd.add_parser("newton")
-    c.add_argument("--series", required=True)
-    c.add_argument("--degree", type=int, required=True)
-    c = sd.add_parser("qn")
-    c.add_argument("--series", required=True)
-    c.add_argument("--n", type=int, required=True)
-    dyn.set_defaults(func=_dynamics_cmd)
-
+    groups = parser.add_subparsers(dest="group", required=True)
+    for group, (help_, commands) in _COMMANDS.items():
+        ops = groups.add_parser(group, help=help_).add_subparsers(dest="op", required=True)
+        for op, (handler, *flags) in commands.items():
+            cmd = ops.add_parser(op)
+            readers = {}
+            for name, read, *kw in flags:
+                kw = dict(*kw)
+                readers[cmd.add_argument(name, required="default" not in kw, **kw).dest] = read
+            cmd.set_defaults(command=(handler, readers))
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    fmt = "json"
     try:
-        _emit(args.func(args), args.format)
+        args = _build_parser().parse_args(argv)
+        fmt = args.format
+        handler, readers = args.command
+        _emit(handler(**{dest: read(getattr(args, dest)) for dest, read in readers.items()}), fmt)
     except PrecisionError as exc:
-        _emit({"error": {"type": "precision", "reason": str(exc)}}, args.format)
+        _emit({"error": {"type": "precision", "reason": str(exc)}}, fmt)
         return 3
     except InvariantError as exc:
-        _emit({"error": {"type": "invariant", "reason": str(exc)}}, args.format)
+        _emit({"error": {"type": "invariant", "reason": str(exc)}}, fmt)
         return 4
     except (ValueError, KeyError, TypeError, OSError, RecursionError) as exc:
-        _emit({"error": {"type": "input", "reason": str(exc)}}, args.format)
+        _emit({"error": {"type": "input", "reason": str(exc)}}, fmt)
         return 2
     except Exception as exc:
         traceback.print_exc()
-        _emit({"error": {"type": "internal", "reason": f"{type(exc).__name__}: {exc}"}}, args.format)
+        _emit({"error": {"type": "internal", "reason": f"{type(exc).__name__}: {exc}"}}, fmt)
         return 4
     return 0
 

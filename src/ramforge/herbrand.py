@@ -12,20 +12,23 @@ increasing upper breaks with index jumps of p.  Repeated breaks
 
 from __future__ import annotations
 
+import re
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+from .gfseries import _require_prime
 
-def parse_decimal(text, kind=int):
-    """kind(text) for a reader of decimal text, int or Fraction.  Past
-    Python's limit on decimal-to-int conversion, whose ValueError names
+
+def parse_decimal(text):
+    """int(text) for a reader of decimal text.  Past Python's limit on
+    decimal-to-int conversion, whose ValueError names
     ``sys.set_int_max_str_digits`` as the remedy, the ValueError names the
     cause instead; any other ValueError passes unchanged."""
     try:
-        return kind(text)
+        return int(text)
     except ValueError as exc:
         if "int_max_str_digits" not in str(exc):
             raise
@@ -35,20 +38,35 @@ def parse_decimal(text, kind=int):
         ) from None
 
 
+def int_in(v):
+    """An int from a JSON integer or a decimal string (as int_out writes
+    past 2^53); bools, floats and any other string raise ValueError."""
+    if type(v) is int:
+        return v
+    if isinstance(v, str) and re.fullmatch(r"-?[0-9]+", v):
+        return parse_decimal(v)
+    raise ValueError(f"expected an integer, got {v!r}")
+
+
 def frac_in(x):
-    """An exact rational from a Fraction, an int, a string like "13/4" or a
-    [numerator, denominator] pair; anything else, or a zero denominator,
-    is a ValueError."""
+    """An exact rational from a Fraction, an int, a string "a" or "a/b" of
+    decimal digits with an optional minus sign on a, or a [numerator,
+    denominator] pair of integers; anything else, or a zero denominator, is
+    a ValueError."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, str) and (m := re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", x)):
+        num, den = m[1], m[2] or 1
+    elif isinstance(x, (tuple, list)) and len(x) == 2:
+        num, den = x
+    else:
+        raise ValueError(f"not an exact rational: {x!r}")
     try:
-        if isinstance(x, (int, str)):
-            return parse_decimal(x, Fraction)
-        if isinstance(x, (tuple, list)) and len(x) == 2:
-            return Fraction(parse_decimal(x[0]), parse_decimal(x[1]))
+        return Fraction(int_in(num), int_in(den))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {x!r}") from None
-    raise ValueError(f"not an exact rational: {x!r}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +80,7 @@ class BreakData:
     def __post_init__(self):
         object.__setattr__(self, "e", frac_in(self.e))
         object.__setattr__(self, "upper", tuple(frac_in(b) for b in self.upper))
-        if self.p < 2:
-            raise ValueError("p must be a prime >= 2")
+        _require_prime(self.p)
         if self.e <= 0:
             raise ValueError("ramification index e must be positive")
         if not self.upper:

@@ -10,12 +10,11 @@ form a writer can emit, so emitted documents round-trip unchanged.
 from __future__ import annotations
 
 import os
-import re
 import sys
 from fractions import Fraction
 
 from .gfseries import FiniteField, TruncSeries
-from .herbrand import BreakData, PLFunc, frac_in, parse_decimal
+from .herbrand import BreakData, PLFunc, frac_in, int_in, parse_decimal
 from .nottingham import AtLeast
 from .pdyn import PadicSeries
 from .ramcheck import TheoremInputs
@@ -50,16 +49,6 @@ def _decimal(v):
 def int_out(v):
     v = int(v)
     return v if abs(v) < _SAFE_INT else _decimal(v)
-
-
-def int_in(v):
-    """An int from a JSON integer or a decimal string (as int_out writes
-    past 2^53); bools, floats and any other string raise ValueError."""
-    if type(v) is int:
-        return v
-    if isinstance(v, str) and re.fullmatch(r"-?[0-9]+", v):
-        return parse_decimal(v)
-    raise ValueError(f"expected an integer, got {v!r}")
 
 
 def _coeff_in(c):

@@ -48,13 +48,21 @@ def f_shift(tp, m, t):
 
     Periodic in t with period s*p^m; zero off the s-divisible classes,
     e0*(p^(v+1)-1) at p-adic level v < m, and e0*(p^(m+1)-1) at level >= m.
+    As p does not divide e0, t0 has the level of t when that is below m, and
+    a level >= m otherwise; s divides t0 exactly when t = e0*p^m (mod s).
+    So t0 is never built, and the level takes at most log_p|t| divisions.
+    At level >= m, an m for which p^(m+1) has more than ``SUM_CHECK_DIGITS``
+    decimal digits raises ValueError.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     p, s, e0 = tp.p, tp.s, tp.e0
-    t0 = t - e0 * p**m
-    # levels >= m (t0 = 0 included) all give the level-m value
-    return _class_value(tp, None if t0 % s else vp(t0, p, m))
+    if (t - e0 * pow(p, m, s)) % s:
+        return _class_value(tp, None)
+    v = vp(t, p, m) if t else m  # vp(0, p, m) would divide m times
+    if v == m:
+        _check_digits(p, m, "the level-m value")
+    return _class_value(tp, v)
 
 
 def _class_value(tp, v):
@@ -62,9 +70,20 @@ def _class_value(tp, v):
     return 0 if v is None else tp.e0 * (tp.p ** (v + 1) - 1)
 
 
-# The work bound of f_shift_sum_check: at most this many decimal digits in
-# p^(m+1).  At the bound the sum takes under a second (p = 2, m = 14,280).
+# The work bound of f_shift and f_shift_sum_check: at most this many decimal
+# digits in p^(m+1).  At the bound the sum takes under a second (p = 2,
+# m = 14,280).
 SUM_CHECK_DIGITS = 4300
+
+
+def _check_digits(p, m, what):
+    # p^(m+1) has more than SUM_CHECK_DIGITS digits when (m+1) log10(p) >= it;
+    # compared as int against float, so no m overflows
+    if m + 1 >= SUM_CHECK_DIGITS / math.log10(p):
+        raise ValueError(
+            f"m = {m} is too large for {what}: p^(m+1) has more than "
+            f"{SUM_CHECK_DIGITS} digits"
+        )
 
 
 def f_shift_sum_check(tp, m):
@@ -79,12 +98,7 @@ def f_shift_sum_check(tp, m):
     decimal digits raises ValueError.
     """
     p, s, e0 = tp.p, tp.s, tp.e0
-    # p^(m+1) has more than SUM_CHECK_DIGITS digits when (m+1) log10(p) >= it
-    if (m + 1) * math.log10(p) >= SUM_CHECK_DIGITS:
-        raise ValueError(
-            f"m = {m} is too large for the sum check: p^(m+1) has more than "
-            f"{SUM_CHECK_DIGITS} digits"
-        )
+    _check_digits(p, m, "the sum check")
     classes = [(None, (s - 1) * p**m), (m, 1)]
     classes += [(v, p ** (m - v - 1) * (p - 1)) for v in range(m)]
     total = sum(size * _class_value(tp, v) for v, size in classes)
@@ -139,18 +153,17 @@ class TheoremInputs:
 
 
 def m0(ti):
-    """Largest m >= 0 with psi((m+1+1/(p-1))e) < e*p^n, or None if none exists."""
-    psi = ti.bd.psi
-    target = ti.e * ti.p**ti.n
-    best = None
-    k = 0
-    while psi((k + 1 + Fraction(1, ti.p - 1)) * ti.e) < target:
-        best = k
-        k += 1
+    """Largest m >= 0 with psi((m+1+1/(p-1))e) < e*p^n, or None if none exists.
+
+    psi is strictly increasing, so that m is the largest integer below
+    psi^-1(e*p^n)/e - 1 - 1/(p-1).
+    """
+    x = ti.bd.psi.preimage(ti.e * ti.p**ti.n)
+    best = math.ceil(x / ti.e - 1 - Fraction(1, ti.p - 1)) - 1
     bound = ti.n - ti.yhz.h - 1
-    if best is not None and best > bound:
+    if best > bound:
         raise InvariantError(f"cross-check failed: m0 = {best} exceeds n - h - 1 = {bound}")
-    return best
+    return best if best >= 0 else None
 
 
 def q_r_values(tp, yhz, m):

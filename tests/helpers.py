@@ -6,7 +6,8 @@ inverses by exhaustive coefficient search, quotient division and Newton
 polygons over exact rationals, quotient groups by full enumeration,
 extension-field arithmetic by schoolbook products in Y with long division
 by the modulus, powers by repeated products, piecewise-linear functions by
-walking their segments from 0, and the shift function's window sum t by t.
+walking their segments from 0, the shift function's window sum t by t and
+its value from t0 itself, and m0 by scanning.
 """
 
 import math
@@ -292,6 +293,30 @@ def f_shift_window_sum(f, tp, m):
     return sum(f(tp, m, t) for t in range(e0 * p**m, (e0 + s) * p**m))
 
 
+def t0_f_shift(tp, m, t):
+    """The shift value from t0 = t - e0*p^m itself: 0 unless s divides t0,
+    else e0*(p^(v+1)-1) for v the level of t0, read by dividing t0 by p up
+    to m times."""
+    p, s, e0 = tp.p, tp.s, tp.e0
+    t0 = t - e0 * p**m
+    if t0 % s:
+        return 0
+    v = 0
+    while v < m and t0 % p == 0:
+        t0 //= p
+        v += 1
+    return e0 * (p ** (v + 1) - 1)
+
+
+def scan_m0(ti):
+    """m0 by scanning k = 0, 1, ... while psi((k+1+1/(p-1))e) < e*p^n."""
+    psi, p, e = ti.bd.psi, ti.p, ti.e
+    best, k = None, 0
+    while psi((k + 1 + Fraction(1, p - 1)) * e) < e * p**ti.n:
+        best, k = k, k + 1
+    return best
+
+
 # -- piecewise-linear functions by walking the segments ----------------------
 #
 # The reference for PLFunc: each query walks the segments from 0, adding up
@@ -342,8 +367,9 @@ def pl_walk_inverse(f):
 # -- randomized admissible break data -----------------------------------------
 
 
-def random_break_data(rng, p=None, e=None, n=None, primes=(5, 7, 11, 13), n_max=5):
-    """Integer upper-break sequences satisfying the admissibility rules."""
+def random_break_data(rng, p=None, e=None, n=None, primes=(5, 7, 11, 13), n_max=5, den=1):
+    """Upper-break sequences satisfying the admissibility rules, each break
+    a multiple of 1/den."""
     from ramforge import BreakData
 
     p = p if p is not None else rng.choice(primes)
@@ -351,14 +377,14 @@ def random_break_data(rng, p=None, e=None, n=None, primes=(5, 7, 11, 13), n_max=
     n = n if n is not None else rng.randint(1, n_max)
     ceiling = Fraction(p * e, p - 1)
     threshold = Fraction(e, p - 1)
-    b = rng.randint(1, int(ceiling))
+    b = Fraction(rng.randint(den, math.floor(ceiling * den)), den)
     upper = [b]
     while len(upper) < n:
-        if Fraction(b) >= threshold:
+        if b >= threshold:
             b = b + e
         else:
-            lo, hi = p * b, int(ceiling)
-            b = rng.randint(lo, hi)
+            lo, hi = math.ceil(p * b * den), math.floor(ceiling * den)
+            b = Fraction(rng.randint(lo, hi), den)
         upper.append(b)
     return BreakData(p, e, tuple(upper))
 

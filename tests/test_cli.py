@@ -14,6 +14,10 @@ from ramforge.cli import main
 from helpers import cyclotomic_coeffs
 
 
+SERIES = json.dumps({"p": 5, "w": 1, "trunc": 4, "coeffs": [0, 1, 1, 0]})
+PADIC = json.dumps({"p": 5, "prec": 3, "trunc": 4, "coeffs": [0, 1, 1, 0]})
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -139,6 +143,13 @@ class TestBreaks:
         code, doc = run(capsys, "breaks", "index", "--p", "1", "--upper", "1,2,3")
         assert code == 2 and doc["error"]["type"] == "input"
 
+    @pytest.mark.parametrize("argv", [("breaks", "validate"), ("herbrand", "psi"), ("herbrand", "phi")])
+    def test_non_prime_break_data_is_input_error(self, capsys, argv):
+        # a ring with p = 4 used to validate, and get a psi and a phi
+        code, doc = run(capsys, *argv, "--input", '{"p": 4, "e": 1, "upper": [1]}')
+        assert code == 2 and doc["error"]["type"] == "input"
+        assert "not prime" in doc["error"]["reason"]
+
 
 class TestHerbrand:
     def test_psi_and_eval(self, capsys, break_data, tmp_path):
@@ -230,6 +241,9 @@ class TestCheck:
         assert code == 0 and doc == {"f": 4}
         code, doc = run(capsys, "check", "fshift", "--p", "5", "--e", "1", "--m", "1", "--sum-check")
         assert code == 0 and doc == {"sum_check": True}
+        # t = 25 is at level 2, below m, so its value needs no p^m
+        code, doc = run(capsys, "check", "fshift", "--p", "5", "--e", "4", "--m", str(10**9), "--t", "25")
+        assert code == 0 and doc == {"f": 124}
 
     def test_fshift_sum_check_at_large_m(self, capsys):
         started = time.perf_counter()
@@ -244,13 +258,12 @@ class TestCheck:
         assert code == 0 and doc == {"f": "4656612873077392578124"}
 
     def test_fshift_value_too_long_to_print_is_input_error(self, capsys):
-        # f has about 14,000 digits, past Python's int-to-decimal limit
+        # f would have about 14,000 digits; it is refused before it is built
         started = time.perf_counter()
         code, doc = run(capsys, "check", "fshift", "--p", "5", "--e", "4", "--m", "20000")
         assert code == 2 and doc["error"]["type"] == "input"
         assert doc["error"]["reason"] == (
-            f"the result has an integer of more than {sys.get_int_max_str_digits()} digits, "
-            "too long to print"
+            "m = 20000 is too large for the level-m value: p^(m+1) has more than 4300 digits"
         )
         assert time.perf_counter() - started < 1
 
@@ -279,6 +292,28 @@ class TestCheck:
             f"the input has an integer of more than {sys.get_int_max_str_digits()} digits, "
             "too long to read"
         )
+
+    @pytest.mark.parametrize("m", [10**6, 10**9])
+    def test_fshift_level_m_past_the_work_bound_is_input_error(self, capsys, m):
+        # t = 0 is at level m; its value is refused before p^m is built
+        started = time.perf_counter()
+        code, doc = run(capsys, "check", "fshift", "--p", "5", "--e", "4", "--m", str(m))
+        assert code == 2 and doc["error"]["reason"] == (
+            f"m = {m} is too large for the level-m value: p^(m+1) has more than 4300 digits"
+        )
+        assert time.perf_counter() - started < 1
+
+    def test_sum_check_past_float_range_is_input_error(self, capsys):
+        # m = 10^400 overflowed a float in the bound and ended in exit 4
+        code, doc = run(capsys, "check", "fshift", "--p", "5", "--e", "1", "--m", str(10**400), "--sum-check")
+        assert code == 2 and "too large for the sum check" in doc["error"]["reason"]
+
+    def test_exponent_form_rational_is_input_error(self, capsys):
+        # Fraction read "1e100000" as a 100,001-digit integer
+        started = time.perf_counter()
+        code, doc = run(capsys, "check", "main", "--input", '{"p": 5, "e": 1, "upper": [1, "1e100000"]}')
+        assert code == 2 and doc["error"]["reason"] == "not an exact rational: '1e100000'"
+        assert time.perf_counter() - started < 1
 
     def test_fshift_zero_p_is_input_error(self, capsys):
         code, doc = run(capsys, "check", "fshift", "--p", "0", "--e", "1", "--m", "1")
@@ -364,10 +399,10 @@ class TestContract:
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
         from ramforge import cli
 
-        def broken(args):
+        def broken(*args):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "_breaks_cmd", broken)
+        monkeypatch.setattr(cli, "upper_from_lower", broken)
         code, doc = run(capsys, "breaks", "upper", "--p", "5", "--lower", "4,24")
         assert code == 4 and doc["error"] == {"type": "internal", "reason": "RuntimeError: boom"}
 
@@ -375,9 +410,10 @@ class TestContract:
     def test_unprintable_document_is_input_error(self, capsys, monkeypatch, fmt):
         # a document is rendered whole inside the error handling, so an
         # integer past the int-to-decimal limit prints one error document
-        from ramforge import cli
+        from ramforge import cli, jsonio
 
-        monkeypatch.setattr(cli, "_breaks_cmd", lambda args: {"upper": [1, 10**5000]})
+        monkeypatch.setattr(cli, "upper_from_lower", lambda *args: [1, 10**5000])
+        monkeypatch.setattr(jsonio, "int_out", lambda v: v)
         code = main(["--format", fmt, "breaks", "upper", "--p", "5", "--lower", "4,24"])
         out = capsys.readouterr().out
         assert code == 2
@@ -432,6 +468,39 @@ class TestContract:
         plain, optimized = (body for _, body in outputs)
         assert plain == optimized
         assert [line for line in plain.splitlines() if line.startswith("exit")] == ["exit 0"] * 4
+
+    @pytest.mark.parametrize("argv, reason", [
+        (("series", "iterate", "--series", SERIES, "--n", "x"), "expected an integer, got 'x'"),
+        (("breaks", "upper", "--p", "5", "--lower", "4,2_4,124"), "expected an integer, got '2_4'"),
+        (("breaks", "upper", "--p", "5", "--lower", "4," + "7" * 5000),
+         f"the input has an integer of more than {sys.get_int_max_str_digits()} digits, too long to read"),
+        (("breaks", "index", "--p", "5", "--upper", "4,1e5"), "not an exact rational: '1e5'"),
+        (("check", "fshift", "--p", "5", "--e", "1", "--m", " 1"), "expected an integer, got ' 1'"),
+        (("dynamics", "qn", "--series", PADIC, "--n", "1.5"), "expected an integer, got '1.5'"),
+    ], ids=["letter", "underscore", "5000-digits", "exponent", "space", "decimal-point"])
+    def test_flag_values_are_read_like_document_values(self, capsys, argv, reason):
+        code, doc = run(capsys, *argv)
+        assert code == 2 and doc["error"] == {"type": "input", "reason": reason}
+
+    @pytest.mark.parametrize("argv, reason", [
+        ((), "ramforge: the following arguments are required: group"),
+        (("breaks",), "ramforge breaks: the following arguments are required: op"),
+        (("breaks", "frob"), "ramforge breaks: argument op: invalid choice: 'frob'"),
+        (("breaks", "upper", "--p", "5"), "ramforge breaks upper: the following arguments are required: --lower"),
+        (("breaks", "upper", "--p", "5", "--lower", "4", "--q", "1"), "unrecognized arguments: --q 1"),
+        (("--format", "xml", "breaks", "upper", "--p", "5", "--lower", "4"),
+         "ramforge: argument --format: invalid choice: 'xml'"),
+    ], ids=["no-group", "no-command", "unknown-command", "missing-flag", "unknown-flag", "bad-format"])
+    def test_usage_error_is_input_error(self, capsys, argv, reason):
+        code, doc = run(capsys, *argv)
+        assert code == 2 and doc["error"]["type"] == "input"
+        assert reason in doc["error"]["reason"]
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["breaks", "upper", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ramforge breaks upper [-h] --p P --lower LOWER")
 
     def test_determinism(self, capsys, theorem_inputs):
         main(["check", "main", "--input", theorem_inputs])

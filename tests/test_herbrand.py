@@ -20,6 +20,13 @@ from ramforge import (
 from helpers import random_break_data
 
 
+class TestBreakData:
+    @pytest.mark.parametrize("p", [0, 1, 4, 9, 91])
+    def test_non_prime_p_rejected(self, p):
+        with pytest.raises(ValueError, match="not prime"):
+            BreakData(p, 1, (1,))
+
+
 class TestPsiFromBreaks:
     def test_single_break(self):
         psi = psi_from_breaks(BreakData(5, 1, (1,)))

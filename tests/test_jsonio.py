@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -63,6 +64,21 @@ class TestScalars:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             frac_in({"num": 1})
+
+    def test_rational_strings(self):
+        assert frac_in("-3/4") == F(-3, 4)
+        assert frac_in("7") == F(7)
+        assert frac_in(["-3", "4"]) == F(-3, 4)
+
+    @pytest.mark.parametrize("bad", ["1e5", "1e1000000", "1.5", "1_000", " 3/4", "3/-4", "+3", "3/", "/4",
+                                     "0x10", "inf", "nan", "", [1.5, 2], [True, 1], ["1e3", 1]])
+    def test_rational_other_forms_rejected(self, bad):
+        # only the integer, "a/b" and pair forms; an exponent form was read
+        # by Fraction and could ask for millions of digits
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="not an exact rational|expected an integer"):
+            frac_in(bad)
+        assert time.perf_counter() - started < 0.1
 
     @pytest.mark.parametrize("write", [int_out, frac_out, lambda v: frac_out(F(1, v))])
     def test_too_long_to_print_names_the_cause(self, write):

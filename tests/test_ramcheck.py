@@ -1,10 +1,13 @@
 import itertools
 import random
 import sys
+import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ramforge import (
     BreakData,
@@ -23,11 +26,11 @@ from ramforge import (
     q_r_values,
     tame_params,
 )
-from ramforge import ramcheck
+from ramforge import InvariantError, ramcheck
 from ramforge.gfseries import vp
 from ramforge.ramcheck import phi_EK_closed_form
 
-from helpers import f_shift_window_sum, random_break_data
+from helpers import f_shift_window_sum, random_break_data, scan_m0, t0_f_shift
 
 
 def ladder(p, n, e=1):
@@ -73,6 +76,28 @@ class TestFShift:
                     for _ in range(20):
                         t = rng.randint(-2 * period, 3 * period)
                         assert f_shift(tp, m, t) == f_shift(tp, m, t + period)
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(p=st.sampled_from((2, 3, 5, 7, 11, 13)), e=st.integers(1, 40), m=st.integers(1, 12),
+           a=st.integers(-10**6, 10**6), j=st.integers(0, 15), offset=st.booleans())
+    @example(p=5, e=4, m=3, a=0, j=0, offset=False)  # t = 0: level m
+    @example(p=5, e=4, m=3, a=0, j=0, offset=True)   # t0 = 0: level m
+    def test_matches_the_level_of_t0(self, p, e, m, a, j, offset):
+        # t = a*p^j, or e0*p^m + a*p^j, reaches every level of t0 up to and past m
+        assume(e % p)
+        tp = tame_params(p, e)
+        t = a * p**j + (tp.e0 * p**m if offset else 0)
+        assert f_shift(tp, m, t) == t0_f_shift(tp, m, t)
+
+    def test_low_level_at_any_m(self):
+        # t = 25 is at level 2 for every m > 2, so its value needs no p^m;
+        # t = 0 is at level m, whose value is refused past the work bound
+        tp = tame_params(5, 4)
+        started = time.perf_counter()
+        assert f_shift(tp, 10**9, 25) == 124
+        with pytest.raises(ValueError, match="too large for the level-m value"):
+            f_shift(tp, 10**9, 0)
+        assert time.perf_counter() - started < 1
 
 
 class TestFShiftSumCheck:
@@ -170,6 +195,27 @@ class TestM0:
         # n = 1 over e = 4: psi(5) = 21 > 20 = e*p, so no m >= 0 works
         bd = BreakData(5, 4, (1,))
         assert m0(TheoremInputs(bd)) is None
+
+    def test_equality_is_excluded(self):
+        # psi((0+1+1/4)*4) = psi(5) = 5/4 + 5*(5 - 5/4) = 20 = e*p exactly
+        ti = TheoremInputs(BreakData(5, 4, (F(5, 4),)))
+        assert ti.bd.psi(5) == 20
+        assert m0(ti) is None and scan_m0(ti) is None
+
+    @pytest.mark.parametrize("den", [1, 2, 3, 7])
+    def test_matches_the_scan(self, den):
+        # breaks that are multiples of 1/den, so psi^-1(e*p^n) is a rational
+        # with several denominators
+        rng = random.Random(700 + den)
+        for _ in range(750):
+            ti = TheoremInputs(random_break_data(rng, n_max=6, den=den))
+            assert m0(ti) == scan_m0(ti)
+
+    def test_cross_check_still_runs(self):
+        ti = TheoremInputs(ladder(5, 3))
+        object.__setattr__(ti, "yhz", replace(ti.yhz, h=ti.n))
+        with pytest.raises(InvariantError, match="exceeds n - h - 1"):
+            m0(ti)
 
 
 class TestQRValues:
