@@ -2,12 +2,16 @@
 
 Residue vectors are sequences of ints in [0, m); ``compose_mod`` also
 passes numpy arrays of them to the product functions, which then return
-arrays.  A product takes one of three exact methods, chosen by one size
+arrays.  A product takes one of four exact methods, chosen by one size
 test on m and the number of terms a coefficient of the product sums:
 
 - direct: one numpy int64 op, when the worst-case accumulator, terms
   products below (m - 1)^2, provably fits;
-- halves: past that bound, while the halves fit (see ``_int64_exact``),
+- split: just past that bound, for series products (``conv_mod``), the
+  shorter operand is cut by length into c <= 3 pieces whose products fit
+  directly (see ``_pieces``), one numpy op each, and the reduced products
+  are added at their offsets;
+- halves: past that, while the halves fit (see ``_int64_exact``),
   each residue is split into two h-bit halves, h = ceil(bits(m - 1)/2),
   and three int64 ops on the halves (Karatsuba) are recombined mod m;
 - Kronecker: past the halves band, one big-integer multiply
@@ -19,7 +23,8 @@ test on m and the number of terms a coefficient of the product sums:
 Every method is exact, so results are identical whichever runs.  The
 direct and halves methods serve every bilinear op of the kernel: series
 products, the chunk sums of ``compose_mod`` and the block reduction of
-``_fold``.
+``_fold``.  The split serves series products alone: it never makes more
+numpy calls than halves, and makes fewer coefficient products.
 
 A series over F_{p^w} = F_p[Y]/(modulus) is packed into one flat list
 (Kronecker substitution in Y): the coefficient of X^k is a polynomial in Y
@@ -38,7 +43,10 @@ fields up to w = 4 never imports numpy.
 
 Composition is Paterson-Stockmeyer (baby steps, giant steps): about
 2*sqrt(L) products for an outer series of L blocks, where Horner's rule
-takes L - 1.  It stays array-resident: int64 arrays while the direct or
+takes L - 1.  The baby steps, the powers inner^0 .. inner^k, depend on
+the inner series and the precision alone; ``baby_powers`` builds them,
+and ``compose_mod`` takes them ready made, so compositions with one
+inner (as in binary powering) can form them once.  Composition stays array-resident: int64 arrays while the direct or
 halves method fits, object arrays of Python ints past the halves band;
 see ``compose_mod``.
 
@@ -52,7 +60,7 @@ where 1/E' is 2 - E' to the precision the step needs.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt
+from math import inf, isqrt
 
 _INT64_SAFE = 2**62
 _SHORT = 8
@@ -71,18 +79,18 @@ def _unpack(x, size, count, mod):
 
 
 def _int64_exact(mod, terms):
-    """The int64 method exact for a bilinear op on residues below mod, each
-    output entry a sum of at most terms products: "direct", "halves" (see
-    ``_halves``), or None when neither is.
+    """Whether an int64 method, direct or halves (see ``_halves``), is exact
+    for a bilinear op on residues below mod, each output entry a sum of at
+    most terms products.
 
     In halves, an entry of the product of the sums of halves is below
     terms * 2^(2h+2), and a reduced value times 2^h mod mod is below
     mod * 2^h; both must stay below the int64 bound.
     """
     if (mod - 1) * (mod - 1) * terms < _INT64_SAFE:
-        return "direct"
+        return True
     h = ((mod - 1).bit_length() + 1) // 2
-    return "halves" if terms << (2 * h + 2) < _INT64_SAFE and mod << h < _INT64_SAFE else None
+    return terms << (2 * h + 2) < _INT64_SAFE and mod << h < _INT64_SAFE
 
 
 def _halves(op, a, b, mod):
@@ -103,6 +111,40 @@ def _halves(op, a, b, mod):
     mid = op(a0 + a1, b0 + b1) - lo - hi
     r = (1 << h) % mod
     return ((hi % mod * r + mid) % mod * r + lo) % mod
+
+
+def _pieces(mod, terms):
+    """The fewest pieces c that the shorter operand of a product, whose
+    entries sum at most terms products of residues below mod, can be cut
+    into so that each piece's product fits directly in int64: each piece
+    then sums at most t = (_INT64_SAFE - 1) // (mod - 1)^2 products, and
+    c = ceil(terms / t).  c = 1 is the direct product; c is infinite when
+    t < 1, where one product of two residues does not fit."""
+    t = (_INT64_SAFE - 1) // ((mod - 1) * (mod - 1) or 1)
+    return -(-terms // t) if t > 0 else inf
+
+
+def _split(x, y, n, mod, c):
+    """First n entries of the product of int64 residue arrays x and y mod
+    mod, the shorter of the two cut into c pieces of at most
+    ceil(len / c) entries, so that each piece's product fits directly in
+    int64 (see ``_pieces``).
+
+    Each piece takes one ``np.convolve`` with the other array.  The products
+    are reduced, added at the offsets of their pieces, and reduced again.
+    ``conv_mod`` takes it for c <= 3, where it makes no more numpy products
+    than ``_halves`` and fewer coefficient products.
+    """
+    import numpy as np
+
+    if len(x) > len(y):
+        x, y = y, x
+    piece = -(-len(x) // c)
+    out = np.zeros(min(n, len(x) + len(y) - 1), dtype=np.int64)
+    for i in range(0, len(x), piece):
+        part = np.convolve(x[i : i + piece], y)[: len(out) - i]
+        out[i : i + len(part)] += part % mod
+    return out % mod
 
 
 def _bilinear(op, a, b, terms, mod):
@@ -131,16 +173,23 @@ def conv_mod(a, b, n, mod):
     arrays = hasattr(a, "dtype")
     if not arrays:
         # reduce first: callers may hand residues from a larger modulus, and
-        # both bounds below assume entries below mod
+        # the bounds below assume entries below mod
         a = [x % mod for x in a[:la]]
         b = [x % mod for x in b[:lb]]
     if la == 0 or lb == 0:
         out = []
-    elif (arrays or max(la, lb) > _SHORT) and (method := _int64_exact(mod, min(la, lb))):
+    elif (arrays or max(la, lb) > _SHORT) and (
+        (pieces := _pieces(mod, min(la, lb))) <= 3 or _int64_exact(mod, min(la, lb))
+    ):
         import numpy as np
 
         x, y = np.asarray(a[:la], dtype=np.int64), np.asarray(b[:lb], dtype=np.int64)
-        out = np.convolve(x, y)[:n] % mod if method == "direct" else _halves(np.convolve, x, y, mod)[:n]
+        if pieces == 1:
+            out = np.convolve(x, y)[:n] % mod
+        elif pieces <= 3:
+            out = _split(x, y, n, mod, pieces)
+        else:
+            out = _halves(np.convolve, x, y, mod)[:n]
         if not arrays:
             out = out.tolist()
     else:
@@ -258,18 +307,46 @@ def unit_inverse(a, mod, modulus=None):
                  lambda x, y: mul_mod(x, y, 1, mod, modulus))
 
 
-def compose_mod(outer, inner, n, mod, modulus=None):
+def baby_powers(inner, n, mod, modulus=None, k=None):
+    """The baby steps of ``compose_mod``: inner^0 .. inner^k mod X^n, in
+    k - 1 products; k defaults to ceil(sqrt(n)), the k for an outer series
+    of n blocks.
+
+    They are read-only numpy arrays of n blocks, in the dtype compose_mod
+    works in for n blocks.  They depend on inner and n alone, so every
+    composition of n blocks with one inner can share them.
+    """
+    s = block_size(modulus)
+    width = n * s
+    dtype = array_dtype(mod, width)
+    inner = _residues(inner, width, mod, dtype)
+    powers = [_residues([1], width, None, dtype), inner]
+    if k is None:
+        k = isqrt(n - 1) + 1
+    for _ in range(k - 1):
+        powers.append(mul_mod(powers[-1], inner, n, mod, modulus))
+    for x in powers:
+        x.flags.writeable = False
+    return powers
+
+
+def compose_mod(outer, inner, n, mod, modulus=None, powers=None):
     """First n blocks of outer(inner(X)); inner's first block must be 0.
 
-    Paterson-Stockmeyer.  With k = ceil(sqrt(L)) for the L blocks of
-    outer, cut outer into chunks C_i of k blocks, outer = sum_i C_i(X) X^(ik),
-    so outer(inner) = sum_i C_i(inner) * (inner^k)^i.  The baby powers
-    inner^0 .. inner^k take k - 1 products.  Every C_i(inner) is a linear
-    combination of them: a coefficient block c = sum_t c_t Y^t times a
-    power is the sum of the power shifted by t slots times c_t, and the
-    shifts stay inside each block, so all chunks are one matrix product of
-    scalars for every ring.  Horner's rule in inner^k takes the last
-    ceil(L/k) - 1 products.
+    Paterson-Stockmeyer.  With the baby powers inner^0 .. inner^k, cut
+    outer into chunks C_i of k blocks, outer = sum_i C_i(X) X^(ik), so
+    outer(inner) = sum_i C_i(inner) * (inner^k)^i.  Every C_i(inner) is a
+    linear combination of the baby powers: a coefficient block
+    c = sum_t c_t Y^t times a power is the sum of the power shifted by t
+    slots times c_t, and the shifts stay inside each block, so all chunks
+    are one matrix product of scalars for every ring.  Horner's rule in
+    inner^k takes the last ceil(L/k) - 1 products for the L blocks of
+    outer.
+
+    powers, when given, are ``baby_powers(inner, n, mod, modulus, k)`` for
+    some k, and inner is not read; any k gives the same result, so a caller
+    can keep one set for every composition with one inner.  Otherwise they
+    are built here with k = ceil(sqrt(L)), fewer products for a short outer.
 
     The operands are converted once, and the baby powers, the chunks and the
     Horner accumulator stay numpy arrays until the result is returned as a
@@ -286,19 +363,17 @@ def compose_mod(outer, inner, n, mod, modulus=None):
     blocks = -(-min(len(outer), width) // s)
     if blocks == 0:
         return [0] * width
-    k = isqrt(blocks - 1) + 1
+    if powers is None:
+        powers = baby_powers(inner, n, mod, modulus, isqrt(blocks - 1) + 1)
+    k = len(powers) - 1
     m = -(-blocks // k)
     import numpy as np
 
     # a product coefficient sums at most width terms, a chunk coefficient
-    # k*w <= width of them and a folded slot s <= width, so one test covers
-    # all three
-    dtype = array_dtype(mod, width)
+    # k*w <= width of them and a folded slot s <= width, so the dtype of the
+    # baby powers covers all three
+    dtype = powers[0].dtype
     outer = _residues(outer, m * k * s, mod, dtype)
-    inner = _residues(inner, width, mod, dtype)
-    powers = [_residues([1], width, None, dtype), inner]
-    while len(powers) < (k + 1 if m > 1 else k):
-        powers.append(mul_mod(powers[-1], inner, n, mod, modulus))
 
     # chunk i, row (j, t): the coefficient c_t of Y^t in block ik + j of outer
     coef = outer.reshape(m, k, s)[:, :, :w].reshape(m, k * w)

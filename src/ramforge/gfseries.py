@@ -31,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from ._convolve import block_size, compose_mod, mul_mod, power, reversion_mod, row_combination, unit_inverse
+from ._convolve import (baby_powers, block_size, compose_mod, mul_mod, power, reversion_mod,
+                        row_combination, unit_inverse)
 
 
 # Miller-Rabin with the first 13 prime bases decides primality of every n
@@ -296,10 +297,13 @@ class TruncSeries:
     X^k in slots [k(2w-1), k(2w-1) + w) and zeros in the rest (one slot per
     coefficient over F_p and Z/p^P).  ``coeffs`` is a view of it as ``trunc``
     FFElem values, built on first use; the k-th entry is the coefficient
-    of X^k.  Instances are immutable.
+    of X^k.  Instances are immutable.  ``_baby`` keeps the baby powers of
+    the series as the inner series of a composition mod X^trunc, built on
+    first use (see ``compose``); neither view takes part in equality,
+    hashing or repr.
     """
 
-    __slots__ = ("field", "trunc", "packed", "_coeffs")
+    __slots__ = ("field", "trunc", "packed", "_coeffs", "_baby")
 
     def __init__(self, field, coeffs, trunc=None):
         coeffs = tuple(coeffs)
@@ -320,6 +324,7 @@ class TruncSeries:
         self.trunc = trunc
         self.packed = tuple(packed)
         self._coeffs = None
+        self._baby = None
 
     @property
     def coeffs(self):
@@ -408,14 +413,24 @@ class TruncSeries:
         return _from_packed(f, out, n)
 
     def compose(self, inner):
-        """outer(inner(X)); inner must have zero constant term."""
+        """outer(inner(X)); inner must have zero constant term.
+
+        A composition mod X^(inner.trunc) reuses the baby powers of inner
+        that the first such composition built, so binary powering, which
+        composes with one inner again and again, forms them once.
+        """
         self._check(inner)
         if any(inner.block(0)):
             raise ValueError("inner series must have zero constant term")
         n = min(self.trunc, inner.trunc)
         f = self.field
         width = n * block_size(f.modulus)
-        out = compose_mod(self.packed[:width], inner.packed[:width], n, f.mod, f.modulus)
+        powers = None
+        if n == inner.trunc:
+            if inner._baby is None:
+                inner._baby = baby_powers(inner.packed, n, f.mod, f.modulus)
+            powers = inner._baby
+        out = compose_mod(self.packed[:width], inner.packed[:width], n, f.mod, f.modulus, powers)
         return _from_packed(f, out, n)
 
     def comp_inverse(self):
@@ -485,6 +500,7 @@ def _from_packed(field, packed, n):
     g.trunc = n
     g.packed = tuple(packed)
     g._coeffs = None
+    g._baby = None
     return g
 
 

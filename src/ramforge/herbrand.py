@@ -49,13 +49,13 @@ def int_in(v):
 
 
 def frac_in(x):
-    """An exact rational from a Fraction, an int, a string "a" or "a/b" of
-    decimal digits with an optional minus sign on a, or a [numerator,
-    denominator] pair of integers; anything else, or a zero denominator, is
-    a ValueError."""
+    """An exact rational from a Fraction, an int (not a bool), a string "a"
+    or "a/b" of decimal digits with an optional minus sign on a, or a
+    [numerator, denominator] pair of integers; anything else, or a zero
+    denominator, is a ValueError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if type(x) is int:
         return Fraction(x)
     if isinstance(x, str) and (m := re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", x)):
         num, den = m[1], m[2] or 1

@@ -208,7 +208,10 @@ def morphism_in(doc):
 def theorem_inputs_in(doc):
     bd = break_data_in(doc)
     kwargs = {k: int_in(doc[k]) for k in ("a", "m") if doc.get(k) is not None}
-    return TheoremInputs(bd, contained_in_zp=bool(doc.get("contained_in_zp", True)), **kwargs)
+    zp = doc.get("contained_in_zp", True)
+    if type(zp) is not bool:
+        raise ValueError(f"contained_in_zp must be true or false, not {zp!r}")
+    return TheoremInputs(bd, contained_in_zp=zp, **kwargs)
 
 
 def condition_report_out(r):

@@ -483,6 +483,19 @@ class TestContract:
         assert code == 2 and doc["error"] == {"type": "input", "reason": reason}
 
     @pytest.mark.parametrize("argv, reason", [
+        (("check", "main", "--input", '{"p": 5, "e": 1, "upper": [1, 2, 3], "contained_in_zp": "no"}'),
+         "contained_in_zp must be true or false, not 'no'"),
+        (("check", "proot", "--input", '{"p": 5, "e": 1, "upper": [1, 2], "contained_in_zp": null}'),
+         "contained_in_zp must be true or false, not None"),
+        (("breaks", "validate", "--input", '{"p": 5, "e": true, "upper": [1]}'), "not an exact rational: True"),
+        (("series", "depth", "--series", '{"p": 5}'), 'missing field "trunc"'),
+        (("trunc", "iso", "--f", '{"source": {"field": {"p": 5}, "e": 3}}'), 'missing field "target"'),
+    ], ids=["zp-string", "zp-null", "bool-rational", "missing-trunc", "missing-target"])
+    def test_malformed_document_fields_are_input_errors(self, capsys, argv, reason):
+        code, doc = run(capsys, *argv)
+        assert code == 2 and doc["error"] == {"type": "input", "reason": reason}
+
+    @pytest.mark.parametrize("argv, reason", [
         ((), "ramforge: the following arguments are required: group"),
         (("breaks",), "ramforge breaks: the following arguments are required: op"),
         (("breaks", "frob"), "ramforge breaks: argument op: invalid choice: 'frob'"),

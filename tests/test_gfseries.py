@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -8,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import ramforge
-from ramforge import FFElem, FiniteField, TruncSeries, series_agree_mod, unit_part
+from ramforge import FFElem, FiniteField, TruncSeries, gfseries, jsonio, series_agree_mod, unit_part
+from ramforge._convolve import compose_mod
+from ramforge.nottingham import compose_power
 
-from helpers import brute_comp_inverse, brute_compose, cfrob, cmul, cpow, ext_compose
+from helpers import brute_comp_inverse, brute_compose, cfrob, cmul, cpow, exact_int_compose, ext_compose
 
 F5 = FiniteField(5)
 F2 = FiniteField(2)
@@ -266,6 +269,91 @@ class TestCompose:
                 n = rng.randint(3, 12)
                 a, b, c = (unit_series(rng, f, n) for _ in range(3))
                 assert a.compose(b).compose(c) == a.compose(b.compose(c))
+
+
+def ring_coeff(rng, field):
+    """A uniform coefficient: a residue mod p^P, or a vector over F_p."""
+    if field.w == 1:
+        return rng.randrange(field.mod)
+    return tuple(rng.randrange(field.p) for _ in range(field.w))
+
+
+def oracle_compose(field, outer, inner, n):
+    if field.w == 1:
+        return TruncSeries(field, [c % field.mod for c in exact_int_compose(outer, inner, n)], n)
+    return TruncSeries(field, ext_compose(outer, inner, field.p, field.modulus, n), n)
+
+
+class TestBabyPowerMemo:
+    """An inner series keeps its baby powers mod X^trunc once a composition
+    has built them; 7^10 is past the direct int64 bound at 60 terms, so its
+    products are split."""
+
+    RINGS = ((F5, 40), (F27, 20), (FiniteField(7, prec=10), 60))
+
+    @pytest.mark.parametrize("field, n", RINGS, ids=lambda x: repr(x) if isinstance(x, FiniteField) else None)
+    def test_compositions_through_the_memo_match_the_oracle(self, field, n):
+        rng = random.Random(71)
+        zero = 0 if field.w == 1 else (0,) * field.w
+        inner = [zero] + [ring_coeff(rng, field) for _ in range(n - 1)]
+        g = TruncSeries(field, inner, n)
+        assert g._baby is None
+        outers = [[ring_coeff(rng, field) for _ in range(n)] for _ in range(2)]
+        for outer in outers:
+            assert TruncSeries(field, outer, n).compose(g) == oracle_compose(field, outer, inner, n)
+        memo = g._baby
+        assert len(memo) == math.isqrt(n - 1) + 2  # inner^0 .. inner^k
+        # a shorter outer composes mod X^(n // 2) < X^trunc: no memo read or built
+        short = outers[0][: n // 2]
+        fresh = TruncSeries(field, inner, n)
+        for h in (g, fresh):
+            got = TruncSeries(field, short, n // 2).compose(h)
+            assert got == oracle_compose(field, short, inner, n // 2)
+        assert g._baby is memo and fresh._baby is None
+        # the kernel with the memo and an outer of fewer blocks than n: k is
+        # taken from n, not from the outer
+        s = 2 * field.w - 1
+        got = compose_mod(TruncSeries(field, short, n // 2).packed, None, n, field.mod, field.modulus, memo)
+        want = oracle_compose(field, short + [zero] * (n - n // 2), inner, n)
+        assert tuple(got) == want.packed and len(got) == n * s
+
+    def test_binary_powering_builds_each_inner_once(self, monkeypatch):
+        # g^(7): g∘g, g2∘g, g3∘g3, g6∘g; g and g3 are the inner series
+        calls = []
+        build = gfseries.baby_powers
+        monkeypatch.setattr(gfseries, "baby_powers", lambda *args: calls.append(1) or build(*args))
+        rng = random.Random(72)
+        f = FiniteField(7, prec=10)
+        g = TruncSeries(f, [0, 1] + [ring_coeff(rng, f) for _ in range(28)], 30)
+        got = compose_power(g, 7)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        step = TruncSeries.x(f, 30)
+        for _ in range(7):
+            step = TruncSeries(f, step.packed, 30).compose(TruncSeries(f, g.packed, 30))
+        assert got == step
+
+    @pytest.mark.parametrize("field", (F5, F27, FiniteField(7, prec=10)), ids=repr)
+    def test_memo_changes_no_view_of_the_series(self, field):
+        rng = random.Random(73)
+        n = 12
+        coeffs = [0 if field.w == 1 else (0,) * field.w] + [ring_coeff(rng, field) for _ in range(n - 1)]
+        g, twin = TruncSeries(field, coeffs, n), TruncSeries(field, coeffs, n)
+        before = (hash(g), repr(g))
+        TruncSeries.x(field, n).compose(g)
+        assert g._baby is not None and twin._baby is None
+        assert g == twin and twin == g and (hash(g), repr(g)) == before == (hash(twin), repr(twin))
+        write = jsonio.padic_out if field.prec > 1 else jsonio.series_out
+        assert write(g) == write(twin)
+        assert {g: 1}[twin] == 1
+
+    def test_memo_arrays_are_read_only(self):
+        g = TruncSeries(F27, [(0, 0, 0), (1, 2, 0)] + [(2, 1, 1)] * 14, 16)
+        TruncSeries.x(F27, 16).compose(g)
+        assert all(not x.flags.writeable for x in g._baby)
+        with pytest.raises(ValueError, match="read-only"):
+            g._baby[1][0] = 1
+        assert TruncSeries.x(F27, 16).compose(g) == g
 
 
 class TestCompInverse:

@@ -71,7 +71,7 @@ class TestScalars:
         assert frac_in(["-3", "4"]) == F(-3, 4)
 
     @pytest.mark.parametrize("bad", ["1e5", "1e1000000", "1.5", "1_000", " 3/4", "3/-4", "+3", "3/", "/4",
-                                     "0x10", "inf", "nan", "", [1.5, 2], [True, 1], ["1e3", 1]])
+                                     "0x10", "inf", "nan", "", [1.5, 2], [True, 1], ["1e3", 1], True, False])
     def test_rational_other_forms_rejected(self, bad):
         # only the integer, "a/b" and pair forms; an exponent form was read
         # by Fraction and could ask for millions of digits

@@ -1,14 +1,17 @@
-"""Differential tests of the kernel's three exact product methods.
+"""Differential tests of the kernel's four exact product methods.
 
 ``conv_mod``, ``mul_mod`` and ``compose_mod`` choose between a direct
-numpy int64 op, an int64 op on residues split in halves (Karatsuba) and a
-Kronecker big-integer multiply.  Each case here runs on the same inputs
-through every method that is exact for it, and is checked against the
-brute-force oracles in ``helpers.py``.  A method is forced by lowering
-``_convolve._INT64_SAFE``, as ``test_convolve.py`` does: to 0 every
-product takes Kronecker, and to just above the halves bound of the case
-no product fits directly but every one fits in halves.  Spies on
-``_halves`` and ``_pack`` check that the forced method ran.
+numpy int64 op, a product split by length into two or three direct ones
+(series products only), an int64 op on residues split in halves
+(Karatsuba) and a Kronecker big-integer multiply.  Each case here runs on
+the same inputs through every method that is exact for it, and is checked
+against the brute-force oracles in ``helpers.py``.  A method is forced by
+lowering ``_convolve._INT64_SAFE``, as ``test_convolve.py`` does: to 0
+every product takes Kronecker; to just above the halves bound of the case
+no product fits directly but every one fits in halves; and to just above
+(mod - 1)^2 * t, for t a half or a third of the shorter operand's length,
+a product fits directly in two or three pieces of it.  Spies on
+``_split``, ``_halves`` and ``_pack`` check that the forced method ran.
 """
 
 import numpy as np
@@ -170,6 +173,77 @@ class TestConvMod:
         assert got.tolist() == poly_mul_mod(a[0], b[0], mod, inner + cols - 1)
         got = _convolve._halves(np.matmul, np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64), mod)
         assert got.tolist() == [[sum(x * row[j] for x, row in zip(r, b)) % mod for j in range(cols)] for r in a]
+
+
+@st.composite
+def split_products(draw):
+    # moduli whose (mod - 1)^2 * t stays below 2^62 for the t forced below
+    mod = draw(st.sampled_from([2, 5, 7**10, 5**12, 2**20 + 7]) | st.integers(2, 2**24))
+    la, lb = draw(st.integers(2, 70)), draw(st.integers(2, 70))
+    n = draw(st.integers(2, la + lb + 3))
+    return mod, series(draw, mod, la), series(draw, mod, lb), n, draw(st.sampled_from([2, 3]))
+
+
+class TestSplit:
+    def run_split(self, fn, mod, terms, c):
+        """fn() with a product of ceil(terms / c) terms the most that fits
+        directly, and the pieces of each call of ``_split``; no call may
+        take halves or Kronecker."""
+        pieces, calls = [], {"_halves": 0, "_pack": 0}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_convolve, "_INT64_SAFE", (mod - 1) ** 2 * -(-terms // c) + 1)
+            split = _convolve._split
+            mp.setattr(_convolve, "_split", lambda *args: pieces.append(args[-1]) or split(*args))
+            for name in calls:
+                mp.setattr(_convolve, name, lambda *args, name=name: calls.__setitem__(name, 1))
+            got = fn()
+        assert calls == {"_halves": 0, "_pack": 0}
+        return got, pieces
+
+    @KERNEL
+    @given(split_products())
+    def test_split_products(self, case):
+        mod, a, b, n, c = case
+        terms = min(len(a), len(b), n)
+        want = poly_mul_mod(a, b, mod, n)
+        cases = [(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))]
+        if max(min(len(a), n), min(len(b), n)) > _SHORT:  # shorter lists take Kronecker
+            cases.append((a, b))
+        for ops in cases:
+            got, pieces = self.run_split(lambda: conv_mod(*ops, n, mod), mod, terms, c)
+            assert len(pieces) == 1 and 2 <= pieces[0] <= 3
+            assert list(got) == want and type(got) is type(ops[0])
+
+    @pytest.mark.parametrize("mod", [5, 7**10])
+    @pytest.mark.parametrize("c", [2, 3])
+    def test_worst_case_residues(self, mod, c):
+        # every piece's accumulator at its largest: t products of (mod - 1)^2
+        a = b = [mod - 1] * 100
+        got, pieces = self.run_split(lambda: conv_mod(a, b, 199, mod), mod, 100, c)
+        assert pieces == [c] and got == poly_mul_mod(a, b, mod, 199)
+
+    def test_extension_field_product(self):
+        # a packed product over F27 splits too, then folds directly
+        p, modulus = EXTENSIONS["F27"]
+        rng = np.random.default_rng(5)
+        n, w = 12, 3
+        a, b = (list(map(tuple, rng.integers(0, p, (n, w)).tolist())) for _ in range(2))
+        got, pieces = self.run_split(lambda: mul_mod(pack(a, w), pack(b, w), n, p, modulus),
+                                     p, n * (2 * w - 1), 2)
+        assert pieces == [2] and unpack(got, w) == ext_mul(a, b, p, modulus, n)
+
+    def test_natural_choice_just_past_the_direct_bound(self):
+        # 100 terms mod 7^10: (mod - 1)^2 * 100 is about 2^62.8, past the
+        # bound, and two pieces of 50 fit, so no call takes halves
+        mod = 7**10
+        assert (mod - 1) ** 2 * 100 >= SAFE > (mod - 1) ** 2 * 50
+        t = (SAFE - 1) // (mod - 1) ** 2
+        assert _convolve._pieces(mod, 100) == 2 and _convolve._pieces(mod, 3 * t) == 3
+        assert _convolve._pieces(mod, 3 * t + 1) > 3
+        a = b = [mod - 1] * 100
+        results = run_methods(lambda: conv_mod(a, b, 100, mod), mod, 100)
+        assert results["natural"][1:] == (0, 0)
+        check_methods(results, poly_mul_mod(a, b, mod, 100), True)
 
 
 class TestComposeMod:
