@@ -41,14 +41,28 @@ the big-integer multiply, which at that length costs about numpy's call
 overhead, and one list block is reduced in pure Python: arithmetic in
 fields up to w = 4 never imports numpy.
 
-Composition is Paterson-Stockmeyer (baby steps, giant steps): about
-2*sqrt(L) products for an outer series of L blocks, where Horner's rule
-takes L - 1.  The baby steps, the powers inner^0 .. inner^k, depend on
-the inner series and the precision alone; ``baby_powers`` builds them,
-and ``compose_mod`` takes them ready made, so compositions with one
-inner (as in binary powering) can form them once.  Composition stays array-resident: int64 arrays while the direct or
-halves method fits, object arrays of Python ints past the halves band;
-see ``compose_mod``.
+Composition takes one of two methods:
+
+- Paterson-Stockmeyer (baby steps, giant steps), in every ring: about
+  2*sqrt(L) products for an outer series of L blocks, where Horner's rule
+  takes L - 1.  Its baby steps, the powers inner^0 .. inner^k, are built
+  by ``baby_powers``.
+- the Frobenius split, over F_p alone (w = 1 and mod = p), where
+  h(X)^p = h(X^p): with outer = sum_{r<p} X^r f_r(X^p),
+  outer(h) = sum_r h^r (f_r o h)(X^p), so one composition mod X^n is p
+  compositions mod X^ceil(n/p) and p - 1 products, recursively
+  (D. J. Bernstein, "Composing power series over a finite ring in
+  essentially linear time", J. Symbolic Comput. 26, 1998).  What it reads
+  of the inner series is built by ``frobenius_tables``.  The identity
+  fails over Z/p^P, and over F_{p^w} it twists the coefficients of h.
+
+The caller chooses by one ring and size test, ``frobenius_wins(p, n)``
+over F_p.  Either method's data depend on the inner series and the
+precision alone, and ``compose_mod`` takes them ready made, so
+compositions with one inner (as in binary powering) can build them once.
+Composition stays array-resident: int64 arrays while the direct or halves
+method fits, object arrays of Python ints past the halves band; see
+``compose_mod``.
 
 Reciprocals and substitution inverses are Newton iterations.
 ``recip_mod`` converts its operand once and runs its steps on arrays.
@@ -61,9 +75,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import inf, isqrt
+from typing import NamedTuple
 
 _INT64_SAFE = 2**62
 _SHORT = 8
+_FROBENIUS_BASE = 32
 
 
 def _pack(vals, size):
@@ -330,6 +346,129 @@ def baby_powers(inner, n, mod, modulus=None, k=None):
     return powers
 
 
+def frobenius_wins(p, n):
+    """The size test of the Frobenius split over F_p, from its measured
+    crossover with Paterson-Stockmeyer (tables built and one composition):
+    the split wins from n = p^2 terms on, as the p - 2 products behind
+    h^2 .. h^(p-1) grow with p, and below 64 terms, where both take well
+    under a millisecond, Paterson-Stockmeyer is kept."""
+    return n >= max(p * p, 64)
+
+
+class FrobeniusTables(NamedTuple):
+    """What the Frobenius split keeps of an inner series mod X^n over F_p
+    (see ``frobenius_tables``): read-only numpy arrays of O(p*n + n_D^2)
+    entries in all."""
+
+    p: int
+    sizes: tuple  # the level lengths n = n_0 > n_1 > .. > n_D
+    stacks: tuple  # one per level d < D
+    table: object  # the base table
+
+
+def _toeplitz(v, size):
+    """The size x size matrix with entry v[j - i] at (i, j), 0 below the
+    diagonal: a row vector times it is the vector's product with v mod
+    X^size."""
+    import numpy as np
+
+    z = np.zeros(2 * size - 1, dtype=v.dtype)
+    z[size - 1 :] = v[:size]
+    i = np.arange(size)
+    return z[size - 1 + i[None, :] - i[:, None]]
+
+
+def frobenius_tables(inner, n, p):
+    """The per-inner data of ``compose_mod``'s Frobenius split over F_p.
+
+    The levels run n_0 = n, n_(d+1) = ceil(n_d / p), down to the first
+    n_D <= ``_FROBENIUS_BASE``.  The stack of level d < D holds, for
+    r = 1 .. p - 1, the phases t = 0 .. p - 1 of h^r mod X^(n_d),
+    phase t being h^r's coefficients t, t + p, t + 2p, .., each phase in a
+    block of 2m - 1 slots for m = n_(d+1): one product of a series of m
+    terms with that stack gives its p products with the phases, in
+    separate blocks.  The base table holds h^0 .. h^(B-1) mod X^B,
+    B = n_D, as rows, built by doubling: with rows 0 .. k known, rows
+    k .. 2k are they times h^k, row k, one matrix product with the
+    Toeplitz matrix of row k.
+    """
+    import numpy as np
+
+    sizes = [n]
+    while sizes[-1] > _FROBENIUS_BASE:
+        sizes.append(-(-sizes[-1] // p))
+    # every product and matrix product here and in _frobenius_compose sums
+    # at most n terms
+    dtype = array_dtype(p, n)
+    h = _residues(inner, n, p, dtype)
+    powers = [h]
+    if len(sizes) > 1:  # only the levels read h^2 .. h^(p-1)
+        for _ in range(p - 2):
+            powers.append(conv_mod(powers[-1], h, n, p))
+    powers = np.stack(powers)
+    stacks = []
+    for nd, m in zip(sizes, sizes[1:]):
+        phases = np.zeros((p - 1, m * p), dtype=dtype)
+        phases[:, :nd] = powers[:, :nd]
+        stack = np.zeros((p - 1, p, 2 * m - 1), dtype=dtype)
+        stack[:, :, :m] = phases.reshape(p - 1, m, p).transpose(0, 2, 1)
+        stacks.append(stack.reshape(p - 1, -1))
+    size = sizes[-1]
+    table = np.zeros((size, size), dtype=dtype)
+    table[0, 0] = 1
+    table[1:2] = h[:size]
+    k = 1
+    while k < size - 1:
+        t = min(k, size - 1 - k)
+        table[k : k + t + 1] = _bilinear(np.matmul, table[: t + 1], _toeplitz(table[k], size), size, p)
+        k += t
+    for x in stacks + [table]:
+        x.flags.writeable = False
+    return FrobeniusTables(p, tuple(sizes), tuple(stacks), table)
+
+
+def _frobenius_compose(outer, n, tables):
+    """First n terms of outer(h) over F_p from h's ``frobenius_tables``.
+
+    As h(X)^p = h(X^p) over F_p, writing outer = sum_{r<p} X^r f_r(X^p)
+    gives outer(h) = sum_r h^r (f_r o h)(X^p), and mod X^n each f_r o h is
+    needed only mod X^ceil(n/p).  Every composition of a level has the
+    same inner h, so the levels are run on all their outers at once:
+    splitting the rows of outers D times leaves p^D rows of n_D terms,
+    composed by one matrix product with the base table; each level up
+    then puts a row together from its p children g_r = f_r o h.  Phase t
+    of sum_r h^r g_r(X^p) is sum_r g_r times phase t of h^r, so the row
+    takes p - 1 products of g_r with the stack of h^r, and g_0 adds to
+    phase 0.
+    """
+    import numpy as np
+
+    p, sizes, stacks, table = tables
+    dtype = table.dtype
+    f = _residues(outer, n, p, dtype)[None, :]
+    for m in sizes[1:]:
+        rows = np.zeros((len(f), m * p), dtype=dtype)
+        rows[:, : f.shape[1]] = f
+        f = rows.reshape(-1, m, p).transpose(0, 2, 1).reshape(-1, m)
+    g = _bilinear(np.matmul, f, table, sizes[-1], p)
+    # a row sums p - 1 products of at most n_(d+1) terms each, and g_0:
+    # unreduced, at most p * n terms below (p - 1)^2
+    direct = (p - 1) * (p - 1) * p * n < _INT64_SAFE
+    for nd, m, stack in reversed(list(zip(sizes, sizes[1:], stacks))):
+        g = g.reshape(-1, p, m)
+        acc = np.zeros((len(g), p, 2 * m - 1), dtype=dtype)
+        acc[:, 0, :m] = g[:, 0]
+        width = (p - 1) * (2 * m - 1) + m
+        for row, parts in zip(acc.reshape(len(g), -1), g):
+            for r in range(1, p):
+                if direct:
+                    row[:width] += np.convolve(parts[r], stack[r - 1])[:width]
+                else:
+                    row[:width] = (row[:width] + conv_mod(parts[r], stack[r - 1], width, p)) % p
+        g = (acc[:, :, :m] % p).transpose(0, 2, 1).reshape(len(g), -1)[:, :nd]
+    return g[0].tolist()
+
+
 def compose_mod(outer, inner, n, mod, modulus=None, powers=None):
     """First n blocks of outer(inner(X)); inner's first block must be 0.
 
@@ -347,6 +486,9 @@ def compose_mod(outer, inner, n, mod, modulus=None, powers=None):
     some k, and inner is not read; any k gives the same result, so a caller
     can keep one set for every composition with one inner.  Otherwise they
     are built here with k = ceil(sqrt(L)), fewer products for a short outer.
+    Over F_p (mod = p, no modulus) powers may instead be
+    ``frobenius_tables(inner, n, p)``, and the composition takes the
+    Frobenius split (see ``_frobenius_compose``).
 
     The operands are converted once, and the baby powers, the chunks and the
     Horner accumulator stay numpy arrays until the result is returned as a
@@ -357,6 +499,8 @@ def compose_mod(outer, inner, n, mod, modulus=None, powers=None):
     """
     if n == 0:
         return []
+    if isinstance(powers, FrobeniusTables):
+        return _frobenius_compose(outer, n, powers)
     s = block_size(modulus)
     w = (s + 1) // 2
     width = n * s

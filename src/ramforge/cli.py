@@ -6,13 +6,15 @@ error and input nested too deeply to parse), 3 precision insufficiency
 defect: a failed internal cross-check (type ``invariant``) or any other
 exception (type ``internal``, with its traceback on stderr); either way
 the answer is withheld.  Error documents are structured JSON with a type and a
-machine-readable reason.
+machine-readable reason.  A reader that closes stdout early (``| head``)
+ends the output quietly, with the command's own exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 
@@ -45,8 +47,15 @@ def _emit(doc, fmt):
     # rendered whole before printing, so a document that fails to render
     # prints nothing before the error document
     lines = list(_tabulate(doc)) if fmt == "table" else [json.dumps(doc, indent=2, sort_keys=True)]
-    for line in lines:
-        print(line)
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does: the rest of the
+        # document goes to devnull, so that neither an error document nor
+        # the flush at exit writes to the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _tabulate(doc, prefix=""):

@@ -31,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from ._convolve import (baby_powers, block_size, compose_mod, mul_mod, power, reversion_mod,
-                        row_combination, unit_inverse)
+from ._convolve import (baby_powers, block_size, compose_mod, frobenius_tables, frobenius_wins,
+                        mul_mod, power, reversion_mod, row_combination, unit_inverse)
 
 
 # Miller-Rabin with the first 13 prime bases decides primality of every n
@@ -297,10 +297,12 @@ class TruncSeries:
     X^k in slots [k(2w-1), k(2w-1) + w) and zeros in the rest (one slot per
     coefficient over F_p and Z/p^P).  ``coeffs`` is a view of it as ``trunc``
     FFElem values, built on first use; the k-th entry is the coefficient
-    of X^k.  Instances are immutable.  ``_baby`` keeps the baby powers of
-    the series as the inner series of a composition mod X^trunc, built on
-    first use (see ``compose``); neither view takes part in equality,
-    hashing or repr.
+    of X^k.  Instances are immutable.  ``_baby`` keeps what a composition
+    mod X^trunc reads of the series as its inner series, built on first use
+    (see ``compose``): over F_p with trunc >= max(p^2, 64), the tables of
+    the Frobenius split (``_convolve.frobenius_tables``), and otherwise the
+    Paterson-Stockmeyer baby powers (``_convolve.baby_powers``).  Neither
+    view takes part in equality, hashing or repr.
     """
 
     __slots__ = ("field", "trunc", "packed", "_coeffs", "_baby")
@@ -415,9 +417,12 @@ class TruncSeries:
     def compose(self, inner):
         """outer(inner(X)); inner must have zero constant term.
 
-        A composition mod X^(inner.trunc) reuses the baby powers of inner
-        that the first such composition built, so binary powering, which
-        composes with one inner again and again, forms them once.
+        Over F_p, where ``frobenius_wins(p, n)`` holds for the truncation n
+        of the result, the kernel composes by the Frobenius split; in every
+        other case, Z/p^P and F_{p^w} included, by Paterson-Stockmeyer.  A
+        composition mod X^(inner.trunc) reuses the data of inner that the
+        first such composition built, so binary powering, which composes
+        with one inner again and again, builds them once.
         """
         self._check(inner)
         if any(inner.block(0)):
@@ -425,11 +430,14 @@ class TruncSeries:
         n = min(self.trunc, inner.trunc)
         f = self.field
         width = n * block_size(f.modulus)
-        powers = None
-        if n == inner.trunc:
-            if inner._baby is None:
-                inner._baby = baby_powers(inner.packed, n, f.mod, f.modulus)
-            powers = inner._baby
+        powers = inner._baby if n == inner.trunc else None
+        if powers is None:
+            if f.w == 1 and f.prec == 1 and frobenius_wins(f.p, n):
+                powers = frobenius_tables(inner.packed, n, f.p)
+            else:
+                powers = baby_powers(inner.packed, n, f.mod, f.modulus)
+            if n == inner.trunc:
+                inner._baby = powers
         out = compose_mod(self.packed[:width], inner.packed[:width], n, f.mod, f.modulus, powers)
         return _from_packed(f, out, n)
 

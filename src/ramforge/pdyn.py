@@ -156,19 +156,17 @@ def _divide_level(prev, cur, n):
     den_lo = den[:i0]
     den_hi_inv = recip_mod(den[i0:], K, mod)
 
+    # q = ((num - q * den_lo) / X^i0) / den_hi, iterated from q = 0: a round
+    # multiplies the error of q by a multiple of den_lo, whose entries are
+    # divisible by p^v_lo (v_lo >= 1), so q is exact after ceil(P / v_lo)
+    # rounds, or as soon as a round leaves it unchanged
     q = np.zeros(K, dtype=dtype)
-    converged = False
-    for _ in range(math.ceil(P / max(v_lo, 1)) + 2):
+    for _ in range(-(-P // v_lo)):
         t = (num - conv_mod(q, den_lo, L, mod)) % mod if i0 else num
         q_new = conv_mod(t[i0:], den_hi_inv, K, mod)
         if np.array_equal(q_new, q):
-            converged = True
             break
         q = q_new
-    if not converged:
-        raise PrecisionError(
-            "quotient iteration failed to stabilize", quantity="qn_quotient", level=n
-        )
 
     if i0 == 0:
         coeff_prec = (P,) * K  # unit divisor: division is exact

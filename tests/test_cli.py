@@ -406,6 +406,32 @@ class TestContract:
         code, doc = run(capsys, "breaks", "upper", "--p", "5", "--lower", "4,24")
         assert code == 4 and doc["error"] == {"type": "internal", "reason": "RuntimeError: boom"}
 
+    @pytest.mark.parametrize("argv, read, code", [
+        # 20,000 coefficients print more than a pipe holds, so the reader
+        # closes while the command is still writing, as `| head -c 10` does
+        (("series", "iterate", "--n", "0", "--series",
+          json.dumps({"p": 5, "w": 1, "trunc": 20000, "coeffs": [0, 1, 1] + [0] * 19997})), 10, 0),
+        # the reader closes before a short document is written: the flush
+        # fails, for a result and for an error document alike
+        (("series", "depth", "--series", SERIES), 0, 0),
+        (("series", "depth", "--series", '{"p": 5}'), 0, 2),
+        (("breaks", "lower", "--n-max", "1", "--series",
+          json.dumps({"p": 5, "w": 1, "trunc": 4, "coeffs": [0, 1, 0, 0]})), 0, 3),
+    ], ids=["long", "result", "input", "precision"])
+    def test_closed_stdout_ends_quietly(self, argv, read, code):
+        # a closed pipe used to end in two BrokenPipeError tracebacks and
+        # exit 1: the second came from writing the error document to it
+        src = str(Path(ramforge.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-m", "ramforge.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(read)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == code, err
+        assert err == b"" and len(head) == read
+
     @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_unprintable_document_is_input_error(self, capsys, monkeypatch, fmt):
         # a document is rendered whole inside the error handling, so an

@@ -10,7 +10,7 @@ import pytest
 
 import ramforge
 from ramforge import FFElem, FiniteField, TruncSeries, gfseries, jsonio, series_agree_mod, unit_part
-from ramforge._convolve import compose_mod
+from ramforge._convolve import FrobeniusTables, compose_mod
 from ramforge.nottingham import compose_power
 
 from helpers import brute_comp_inverse, brute_compose, cfrob, cmul, cpow, exact_int_compose, ext_compose
@@ -354,6 +354,62 @@ class TestBabyPowerMemo:
         with pytest.raises(ValueError, match="read-only"):
             g._baby[1][0] = 1
         assert TruncSeries.x(F27, 16).compose(g) == g
+
+
+class TestFrobeniusMemo:
+    """Over F_p from n = max(p^2, 64) terms on, an inner series keeps the
+    tables of the Frobenius split; Z/p^P and F_{p^w} keep baby powers."""
+
+    def test_ring_and_size_test(self):
+        rng = random.Random(74)
+        for field, n, kind in ((F2, 63, list), (F2, 64, FrobeniusTables), (FiniteField(11), 120, list),
+                               (FiniteField(11), 121, FrobeniusTables), (FiniteField(5, prec=2), 400, list),
+                               (F25, 400, list)):
+            zero = 0 if field.w == 1 else (0,) * field.w
+            g = TruncSeries(field, [zero] + [ring_coeff(rng, field) for _ in range(n - 1)], n)
+            TruncSeries.x(field, n).compose(g)
+            assert type(g._baby) is kind, (field, n)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_shared_tables_match_paterson_stockmeyer(self, monkeypatch, p):
+        # outers shorter and longer than the inner, composed with one inner,
+        # whose tables no composition writes to
+        rng = random.Random(75 + p)
+        f, n = FiniteField(p), 130
+        g = TruncSeries(f, [0] + [rng.randrange(p) for _ in range(n - 1)], n)
+        outers = [TruncSeries(f, [rng.randrange(p) for _ in range(k)], k) for k in (n, n, 140, 70)]
+        got = [outers[0].compose(g)]
+        tables = g._baby
+        arrays = (*tables.stacks, tables.table)
+        copies = [x.copy() for x in arrays]
+        got += [outer.compose(g) for outer in outers[1:]]
+        assert type(tables) is FrobeniusTables and g._baby is tables
+        assert all((x == y).all() and not x.flags.writeable for x, y in zip(arrays, copies))
+        monkeypatch.setattr(gfseries, "frobenius_wins", lambda p, n: False)
+        fresh = TruncSeries(f, g.packed, n)
+        assert got == [outer.compose(fresh) for outer in outers]
+        assert type(fresh._baby) is list
+
+    def test_binary_powering_builds_each_inner_once(self, monkeypatch):
+        # g^(7): g∘g, g2∘g, g3∘g3, g6∘g; g and g3 are the inner series
+        calls = []
+        build = gfseries.frobenius_tables
+        monkeypatch.setattr(gfseries, "frobenius_tables", lambda *args: calls.append(1) or build(*args))
+        rng = random.Random(76)
+        f = FiniteField(7)
+        g = TruncSeries(f, [0, 1] + [rng.randrange(7) for _ in range(62)], 64)
+        got = compose_power(g, 7)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        assert [c.rep[0] for c in got.coeffs] == oracle_power(g, 7)
+
+
+def oracle_power(g, k):
+    ints = list(g.packed)
+    acc = ints
+    for _ in range(k - 1):
+        acc = brute_compose(acc, ints, g.field.p, g.trunc)
+    return acc
 
 
 class TestCompInverse:

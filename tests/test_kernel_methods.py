@@ -1,4 +1,5 @@
-"""Differential tests of the kernel's four exact product methods.
+"""Differential tests of the kernel's four exact product methods, and of
+its two composition methods.
 
 ``conv_mod``, ``mul_mod`` and ``compose_mod`` choose between a direct
 numpy int64 op, a product split by length into two or three direct ones
@@ -12,6 +13,9 @@ no product fits directly but every one fits in halves; and to just above
 (mod - 1)^2 * t, for t a half or a third of the shorter operand's length,
 a product fits directly in two or three pieces of it.  Spies on
 ``_split``, ``_halves`` and ``_pack`` check that the forced method ran.
+Over F_p, compositions by the Frobenius split and by Paterson-Stockmeyer
+run on the same inputs, under every forced product method, and against
+the brute-force oracles.
 """
 
 import numpy as np
@@ -19,9 +23,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramforge import _convolve
-from ramforge._convolve import _SHORT, compose_mod, conv_mod, mul_mod, row_combination
+from ramforge._convolve import _SHORT, compose_mod, conv_mod, frobenius_tables, mul_mod, row_combination
 
-from helpers import cadd, cmul, exact_int_compose, ext_compose, poly_mul_mod
+from helpers import brute_compose, cadd, cmul, exact_int_compose, ext_compose, poly_mul_mod
 
 KERNEL = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 SAFE = 2**62
@@ -272,6 +276,73 @@ class TestComposeMod:
         results = run_methods(lambda: compose_mod(outer, inner, n, mod), mod, n)
         assert results["natural"][1] == 0 and results["natural"][2] > 0
         check_methods(results, [c % mod for c in exact_int_compose(outer, inner, n)], True)
+
+
+FROBENIUS_PRIMES = [2, 3, 5, 7, 11]
+
+
+@st.composite
+def frobenius_cases(draw, max_n=400):
+    """(p, outer, inner, n) over F_p: n on both sides of the base size and
+    of p times it, and of multiples of p; outers shorter and longer than n;
+    dense inners, and sparse ones that start deep."""
+    p = draw(st.sampled_from(FROBENIUS_PRIMES))
+    base = _convolve._FROBENIUS_BASE
+    near = [base - 1, base, base + 1, p * base, p * base + 1]
+    n = draw(st.one_of(
+        st.integers(1, 130),
+        st.sampled_from([k for k in near if k <= max_n]),
+        st.builds(lambda k, d: max(1, k * p + d), st.integers(1, 130 // p), st.sampled_from([-1, 0, 1])),
+    ).filter(lambda k: k <= max_n))
+    outer = series(draw, p, draw(st.integers(1, n + 8)))
+    if draw(st.booleans()):
+        inner = series(draw, p, n, lead=1)
+    else:
+        inner = [0] * n
+        if n > 1:
+            lead = draw(st.integers(1, n - 1))
+            for k in draw(st.lists(st.integers(lead, n - 1), max_size=4)):
+                inner[k] = draw(st.integers(1, p - 1))
+    return p, outer, inner, n
+
+
+def frobenius_compose(outer, inner, n, p):
+    return compose_mod(outer, None, n, p, None, frobenius_tables(inner, n, p))
+
+
+class TestFrobeniusSplit:
+    @settings(KERNEL, max_examples=150)
+    @given(frobenius_cases())
+    def test_matches_paterson_stockmeyer_and_the_oracle(self, case):
+        p, outer, inner, n = case
+        want = compose_mod(outer, inner, n, p)
+        assert frobenius_compose(outer, inner, n, p) == want
+        if n <= 64:
+            assert want == brute_compose(outer, inner, p, n)
+
+    @settings(KERNEL, max_examples=80)
+    @given(frobenius_cases(max_n=70))
+    def test_methods_agree(self, case):
+        # both composition methods under each forced product method: the
+        # split's products take conv_mod wherever they are not direct
+        p, outer, inner, n = case
+        want = [c % p for c in exact_int_compose(outer, inner, n)]
+        for compose in (frobenius_compose, lambda *args: compose_mod(*args[:3], p)):
+            results = run_methods(lambda: compose(outer, inner, n, p), p, n)
+            assert {"natural", "kronecker", "direct"} <= set(results)
+            check_methods(results, want, True)
+
+    @pytest.mark.parametrize("n", [1, 9, 20, 32])
+    def test_halves_in_the_base_table(self, n):
+        # mod 1031 one product fits directly and, under the forced bound, a
+        # sum of n of them only in halves; at n <= 32 the base table, built
+        # by doubling, and its one matrix product are the whole split
+        p = 1031
+        outer = [p - 1] * n
+        inner = [0] + [p - 1] * (n - 1)
+        results = run_methods(lambda: frobenius_compose(outer, inner, n, p), p, n)
+        assert results["halves"][1] > 0
+        check_methods(results, [c % p for c in exact_int_compose(outer, inner, n)], True)
 
 
 @st.composite

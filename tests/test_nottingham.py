@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ramforge import _convolve, gfseries
 from ramforge import (
     AtLeast,
     FiniteField,
@@ -122,6 +123,26 @@ class TestLowerBreaks:
         assert rs.lower == (4, 24, 124)
         assert rs.upper == (4, 8, 12)
         assert rs.certified_to == 130
+
+    @pytest.mark.parametrize("p, trunc, lower", [
+        (2, 400, (1, 3, 15, 255)),
+        (3, 400, (1, 4, 13, 40)),
+        (5, 400, (1, 6, 31, 156)),
+        (7, 420, (1, 8, 57, 400)),  # i_3 = 400 is certified from N = 402
+    ])
+    def test_x_plus_x_squared(self, monkeypatch, p, trunc, lower):
+        # known answers, as Paterson-Stockmeyer gave them; for odd p,
+        # i_n = (p^(n+1) - 1)/(p - 1).  Every link here composes by the
+        # Frobenius split, through two levels or more
+        g = S(FiniteField(p), [0, 1, 1], trunc)
+        assert _convolve.frobenius_wins(p, trunc)
+        assert len(_convolve.frobenius_tables(g.packed, trunc, p).sizes) >= 3
+        assert lower_breaks(g, 3).lower == lower
+        if p > 2:
+            assert lower == tuple((p ** (n + 1) - 1) // (p - 1) for n in range(4))
+        # and the same through Paterson-Stockmeyer
+        monkeypatch.setattr(gfseries, "frobenius_wins", lambda p, n: False)
+        assert lower_breaks(S(FiniteField(p), [0, 1, 1], trunc), 3).lower == lower
 
     def test_precision_error_carries_partial(self):
         g = cyclotomic_reduction(5, 30)  # i_2 = 124 is not visible at N = 30

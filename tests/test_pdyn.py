@@ -1,5 +1,6 @@
 import math
 import random
+from collections import deque
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,7 @@ from ramforge import (
     ext_quantities,
     lower_breaks,
     newton_polygon,
+    p_chain,
     p_iterate,
     pad_compose,
     pad_iterate,
@@ -23,6 +25,7 @@ from ramforge import (
     rn_values,
     weierstrass_degree,
 )
+from ramforge.gfseries import vp
 
 from helpers import cyclotomic_padic, exact_int_compose, exact_series_divide, frac_mod, vp_frac
 
@@ -303,6 +306,30 @@ class TestQnDivide:
         assert level.note is None
         assert level.weierstrass_degree == level.expected_wd == 18
         assert level.polygon.single_root_valuation == F(1, 18)
+
+    @pytest.mark.parametrize("u, n", [
+        (cyclotomic_padic(5, 8, 130), 1),
+        (cyclotomic_padic(3, 16, 90), 2),
+        (cyclotomic_padic(7, 5, 60), 1),
+        (cyclotomic_padic(2, 12, 40), 2),
+        (PadicSeries(5, 6, 20, (0, 2, 1) + (0,) * 17), 1),  # a unit divisor: i0 = 0
+    ], ids=["p5", "p3-level2", "p7", "p2-level2", "unit"])
+    def test_quotient_rounds_are_bounded(self, monkeypatch, u, n):
+        # a round multiplies the error of q by a multiple of p^v_lo, so q is
+        # exact after ceil(P / v_lo) rounds from q = 0; no round may follow
+        # only to confirm it
+        f, M = u.field, u.trunc
+        prev, cur = deque(p_chain(u, n), maxlen=2)
+        den = (prev - TruncSeries.x(f, M)).packed[1:]
+        i0 = next(k for k, c in enumerate(den) if c % f.p)
+        v_lo = min((vp(c, f.p, f.prec) for c in den[:i0]), default=f.prec)
+        K = M - 1 - i0
+        assert K != i0  # a round's quotient product is the only call of length K
+        lengths = []
+        conv = pdyn.conv_mod
+        monkeypatch.setattr(pdyn, "conv_mod", lambda a, b, m, mod: lengths.append(m) or conv(a, b, m, mod))
+        pdyn._divide_level(prev, cur, n)
+        assert 1 <= lengths.count(K) <= -(-f.prec // v_lo)
 
     def test_inexact_division_is_rejected(self):
         # the divisor p + X pivots on X, so the numerator 1 would need a
