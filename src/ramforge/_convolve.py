@@ -56,10 +56,13 @@ Composition takes one of two methods:
   of the inner series is built by ``frobenius_tables``.  The identity
   fails over Z/p^P, and over F_{p^w} it twists the coefficients of h.
 
-The caller chooses by one ring and size test, ``frobenius_wins(p, n)``
-over F_p.  Either method's data depend on the inner series and the
-precision alone, and ``compose_mod`` takes them ready made, so
-compositions with one inner (as in binary powering) can build them once.
+``compose_data`` makes the one choice, by one ring and size test: the
+split over F_p (a prime mod, ``is_prime``, and no modulus) where
+``frobenius_wins`` holds for the outer blocks the data serve.  Either
+method's data depend on the inner series and the precision alone, and
+``compose_mod`` takes them ready made, so compositions with one inner (as
+in binary powering) can build them once; it builds them by
+``compose_data`` otherwise, ``reversion_mod``'s compositions included.
 Composition stays array-resident: int64 arrays while the direct or halves
 method fits, object arrays of Python ints past the halves band; see
 ``compose_mod``.
@@ -80,6 +83,36 @@ from typing import NamedTuple
 _INT64_SAFE = 2**62
 _SHORT = 8
 _FROBENIUS_BASE = 32
+
+# Miller-Rabin with the first 13 prime bases decides primality of every n
+# below this bound (Sorenson and Webster, Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+@lru_cache(maxsize=256)
+def is_prime(n):
+    """Whether n is a prime certified by deterministic Miller-Rabin; False
+    from ``_MR_BOUND`` on, where the test is not proven."""
+    if n < 2 or n >= _MR_BOUND:
+        return False
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _MR_BASES:
+        if b >= n:
+            break
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _pack(vals, size):
@@ -323,10 +356,9 @@ def unit_inverse(a, mod, modulus=None):
                  lambda x, y: mul_mod(x, y, 1, mod, modulus))
 
 
-def baby_powers(inner, n, mod, modulus=None, k=None):
+def baby_powers(inner, n, mod, modulus, k):
     """The baby steps of ``compose_mod``: inner^0 .. inner^k mod X^n, in
-    k - 1 products; k defaults to ceil(sqrt(n)), the k for an outer series
-    of n blocks.
+    k - 1 products.
 
     They are read-only numpy arrays of n blocks, in the dtype compose_mod
     works in for n blocks.  They depend on inner and n alone, so every
@@ -337,8 +369,6 @@ def baby_powers(inner, n, mod, modulus=None, k=None):
     dtype = array_dtype(mod, width)
     inner = _residues(inner, width, mod, dtype)
     powers = [_residues([1], width, None, dtype), inner]
-    if k is None:
-        k = isqrt(n - 1) + 1
     for _ in range(k - 1):
         powers.append(mul_mod(powers[-1], inner, n, mod, modulus))
     for x in powers:
@@ -347,12 +377,28 @@ def baby_powers(inner, n, mod, modulus=None, k=None):
 
 
 def frobenius_wins(p, n):
-    """The size test of the Frobenius split over F_p, from its measured
-    crossover with Paterson-Stockmeyer (tables built and one composition):
+    """The size test of the Frobenius split over F_p for outer series of n
+    blocks, from its measured crossover with Paterson-Stockmeyer (tables
+    built and one composition):
     the split wins from n = p^2 terms on, as the p - 2 products behind
     h^2 .. h^(p-1) grow with p, and below 64 terms, where both take well
     under a millisecond, Paterson-Stockmeyer is kept."""
     return n >= max(p * p, 64)
+
+
+def compose_data(inner, n, mod, modulus, blocks):
+    """What ``compose_mod`` reads of inner mod X^n, for outer series of at
+    most blocks <= n blocks: ``frobenius_tables`` over F_p (a prime mod and
+    no modulus) where ``frobenius_wins`` holds for blocks, and otherwise
+    ``baby_powers`` with k = ceil(sqrt(blocks)).
+
+    This is the one choice of composition method.  The test reads the
+    blocks the data will serve, as a short outer loses with the split: a
+    caller that keeps the data for every composition mod X^n passes n.
+    """
+    if modulus is None and frobenius_wins(mod, blocks) and is_prime(mod):
+        return frobenius_tables(inner, n, mod)
+    return baby_powers(inner, n, mod, modulus, isqrt(blocks - 1) + 1)
 
 
 class FrobeniusTables(NamedTuple):
@@ -482,13 +528,12 @@ def compose_mod(outer, inner, n, mod, modulus=None, powers=None):
     inner^k takes the last ceil(L/k) - 1 products for the L blocks of
     outer.
 
-    powers, when given, are ``baby_powers(inner, n, mod, modulus, k)`` for
-    some k, and inner is not read; any k gives the same result, so a caller
-    can keep one set for every composition with one inner.  Otherwise they
-    are built here with k = ceil(sqrt(L)), fewer products for a short outer.
-    Over F_p (mod = p, no modulus) powers may instead be
-    ``frobenius_tables(inner, n, p)``, and the composition takes the
-    Frobenius split (see ``_frobenius_compose``).
+    powers, when given, are ``compose_data``'s for inner mod X^n, and inner
+    is not read: baby powers for any k (each gives the same result), or the
+    tables of the Frobenius split (see ``_frobenius_compose``), so a caller
+    can keep one set for every composition with one inner.  Otherwise
+    ``compose_data`` builds them for the L <= n blocks of outer, with
+    k = ceil(sqrt(L)), fewer products for a short outer.
 
     The operands are converted once, and the baby powers, the chunks and the
     Horner accumulator stay numpy arrays until the result is returned as a
@@ -499,8 +544,6 @@ def compose_mod(outer, inner, n, mod, modulus=None, powers=None):
     """
     if n == 0:
         return []
-    if isinstance(powers, FrobeniusTables):
-        return _frobenius_compose(outer, n, powers)
     s = block_size(modulus)
     w = (s + 1) // 2
     width = n * s
@@ -508,7 +551,9 @@ def compose_mod(outer, inner, n, mod, modulus=None, powers=None):
     if blocks == 0:
         return [0] * width
     if powers is None:
-        powers = baby_powers(inner, n, mod, modulus, isqrt(blocks - 1) + 1)
+        powers = compose_data(inner, n, mod, modulus, blocks)
+    if isinstance(powers, FrobeniusTables):
+        return _frobenius_compose(outer, n, powers)
     k = len(powers) - 1
     m = -(-blocks // k)
     import numpy as np

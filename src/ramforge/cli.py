@@ -6,8 +6,10 @@ error and input nested too deeply to parse), 3 precision insufficiency
 defect: a failed internal cross-check (type ``invariant``) or any other
 exception (type ``internal``, with its traceback on stderr); either way
 the answer is withheld.  Error documents are structured JSON with a type and a
-machine-readable reason.  A reader that closes stdout early (``| head``)
-ends the output quietly, with the command's own exit code.
+machine-readable reason; a precision document also names the quantity that
+failed, its level and the partial data certified before it, each null when
+unknown.  A reader that closes stdout early (``| head``) ends the output
+quietly, with the command's own exit code.
 """
 
 from __future__ import annotations
@@ -191,7 +193,9 @@ def main(argv=None):
         handler, readers = args.command
         _emit(handler(**{dest: read(getattr(args, dest)) for dest, read in readers.items()}), fmt)
     except PrecisionError as exc:
-        _emit({"error": {"type": "precision", "reason": str(exc)}}, fmt)
+        partial = None if exc.partial is None else [jsonio.int_out(v) for v in exc.partial]
+        _emit({"error": {"type": "precision", "reason": str(exc), "quantity": exc.quantity,
+                         "level": exc.level, "partial": partial}}, fmt)
         return 3
     except InvariantError as exc:
         _emit({"error": {"type": "invariant", "reason": str(exc)}}, fmt)

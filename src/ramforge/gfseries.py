@@ -31,17 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from ._convolve import (baby_powers, block_size, compose_mod, frobenius_tables, frobenius_wins,
-                        mul_mod, power, reversion_mod, row_combination, unit_inverse)
+from ._convolve import (_MR_BOUND, block_size, compose_data, compose_mod, is_prime, mul_mod, power,
+                        reversion_mod, row_combination, unit_inverse)
 
 
-# Miller-Rabin with the first 13 prime bases decides primality of every n
-# below this bound (Sorenson and Webster, Math. Comp. 2017)
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3317044064679887385961981
-
-
-@lru_cache(maxsize=256)  # every FiniteField built re-checks its p
 def _require_prime(n):
     """Raise ValueError unless n is a prime that can be certified."""
     if n >= _MR_BOUND:
@@ -49,24 +42,8 @@ def _require_prime(n):
             f"primality of {n} cannot be certified: deterministic Miller-Rabin "
             f"is proven only below {_MR_BOUND}"
         )
-    if n < 2:
+    if not is_prime(n):
         raise ValueError(f"{n} is not prime")
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for b in _MR_BASES:
-        if b >= n:
-            break
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            raise ValueError(f"{n} is not prime")
 
 
 def vp(n, p, cap):
@@ -299,10 +276,9 @@ class TruncSeries:
     FFElem values, built on first use; the k-th entry is the coefficient
     of X^k.  Instances are immutable.  ``_baby`` keeps what a composition
     mod X^trunc reads of the series as its inner series, built on first use
-    (see ``compose``): over F_p with trunc >= max(p^2, 64), the tables of
-    the Frobenius split (``_convolve.frobenius_tables``), and otherwise the
-    Paterson-Stockmeyer baby powers (``_convolve.baby_powers``).  Neither
-    view takes part in equality, hashing or repr.
+    by ``_convolve.compose_data`` (see ``compose``): the tables of the
+    Frobenius split or the Paterson-Stockmeyer baby powers, as the kernel
+    chooses.  Neither view takes part in equality, hashing or repr.
     """
 
     __slots__ = ("field", "trunc", "packed", "_coeffs", "_baby")
@@ -417,9 +393,8 @@ class TruncSeries:
     def compose(self, inner):
         """outer(inner(X)); inner must have zero constant term.
 
-        Over F_p, where ``frobenius_wins(p, n)`` holds for the truncation n
-        of the result, the kernel composes by the Frobenius split; in every
-        other case, Z/p^P and F_{p^w} included, by Paterson-Stockmeyer.  A
+        The kernel's ``compose_mod`` picks the method: the Frobenius split
+        over F_p from a size on, Paterson-Stockmeyer otherwise.  A
         composition mod X^(inner.trunc) reuses the data of inner that the
         first such composition built, so binary powering, which composes
         with one inner again and again, builds them once.
@@ -430,14 +405,11 @@ class TruncSeries:
         n = min(self.trunc, inner.trunc)
         f = self.field
         width = n * block_size(f.modulus)
-        powers = inner._baby if n == inner.trunc else None
-        if powers is None:
-            if f.w == 1 and f.prec == 1 and frobenius_wins(f.p, n):
-                powers = frobenius_tables(inner.packed, n, f.p)
-            else:
-                powers = baby_powers(inner.packed, n, f.mod, f.modulus)
-            if n == inner.trunc:
-                inner._baby = powers
+        powers = None
+        if n == inner.trunc:
+            if inner._baby is None:
+                inner._baby = compose_data(inner.packed, n, f.mod, f.modulus, n)
+            powers = inner._baby
         out = compose_mod(self.packed[:width], inner.packed[:width], n, f.mod, f.modulus, powers)
         return _from_packed(f, out, n)
 
@@ -446,7 +418,9 @@ class TruncSeries:
 
         Requires zero constant term and an invertible linear coefficient.
         Computed by Newton iteration on h -> h - (g(h) - X)/g'(h), which
-        doubles the number of correct coefficients per step.
+        doubles the number of correct coefficients per step, with one
+        composition per step; the kernel picks each one's method as for
+        ``compose``, so over F_p the long steps take the Frobenius split.
         """
         if any(self.block(0)):
             raise ValueError("not a substitution unit: constant term is nonzero")

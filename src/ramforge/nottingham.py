@@ -89,10 +89,13 @@ def compose_power(g, k):
 
 def p_chain(g, n):
     """The n + 1 iterates g, g^(p), ..., g^(p^n), computed lazily, each the
-    p-fold composite of the one before."""
+    p-fold composite of the one before.  A link equal to X is X from then
+    on: it is yielded again, the same object, with no more compositions."""
+    x = TruncSeries.x(g.field, g.trunc) if g.trunc > 1 else None
     yield g
     for _ in range(n):
-        g = compose_power(g, g.field.p)
+        if g != x:
+            g = compose_power(g, g.field.p)
         yield g
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
 
@@ -348,7 +348,8 @@ def analyze(u, n_max):
     _require_dynamical(u)
     if u.packed[1] % p != 1:
         raise ValueError("u'(0) must be a 1-unit")
-    if u == TruncSeries.x(u.field, M):
+    x = TruncSeries.x(u.field, M)
+    if u == x:
         raise ValueError(
             "u is the identity at this precision; its group closure is not infinite"
         )
@@ -370,7 +371,15 @@ def analyze(u, n_max):
     index = index_of(p, upper) if len(upper) >= 2 else None
     d = index.d if index is not None and index.status == "determined" else None
 
-    levels = [_analyze_level(chain[n - 1], chain[n], n, depths, d) for n in range(1, n_max + 1)]
+    # once two links in a row are X (and so every later one), each level
+    # divides X - X by X - X and is unavailable alike: its report is the
+    # last level's, at its own n
+    levels = []
+    for n in range(1, n_max + 1):
+        if n > 1 and chain[n - 2] == x:
+            levels.append(replace(levels[-1], n=n))
+        else:
+            levels.append(_analyze_level(chain[n - 1], chain[n], n, depths, d))
 
     rn, flags = rn_values(p, depths, d) if depths else ((), None)
     return DynamicsReport(

@@ -86,7 +86,8 @@ class TruncMorphism:
 
         a = sum c_k pi^k goes to sum Frob(c_k) mu(pi)^k: the Frobenius-twisted
         series composed with mu(pi), whose constant term is zero (r >= 1),
-        as one kernel composition at the target length.
+        as one kernel composition at the target length; the kernel picks its
+        method by the shorter of the two lengths.
         """
         if a.field != self.source.field or a.trunc != self.source.e:
             raise ValueError("element does not belong to the source ring")

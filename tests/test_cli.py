@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ramforge
-from ramforge import ramcheck
+from ramforge import PrecisionError, ramcheck
 from ramforge.cli import main
 
 from helpers import cyclotomic_coeffs
@@ -142,6 +142,28 @@ class TestBreaks:
     def test_index_non_prime_p_is_input_error(self, capsys):
         code, doc = run(capsys, "breaks", "index", "--p", "1", "--upper", "1,2,3")
         assert code == 2 and doc["error"]["type"] == "input"
+
+    def test_precision_document_names_what_failed(self, capsys):
+        # mod X^30 the cyclotomic series certifies i_0 = 4 and i_1 = 24, and
+        # level 2 needs i_2 = 124
+        series = json.dumps({"p": 5, "w": 1, "trunc": 30, "coeffs": cyclotomic_coeffs(5, 30)})
+        code, doc = run(capsys, "breaks", "lower", "--series", series, "--n-max", "2")
+        assert code == 3 and doc["error"] == {
+            "type": "precision",
+            "reason": "depth of the p^2-th iterate is uncertified (>= 29) at truncation 30; "
+                      "retry with a larger truncation",
+            "quantity": "lower_break", "level": 2, "partial": [4, 24],
+        }
+
+    def test_precision_document_writes_partial_as_integers(self, capsys, monkeypatch):
+        from ramforge import cli
+
+        def uncertified(p, lower):
+            raise PrecisionError("uncertified", quantity="q", level=1, partial=(4, 2**60))
+
+        monkeypatch.setattr(cli, "upper_from_lower", uncertified)
+        code, doc = run(capsys, "breaks", "upper", "--p", "5", "--lower", "4,24")
+        assert code == 3 and doc["error"]["partial"] == [4, str(2**60)]
 
     @pytest.mark.parametrize("argv", [("breaks", "validate"), ("herbrand", "psi"), ("herbrand", "phi")])
     def test_non_prime_break_data_is_input_error(self, capsys, argv):
@@ -344,6 +366,16 @@ class TestDynamics:
         inline = json.dumps({"p": 5, "prec": 3, "trunc": 10, "coeffs": [0, 6, 5, 0, 0, 0, 0, 0, 0, 0]})
         code, doc = run(capsys, "dynamics", "qn", "--series", inline, "--n", "1")
         assert code == 3 and doc["error"]["type"] == "precision"
+        assert doc["error"]["quantity"] == "qn_divisor" and doc["error"]["level"] == 1
+        assert doc["error"]["partial"] is None
+
+    def test_precision_document_without_level(self, capsys):
+        inline = json.dumps({"p": 5, "prec": 2, "trunc": 4, "coeffs": [0, 0, 0, 0]})
+        code, doc = run(capsys, "dynamics", "newton", "--series", inline, "--degree", "2")
+        assert code == 3 and doc["error"] == {
+            "type": "precision", "reason": "valuation of an endpoint coefficient is uncertified",
+            "quantity": "newton_polygon", "level": None, "partial": None,
+        }
 
     @pytest.mark.parametrize(
         "op, series, flag",

@@ -211,8 +211,10 @@ class TestComposeMod:
                 return orig(*args, **kwargs)
 
             monkeypatch.setattr(_convolve, name, counted)
-        compose_mod(outer, inner, n, mod, modulus)
         k = math.isqrt(n - 1) + 1  # ceil(sqrt(n)); Horner's rule needs n - 1 products
+        # Paterson-Stockmeyer by its baby powers, which over F5 the kernel
+        # would not choose at this size
+        compose_mod(outer, None, n, mod, modulus, _convolve.baby_powers(inner, n, mod, modulus, k))
         assert 0 < calls["mul_mod"] <= 2 * k + 1 and calls["conv_mod"] <= 2 * k + 1
 
 

@@ -23,6 +23,7 @@ from ramforge import (
     TruncSeries,
     lower_breaks,
     newton_polygon,
+    nottingham,
     p_chain,
     p_iterate,
     phi_from_breaks,
@@ -73,8 +74,11 @@ def residues(draw, p, mod, trunc):
 
 class TestPChain:
     @PROPS
-    @given(st.sampled_from([2, 3, 5]), st.integers(2, 12), st.integers(0, 2), st.data())
+    @given(st.sampled_from([2, 3, 5]), st.integers(2, 12), st.integers(0, 6), st.data())
     def test_prime_field(self, p, trunc, n, data):
+        # with linear coefficient 1 (always, for p = 2) the depths rise
+        # strictly, so a chain mod X^trunc reaches X within trunc - 2 links
+        # and stays there
         g = residues(data.draw, p, p, trunc)
         links = list(p_chain(TruncSeries(FiniteField(p), g, trunc), n))
         want = brute_chain(g, p, n, lambda a, b: brute_compose(a, b, p, trunc))
@@ -100,6 +104,17 @@ class TestPChain:
         links = list(p_chain(TruncSeries(field, g, trunc), n))
         want = brute_chain(g, p, n, lambda a, b: ext_compose(a, b, p, modulus, trunc))
         assert [[c.rep for c in h.coeffs] for h in links] == want
+
+    def test_stops_composing_at_x(self, monkeypatch):
+        # X + X^2 over F_5 has depths 1, 6, ..., so its second link mod X^6
+        # is X, and no later link is composed
+        g = TruncSeries(FiniteField(5), [0, 1, 1, 0, 0, 0], 6)
+        calls = []
+        build = nottingham.compose_power
+        monkeypatch.setattr(nottingham, "compose_power", lambda *args: calls.append(1) or build(*args))
+        links = list(p_chain(g, 1000))
+        assert len(calls) == 1 and len(links) == 1001
+        assert links[1] == TruncSeries.x(g.field, 6) and all(h is links[1] for h in links[1:])
 
     def test_yields_n_plus_one_links_lazily(self):
         g = TruncSeries(FiniteField(5), [0, 1, 1, 0, 0, 0], 6)

@@ -7,9 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ramforge
-from ramforge import FFElem, FiniteField, TruncSeries, gfseries, jsonio, series_agree_mod, unit_part
+from ramforge import FFElem, FiniteField, TruncSeries, _convolve, gfseries, jsonio, series_agree_mod, unit_part
 from ramforge._convolve import FrobeniusTables, compose_mod
 from ramforge.nottingham import compose_power
 
@@ -56,6 +57,29 @@ class TestFiniteField:
                 FiniteField(n)
         with pytest.raises(ValueError, match="cannot be certified"):
             FiniteField(2**89 - 1)  # prime, but above the proven Miller-Rabin range
+
+    # primes, prime powers (1093^2 is a base-2 Fermat and strong
+    # pseudoprime), a Carmichael number, and the edge of the proven range:
+    # its largest prime, and the bound itself, a composite that is a strong
+    # pseudoprime to all 13 bases
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 7, 2**61 - 1, 3317044064679887385961813,
+                                   4, 9, 25, 3**20, 1093**2, 561,
+                                   _convolve._MR_BOUND - 1, _convolve._MR_BOUND, _convolve._MR_BOUND + 2])
+    def test_kernel_primality_test_is_require_primes(self, n):
+        try:
+            gfseries._require_prime(n)
+        except ValueError as exc:
+            certified = False
+            reason = "cannot be certified" if n >= _convolve._MR_BOUND else "not prime"
+            assert reason in str(exc)
+        else:
+            certified = True
+        assert _convolve.is_prime(n) is certified
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.integers(0, 10**6))
+    def test_kernel_primality_test_against_trial_division(self, n):
+        assert _convolve.is_prime(n) == (n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1)))
 
     def test_rejects_reducible_modulus(self):
         # X^2 + 1 = (X+1)^2 over F_2
@@ -320,8 +344,8 @@ class TestBabyPowerMemo:
     def test_binary_powering_builds_each_inner_once(self, monkeypatch):
         # g^(7): g∘g, g2∘g, g3∘g3, g6∘g; g and g3 are the inner series
         calls = []
-        build = gfseries.baby_powers
-        monkeypatch.setattr(gfseries, "baby_powers", lambda *args: calls.append(1) or build(*args))
+        build = _convolve.baby_powers
+        monkeypatch.setattr(_convolve, "baby_powers", lambda *args: calls.append(1) or build(*args))
         rng = random.Random(72)
         f = FiniteField(7, prec=10)
         g = TruncSeries(f, [0, 1] + [ring_coeff(rng, f) for _ in range(28)], 30)
@@ -385,7 +409,7 @@ class TestFrobeniusMemo:
         got += [outer.compose(g) for outer in outers[1:]]
         assert type(tables) is FrobeniusTables and g._baby is tables
         assert all((x == y).all() and not x.flags.writeable for x, y in zip(arrays, copies))
-        monkeypatch.setattr(gfseries, "frobenius_wins", lambda p, n: False)
+        monkeypatch.setattr(_convolve, "frobenius_wins", lambda p, n: False)
         fresh = TruncSeries(f, g.packed, n)
         assert got == [outer.compose(fresh) for outer in outers]
         assert type(fresh._baby) is list
@@ -393,8 +417,8 @@ class TestFrobeniusMemo:
     def test_binary_powering_builds_each_inner_once(self, monkeypatch):
         # g^(7): g∘g, g2∘g, g3∘g3, g6∘g; g and g3 are the inner series
         calls = []
-        build = gfseries.frobenius_tables
-        monkeypatch.setattr(gfseries, "frobenius_tables", lambda *args: calls.append(1) or build(*args))
+        build = _convolve.frobenius_tables
+        monkeypatch.setattr(_convolve, "frobenius_tables", lambda *args: calls.append(1) or build(*args))
         rng = random.Random(76)
         f = FiniteField(7)
         g = TruncSeries(f, [0, 1] + [rng.randrange(7) for _ in range(62)], 64)

@@ -15,17 +15,24 @@ a product fits directly in two or three pieces of it.  Spies on
 ``_split``, ``_halves`` and ``_pack`` check that the forced method ran.
 Over F_p, compositions by the Frobenius split and by Paterson-Stockmeyer
 run on the same inputs, under every forced product method, and against
-the brute-force oracles.
+the brute-force oracles; so do the compositions that are handed no data
+and so pick their method in the kernel, in reversion and in the ring maps
+of truncated rings, against the same ones forced to Paterson-Stockmeyer.
 """
+
+import random
+from math import isqrt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramforge import _convolve
-from ramforge._convolve import _SHORT, compose_mod, conv_mod, frobenius_tables, mul_mod, row_combination
+from ramforge import FiniteField, TruncMorphism, TruncObject, TruncSeries, _convolve
+from ramforge._convolve import (_SHORT, baby_powers, compose_mod, conv_mod, frobenius_tables, mul_mod,
+                                reversion_mod, row_combination)
 
-from helpers import brute_compose, cadd, cmul, exact_int_compose, ext_compose, poly_mul_mod
+from helpers import (apply_ring_by_powers, brute_comp_inverse, brute_compose, cadd, cmul, exact_int_compose,
+                     ext_compose, poly_mul_mod)
 
 KERNEL = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 SAFE = 2**62
@@ -310,12 +317,18 @@ def frobenius_compose(outer, inner, n, p):
     return compose_mod(outer, None, n, p, None, frobenius_tables(inner, n, p))
 
 
+def paterson_stockmeyer(outer, inner, n, mod, modulus=None):
+    """compose_mod by Paterson-Stockmeyer, which it may not choose unforced."""
+    k = isqrt(n - 1) + 1
+    return compose_mod(outer, None, n, mod, modulus, baby_powers(inner, n, mod, modulus, k))
+
+
 class TestFrobeniusSplit:
     @settings(KERNEL, max_examples=150)
     @given(frobenius_cases())
     def test_matches_paterson_stockmeyer_and_the_oracle(self, case):
         p, outer, inner, n = case
-        want = compose_mod(outer, inner, n, p)
+        want = paterson_stockmeyer(outer, inner, n, p)
         assert frobenius_compose(outer, inner, n, p) == want
         if n <= 64:
             assert want == brute_compose(outer, inner, p, n)
@@ -327,7 +340,7 @@ class TestFrobeniusSplit:
         # split's products take conv_mod wherever they are not direct
         p, outer, inner, n = case
         want = [c % p for c in exact_int_compose(outer, inner, n)]
-        for compose in (frobenius_compose, lambda *args: compose_mod(*args[:3], p)):
+        for compose in (frobenius_compose, paterson_stockmeyer):
             results = run_methods(lambda: compose(outer, inner, n, p), p, n)
             assert {"natural", "kronecker", "direct"} <= set(results)
             check_methods(results, want, True)
@@ -343,6 +356,107 @@ class TestFrobeniusSplit:
         results = run_methods(lambda: frobenius_compose(outer, inner, n, p), p, n)
         assert results["halves"][1] > 0
         check_methods(results, [c % p for c in exact_int_compose(outer, inner, n)], True)
+
+
+def forced_paterson_stockmeyer(fn):
+    """fn() with the kernel's size test never taking the Frobenius split."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_convolve, "frobenius_wins", lambda p, n: False)
+        return fn()
+
+
+def counting_tables(fn):
+    """fn() and the n of each ``frobenius_tables`` build it made."""
+    calls = []
+    build = _convolve.frobenius_tables
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_convolve, "frobenius_tables", lambda *args: calls.append(args[1]) or build(*args))
+        return fn(), calls
+
+
+@st.composite
+def reversion_cases(draw):
+    """(p, g, n) over F_p: n on both sides of the split's size test, g dense
+    or sparse, with a unit linear coefficient."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(3, 200) | st.sampled_from([63, 64, 65, 127, 128, 129]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = [0, rng.randrange(1, p)] + [rng.randrange(p) for _ in range(n - 2)]
+    if draw(st.booleans()):
+        g[2:] = [c if rng.random() < 0.05 else 0 for c in g[2:]]
+    return p, g, n
+
+
+class TestComposeData:
+    """``compose_data`` is the one choice of composition method.  A
+    composition handed no data, as those of ``reversion_mod`` and
+    ``TruncMorphism.apply_ring`` are, takes the Frobenius split over F_p
+    where the size test holds for its outer blocks, and gives what
+    Paterson-Stockmeyer gives."""
+
+    def test_ring_and_size_test(self):
+        inner = [0, 1, 1]
+        for mod, modulus, n, blocks, split in (
+            (2, None, 64, 64, True), (2, None, 64, 63, False), (5, None, 2000, 2, False),
+            (11, None, 121, 121, True), (11, None, 200, 120, False), (7, None, 100, 100, True),
+            (4, None, 100, 100, False), (25, None, 1000, 1000, False), (3**20, None, 100, 100, False),
+            (2, (1, 1, 1), 100, 100, False), (3, (1, 0, 1), 100, 100, False),
+        ):
+            data = _convolve.compose_data(inner, n, mod, modulus, blocks)
+            if split:
+                assert type(data) is _convolve.FrobeniusTables and data.sizes[0] == n
+            else:
+                assert type(data) is list and len(data) == isqrt(blocks - 1) + 2
+                assert len(data[0]) == n * _convolve.block_size(modulus)
+
+    def test_short_outer_keeps_paterson_stockmeyer(self):
+        # two outer blocks into 2000 terms: the split would lose
+        rng = random.Random(81)
+        inner = [0] + [rng.randrange(5) for _ in range(1999)]
+        got, tables = counting_tables(lambda: compose_mod([3, 4], inner, 2000, 5))
+        assert tables == [] and got == [(3 + 4 * c) % 5 for c in inner[:1]] + [4 * c % 5 for c in inner[1:]]
+
+    @settings(KERNEL, max_examples=30)
+    @given(reversion_cases())
+    def test_reversion(self, case):
+        p, g, n = case
+        h, tables = counting_tables(lambda: reversion_mod(g, n, p))
+        assert h == forced_paterson_stockmeyer(lambda: reversion_mod(g, n, p))
+        x = [0, 1] + [0] * (n - 2)
+        assert compose_mod(g, h, n, p) == compose_mod(h, g, n, p) == x
+        # the last Newton step composes mod X^n with an outer of n blocks
+        assert bool(tables) == _convolve.frobenius_wins(p, n)
+        assert all(_convolve.frobenius_wins(p, m) for m in tables)
+        if n <= 24:
+            assert h == brute_comp_inverse(g, p, n)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_comp_inverse(self, p):
+        rng = random.Random(82 + p)
+        f, n = FiniteField(p), 300
+        g = TruncSeries(f, [0, 1, 1] + [rng.randrange(p) if k % 7 == 0 else 0 for k in range(n - 3)], n)
+        h, tables = counting_tables(g.comp_inverse)
+        assert tables and h == forced_paterson_stockmeyer(TruncSeries(f, g.packed, n).comp_inverse)
+        x = TruncSeries.x(f, n)
+        assert g.compose(h) == x and h.compose(g) == x
+
+    # (e1, e2, r) with r*e1 >= e2: sources shorter than the split's size
+    # test and sources at or past it, shorter and longer than the target
+    @pytest.mark.parametrize("e1, e2, r", [(2, 100, 50), (20, 100, 5), (63, 64, 2), (64, 64, 1),
+                                           (70, 64, 1), (100, 100, 1), (150, 80, 1)])
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_apply_ring(self, p, e1, e2, r):
+        rng = random.Random(f"{p}:{e1}:{e2}:{r}")
+        f = FiniteField(p)
+        src, dst = TruncObject(f, e1), TruncObject(f, e2)
+        eta = dst.element([rng.randrange(1, p)] + [rng.randrange(p) for _ in range(e2 - 1)])
+        m = TruncMorphism(src, dst, r, 0, eta)
+        a = src.element([rng.randrange(p) for _ in range(e1)])
+        got, tables = counting_tables(lambda: m.apply_ring(a))
+        assert got == forced_paterson_stockmeyer(lambda: m.apply_ring(a))
+        assert bool(tables) == _convolve.frobenius_wins(p, min(e1, e2))
+        if e1 <= 70 and e2 <= 64:
+            assert got == apply_ring_by_powers(m, a)
 
 
 @st.composite

@@ -1,11 +1,14 @@
+import hashlib
+import json
 import math
 import random
 from collections import deque
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from ramforge import pdyn
+from ramforge import jsonio, nottingham, pdyn
 from ramforge import (
     FiniteField,
     PadicSeries,
@@ -466,6 +469,45 @@ class TestAnalyze:
         rep = analyze(u, 2)
         assert rings == [FiniteField(3, prec=8)] * 4
         assert rep.depths == (2, 8, 26)
+
+    def test_chain_stops_at_x(self, monkeypatch):
+        # mod (5^8, X^130) every link of (1+X)^6 - 1 from level 10 on is X:
+        # 2000 levels build links 1 .. 10, and every level past the first
+        # whose two links are X reports as that one
+        u = cyclotomic_padic(5, 8, 130)
+        calls = []
+        build = nottingham.compose_power
+        monkeypatch.setattr(nottingham, "compose_power", lambda *args: calls.append(1) or build(*args))
+        rep = analyze(u, 2000)
+        assert len(calls) <= 10
+        monkeypatch.undo()
+        short = analyze(u, 20)
+        assert rep.levels[:20] == short.levels and len(rep.levels) == 2000
+        assert rep.depths == short.depths and rep.notes == short.notes
+        assert all(level == replace(short.levels[-1], n=n)
+                   for n, level in enumerate(rep.levels[19:], start=20))
+
+    # SHA-256 of the JSON reports, as the analysis gave them when every
+    # level composed its links and divided them anew
+    REPORTS = {
+        (5, 8, 130, 1): "60aea2915268fecf002ca2cbab81a3db39d30c55cfd077ba69f1d979863ef5d7",
+        (5, 8, 130, 2): "53043919ce2008e7fcbd14e8089a727d0ae4686a35387a1c2e272c6711f17deb",
+        (5, 8, 130, 5): "94debc9b857e86cc20c9664b620f4677abd50cf9bffa8068d8dab6be06b21e9b",
+        (5, 8, 130, 20): "0c4aabc8246cb33997725a23e4cd84e1b98c3d39b06194c84f1bdf4d5960995b",
+        (5, 8, 130, 40): "6bf864676fd4f8cf60f25b97f5ba0678288aaf6dfcdecefe9a3a69606270b862",
+        (3, 20, 90, 1): "4a5a5feaf05c8b22d44a0fe6d2e3fabf40f31d25957555b62efa1b64dd82652d",
+        (3, 20, 90, 2): "36b0a2280aafa8be9c57908d829f09630dd21d81a7ae6c1084202a9cfe4163a4",
+        (3, 20, 90, 5): "55c0b76704b2fb408e98592b43d4ef9ce721284e58823bd26dc253342838fef4",
+        (3, 20, 90, 20): "18a08a752a10865bff6f9ceda3d1f8d5a5b6e3748a6736134b0e57954cbab09c",
+        (3, 20, 90, 30): "19fbef79801290c1b6bb603480709a88475f1f44ea759176fc8148ee642ce76f",
+    }
+
+    @pytest.mark.parametrize("p, prec, trunc, n_max", sorted(REPORTS))
+    def test_reports_are_unchanged(self, p, prec, trunc, n_max):
+        # the chain of (1+X)^4 - 1 mod (3^20, X^90) reaches X at level 23
+        doc = json.dumps(jsonio.dynamics_report_out(analyze(cyclotomic_padic(p, prec, trunc), n_max)),
+                         sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == self.REPORTS[p, prec, trunc, n_max]
 
     def test_depths_match_lower_breaks(self):
         rng = random.Random(71)
