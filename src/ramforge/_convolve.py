@@ -1,12 +1,16 @@
 """Dense truncated series kernels over Z/m and over F_p[Y]/(modulus).
 
-Residue vectors are sequences of ints in [0, m); ``compose_mod`` also
-passes numpy arrays of them to the product functions, which then return
-arrays.  A product takes one of four exact methods, chosen by one size
-test on m and the number of terms a coefficient of the product sums:
+Residue vectors are sequences of ints in [0, m); ``compose_mod``,
+``recip_mod`` and ``divide_mod`` also pass numpy arrays of them to the
+product functions, which then return arrays.  This is the one module that
+imports numpy, picks an array's dtype or knows the int64 bound: every
+other module hands in and gets back lists.  A product takes one of four
+exact methods, chosen by one size test on m and the number of terms a
+coefficient of the product sums:
 
 - direct: one numpy int64 op, when the worst-case accumulator, terms
-  products below (m - 1)^2, provably fits;
+  products below (m - 1)^2, provably fits (the one statement of that
+  bound is ``_pieces``);
 - split: just past that bound, for series products (``conv_mod``), the
   shorter operand is cut by length into c <= 3 pieces whose products fit
   directly (see ``_pieces``), one numpy op each, and the reduced products
@@ -53,8 +57,11 @@ Composition takes one of two methods:
   compositions mod X^ceil(n/p) and p - 1 products, recursively
   (D. J. Bernstein, "Composing power series over a finite ring in
   essentially linear time", J. Symbolic Comput. 26, 1998).  What it reads
-  of the inner series is built by ``frobenius_tables``.  The identity
-  fails over Z/p^P, and over F_{p^w} it twists the coefficients of h.
+  of the inner series is built by ``frobenius_tables``, its powers of h
+  by ``baby_powers``.  A level sums its products unreduced in int64, and
+  ``frobenius_wins`` takes the split only where those sums fit, so it
+  has one product path.  The identity fails over Z/p^P, and over F_{p^w}
+  it twists the coefficients of h.
 
 ``compose_data`` makes the one choice, by one ring and size test: the
 split over F_p (a prime mod, ``is_prime``, and no modulus) where
@@ -68,10 +75,16 @@ method fits, object arrays of Python ints past the halves band; see
 ``compose_mod``.
 
 Reciprocals and substitution inverses are Newton iterations.
-``recip_mod`` converts its operand once and runs its steps on arrays.
+``recip_mod`` runs its steps on arrays, as ``divide_mod`` hands them.
 ``reversion_mod`` makes one composition per step, E = g(h), and reads
 1/g'(h) off the chain rule as h'/E' (Brent and Kung, J. ACM 25, 1978),
 where 1/E' is 2 - E' to the precision the step needs.
+
+``divide_mod`` divides over Z/p^P by a series whose first unit entry,
+the pivot, need not be its first: the quotient is a fixed point, reached
+in rounds that each take two array products, and the caller, which knows
+the valuations, bounds the rounds.  It is the array half of the level
+quotients of ``pdyn``.
 """
 
 from __future__ import annotations
@@ -136,7 +149,7 @@ def _int64_exact(mod, terms):
     terms * 2^(2h+2), and a reduced value times 2^h mod mod is below
     mod * 2^h; both must stay below the int64 bound.
     """
-    if (mod - 1) * (mod - 1) * terms < _INT64_SAFE:
+    if _pieces(mod, terms) == 1:
         return True
     h = ((mod - 1).bit_length() + 1) // 2
     return terms << (2 * h + 2) < _INT64_SAFE and mod << h < _INT64_SAFE
@@ -167,8 +180,11 @@ def _pieces(mod, terms):
     entries sum at most terms products of residues below mod, can be cut
     into so that each piece's product fits directly in int64: each piece
     then sums at most t = (_INT64_SAFE - 1) // (mod - 1)^2 products, and
-    c = ceil(terms / t).  c = 1 is the direct product; c is infinite when
-    t < 1, where one product of two residues does not fit."""
+    c = ceil(terms / t).  c is infinite when t < 1, where one product of
+    two residues does not fit.
+
+    c = 1 is the direct bound, terms * (mod - 1)^2 < 2^62, which every
+    method test of the kernel reads here."""
     t = (_INT64_SAFE - 1) // ((mod - 1) * (mod - 1) or 1)
     return -(-terms // t) if t > 0 else inf
 
@@ -204,7 +220,7 @@ def _bilinear(op, a, b, terms, mod):
     int64 arrays past it, which are only made where ``_int64_exact`` holds,
     take ``_halves``.
     """
-    if a.dtype == object or (mod - 1) * (mod - 1) * terms < _INT64_SAFE:
+    if a.dtype == object or _pieces(mod, terms) == 1:
         return op(a, b) % mod
     return _halves(op, a, b, mod)
 
@@ -382,8 +398,12 @@ def frobenius_wins(p, n):
     built and one composition):
     the split wins from n = p^2 terms on, as the p - 2 products behind
     h^2 .. h^(p-1) grow with p, and below 64 terms, where both take well
-    under a millisecond, Paterson-Stockmeyer is kept."""
-    return n >= max(p * p, 64)
+    under a millisecond, Paterson-Stockmeyer is kept.
+
+    It also requires that the split's unreduced row sums, at most p * n
+    products below (p - 1)^2 (see ``_frobenius_compose``), fit directly in
+    int64.  As n >= p^2, that refuses nothing below n = 2^24.8."""
+    return n >= max(p * p, 64) and _pieces(p, p * n) == 1
 
 
 def compose_data(inner, n, mod, modulus, blocks):
@@ -395,8 +415,10 @@ def compose_data(inner, n, mod, modulus, blocks):
     This is the one choice of composition method.  The test reads the
     blocks the data will serve, as a short outer loses with the split: a
     caller that keeps the data for every composition mod X^n passes n.
+    The split's row sums grow with n, whatever the blocks, so its int64
+    bound is read at n too.
     """
-    if modulus is None and frobenius_wins(mod, blocks) and is_prime(mod):
+    if modulus is None and frobenius_wins(mod, blocks) and frobenius_wins(mod, n) and is_prime(mod):
         return frobenius_tables(inner, n, mod)
     return baby_powers(inner, n, mod, modulus, isqrt(blocks - 1) + 1)
 
@@ -429,7 +451,8 @@ def frobenius_tables(inner, n, p):
 
     The levels run n_0 = n, n_(d+1) = ceil(n_d / p), down to the first
     n_D <= ``_FROBENIUS_BASE``.  The stack of level d < D holds, for
-    r = 1 .. p - 1, the phases t = 0 .. p - 1 of h^r mod X^(n_d),
+    r = 1 .. p - 1, the phases t = 0 .. p - 1 of h^r mod X^(n_d), the
+    powers of h being ``baby_powers``'s,
     phase t being h^r's coefficients t, t + p, t + 2p, .., each phase in a
     block of 2m - 1 slots for m = n_(d+1): one product of a series of m
     terms with that stack gives its p products with the phases, in
@@ -444,14 +467,9 @@ def frobenius_tables(inner, n, p):
     while sizes[-1] > _FROBENIUS_BASE:
         sizes.append(-(-sizes[-1] // p))
     # every product and matrix product here and in _frobenius_compose sums
-    # at most n terms
-    dtype = array_dtype(p, n)
-    h = _residues(inner, n, p, dtype)
-    powers = [h]
-    if len(sizes) > 1:  # only the levels read h^2 .. h^(p-1)
-        for _ in range(p - 2):
-            powers.append(conv_mod(powers[-1], h, n, p))
-    powers = np.stack(powers)
+    # at most n terms, so the dtype of the baby powers covers them all
+    powers = np.stack(baby_powers(inner, n, p, None, p - 1)[1:])
+    dtype = powers.dtype
     stacks = []
     for nd, m in zip(sizes, sizes[1:]):
         phases = np.zeros((p - 1, m * p), dtype=dtype)
@@ -462,7 +480,7 @@ def frobenius_tables(inner, n, p):
     size = sizes[-1]
     table = np.zeros((size, size), dtype=dtype)
     table[0, 0] = 1
-    table[1:2] = h[:size]
+    table[1:2] = powers[0, :size]
     k = 1
     while k < size - 1:
         t = min(k, size - 1 - k)
@@ -498,8 +516,9 @@ def _frobenius_compose(outer, n, tables):
         f = rows.reshape(-1, m, p).transpose(0, 2, 1).reshape(-1, m)
     g = _bilinear(np.matmul, f, table, sizes[-1], p)
     # a row sums p - 1 products of at most n_(d+1) terms each, and g_0:
-    # unreduced, at most p * n terms below (p - 1)^2
-    direct = (p - 1) * (p - 1) * p * n < _INT64_SAFE
+    # unreduced, at most p * n terms below (p - 1)^2, which fit directly
+    # wherever frobenius_wins holds; past that bound the stacks, of about
+    # 2 * p * n entries and at least p^2, would hold over 2^31
     for nd, m, stack in reversed(list(zip(sizes, sizes[1:], stacks))):
         g = g.reshape(-1, p, m)
         acc = np.zeros((len(g), p, 2 * m - 1), dtype=dtype)
@@ -507,10 +526,7 @@ def _frobenius_compose(outer, n, tables):
         width = (p - 1) * (2 * m - 1) + m
         for row, parts in zip(acc.reshape(len(g), -1), g):
             for r in range(1, p):
-                if direct:
-                    row[:width] += np.convolve(parts[r], stack[r - 1])[:width]
-                else:
-                    row[:width] = (row[:width] + conv_mod(parts[r], stack[r - 1], width, p)) % p
+                row[:width] += np.convolve(parts[r], stack[r - 1])[:width]
         g = (acc[:, :, :m] % p).transpose(0, 2, 1).reshape(len(g), -1)[:, :nd]
     return g[0].tolist()
 
@@ -590,22 +606,54 @@ def recip_mod(a, n, mod, modulus=None):
     below block k, so the step to m <= 2k blocks sets blocks k .. m-1 of h
     to -h * ((a*h) / X^k), a product of m - k blocks.
 
-    a is a sequence of ints, or an array as compose_mod passes them.  It is
-    converted once, and the steps run on arrays; array operands give an
-    array of a's dtype, anything else a list.
+    a is a numpy residue array whose dtype covers products of n blocks
+    (see ``array_dtype``), and so is the result.
     """
     s = block_size(modulus)
     width = n * s
-    arrays = hasattr(a, "dtype")
-    dtype = a.dtype if arrays else array_dtype(mod, width)
-    a = _residues(a, width, mod, dtype)
-    h = _residues(unit_inverse(a[:s].tolist(), mod, modulus), width, mod, dtype)
+    a = _residues(a, width, mod, a.dtype)
+    h = _residues(unit_inverse(a[:s].tolist(), mod, modulus), width, mod, a.dtype)
     m = 1
     while m < n:
         k, m = m, min(2 * m, n)
         e = mul_mod(a[: m * s], h[: k * s], m, mod, modulus)[k * s :]
         h[k * s : m * s] = -mul_mod(h[: (m - k) * s], e, m - k, mod, modulus) % mod
-    return h if arrays else h.tolist()
+    return h
+
+
+def divide_mod(num, den, i0, rounds, mod):
+    """The quotient q of num by den over Z/mod, pivoting on den_i0, and its
+    residual (num - q * den) mod X^i0, both as lists.
+
+    num and den are sequences of L residues, and den_i0 is a unit; q has
+    L - i0 terms.  With den = den_lo + X^i0 * den_hi (den_lo the first i0
+    terms), q = ((num - q * den_lo) / X^i0) / den_hi is iterated from
+    q = 0 for at most rounds rounds, stopping early when a round leaves q
+    unchanged.  Where den_lo's entries are divisible by p^v, v >= 1, for
+    mod = p^P, a round multiplies the error of q by p^v, so
+    rounds = ceil(P / v) make q exact; the caller picks rounds and reads
+    the residual.
+
+    The rounds run on arrays of the dtype that covers products of L terms,
+    converted once.
+    """
+    import numpy as np
+
+    L = len(num)
+    dtype = array_dtype(mod, L)
+    num = np.asarray(num, dtype=dtype)
+    den = np.asarray(den, dtype=dtype)
+    den_lo = den[:i0]
+    den_hi_inv = recip_mod(den[i0:], L - i0, mod)
+    q = np.zeros(L - i0, dtype=dtype)
+    for _ in range(rounds):
+        t = (num - conv_mod(q, den_lo, L, mod)) % mod if i0 else num
+        q_new = conv_mod(t[i0:], den_hi_inv, L - i0, mod)
+        if np.array_equal(q_new, q):
+            break
+        q = q_new
+    residual = (num[:i0] - conv_mod(q, den, i0, mod)) % mod
+    return q.tolist(), residual.tolist()
 
 
 def _derivative(x, n, s, mod):

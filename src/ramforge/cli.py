@@ -143,7 +143,7 @@ _COMMANDS = {
         "main": (lambda input: jsonio.condition_report_out(check_conditions(input)),
                  ("--input", _INPUTS, {"help": "theorem-inputs JSON"})),
         "proot": (lambda input: jsonio.condition_report_out(proot_check(input)), ("--input", _INPUTS)),
-        "m0": (lambda input: {"m0": m0(input)}, ("--input", _INPUTS)),
+        "m0": (lambda input: {"m0": jsonio.int_out(m0(input))}, ("--input", _INPUTS)),
         "fshift": (_fshift, ("--p", _INT), ("--e", _INT), ("--m", _INT), ("--t", _INT, {"default": "0"}),
                    ("--sum-check", bool, {"action": "store_true", "default": False})),
     }),
@@ -195,7 +195,7 @@ def main(argv=None):
     except PrecisionError as exc:
         partial = None if exc.partial is None else [jsonio.int_out(v) for v in exc.partial]
         _emit({"error": {"type": "precision", "reason": str(exc), "quantity": exc.quantity,
-                         "level": exc.level, "partial": partial}}, fmt)
+                         "level": jsonio.int_out(exc.level), "partial": partial}}, fmt)
         return 3
     except InvariantError as exc:
         _emit({"error": {"type": "invariant", "reason": str(exc)}}, fmt)

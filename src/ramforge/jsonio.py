@@ -47,6 +47,10 @@ def _decimal(v):
 
 
 def int_out(v):
+    """An integer field: a JSON number below 2^53, a decimal string from
+    there on; an absent value (None) stays null."""
+    if v is None:
+        return None
     v = int(v)
     return v if abs(v) < _SAFE_INT else _decimal(v)
 
@@ -75,7 +79,7 @@ def frac_pair_out(x):
 def field_out(f):
     if f.prec > 1:
         raise ValueError(f"a series over {f!r} is written by padic_out")
-    doc = {"p": int_out(f.p), "w": f.w}
+    doc = {"p": int_out(f.p), "w": int_out(f.w)}
     if f.modulus is not None:
         doc["modulus"] = [int_out(c) for c in f.modulus]
     return doc
@@ -91,7 +95,7 @@ def field_in(doc):
 
 def series_out(s):
     doc = field_out(s.field)
-    doc["trunc"] = s.trunc
+    doc["trunc"] = int_out(s.trunc)
     if s.field.w == 1:
         doc["coeffs"] = [int_out(c.rep[0]) for c in s.coeffs]
     else:
@@ -114,7 +118,7 @@ def ram_sequence_out(rs):
         "p": int_out(rs.p),
         "lower": [int_out(i) for i in rs.lower],
         "upper": [int_out(b) for b in rs.upper],
-        "certified_to": rs.certified_to,
+        "certified_to": int_out(rs.certified_to),
     }
 
 
@@ -122,9 +126,9 @@ def index_report_out(r):
     return {
         "d": int_out(r.d) if r.d is not None else f"undetermined({r.n_max})",
         "status": r.status,
-        "stabilized_at": r.stabilized_at,
+        "stabilized_at": int_out(r.stabilized_at),
         "evidence": [frac_out(d) for d in r.evidence],
-        "n_max": r.n_max,
+        "n_max": int_out(r.n_max),
     }
 
 
@@ -162,7 +166,7 @@ def verdict_out(v):
     return {
         "valid": v.valid,
         "violations": [
-            {"rule": x.rule, "index": x.index, "detail": x.detail} for x in v.violations
+            {"rule": x.rule, "index": int_out(x.index), "detail": x.detail} for x in v.violations
         ],
     }
 
@@ -171,7 +175,7 @@ def verdict_out(v):
 
 
 def trunc_object_out(obj):
-    return {"field": field_out(obj.field), "e": obj.e}
+    return {"field": field_out(obj.field), "e": int_out(obj.e)}
 
 
 def trunc_object_in(doc):
@@ -185,8 +189,8 @@ def morphism_out(f):
     return {
         "source": trunc_object_out(f.source),
         "target": trunc_object_out(f.target),
-        "r": f.r,
-        "res_twist": f.res_twist,
+        "r": int_out(f.r),
+        "res_twist": int_out(f.res_twist),
         "eta_coeff": series_out(f.eta_coeff)["coeffs"],
         "mu_image": series_out(f.mu_image)["coeffs"],
     }
@@ -216,22 +220,23 @@ def theorem_inputs_in(doc):
 
 def condition_report_out(r):
     doc = {
-        "p": int_out(r.p), "e": r.e, "n": r.n, "a": int_out(r.a), "m": r.m, "m0": r.m0,
+        "p": int_out(r.p), "e": int_out(r.e), "n": int_out(r.n), "a": int_out(r.a),
+        "m": int_out(r.m), "m0": int_out(r.m0),
         "status": r.status, "path": r.path, "guarantee": r.guarantee,
         "contained_in_zp": r.contained_in_zp,
     }
     if r.y is not None:
         doc["y"] = frac_out(r.y)
-        doc["h"] = r.h
+        doc["h"] = int_out(r.h)
         doc["z"] = frac_out(r.z)
         doc["q"] = int_out(r.q)
         doc["r"] = int_out(r.r)
-        doc["t_examined"] = list(r.t_examined)
+        doc["t_examined"] = [int_out(t) for t in r.t_examined]
         doc["cond1"] = {
             "ok": r.cond1,
             "details": [
                 {
-                    "t": it.t,
+                    "t": int_out(it.t),
                     "lower_bound": frac_out(it.bound),
                     "threshold": int_out(it.threshold),
                     "ok": it.ok,
@@ -257,8 +262,8 @@ def condition_report_out(r):
 def padic_out(u):
     return {
         "p": int_out(u.field.p),
-        "prec": u.field.prec,
-        "trunc": u.trunc,
+        "prec": int_out(u.field.prec),
+        "trunc": int_out(u.trunc),
         "coeffs": [int_out(c) for c in u.packed],
     }
 
@@ -273,17 +278,17 @@ def padic_in(doc):
 
 def divided_out(q):
     doc = padic_out(q.series)
-    doc["coeff_prec"] = list(q.coeff_prec)
+    doc["coeff_prec"] = [int_out(c) for c in q.coeff_prec]
     return doc
 
 
 def polygon_out(np_):
     return {
-        "vertices": [[i, frac_out(v)] for i, v in np_.vertices],
+        "vertices": [[int_out(i), frac_out(v)] for i, v in np_.vertices],
         "segments": [
             {
                 "slope": frac_out(s.slope),
-                "length": s.length,
+                "length": int_out(s.length),
                 "root_valuation": frac_out(s.root_valuation),
             }
             for s in np_.segments
@@ -292,27 +297,27 @@ def polygon_out(np_):
 
 
 def depth_out(d):
-    return f"at_least({d.bound})" if isinstance(d, AtLeast) else d
+    return f"at_least({d.bound})" if isinstance(d, AtLeast) else int_out(d)
 
 
 def dynamics_report_out(rep):
     return {
         "p": int_out(rep.p),
-        "prec": rep.prec,
-        "trunc": rep.trunc,
+        "prec": int_out(rep.prec),
+        "trunc": int_out(rep.trunc),
         "depths": [int_out(i) for i in rep.depths],
-        "depth_uncertified_at": rep.depth_uncertified_at,
+        "depth_uncertified_at": int_out(rep.depth_uncertified_at),
         "upper": [int_out(b) for b in rep.upper],
         "fixed_point_counts": [int_out(c) for c in rep.fixed_point_counts],
         "index": index_report_out(rep.index) if rep.index is not None else None,
         "levels": [
             {
-                "n": lv.n,
-                "weierstrass_degree": lv.weierstrass_degree,
-                "expected_wd": lv.expected_wd,
+                "n": int_out(lv.n),
+                "weierstrass_degree": int_out(lv.weierstrass_degree),
+                "expected_wd": int_out(lv.expected_wd),
                 "wd_matches": lv.wd_matches,
-                "constant_valuation": lv.constant_valuation,
-                "expected_constant_valuation": lv.expected_constant_valuation,
+                "constant_valuation": int_out(lv.constant_valuation),
+                "expected_constant_valuation": int_out(lv.expected_constant_valuation),
                 "constant_matches": lv.constant_matches,
                 "polygon": polygon_out(lv.polygon) if lv.polygon is not None else None,
                 "predicted_root_valuation": (

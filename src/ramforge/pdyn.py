@@ -11,6 +11,11 @@ caller picks (P, M), results are certified or flagged.
 One reader, ``_valuations``, turns each coefficient and its certified
 digits into an integer valuation and whether it is exact; the Weierstrass
 degree, the constant valuation of a level and the Newton polygon read it.
+
+This module keeps the p-adic side of the division: the pivot, the
+valuations, the number of rounds and the certification profile.  The
+arithmetic, on arrays, is the kernel's ``divide_mod``; nothing here
+handles arrays or knows the kernel's int64 bound.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
 
-from ._convolve import array_dtype, conv_mod, recip_mod
+from ._convolve import divide_mod
 from .errors import PrecisionError
 from .gfseries import FiniteField, TruncSeries, _from_packed, vp
 from .nottingham import IndexReport, certified_depths, compose_power, index_of, p_chain, upper_from_lower
@@ -119,7 +124,13 @@ def qn_divide(u, n):
 
 
 def _divide_level(prev, cur, n):
-    """qn_divide from the iterates prev = u^(p^(n-1)) and cur = u^(p^n)."""
+    """qn_divide from the iterates prev = u^(p^(n-1)) and cur = u^(p^n).
+
+    The shifted divisor pivots on its first unit entry i0.  Its entries
+    below i0 have valuation v_lo >= 1, which fixes the rounds of
+    ``divide_mod`` at ceil(P / v_lo), the certified digits of each quotient
+    coefficient and the digits of the residual below i0 that must vanish.
+    """
     f = prev.field
     p, P, M, mod = f.p, f.prec, prev.trunc, f.mod
     x = TruncSeries.x(f, M)
@@ -147,26 +158,7 @@ def _divide_level(prev, cur, n):
         )
 
     v_lo = min((vp(c, p, P) for c in den[:i0]), default=P)
-    import numpy as np
-
-    # every product below sums at most L terms
-    dtype = array_dtype(mod, L)
-    num = np.asarray(num, dtype=dtype)
-    den = np.asarray(den, dtype=dtype)
-    den_lo = den[:i0]
-    den_hi_inv = recip_mod(den[i0:], K, mod)
-
-    # q = ((num - q * den_lo) / X^i0) / den_hi, iterated from q = 0: a round
-    # multiplies the error of q by a multiple of den_lo, whose entries are
-    # divisible by p^v_lo (v_lo >= 1), so q is exact after ceil(P / v_lo)
-    # rounds, or as soon as a round leaves it unchanged
-    q = np.zeros(K, dtype=dtype)
-    for _ in range(-(-P // v_lo)):
-        t = (num - conv_mod(q, den_lo, L, mod)) % mod if i0 else num
-        q_new = conv_mod(t[i0:], den_hi_inv, K, mod)
-        if np.array_equal(q_new, q):
-            break
-        q = q_new
+    q, residual = divide_mod(num, den, i0, -(-P // v_lo), mod)
 
     if i0 == 0:
         coeff_prec = (P,) * K  # unit divisor: division is exact
@@ -177,12 +169,11 @@ def _divide_level(prev, cur, n):
     # den_(j-k) of valuation >= v_lo; coeff_prec falls with k, so residual j
     # is certified to coeff_prec[min(j, K - 1)] + v_lo digits, and only
     # those must vanish
-    residual = ((num[:i0] - conv_mod(q, den, i0, mod)) % mod).tolist()
     if any(residual[j] % p ** min(P, coeff_prec[min(j, K - 1)] + v_lo) for j in range(i0)):
         raise ValueError(
             "division is inexact at certified digits: the series is not of the required form"
         )
-    return DividedSeries(_from_packed(f, q.tolist(), K), coeff_prec)
+    return DividedSeries(_from_packed(f, q, K), coeff_prec)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ramforge
-from ramforge import PrecisionError, ramcheck
+from ramforge import PrecisionError, jsonio, ramcheck
 from ramforge.cli import main
 
 from helpers import cyclotomic_coeffs
@@ -229,6 +229,15 @@ class TestTrunc:
         code, doc2 = run(capsys, "trunc", "extension", "--f", json.dumps(doc))
         assert code == 0 and doc2 == {"is_extension": True}
 
+    def test_compose_writes_a_large_r_as_a_string(self, capsys):
+        # r = 2^30 twice composes to r = 2^60, past the 2^53 of a JSON number
+        f = self._morphism(2**30, 1, 2, [3, 1])
+        g = self._morphism(2**30, 2, 2, [2, 1])
+        code, doc = run(capsys, "trunc", "compose", "--g", g, "--f", f)
+        assert code == 0 and doc["r"] == str(2**60) and doc["res_twist"] == 0
+        assert jsonio.morphism_in(doc).r == 2**60
+        assert jsonio.morphism_out(jsonio.morphism_in(doc)) == doc
+
     def test_requiv(self, capsys):
         f = self._morphism(1, 4, 4, [1, 0, 0, 0])
         f2 = self._morphism(1, 4, 4, [1, 0, 1, 0])
@@ -242,6 +251,12 @@ class TestCheck:
     def test_m0(self, capsys, theorem_inputs):
         code, doc = run(capsys, "check", "m0", "--input", theorem_inputs)
         assert code == 0 and doc == {"m0": 2}
+
+    def test_main_writes_a_large_e_as_a_string(self, capsys):
+        e = 2**60 + 1
+        code, doc = run(capsys, "check", "main", "--input", json.dumps({"p": 5, "e": [e, 1], "upper": [[1, 1]]}))
+        assert code == 0 and doc["e"] == str(e) and doc["a"] == str(5 * e)
+        assert doc["p"] == 5 and doc["n"] == 1 and doc["m"] is None
 
     def test_main(self, capsys, theorem_inputs):
         code, doc = run(capsys, "check", "main", "--input", theorem_inputs)

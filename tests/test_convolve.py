@@ -15,8 +15,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from ramforge import _convolve
 from ramforge._convolve import compose_mod, conv_mod, mul_mod, recip_mod, reversion_mod
+from ramforge.gfseries import vp
 
-from helpers import brute_comp_inverse, brute_compose, exact_int_compose, ext_compose, poly_mul_mod
+from helpers import (brute_comp_inverse, brute_compose, exact_int_compose, exact_series_divide, ext_compose,
+                     frac_mod, poly_mul_mod)
 
 # (p, monic irreducible modulus, low degree first) for F4, F9 and F27
 EXTENSIONS = {
@@ -225,12 +227,15 @@ class TestRoundTrips:
 
     @pytest.mark.parametrize("mod, modulus", RINGS, ids=IDS)
     def test_reciprocal(self, mod, modulus):
+        import numpy as np
+
         s = _convolve.block_size(modulus)
         rng = random.Random(51)
         for n in (1, 2, 9, 30):
             a = random_series(rng, mod, modulus, n, 0)
+            h = recip_mod(np.asarray(a, dtype=_convolve.array_dtype(mod, n * s)), n, mod, modulus)
             one = [1] + [0] * (n * s - 1)
-            assert mul_mod(a, recip_mod(a, n, mod, modulus), n, mod, modulus) == one
+            assert mul_mod(a, h.tolist(), n, mod, modulus) == one
 
     @pytest.mark.parametrize("mod, modulus", RINGS, ids=IDS)
     def test_reversion(self, mod, modulus):
@@ -243,17 +248,23 @@ class TestRoundTrips:
 
     @pytest.mark.parametrize("mod, modulus", RINGS, ids=IDS)
     def test_reciprocal_of_arrays(self, mod, modulus):
-        # array operands give an array of their dtype
+        # the result has the operand's dtype, the kernel's own or object,
+        # and the same entries in both; the operand, read-only as the baby
+        # powers are, is not written
         import numpy as np
 
         s = _convolve.block_size(modulus)
         rng = random.Random(53)
         for n in (1, 5, 30):
             a = random_series(rng, mod, modulus, n, 0)
-            want = recip_mod(a, n, mod, modulus)
-            dtype = _convolve.array_dtype(mod, n * s)
-            got = recip_mod(np.asarray(a, dtype=dtype), n, mod, modulus)
-            assert isinstance(got, np.ndarray) and got.dtype == dtype and got.tolist() == want
+            got = []
+            for dtype in (_convolve.array_dtype(mod, n * s), object):
+                x = np.asarray(a, dtype=dtype)
+                x.flags.writeable = False
+                h = recip_mod(x, n, mod, modulus)
+                assert isinstance(h, np.ndarray) and h.dtype == dtype and x.tolist() == a
+                got.append(h.tolist())
+            assert got[0] == got[1]
 
 
 # (mod, modulus) for reversion: F_p, F_4 .. F_27, and Z/p^P in the int64
@@ -283,3 +294,39 @@ def test_reversion_one_composition_per_step(ring, n, seed):
     assert compose_mod(h, g, n, mod, modulus) == x
     if modulus is None and mod < 7 and n <= 24:
         assert h == brute_comp_inverse(g, mod, n)
+
+
+# (p, P) for divide_mod: Z/5^8 below the direct bound, 3^20 in the int64
+# halves band and 3^40 past it, in Python ints
+DIVIDE_RINGS = [(5, 8), (3, 20), (3, 40)]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(ring=st.sampled_from(DIVIDE_RINGS), length=st.integers(1, 40), i0=st.integers(0, 6),
+       v=st.integers(1, 3), seed=st.integers(0, 2**32))
+@example(ring=(5, 8), length=30, i0=0, v=1, seed=0)
+@example(ring=(3, 20), length=30, i0=0, v=1, seed=0)
+@example(ring=(3, 40), length=30, i0=0, v=1, seed=0)
+@example(ring=(5, 8), length=30, i0=4, v=1, seed=0)
+@example(ring=(3, 20), length=30, i0=5, v=2, seed=0)
+@example(ring=(3, 40), length=40, i0=6, v=3, seed=0)
+def test_divide_mod_matches_exact_division(ring, length, i0, v, seed):
+    # den = den_lo + X^i0 den_hi with den_lo divisible by p^v and den_hi a
+    # unit series, and num = q den for a q of length - i0 terms: q is the
+    # one fixed point of the rounds, reached in ceil(P / v_lo) of them, and
+    # the quotient over Q of the integer series num / den
+    p, P = ring
+    mod = p**P
+    i0 = min(i0, length - 1)
+    rng = random.Random(seed)
+    den = [p**v * rng.randrange(mod) for _ in range(i0)] + random_series(rng, mod, None, length - i0, 0)
+    den[0] = den[0] or p**v  # Q division pivots on den_0
+    q = [rng.randrange(mod) for _ in range(length - i0)]
+    # the integer product: an entry sums at most 40 terms below 27 mod^2
+    num = poly_mul_mod(q, den, mod**3, length)
+    v_lo = min((vp(c % mod, p, P) for c in den[:i0]), default=P)
+    got, residual = _convolve.divide_mod([c % mod for c in num], [c % mod for c in den], i0,
+                                         -(-P // v_lo), mod)
+    oracle = exact_series_divide(num, den, length - i0)
+    assert got == [frac_mod(c, p, P) for c in oracle] == q
+    assert residual == [0] * i0

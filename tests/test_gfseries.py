@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import os
@@ -208,6 +209,22 @@ class TestFieldArithmetic:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr or "numpy was imported"
+
+    def test_only_the_kernel_imports_numpy(self):
+        # numpy arrays, their dtypes and the int64 bound stay in _convolve
+        pkg = Path(ramforge.__file__).resolve().parent
+        importers = set()
+        for path in pkg.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == "numpy" for name in names):
+                    importers.add(path.name)
+        assert importers == {"_convolve.py"}
 
 
 class TestAdd:

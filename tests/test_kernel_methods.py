@@ -337,7 +337,9 @@ class TestFrobeniusSplit:
     @given(frobenius_cases(max_n=70))
     def test_methods_agree(self, case):
         # both composition methods under each forced product method: the
-        # split's products take conv_mod wherever they are not direct
+        # split's level products are raw np.convolve calls, which its size
+        # test keeps direct, and the forced methods reach its powers of h
+        # and its base table
         p, outer, inner, n = case
         want = [c % p for c in exact_int_compose(outer, inner, n)]
         for compose in (frobenius_compose, paterson_stockmeyer):
@@ -408,6 +410,24 @@ class TestComposeData:
             else:
                 assert type(data) is list and len(data) == isqrt(blocks - 1) + 2
                 assert len(data[0]) == n * _convolve.block_size(modulus)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 6007])
+    def test_split_refused_past_its_row_sum_bound(self, monkeypatch, p):
+        # the split's unreduced row sums, at most p * n products below
+        # (p - 1)^2, must fit directly in int64, and first do not at n0; at
+        # p = 6007 they do not from n = p^2 on, so the split never wins.
+        # The builders are stubbed: no data of that size is made
+        n0 = -(-SAFE // ((p - 1) ** 2 * p))
+        assert (p - 1) ** 2 * p * (n0 - 1) < SAFE <= (p - 1) ** 2 * p * n0
+        small = max(p * p, 64)
+        assert not _convolve.frobenius_wins(p, n0)
+        assert _convolve.frobenius_wins(p, n0 - 1) == (n0 - 1 >= small) == (p < 6007)
+        monkeypatch.setattr(_convolve, "frobenius_tables", lambda *args: "split")
+        monkeypatch.setattr(_convolve, "baby_powers", lambda *args: "paterson-stockmeyer")
+        # the size test reads the outer blocks, the row sums the precision
+        assert _convolve.is_prime(p)
+        for n, want in ((n0 - 1, "split" if p < 6007 else "paterson-stockmeyer"), (n0, "paterson-stockmeyer")):
+            assert _convolve.compose_data([0, 1], n, p, None, small) == want
 
     def test_short_outer_keeps_paterson_stockmeyer(self):
         # two outer blocks into 2000 terms: the split would lose

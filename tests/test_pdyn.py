@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ramforge import jsonio, nottingham, pdyn
+from ramforge import _convolve, jsonio, nottingham, pdyn
 from ramforge import (
     FiniteField,
     PadicSeries,
@@ -327,10 +327,19 @@ class TestQnDivide:
         i0 = next(k for k, c in enumerate(den) if c % f.p)
         v_lo = min((vp(c, f.p, f.prec) for c in den[:i0]), default=f.prec)
         K = M - 1 - i0
-        assert K != i0  # a round's quotient product is the only call of length K
+        assert K != i0  # a round's quotient product is its only call of length K
         lengths = []
-        conv = pdyn.conv_mod
-        monkeypatch.setattr(pdyn, "conv_mod", lambda a, b, m, mod: lengths.append(m) or conv(a, b, m, mod))
+        conv, recip = _convolve.conv_mod, _convolve.recip_mod
+
+        def recip_then_rounds(*args):
+            # the reciprocal's own products may have length K too, and the
+            # rounds follow it
+            h = recip(*args)
+            lengths.clear()
+            return h
+
+        monkeypatch.setattr(_convolve, "conv_mod", lambda a, b, m, mod: lengths.append(m) or conv(a, b, m, mod))
+        monkeypatch.setattr(_convolve, "recip_mod", recip_then_rounds)
         pdyn._divide_level(prev, cur, n)
         assert 1 <= lengths.count(K) <= -(-f.prec // v_lo)
 
