@@ -18,11 +18,13 @@ coefficient of the product sums:
 - halves: past that, while the halves fit (see ``_int64_exact``),
   each residue is split into two h-bit halves, h = ceil(bits(m - 1)/2),
   and three int64 ops on the halves (Karatsuba) are recombined mod m;
-- Kronecker: past the halves band, one big-integer multiply
-  (Kronecker substitution in X): each list is packed into one Python int
-  with a fixed slot of bytes per coefficient, wide enough for any
-  coefficient of the product, and the slots of the product are read back
-  and reduced.
+- Kronecker: past the halves band, one big-integer multiply (Kronecker
+  substitution in X): each list is packed into one Python int with a
+  fixed slot of bytes per coefficient, wide enough for any coefficient of
+  the product, and the slots of the product are read back and reduced.
+  Series products past the split band whose operands have at most
+  ``_HALVES_SHORT`` slots take it too, as it costs less there than the
+  18 or so numpy calls of halves.
 
 Every method is exact, so results are identical whichever runs.  The
 direct and halves methods serve every bilinear op of the kernel: series
@@ -68,7 +70,7 @@ split over F_p (a prime mod, ``is_prime``, and no modulus) where
 ``frobenius_wins`` holds for the outer blocks the data serve.  Either
 method's data depend on the inner series and the precision alone, and
 ``compose_mod`` takes them ready made, so compositions with one inner (as
-in binary powering) can build them once; it builds them by
+in ``nottingham.compose_power``) can build them once; it builds them by
 ``compose_data`` otherwise, ``reversion_mod``'s compositions included.
 Composition stays array-resident: int64 arrays while the direct or halves
 method fits, object arrays of Python ints past the halves band; see
@@ -95,6 +97,7 @@ from typing import NamedTuple
 
 _INT64_SAFE = 2**62
 _SHORT = 8
+_HALVES_SHORT = 16
 _FROBENIUS_BASE = 32
 
 # Miller-Rabin with the first 13 prime bases decides primality of every n
@@ -231,7 +234,8 @@ def conv_mod(a, b, n, mod):
     a and b are sequences of ints, or two numpy arrays of residues below
     mod as compose_mod passes them (int64 where ``_int64_exact`` holds,
     Python ints in object arrays past it); arrays give an array of a's
-    dtype, anything else a list.
+    dtype, anything else a list.  Past the split band, operands of at most
+    ``_HALVES_SHORT`` slots take Kronecker, arrays included.
     """
     la = min(len(a), n)
     lb = min(len(b), n)
@@ -244,7 +248,8 @@ def conv_mod(a, b, n, mod):
     if la == 0 or lb == 0:
         out = []
     elif (arrays or max(la, lb) > _SHORT) and (
-        (pieces := _pieces(mod, min(la, lb))) <= 3 or _int64_exact(mod, min(la, lb))
+        (pieces := _pieces(mod, min(la, lb))) <= 3
+        or (max(la, lb) > _HALVES_SHORT and _int64_exact(mod, min(la, lb)))
     ):
         import numpy as np
 
@@ -258,9 +263,11 @@ def conv_mod(a, b, n, mod):
         if not arrays:
             out = out.tolist()
     else:
+        # numpy integers have no to_bytes
+        x, y = (a[:la].tolist(), b[:lb].tolist()) if arrays else (a[:la], b[:lb])
         # a product coefficient sums at most min(la, lb) terms below mod^2
         size = (2 * (mod - 1).bit_length() + min(la, lb).bit_length() + 7) // 8
-        out = _unpack(_pack(a[:la], size) * _pack(b[:lb], size), size, min(n, la + lb - 1), mod)
+        out = _unpack(_pack(x, size) * _pack(y, size), size, min(n, la + lb - 1), mod)
     if arrays:
         return _residues(out, n, None, a.dtype)
     if len(out) < n:
@@ -457,9 +464,10 @@ def frobenius_tables(inner, n, p):
     block of 2m - 1 slots for m = n_(d+1): one product of a series of m
     terms with that stack gives its p products with the phases, in
     separate blocks.  The base table holds h^0 .. h^(B-1) mod X^B,
-    B = n_D, as rows, built by doubling: with rows 0 .. k known, rows
-    k .. 2k are they times h^k, row k, one matrix product with the
-    Toeplitz matrix of row k.
+    B = n_D, as rows.  Rows 1 .. min(p - 1, B - 1) are the baby powers,
+    cut to B terms, and the rest are built by doubling: with rows 0 .. k
+    known, rows k .. 2k are they times h^k, row k, one matrix product with
+    the Toeplitz matrix of row k.
     """
     import numpy as np
 
@@ -480,8 +488,8 @@ def frobenius_tables(inner, n, p):
     size = sizes[-1]
     table = np.zeros((size, size), dtype=dtype)
     table[0, 0] = 1
-    table[1:2] = powers[0, :size]
-    k = 1
+    k = min(p - 1, size - 1)
+    table[1 : k + 1] = powers[:k, :size]
     while k < size - 1:
         t = min(k, size - 1 - k)
         table[k : k + t + 1] = _bilinear(np.matmul, table[: t + 1], _toeplitz(table[k], size), size, p)

@@ -396,8 +396,8 @@ class TruncSeries:
         The kernel's ``compose_mod`` picks the method: the Frobenius split
         over F_p from a size on, Paterson-Stockmeyer otherwise.  A
         composition mod X^(inner.trunc) reuses the data of inner that the
-        first such composition built, so binary powering, which composes
-        with one inner again and again, builds them once.
+        first such composition built, so ``compose_power``, which composes
+        onto one inner again and again, builds them once.
         """
         self._check(inner)
         if any(inner.block(0)):

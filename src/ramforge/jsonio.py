@@ -107,7 +107,10 @@ def series_in(doc):
     f = field_in(doc)
     trunc = int_in(doc["trunc"])
     check_budget(trunc * f.w * len(str(f.p)))
-    return TruncSeries(f, [_coeff_in(c) for c in doc["coeffs"]], trunc)
+    coeffs = doc["coeffs"]
+    if not all(type(c) is int for c in coeffs):
+        coeffs = [_coeff_in(c) for c in coeffs]
+    return TruncSeries(f, coeffs, trunc)
 
 
 # -- break sequences and transfer functions ---------------------------------

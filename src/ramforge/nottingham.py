@@ -11,6 +11,9 @@ The iterates g, g^(p), g^(p^2), ... come from one chain, ``p_chain``, each
 link the p-fold composite of the one before: the lower breaks are the
 depths of its links, and ``p_iterate``, the image-order search and the
 level quotients and analysis of ``ramforge.pdyn`` read their iterates off it.
+A link is ``compose_power(prev, p)``: for p <= 5 it composes onto prev
+p - 1 times, so each p-step builds the composition data of one inner
+series, prev; from p = 7 on it powers in binary.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from fractions import Fraction
 from ._convolve import power
 from .errors import PrecisionError, SenViolationError
 from .gfseries import TruncSeries, _require_prime
+
+_ONTO_G = 5  # compose_power composes onto g up to this k
 
 
 @dataclass(frozen=True)
@@ -79,12 +84,25 @@ def depth(g):
 
 
 def compose_power(g, k):
-    """k-fold self-composition g^(k) by binary powering."""
+    """k-fold self-composition g^(k).
+
+    Up to k = ``_ONTO_G``, k - 1 compositions h <- h o g, all with the one
+    inner series g, whose composition data (``TruncSeries.compose``) are
+    built once; from there binary powering, which takes fewer compositions
+    but builds data for each inner it squares.  For k = 4 and 5 binary
+    powering saves one composition and builds the data of g^(2) besides,
+    which cost more than a composition wherever a p-step is slow.
+    """
     if k < 0:
         raise ValueError("composition power must be >= 0")
     if k == 0:
         return TruncSeries.x(g.field, g.trunc)
-    return power(g, k, TruncSeries.compose)
+    if k > _ONTO_G:
+        return power(g, k, TruncSeries.compose)
+    h = g
+    for _ in range(k - 1):
+        h = h.compose(g)
+    return h
 
 
 def p_chain(g, n):

@@ -51,7 +51,7 @@ def pad_compose(outer, inner):
 
 
 def pad_iterate(u, k):
-    """k-fold composite of u with itself, by binary powering."""
+    """k-fold composite of u with itself, by ``compose_power``."""
     _require_dynamical(u)
     return compose_power(u, k)
 

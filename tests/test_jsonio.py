@@ -16,12 +16,14 @@ from ramforge import (
     lower_breaks,
     qn_divide,
 )
+from ramforge import jsonio
 from ramforge.jsonio import (
     break_data_in,
     break_data_out,
     condition_report_out,
     divided_out,
     dynamics_report_out,
+    field_in,
     frac_in,
     frac_out,
     int_in,
@@ -123,6 +125,49 @@ class TestSeriesRoundTrip:
     def test_reader_accepts_bare_ints_for_prime_field(self):
         doc = {"p": 5, "w": 1, "trunc": 2, "coeffs": [0, 1]}
         assert series_in(doc) == TruncSeries(FiniteField(5), (0, 1), 2)
+
+
+def per_coefficient_series_in(doc):
+    """The reader with no all-int fast path: every coefficient through
+    ``_coeff_in``."""
+    field = field_in(doc)
+    return TruncSeries(field, [jsonio._coeff_in(c) for c in doc["coeffs"]], int_in(doc["trunc"]))
+
+
+def read(reader, doc):
+    try:
+        return reader(doc)
+    except ValueError as e:
+        return ("ValueError", str(e))
+
+
+class TestSeriesReader:
+    """``series_in`` takes a list of plain JSON ints as it is; any other
+    list gives the same series, or the same error, as reading every
+    coefficient."""
+
+    P = str(2**61 - 1)
+    F4 = {"p": 2, "w": 2, "modulus": [1, 1, 1]}
+
+    @pytest.mark.parametrize("doc, fails", [
+        ({"p": 5, "trunc": 4, "coeffs": [0, 1, 7, -3]}, False),
+        ({"p": 5, "trunc": 4, "coeffs": [0, 1, True, 0]}, True),
+        ({"p": 5, "trunc": 4, "coeffs": [0, 1, 2.0, 0]}, True),
+        ({"p": 5, "trunc": 4, "coeffs": [0, 1, "4", 0]}, False),
+        ({"p": P, "trunc": 4, "coeffs": [0, 1, str(2**60), 5]}, False),
+        ({"p": P, "trunc": 3, "coeffs": [0, 1, str(2**53 + 1)]}, False),
+        ({"p": 5, "trunc": 3, "coeffs": [0, 1, "1e3"]}, True),
+        ({"p": 5, "trunc": 3, "coeffs": [0, 1]}, True),
+        ({**F4, "trunc": 3, "coeffs": [[0, 0], [1, 1], [0, 1]]}, False),
+        ({**F4, "trunc": 3, "coeffs": [[0, 0], 1, [0, 1]]}, False),
+        ({**F4, "trunc": 3, "coeffs": [0, 1, 1]}, False),
+        ({**F4, "trunc": 3, "coeffs": [[0, 0], [1, False], [0, 1]]}, True),
+    ], ids=lambda x: json.dumps(x["coeffs"]) if isinstance(x, dict) else None)
+    def test_same_series_or_error_as_reading_each_coefficient(self, doc, fails):
+        doc = json.loads(json.dumps(doc))
+        got = read(series_in, doc)
+        assert got == read(per_coefficient_series_in, doc)
+        assert isinstance(got, tuple) == fails
 
 
 class TestBreakDataRoundTrip:

@@ -9,7 +9,9 @@ the same inputs through every method that is exact for it, and is checked
 against the brute-force oracles in ``helpers.py``.  A method is forced by
 lowering ``_convolve._INT64_SAFE``, as ``test_convolve.py`` does: to 0
 every product takes Kronecker; to just above the halves bound of the case
-no product fits directly but every one fits in halves; and to just above
+no product fits directly but every one fits in halves (and with
+``_HALVES_SHORT`` at 0, the short products that take Kronecker unforced
+take halves too); and to just above
 (mod - 1)^2 * t, for t a half or a third of the shorter operand's length,
 a product fits directly in two or three pieces of it.  Spies on
 ``_split``, ``_halves`` and ``_pack`` check that the forced method ran.
@@ -36,6 +38,7 @@ from helpers import (apply_ring_by_powers, brute_comp_inverse, brute_compose, ca
 
 KERNEL = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 SAFE = 2**62
+HALVES_SHORT = _convolve._HALVES_SHORT
 
 # both sides of every bound: direct at any length here (2, 5), direct or
 # halves by length (7^10, 5^12), halves from the first product (3^20,
@@ -90,6 +93,8 @@ def run_methods(fn, mod, terms):
             mp.setattr(_convolve, name, counted)
         for method, bound in bounds.items():
             mp.setattr(_convolve, "_INT64_SAFE", bound)
+            # forced halves takes the short products that Kronecker takes unforced
+            mp.setattr(_convolve, "_HALVES_SHORT", 0 if method == "halves" else HALVES_SHORT)
             calls.update(dict.fromkeys(calls, 0))
             out[method] = (fn(), calls["_halves"], calls["_pack"])
     return out
@@ -158,8 +163,27 @@ class TestConvMod:
     def test_worst_case_residues(self, mod, length):
         a = b = [mod - 1] * length
         results = run_methods(lambda: conv_mod(a, b, 2 * length, mod), mod, 2 * length)
-        assert results["natural"][1] > 0  # these moduli take halves unforced
+        # these moduli take halves unforced, past the short products
+        assert (results["natural"][1] > 0) == (length > HALVES_SHORT)
         check_methods(results, poly_mul_mod(a, b, mod, 2 * length), True)
+
+    @pytest.mark.parametrize("mod", [3**20, 2**41 - 1])
+    @pytest.mark.parametrize("slots, method", [(9, "kronecker"), (16, "kronecker"), (17, "halves"),
+                                               (24, "halves"), (32, "halves")])
+    @pytest.mark.parametrize("arrays", [False, True])
+    def test_short_products_past_the_split_take_kronecker(self, mod, slots, method, arrays):
+        # past the split band the halves method costs about 18 numpy calls
+        # whatever the length; up to 16 slots one big-integer multiply is
+        # cheaper.  Arrays come back in their own dtype
+        rng = random.Random(slots)
+        a, b = ([rng.randrange(mod) for _ in range(slots)] for _ in range(2))
+        ops = (np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)) if arrays else (a, b)
+        want = poly_mul_mod(a, b, mod, 2 * slots)
+        results = run_methods(lambda: conv_mod(*ops, 2 * slots, mod), mod, 2 * slots)
+        got, halves, packs = results["natural"]
+        assert (halves > 0, packs > 0) == (method == "halves", method == "kronecker")
+        assert type(got) is type(ops[0]) and (not arrays or got.dtype == np.int64)
+        check_methods({m: (list(r[0]), *r[1:]) for m, r in results.items()}, want, True)
 
     def test_just_above_the_halves_band(self):
         # (2^41 - 1) * 2^21 is below the int64 bound, (2^41 + 1) * 2^21 is not
@@ -358,6 +382,31 @@ class TestFrobeniusSplit:
         results = run_methods(lambda: frobenius_compose(outer, inner, n, p), p, n)
         assert results["halves"][1] > 0
         check_methods(results, [c % p for c in exact_int_compose(outer, inner, n)], True)
+
+
+class TestFrobeniusTables:
+    # the base table's rows 1 .. min(p - 1, B - 1) are the baby powers, the
+    # rest are built by doubling.  n = p - 1, p, p + 1 and 32 are their own
+    # base sizes B, below p, equal to it and above it; n = 100 has levels
+    # above its base, B = 25, 12, 20, 15 and 10 for p = 2 .. 11
+    @pytest.mark.parametrize("p", FROBENIUS_PRIMES)
+    @pytest.mark.parametrize("dn", [-1, 0, 1, "32", "100"])
+    def test_seeded_base_table_matches_repeated_products(self, p, dn):
+        n = int(dn) if isinstance(dn, str) else p + dn
+        rng = random.Random(f"tables:{p}:{n}")
+        dense = [0] + [rng.randrange(p) for _ in range(n - 1)]
+        deep = [0] * n
+        if n > 1:
+            deep[n // 2] = 1
+        for inner in (dense, deep):
+            tables = frobenius_tables(inner, n, p)
+            size = tables.sizes[-1]
+            assert size == n or n == 100
+            power, rows = [1] + [0] * (size - 1), []
+            for _ in range(size):
+                rows.append(power)
+                power = poly_mul_mod(power, inner, p, size)
+            assert tables.table.tolist() == rows
 
 
 def forced_paterson_stockmeyer(fn):

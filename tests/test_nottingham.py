@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from ramforge import _convolve
+from ramforge import _convolve, gfseries
 from ramforge import (
     AtLeast,
     FiniteField,
     PrecisionError,
     SenViolationError,
     TruncSeries,
+    compose_power,
     conjugate,
     depth,
     index_of,
@@ -25,6 +26,8 @@ from helpers import (
     brute_depth,
     cyclotomic_reduction,
     enumerate_subgroup,
+    exact_int_compose,
+    ext_compose,
     random_nottingham,
 )
 
@@ -87,6 +90,64 @@ class TestDepth:
                     assert depth(S(f, coeffs, trunc)) == k - 1
                 assert depth(TruncSeries.x(f, trunc)) == AtLeast(trunc - 1)
                 assert depth(S(f, [zero, (0, 1)], trunc)) == 0
+
+
+def oracle_powers(g, k_max):
+    """g^(1) .. g^(k_max) by repeated brute-force composition onto g."""
+    f, n = g.field, g.trunc
+    if f.w == 1:
+        ints = [c.rep[0] for c in g.coeffs]
+        step = lambda acc: [c % f.mod for c in exact_int_compose(acc, ints, n)]
+    else:
+        ints = [c.rep for c in g.coeffs]
+        step = lambda acc: ext_compose(acc, ints, f.p, f.modulus, n)
+    acc, out = ints, [g]
+    for _ in range(k_max - 1):
+        acc = step(acc)
+        out.append(TruncSeries(f, acc, n))
+    return out
+
+
+class TestComposePower:
+    """``compose_power`` composes onto g up to k = 5 and powers in binary
+    from k = 6; both give binary powering's result and the oracle's."""
+
+    # F_p on both sides of the Frobenius split's size test (n >= 64 here),
+    # Z/p^P below and past the direct int64 bound, and F_9 and F_27
+    RINGS = ((F2, 64), (F5, 63), (F5, 64), (FiniteField(7), 64), (FiniteField(5, prec=4), 30),
+             (FiniteField(7, prec=10), 40), (FiniteField(3, 2, (1, 0, 1)), 16),
+             (FiniteField(3, 3, (1, 2, 0, 1)), 10))
+
+    @pytest.mark.parametrize("field, n", RINGS, ids=repr)
+    def test_matches_binary_powering_and_the_oracle(self, field, n):
+        rng = random.Random(f"compose-power:{field!r}:{n}")
+        zero = 0 if field.w == 1 else (0,) * field.w
+        unit = 1 if field.w == 1 else (1,) + (0,) * (field.w - 1)
+        coeff = (lambda: rng.randrange(field.mod)) if field.w == 1 else (
+            lambda: tuple(rng.randrange(field.p) for _ in range(field.w)))
+        coeffs = [zero, unit] + [coeff() for _ in range(n - 2)]
+        g, other = TruncSeries(field, coeffs, n), TruncSeries(field, coeffs, n)
+        want = oracle_powers(g, 7)
+        for k in range(1, 8):
+            binary = _convolve.power(other, k, TruncSeries.compose)
+            assert compose_power(g, k) == binary == want[k - 1], k
+        assert compose_power(g, 0) == TruncSeries.x(field, n)
+
+    @pytest.mark.parametrize("k, builds", [(1, 0), (2, 1), (3, 1), (4, 1), (5, 1), (6, 2), (7, 2)])
+    @pytest.mark.parametrize("field, n", ((F5, 64), (FiniteField(5, prec=4), 30)), ids=repr)
+    def test_builds_the_data_of_g_once_up_to_k_5(self, monkeypatch, field, n, k, builds):
+        # TruncSeries.compose builds an inner's data by _convolve.compose_data:
+        # once for g up to k = 5, and from k = 6 once more for each inner
+        # binary powering squares
+        calls = []
+        build = _convolve.compose_data
+        monkeypatch.setattr(gfseries, "compose_data", lambda *args: calls.append(args[1]) or build(*args))
+        rng = random.Random(77 + k)
+        g = TruncSeries(field, [0, 1] + [rng.randrange(field.mod) for _ in range(n - 2)], n)
+        got = compose_power(g, k)
+        assert len(calls) == builds and set(calls) <= {n}
+        monkeypatch.undo()
+        assert got == oracle_powers(g, k)[-1]
 
 
 class TestPIterate:
