@@ -48,6 +48,9 @@ def int_in(v):
     raise ValueError(f"expected an integer, got {v!r}")
 
 
+_FRACTION = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def frac_in(x):
     """An exact rational from a Fraction, an int (not a bool), a string "a"
     or "a/b" of decimal digits with an optional minus sign on a, or a
@@ -57,14 +60,14 @@ def frac_in(x):
         return x
     if type(x) is int:
         return Fraction(x)
-    if isinstance(x, str) and (m := re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", x)):
-        num, den = m[1], m[2] or 1
+    if isinstance(x, str) and (m := _FRACTION.fullmatch(x)):
+        num, den = parse_decimal(m[1]), parse_decimal(m[2]) if m[2] else 1
     elif isinstance(x, (tuple, list)) and len(x) == 2:
-        num, den = x
+        num, den = int_in(x[0]), int_in(x[1])
     else:
         raise ValueError(f"not an exact rational: {x!r}")
     try:
-        return Fraction(int_in(num), int_in(den))
+        return Fraction(num, den)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {x!r}") from None
 

@@ -119,12 +119,14 @@ class TheoremInputs:
     be an integer.  ``contained_in_zp`` is caller-supplied: whether the
     extension embeds in a Z_p-extension is a class-field-theoretic fact this
     toolkit does not compute.  ``a`` defaults to e*p^n and ``m`` to the
-    largest value with psi((m+1+1/(p-1))e) < e*p^n.  ``p``, ``e``, ``n``,
-    ``tp`` and ``yhz`` are derived on construction.
+    largest value with psi((m+1+1/(p-1))e) < e*p^n.  A supplied ``a`` must
+    lie in [1, e*p^n]; a supplied ``m`` must lie in [1, n], which
+    check_conditions enforces.  ``p``, ``e``, ``n``, ``tp`` and ``yhz`` are
+    derived on construction.
     """
 
     bd: BreakData
-    a: int = 0
+    a: int | None = None
     m: int | None = None
     contained_in_zp: bool = True
     p: int = field(init=False, repr=False, compare=False)
@@ -142,7 +144,7 @@ class TheoremInputs:
         if self.p <= 3:
             raise ValueError("p > 3 is required")
         object.__setattr__(self, "tp", tame_params(self.p, self.e))
-        if self.a == 0:
+        if self.a is None:
             object.__setattr__(self, "a", self.e * self.p**self.n)
         if not (1 <= self.a <= self.e * self.p**self.n):
             raise ValueError(f"cutoff a = {self.a} outside [1, e*p^n]")
@@ -186,36 +188,50 @@ def psi_ML_lower_bound(ti, m, t):
 
     Substitutes the upper bounds psi((i+1)e) for the unknown positive upper
     breaks of the top step; larger break values only decrease the result,
-    so the returned value is a true lower bound.
+    so the returned value is a true lower bound.  It is
+    s*p^t*a - s(p-1)*S(t) with S(t) = sum_{k<t} p^k psi((m-t+k+1)e), read
+    off the recurrence S(0) = 0, S(t+1) = psi((m-t)e) + p*S(t): t
+    evaluations of psi.
     """
     if not (0 <= t <= m):
         raise ValueError(f"t = {t} outside [0, m = {m}]")
-    p, s = ti.p, ti.tp.s
-    psi = ti.bd.psi
-    total = Fraction(s * p**t * ti.a)
-    for k in range(t):
-        beta = psi((m - t + k + 1) * ti.bd.e)
-        total -= s * (p - 1) * p**k * beta
-    return total
+    return _psi_ML_bounds(ti, m, t)[t]
+
+
+def _psi_ML_bounds(ti, m, t_max):
+    """psi_ML_lower_bound(ti, m, t) for t = 0 .. t_max, in one pass over psi."""
+    p, s, a, e, psi = ti.p, ti.tp.s, ti.a, ti.bd.e, ti.bd.psi
+    bounds, total = [Fraction(s * a)], 0
+    for t in range(t_max):
+        total = psi((m - t) * e) + p * total
+        bounds.append(s * p ** (t + 1) * a - s * (p - 1) * total)
+    return bounds
 
 
 def _ces_floor(ti, m, t):
-    # closed form of the substituted bound; must agree exactly with
-    # psi_ML_lower_bound whenever the break-range guard m <= n - h holds
-    p, s = ti.p, ti.tp.s
-    e, a = Fraction(ti.e), Fraction(ti.a)
+    """Closed form of the substituted bound, split on y <= e and y > e.
+
+    It must agree exactly with psi_ML_lower_bound whenever the break-range
+    guard m <= n - h holds (and t = m when y > e).  With y = yn/yd and
+    z = zn/zd it is one integer numerator over (p-1)(p+1)*yd*zd.
+    """
+    p, s, e, a = ti.p, ti.tp.s, ti.e, ti.a
     y, h, z = ti.yhz.y, ti.yhz.h, ti.yhz.z
-    if y <= e:
-        return (
-            s * p**t * a
-            + s * (p**t - 1) * (e * p ** (h + 1) / (p - 1) - z)
-            - s * p ** (m + h - t + 1) * Fraction(p ** (2 * t) - 1, p + 1) * (Fraction(p, p - 1) * e - y)
-        )
-    return (
-        s * p**m * a
-        + s * (p**m - 1) * (e * p ** (h + 1) / (p - 1) - z)
-        - s * p**h * Fraction(p ** (2 * m) - 1, p + 1) * (Fraction(2 * p - 1, p - 1) * e - y)
+    yn, yd, zn, zd = y.numerator, y.denominator, z.numerator, z.denominator
+    den = (p - 1) * (p + 1) * yd * zd
+    if y > e:
+        # the y <= e form at t = m, with 2p-1 in place of p and p^h in
+        # place of p^(m+h-t+1)
+        t, c, top = m, 2 * p - 1, p**h
+    else:
+        c, top = p, p ** (m + h - t + 1)
+    pt = p**t
+    num = (
+        s * pt * a * den
+        + s * (pt - 1) * (e * p ** (h + 1) * zd - zn * (p - 1)) * (p + 1) * yd
+        - s * top * (pt * pt - 1) * (c * e * yd - yn * (p - 1)) * zd
     )
+    return Fraction(num, den)
 
 
 def phi_EK_closed_form(tp, yhz, m):
@@ -286,9 +302,10 @@ def _evaluate(ti, m, **fields):
     q, r = q_r_values(tp, yhz, m)
 
     ts = tuple(range(m + 1)) if yhz.y == e else (m,)
+    bounds = _psi_ML_bounds(ti, m, m)
     items = []
     for t in ts:
-        bound = psi_ML_lower_bound(ti, m, t)
+        bound = bounds[t]
         if m <= n - yhz.h and (yhz.y <= e or t == m):
             if bound != _ces_floor(ti, m, t):
                 raise InvariantError(
@@ -324,13 +341,15 @@ def check_conditions(ti):
     The guarantee is granted only when every examined t passes and the
     extension is flagged as contained in a Z_p-extension; otherwise, when
     the flag is false, the checker falls back to the degree-p^(n-1)
-    variant and reports its result.
+    variant and reports its result.  Only a defaulted m reports the
+    vacuous statuses ``no_m`` and ``m0_zero``; a supplied m outside [1, n]
+    is a ValueError.
     """
     m0_val = m0(ti)
     m_val = ti.m if ti.m is not None else m0_val
-    if m_val is None or m_val == 0:
+    if ti.m is None and not m0_val:
         return _report(
-            ti, m_val, m0=m0_val, status="no_m" if m_val is None else "m0_zero",
+            ti, m0_val, m0=m0_val, status="no_m" if m0_val is None else "m0_zero",
             notes=("no level m >= 1 is available; the guarantee is vacuous",),
         )
     if not (1 <= m_val <= ti.n):

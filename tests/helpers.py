@@ -7,7 +7,8 @@ polygons over exact rationals, quotient groups by full enumeration,
 extension-field arithmetic by schoolbook products in Y with long division
 by the modulus, powers by repeated products, piecewise-linear functions by
 walking their segments from 0, the shift function's window sum t by t and
-its value from t0 itself, and m0 by scanning.
+its value from t0 itself, m0 by scanning, the condition-1 bound as its
+literal sum and its closed form over Fractions.
 """
 
 import math
@@ -362,6 +363,37 @@ def pl_walk_inverse(f):
     of f's breakpoints and the reciprocal slopes."""
     return (tuple(pl_walk_value(f, b) for b in f.breakpoints),
             tuple(1 / s for s in f.slopes))
+
+
+# -- the condition-1 bound ----------------------------------------------------
+
+
+def literal_psi_ML_bound(ti, m, t):
+    """s*p^t*a minus the sum over k < t of s(p-1)p^k psi((m-t+k+1)e), term
+    by term, each psi value by walking the segments."""
+    p, s, e, psi = ti.p, ti.tp.s, ti.bd.e, ti.bd.psi
+    return s * p**t * ti.a - sum(
+        s * (p - 1) * p**k * pl_walk_value(psi, (m - t + k + 1) * e) for k in range(t)
+    )
+
+
+def fraction_ces_floor(ti, m, t):
+    """The closed form of the substituted bound, term by term over Fractions,
+    split on y <= e and y > e (where t plays no part)."""
+    p, s = ti.p, ti.tp.s
+    e, a = Fraction(ti.e), Fraction(ti.a)
+    y, h, z = ti.yhz.y, ti.yhz.h, ti.yhz.z
+    if y <= e:
+        return (
+            s * p**t * a
+            + s * (p**t - 1) * (e * p ** (h + 1) / (p - 1) - z)
+            - s * p ** (m + h - t + 1) * Fraction(p ** (2 * t) - 1, p + 1) * (Fraction(p, p - 1) * e - y)
+        )
+    return (
+        s * p**m * a
+        + s * (p**m - 1) * (e * p ** (h + 1) / (p - 1) - z)
+        - s * p**h * Fraction(p ** (2 * m) - 1, p + 1) * (Fraction(2 * p - 1, p - 1) * e - y)
+    )
 
 
 # -- randomized admissible break data -----------------------------------------

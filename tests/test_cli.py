@@ -269,6 +269,16 @@ class TestCheck:
         assert code == 2 and doc["error"]["type"] == "input"
         assert doc["error"]["reason"] == "the tame index e must be an integer for condition checks"
 
+    @pytest.mark.parametrize("field, reason", [
+        ("a", "cutoff a = 0 outside [1, e*p^n]"),
+        ("m", "m = 0 outside [1, n = 3]"),
+    ])
+    def test_supplied_zero_is_input_error(self, capsys, field, reason):
+        # a supplied 0 is read as given, not as the default
+        text = json.dumps({"p": 5, "e": 1, "upper": [1, 2, 3], field: 0})
+        code, doc = run(capsys, "check", "main", "--input", text)
+        assert code == 2 and doc == {"error": {"type": "input", "reason": reason}}
+
     def test_proot(self, capsys, theorem_inputs):
         code, doc = run(capsys, "check", "proot", "--input", theorem_inputs)
         assert code == 0 and doc["guarantee"] == "p^1 (proot)" and doc["l"] == 25

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import time
 from fractions import Fraction as F
@@ -86,6 +87,45 @@ class TestScalars:
     def test_too_long_to_print_names_the_cause(self, write):
         with pytest.raises(ValueError, match=r"^the result has an integer of more than \d+ digits"):
             write(10 ** (sys.get_int_max_str_digits() + 1))
+
+
+def two_pass_frac_in(x):
+    """The rational reader that sends each part of "a/b" through ``int_in``,
+    which matches it a second time."""
+    if isinstance(x, F):
+        return x
+    if type(x) is int:
+        return F(x)
+    if isinstance(x, str) and (m := re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", x)):
+        num, den = m[1], m[2] or 1
+    elif isinstance(x, (tuple, list)) and len(x) == 2:
+        num, den = x
+    else:
+        raise ValueError(f"not an exact rational: {x!r}")
+    try:
+        return F(int_in(num), int_in(den))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {x!r}") from None
+
+
+LONG = "1" * (sys.get_int_max_str_digits() + 1)
+
+
+class TestFracReader:
+    """``frac_in`` matches "a/b" once and reads each part as decimal text:
+    the same value, or the same error, as reading each part with int_in."""
+
+    @pytest.mark.parametrize("x", [
+        "3/4", "-3/4", "7", "-0", "0/1", "0007/0010", "6/4", "-12/8", str(2**80) + "/3",
+        "3/0", "0/0", "-3/00", "1e5", "1.5", "3/-4", "+3", "3/", "/4", " 3/4", "3/4 ", "",
+        "x", "1_0/3", LONG, "1/" + LONG, "-" + LONG + "/2",
+        [3, 4], ["-3", "4"], [3, 0], ["1", "0"], [True, 1], [1, 2.0], ["1e3", 1], [LONG, 1],
+        [1, 2, 3], 5, F(5, 3), True, 1.5, None,
+    ], ids=lambda x: repr(x)[:24])
+    def test_same_value_or_error_as_reading_each_part(self, x):
+        got = read(frac_in, x)
+        assert got == read(two_pass_frac_in, x)
+        assert isinstance(got, tuple) or type(got) is F
 
 
 class TestSeriesRoundTrip:

@@ -30,7 +30,14 @@ from ramforge import InvariantError, ramcheck
 from ramforge.gfseries import vp
 from ramforge.ramcheck import phi_EK_closed_form
 
-from helpers import f_shift_window_sum, random_break_data, scan_m0, t0_f_shift
+from helpers import (
+    f_shift_window_sum,
+    fraction_ces_floor,
+    literal_psi_ML_bound,
+    random_break_data,
+    scan_m0,
+    t0_f_shift,
+)
 
 
 def ladder(p, n, e=1):
@@ -249,6 +256,69 @@ class TestPsiMLLowerBound:
         assert psi_ML_lower_bound(ti, 1, 1) == 484
 
 
+def random_inputs(seed, den, above=None):
+    """TheoremInputs on random break data, breaks multiples of 1/den, with a
+    random cutoff; ``above`` picks y > e or y <= e, by drawing again."""
+    rng = random.Random(seed)
+    while True:
+        bd = random_break_data(rng, n_max=6, den=den)
+        if above is None or (extract_yhz(bd).y > bd.e) == above:
+            break
+    return TheoremInputs(bd, a=rng.randint(1, int(bd.e) * bd.p**bd.n))
+
+
+class TestPsiMLBounds:
+    """The one-pass condition-1 bounds against the literal sum, and the
+    integer closed form against the Fraction closed form, both from
+    tests/helpers.py."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32), den=st.sampled_from([1, 2]))
+    def test_one_pass_bounds_match_the_literal_sum(self, seed, den):
+        ti = random_inputs(seed, den)
+        for m in range(1, ti.n + 1):
+            literal = [literal_psi_ML_bound(ti, m, t) for t in range(m + 1)]
+            assert ramcheck._psi_ML_bounds(ti, m, m) == literal
+            assert [psi_ML_lower_bound(ti, m, t) for t in range(m + 1)] == literal
+
+    @pytest.mark.parametrize("above", [False, True], ids=["y<=e", "y>e"])
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32), den=st.sampled_from([1, 2]))
+    def test_integer_closed_form_matches_the_fraction_form(self, above, seed, den):
+        ti = random_inputs(seed, den, above)
+        for m in range(1, ti.n + 1):
+            for t in range(m + 1):
+                got = ramcheck._ces_floor(ti, m, t)
+                assert type(got) is F and got == fraction_ces_floor(ti, m, t)
+                # where _evaluate cross-checks, it is the bound itself
+                if m <= ti.n - ti.yhz.h and (not above or t == m):
+                    assert got == literal_psi_ML_bound(ti, m, t)
+
+    def test_condition_1_takes_linear_psi_work(self, monkeypatch):
+        # y = e, so every t in 0 .. m is examined, on the main path and on
+        # the fallback: the literal sums take m(m+1)/2 evaluations of psi
+        # per path, 2,405 here
+        n = 50
+        ti = TheoremInputs(ladder(5, n), contained_in_zp=False)
+        calls = []
+        call = PLFunc.__call__
+
+        def counted(f, x):
+            calls.append(x)
+            return call(f, x)
+
+        monkeypatch.setattr(PLFunc, "__call__", counted)
+        rep = check_conditions(ti)
+        monkeypatch.undo()
+        assert len(calls) <= 3 * n
+        sub = TheoremInputs(ladder(5, n - 1), a=rep.proot.l)
+        for inputs, report in ((ti, rep), (sub, rep.proot)):
+            assert report.t_examined == tuple(range(report.m + 1))
+            assert [it.bound for it in report.cond1_details] == [
+                psi_ML_lower_bound(inputs, report.m, t) for t in report.t_examined
+            ]
+
+
 class TestCheckConditions:
     def test_unramified_n3(self):
         rep = check_conditions(TheoremInputs(ladder(5, 3)))
@@ -274,6 +344,17 @@ class TestCheckConditions:
         bd = BreakData(5, 4, (1,))
         rep = check_conditions(TheoremInputs(bd))
         assert rep.guarantee == "none" and rep.status == "no_m"
+
+    def test_m0_zero_only_when_m_is_defaulted(self):
+        bd = BreakData(5, 1, (1,))
+        assert check_conditions(TheoremInputs(bd)).status == "m0_zero"
+        with pytest.raises(ValueError, match=r"m = 0 outside \[1, n = 1\]"):
+            check_conditions(TheoremInputs(bd, m=0))
+
+    def test_supplied_cutoff_zero_is_rejected(self):
+        with pytest.raises(ValueError, match=r"cutoff a = 0 outside \[1, e\*p\^n\]"):
+            TheoremInputs(ladder(5, 3), a=0)
+        assert TheoremInputs(ladder(5, 3)).a == TheoremInputs(ladder(5, 3), a=None).a == 125
 
     def test_zp_flag_gates_main_guarantee(self):
         rep = check_conditions(TheoremInputs(ladder(5, 3), contained_in_zp=False))
