@@ -2,11 +2,14 @@
 
 Residue vectors are sequences of ints in [0, m); ``compose_mod``,
 ``recip_mod`` and ``divide_mod`` also pass numpy arrays of them to the
-product functions, which then return arrays.  This is the one module that
-imports numpy, picks an array's dtype or knows the int64 bound: every
-other module hands in and gets back lists.  A product takes one of four
-exact methods, chosen by one size test on m and the number of terms a
-coefficient of the product sums:
+product functions, which then return arrays.  That range is the kernel's
+one input contract: a ``TruncSeries`` or a field element reduces its
+coefficients once, when it is built, and the kernel reads every entry
+handed to it as a residue, never reducing it again.  This is the one
+module that imports numpy, picks an array's dtype or knows the int64
+bound: every other module hands in and gets back lists.  A product takes
+one of four exact methods, chosen by one size test on m and the number of
+terms a coefficient of the product sums:
 
 - direct: one numpy int64 op, when the worst-case accumulator, terms
   products below (m - 1)^2, provably fits (the one statement of that
@@ -22,9 +25,6 @@ coefficient of the product sums:
   substitution in X): each list is packed into one Python int with a
   fixed slot of bytes per coefficient, wide enough for any coefficient of
   the product, and the slots of the product are read back and reduced.
-  Series products past the split band whose operands have at most
-  ``_HALVES_SHORT`` slots take it too, as it costs less there than the
-  18 or so numpy calls of halves.
 
 Every method is exact, so results are identical whichever runs.  The
 direct and halves methods serve every bilinear op of the kernel: series
@@ -43,9 +43,11 @@ F_p and Z/p^P) s = 1, a block is one residue and nothing is reduced.
 
 A field element is one block, and the field's product is the one-block
 ``mul_mod(a, b, 1, p, modulus)``.  Lists of at most ``_SHORT`` slots take
-the big-integer multiply, which at that length costs about numpy's call
-overhead, and one list block is reduced in pure Python: arithmetic in
-fields up to w = 4 never imports numpy.
+the big-integer multiply, whatever m, which at that length costs about
+numpy's call overhead, and one list block is reduced in pure Python:
+arithmetic in fields up to w = 4 never imports numpy.  Longer lists and
+all arrays take the first of direct, split and halves that is exact, and
+Kronecker past the halves band.
 
 Composition takes one of two methods:
 
@@ -85,8 +87,8 @@ where 1/E' is 2 - E' to the precision the step needs.
 ``divide_mod`` divides over Z/p^P by a series whose first unit entry,
 the pivot, need not be its first: the quotient is a fixed point, reached
 in rounds that each take two array products, and the caller, which knows
-the valuations, bounds the rounds.  It is the array half of the level
-quotients of ``pdyn``.
+the valuations, sets the number of rounds.  It is the array half of the
+level quotients of ``pdyn``.
 """
 
 from __future__ import annotations
@@ -97,7 +99,6 @@ from typing import NamedTuple
 
 _INT64_SAFE = 2**62
 _SHORT = 8
-_HALVES_SHORT = 16
 _FROBENIUS_BASE = 32
 
 # Miller-Rabin with the first 13 prime bases decides primality of every n
@@ -231,25 +232,20 @@ def _bilinear(op, a, b, terms, mod):
 def conv_mod(a, b, n, mod):
     """Truncated product: first n coefficients of a*b with entries mod m.
 
-    a and b are sequences of ints, or two numpy arrays of residues below
-    mod as compose_mod passes them (int64 where ``_int64_exact`` holds,
+    a and b are sequences of residues below mod, or two numpy arrays of
+    them as compose_mod passes them (int64 where ``_int64_exact`` holds,
     Python ints in object arrays past it); arrays give an array of a's
-    dtype, anything else a list.  Past the split band, operands of at most
-    ``_HALVES_SHORT`` slots take Kronecker, arrays included.
+    dtype, anything else a list.  Lists of at most ``_SHORT`` slots take
+    Kronecker; longer lists and arrays take direct, split or halves where
+    one is exact, and Kronecker past the halves band.
     """
     la = min(len(a), n)
     lb = min(len(b), n)
     arrays = hasattr(a, "dtype")
-    if not arrays:
-        # reduce first: callers may hand residues from a larger modulus, and
-        # the bounds below assume entries below mod
-        a = [x % mod for x in a[:la]]
-        b = [x % mod for x in b[:lb]]
     if la == 0 or lb == 0:
         out = []
     elif (arrays or max(la, lb) > _SHORT) and (
-        (pieces := _pieces(mod, min(la, lb))) <= 3
-        or (max(la, lb) > _HALVES_SHORT and _int64_exact(mod, min(la, lb)))
+        (pieces := _pieces(mod, min(la, lb))) <= 3 or _int64_exact(mod, min(la, lb))
     ):
         import numpy as np
 
@@ -269,7 +265,7 @@ def conv_mod(a, b, n, mod):
         size = (2 * (mod - 1).bit_length() + min(la, lb).bit_length() + 7) // 8
         out = _unpack(_pack(x, size) * _pack(y, size), size, min(n, la + lb - 1), mod)
     if arrays:
-        return _residues(out, n, None, a.dtype)
+        return _residues(out, n, a.dtype)
     if len(out) < n:
         out.extend([0] * (n - len(out)))
     return out
@@ -284,22 +280,13 @@ def array_dtype(mod, terms):
     return np.int64 if _int64_exact(mod, terms) else object
 
 
-def _residues(x, length, mod, dtype):
-    """x as a numpy array of dtype, cut or zero-padded to length.
-
-    The entries are reduced mod mod (those past int64 before conversion),
-    or taken as they are when mod is None.
-    """
+def _residues(x, length, dtype):
+    """The residues x as a numpy array of dtype, cut or zero-padded to length."""
     import numpy as np
 
     v = np.zeros(length, dtype=dtype)
     x = x[:length]
-    try:
-        v[: len(x)] = x
-    except OverflowError:  # residues of a larger modulus, past int64
-        v[: len(x)] = [c % mod for c in x]
-    if mod is not None:
-        v %= mod
+    v[: len(x)] = x
     return v
 
 
@@ -390,8 +377,8 @@ def baby_powers(inner, n, mod, modulus, k):
     s = block_size(modulus)
     width = n * s
     dtype = array_dtype(mod, width)
-    inner = _residues(inner, width, mod, dtype)
-    powers = [_residues([1], width, None, dtype), inner]
+    inner = _residues(inner, width, dtype)
+    powers = [_residues([1], width, dtype), inner]
     for _ in range(k - 1):
         powers.append(mul_mod(powers[-1], inner, n, mod, modulus))
     for x in powers:
@@ -517,7 +504,7 @@ def _frobenius_compose(outer, n, tables):
 
     p, sizes, stacks, table = tables
     dtype = table.dtype
-    f = _residues(outer, n, p, dtype)[None, :]
+    f = _residues(outer, n, dtype)[None, :]
     for m in sizes[1:]:
         rows = np.zeros((len(f), m * p), dtype=dtype)
         rows[:, : f.shape[1]] = f
@@ -586,7 +573,7 @@ def compose_mod(outer, inner, n, mod, modulus=None, powers=None):
     # k*w <= width of them and a folded slot s <= width, so the dtype of the
     # baby powers covers all three
     dtype = powers[0].dtype
-    outer = _residues(outer, m * k * s, mod, dtype)
+    outer = _residues(outer, m * k * s, dtype)
 
     # chunk i, row (j, t): the coefficient c_t of Y^t in block ik + j of outer
     coef = outer.reshape(m, k, s)[:, :, :w].reshape(m, k * w)
@@ -619,8 +606,8 @@ def recip_mod(a, n, mod, modulus=None):
     """
     s = block_size(modulus)
     width = n * s
-    a = _residues(a, width, mod, a.dtype)
-    h = _residues(unit_inverse(a[:s].tolist(), mod, modulus), width, mod, a.dtype)
+    a = _residues(a, width, a.dtype)
+    h = _residues(unit_inverse(a[:s].tolist(), mod, modulus), width, a.dtype)
     m = 1
     while m < n:
         k, m = m, min(2 * m, n)
@@ -636,11 +623,10 @@ def divide_mod(num, den, i0, rounds, mod):
     num and den are sequences of L residues, and den_i0 is a unit; q has
     L - i0 terms.  With den = den_lo + X^i0 * den_hi (den_lo the first i0
     terms), q = ((num - q * den_lo) / X^i0) / den_hi is iterated from
-    q = 0 for at most rounds rounds, stopping early when a round leaves q
-    unchanged.  Where den_lo's entries are divisible by p^v, v >= 1, for
-    mod = p^P, a round multiplies the error of q by p^v, so
-    rounds = ceil(P / v) make q exact; the caller picks rounds and reads
-    the residual.
+    q = 0 for exactly rounds rounds.  Where den_lo's entries are divisible
+    by p^v, v >= 1, for mod = p^P, a round multiplies the error of q by
+    p^v, so rounds = ceil(P / v) make q exact; the caller picks rounds and
+    reads the residual.
 
     The rounds run on arrays of the dtype that covers products of L terms,
     converted once.
@@ -656,10 +642,7 @@ def divide_mod(num, den, i0, rounds, mod):
     q = np.zeros(L - i0, dtype=dtype)
     for _ in range(rounds):
         t = (num - conv_mod(q, den_lo, L, mod)) % mod if i0 else num
-        q_new = conv_mod(t[i0:], den_hi_inv, L - i0, mod)
-        if np.array_equal(q_new, q):
-            break
-        q = q_new
+        q = conv_mod(t[i0:], den_hi_inv, L - i0, mod)
     residual = (num[:i0] - conv_mod(q, den, i0, mod)) % mod
     return q.tolist(), residual.tolist()
 

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import traceback
+from functools import cache
 
 from . import jsonio
 from .errors import InvariantError, PrecisionError
@@ -165,7 +166,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+@cache
 def _build_parser():
+    """The parser of every subcommand, built on first use and shared by
+    later calls of main: parsing leaves it unchanged."""
     parser = _Parser(
         prog="ramforge",
         description="Exact computations on power-series groups, break data, "

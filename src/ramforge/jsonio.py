@@ -96,10 +96,12 @@ def field_in(doc):
 def series_out(s):
     doc = field_out(s.field)
     doc["trunc"] = int_out(s.trunc)
-    if s.field.w == 1:
-        doc["coeffs"] = [int_out(c.rep[0]) for c in s.coeffs]
+    w, packed = s.field.w, s.packed
+    if w == 1:
+        doc["coeffs"] = [int_out(c) for c in packed]
     else:
-        doc["coeffs"] = [[int_out(x) for x in c.rep] for c in s.coeffs]
+        # the first w slots of each block of 2w - 1
+        doc["coeffs"] = [[int_out(x) for x in packed[i : i + w]] for i in range(0, len(packed), 2 * w - 1)]
     return doc
 
 

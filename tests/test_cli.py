@@ -453,6 +453,25 @@ class TestContract:
         code, doc = run(capsys, "dynamics", "analyze", "--series", str(path), "--levels", "1")
         assert code == 2 and doc["error"]["type"] == "input"
 
+    def test_one_parser_for_every_call(self, capsys, monkeypatch):
+        # the parser tree is built on the first call of main and shared by
+        # the later ones, which parse and report usage errors alike
+        from ramforge import cli
+
+        cli._build_parser.cache_clear()
+        built = []
+        init = cli._Parser.__init__
+        monkeypatch.setattr(cli._Parser, "__init__",
+                            lambda self, *args, **kw: built.append(self) or init(self, *args, **kw))
+        ok = run(capsys, "series", "depth", "--series", SERIES)
+        count = len(built)
+        for argv in (("series", "compose", "--outer", SERIES), ("breaks", "upper", "--p", "5", "--bad", "1")):
+            first = run(capsys, *argv)
+            assert first[0] == 2 and first[1]["error"]["type"] == "input"
+            assert run(capsys, *argv) == first
+        assert run(capsys, "series", "depth", "--series", SERIES) == ok and ok[0] == 0
+        assert len(built) == count and sum(p.prog == "ramforge" for p in built) == 1
+
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
         from ramforge import cli
 

@@ -310,6 +310,15 @@ class TestCompose:
                 n = rng.randint(3, 12)
                 a, b, c = (unit_series(rng, f, n) for _ in range(3))
                 assert a.compose(b).compose(c) == a.compose(b.compose(c))
+        # long enough for the kernel's other paths: the Frobenius split over
+        # F_2 and F_5, and over Z/7^10, Z/3^20 and Z/3^40 products by the
+        # length split, by halves and by Kronecker
+        for f in (F2, F5, FiniteField(7, prec=10), FiniteField(3, prec=20), FiniteField(3, prec=40)):
+            for n in (64, 81):
+                a, b, c = (S(f, [0, 1 + f.p * rng.randrange(f.mod // f.p)]
+                             + [ring_coeff(rng, f) for _ in range(n - 2)], n) for _ in range(3))
+                assert a.compose(b).compose(c) == a.compose(b.compose(c))
+                assert isinstance(c._baby, FrobeniusTables) == (f.mod in (2, 5))
 
 
 def ring_coeff(rng, field):

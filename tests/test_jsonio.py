@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import sys
 import time
@@ -165,6 +166,32 @@ class TestSeriesRoundTrip:
     def test_reader_accepts_bare_ints_for_prime_field(self):
         doc = {"p": 5, "w": 1, "trunc": 2, "coeffs": [0, 1]}
         assert series_in(doc) == TruncSeries(FiniteField(5), (0, 1), 2)
+
+
+def view_series_out(s):
+    """The series writer through the ``coeffs`` view of ``FFElem`` values."""
+    doc = jsonio.field_out(s.field)
+    doc["trunc"] = int_out(s.trunc)
+    if s.field.w == 1:
+        doc["coeffs"] = [int_out(c.rep[0]) for c in s.coeffs]
+    else:
+        doc["coeffs"] = [[int_out(x) for x in c.rep] for c in s.coeffs]
+    return doc
+
+
+@pytest.mark.parametrize("field", [FiniteField(2), FiniteField(5), FiniteField(2, 2, (1, 1, 1)),
+                                   FiniteField(3, 2, (1, 0, 1)), FiniteField(3, 3, (1, 2, 0, 1))], ids=repr)
+@pytest.mark.parametrize("trunc", [1, 2, 17])
+def test_packed_writer_matches_the_view(field, trunc):
+    # series_out reads the packed residues and builds no FFElem view; its
+    # document is the one the view gives, byte for byte
+    rng = random.Random(trunc)
+    coeffs = [tuple(rng.randrange(field.p) for _ in range(field.w)) for _ in range(trunc)]
+    a, b = TruncSeries(field, coeffs, trunc), TruncSeries(field, coeffs[::-1], trunc)
+    for s in (a, a * b):
+        got = json.dumps(series_out(s), indent=2, sort_keys=True)
+        assert s._coeffs is None
+        assert got == json.dumps(view_series_out(s), indent=2, sort_keys=True)
 
 
 def per_coefficient_series_in(doc):

@@ -9,9 +9,8 @@ the same inputs through every method that is exact for it, and is checked
 against the brute-force oracles in ``helpers.py``.  A method is forced by
 lowering ``_convolve._INT64_SAFE``, as ``test_convolve.py`` does: to 0
 every product takes Kronecker; to just above the halves bound of the case
-no product fits directly but every one fits in halves (and with
-``_HALVES_SHORT`` at 0, the short products that take Kronecker unforced
-take halves too); and to just above
+no product fits directly but every one fits in halves (lists of at most
+``_SHORT`` slots take Kronecker whatever the bound); and to just above
 (mod - 1)^2 * t, for t a half or a third of the shorter operand's length,
 a product fits directly in two or three pieces of it.  Spies on
 ``_split``, ``_halves`` and ``_pack`` check that the forced method ran.
@@ -38,7 +37,6 @@ from helpers import (apply_ring_by_powers, brute_comp_inverse, brute_compose, ca
 
 KERNEL = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 SAFE = 2**62
-HALVES_SHORT = _convolve._HALVES_SHORT
 
 # both sides of every bound: direct at any length here (2, 5), direct or
 # halves by length (7^10, 5^12), halves from the first product (3^20,
@@ -93,8 +91,6 @@ def run_methods(fn, mod, terms):
             mp.setattr(_convolve, name, counted)
         for method, bound in bounds.items():
             mp.setattr(_convolve, "_INT64_SAFE", bound)
-            # forced halves takes the short products that Kronecker takes unforced
-            mp.setattr(_convolve, "_HALVES_SHORT", 0 if method == "halves" else HALVES_SHORT)
             calls.update(dict.fromkeys(calls, 0))
             out[method] = (fn(), calls["_halves"], calls["_pack"])
     return out
@@ -159,22 +155,23 @@ class TestConvMod:
         assert got.tolist() == poly_mul_mod(a, b, mod, n)
 
     @pytest.mark.parametrize("mod", [3**20, 2**32 - 5, 2**41 - 1])
-    @pytest.mark.parametrize("length", [9, 70, 130])
+    @pytest.mark.parametrize("length", [_SHORT, _SHORT + 1, 70, 130])
     def test_worst_case_residues(self, mod, length):
         a = b = [mod - 1] * length
         results = run_methods(lambda: conv_mod(a, b, 2 * length, mod), mod, 2 * length)
-        # these moduli take halves unforced, past the short products
-        assert (results["natural"][1] > 0) == (length > HALVES_SHORT)
-        check_methods(results, poly_mul_mod(a, b, mod, 2 * length), True)
+        # these moduli take halves unforced, past the short lists
+        assert (results["natural"][1] > 0) == (length > _SHORT)
+        check_methods(results, poly_mul_mod(a, b, mod, 2 * length), length > _SHORT)
 
     @pytest.mark.parametrize("mod", [3**20, 2**41 - 1])
-    @pytest.mark.parametrize("slots, method", [(9, "kronecker"), (16, "kronecker"), (17, "halves"),
-                                               (24, "halves"), (32, "halves")])
+    @pytest.mark.parametrize("slots", [1, 4, _SHORT, _SHORT + 1, 16, 17, 32])
     @pytest.mark.parametrize("arrays", [False, True])
-    def test_short_products_past_the_split_take_kronecker(self, mod, slots, method, arrays):
-        # past the split band the halves method costs about 18 numpy calls
-        # whatever the length; up to 16 slots one big-integer multiply is
-        # cheaper.  Arrays come back in their own dtype
+    def test_only_short_lists_past_the_split_take_kronecker(self, mod, slots, arrays):
+        # past the split band, lists of at most _SHORT slots take one
+        # big-integer multiply, so that field arithmetic needs no numpy;
+        # longer lists and arrays of any length take halves.  Arrays come
+        # back in their own dtype
+        method = "kronecker" if slots <= _SHORT and not arrays else "halves"
         rng = random.Random(slots)
         a, b = ([rng.randrange(mod) for _ in range(slots)] for _ in range(2))
         ops = (np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)) if arrays else (a, b)
@@ -183,7 +180,7 @@ class TestConvMod:
         got, halves, packs = results["natural"]
         assert (halves > 0, packs > 0) == (method == "halves", method == "kronecker")
         assert type(got) is type(ops[0]) and (not arrays or got.dtype == np.int64)
-        check_methods({m: (list(r[0]), *r[1:]) for m, r in results.items()}, want, True)
+        check_methods({m: (list(r[0]), *r[1:]) for m, r in results.items()}, want, method == "halves")
 
     def test_just_above_the_halves_band(self):
         # (2^41 - 1) * 2^21 is below the int64 bound, (2^41 + 1) * 2^21 is not

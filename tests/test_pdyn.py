@@ -199,10 +199,10 @@ class TestQnDivide:
     def test_matches_exact_division_random_series(self):
         # exact integer iterates of random polynomial series, divided over Q
         rng = random.Random(13)
-        for _ in range(12):
-            p = rng.choice((5, 7))
-            P = rng.choice((2, 3, 6))
-            M = rng.randint(10, 18)
+        # then rings whose divisions take the length split (Z/7^10 at 64
+        # terms), halves (Z/3^20) and Kronecker (Z/3^40)
+        for ring in [None] * 12 + [(7, 10, 64), (3, 20, 18), (3, 40, 18)]:
+            p, P, M = ring or (rng.choice((5, 7)), rng.choice((2, 3, 6)), rng.randint(10, 18))
             coeffs = [0, 1 + p * rng.randrange(1, p)] + [
                 rng.randrange(40) for _ in range(M - 2)
             ]
