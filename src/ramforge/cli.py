@@ -89,6 +89,7 @@ def _each(read):
 
 
 _INT, _FRAC = jsonio.int_in, jsonio.frac_in
+_INTS, _FRACS = _each(_INT), _each(_FRAC)
 _SERIES, _PADIC = _doc(jsonio.series_in), _doc(jsonio.padic_in)
 _BREAKS, _INPUTS = _doc(jsonio.break_data_in), _doc(jsonio.theorem_inputs_in)
 _PLFUNC, _MORPHISM = _doc(jsonio.plfunc_in), _doc(jsonio.morphism_in)
@@ -117,9 +118,9 @@ _COMMANDS = {
         "lower": (lambda series, n_max: jsonio.ram_sequence_out(lower_breaks(series, n_max)),
                   ("--series", _SERIES), ("--n-max", _INT)),
         "upper": (lambda p, lower: {"upper": [jsonio.int_out(b) for b in upper_from_lower(p, lower)]},
-                  ("--p", _INT), ("--lower", _each(_INT), {"help": "comma-separated lower breaks"})),
+                  ("--p", _INT), ("--lower", _INTS, {"help": "comma-separated lower breaks"})),
         "index": (lambda p, upper: jsonio.index_report_out(index_of(p, upper)),
-                  ("--p", _INT), ("--upper", _each(_FRAC), {"help": "comma-separated upper breaks"})),
+                  ("--p", _INT), ("--upper", _FRACS, {"help": "comma-separated upper breaks"})),
         "validate": (lambda input: jsonio.verdict_out(validate_breaks(input)),
                      ("--input", _BREAKS, {"help": "break-data JSON"})),
     }),

@@ -118,11 +118,17 @@ def p_chain(g, n):
 
 
 def p_iterate(g, n):
-    """g composed with itself p^n times.  g mod X^N lies in a finite group,
-    so its chain is eventually periodic: link n is read off the cycle."""
+    """g composed with itself p^n times, by ``chain_link``."""
     _require_group_element(g)
     if n < 0:
         raise ValueError("iterate level must be >= 0")
+    return chain_link(g, n)
+
+
+def chain_link(g, n):
+    """Link n of ``p_chain(g, n)``.  The series mod X^N over a finite ring
+    are finitely many, so the chain is eventually periodic: link n is read
+    off the cycle, and no link past the first repeated one is built."""
     seen = {}
     for j, h in enumerate(p_chain(g, n)):
         if h in seen:
@@ -183,7 +189,7 @@ def upper_from_lower(p, lower):
     lower = tuple(int(i) for i in lower)
     if any(b <= a for a, b in zip(lower, lower[1:])):
         raise ValueError("lower breaks must be strictly increasing")
-    upper = [lower[0]]
+    upper = list(lower[:1])
     for n in range(1, len(lower)):
         diff = lower[n] - lower[n - 1]
         if diff % p**n:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
@@ -30,7 +29,8 @@ from itertools import islice
 from ._convolve import divide_mod
 from .errors import PrecisionError
 from .gfseries import FiniteField, TruncSeries, _from_packed, vp
-from .nottingham import IndexReport, certified_depths, compose_power, index_of, p_chain, upper_from_lower
+from .nottingham import (IndexReport, certified_depths, chain_link, compose_power, index_of, p_chain,
+                         upper_from_lower)
 
 
 def PadicSeries(p, prec, trunc, coeffs):
@@ -119,7 +119,7 @@ def qn_divide(u, n):
     if n < 1:
         raise ValueError("level n must be >= 1")
     _require_dynamical(u)
-    prev, cur = deque(p_chain(u, n), maxlen=2)
+    prev, cur = p_chain(chain_link(u, n - 1), 1)
     return _divide_level(prev, cur, n)
 
 
@@ -269,36 +269,45 @@ class ExtQuantities:
     p: int
     d: int
     e: int
-    t: int
     admissible: bool
 
+    @property
+    def t(self):
+        """t = d! * e / d."""
+        return math.factorial(self.d) * self.e // self.d
+
     def predicted_valuation(self, n):
-        """Common valuation 1/(d*p^n) of the exact-period-p^n points, n >= 3."""
-        if n < 3:
-            raise ValueError("the valuation prediction applies for n >= 3")
+        """Common valuation 1/(d*p^n) of the exact-period-p^n points."""
         return Fraction(1, self.d * self.p**n)
+
+    def in_scope(self, n):
+        """Whether level n lies in the theorem's stated scope: admissible
+        d and e, and n >= 3."""
+        return self.admissible and n >= 3
 
 
 def ext_quantities(p, d, e):
-    t = math.factorial(d) * e // d
-    admissible = 1 <= d <= p - 2 and 1 <= e <= p - 1
-    return ExtQuantities(p, d, e, t, admissible)
+    return ExtQuantities(p, d, e, 1 <= d <= p - 2 and 1 <= e <= p - 1)
 
 
 @dataclass(frozen=True)
 class LevelReport:
-    """Certified data for one quotient level q_n."""
+    """Certified data for one quotient level q_n, None where unknown.
+    Outside ``prediction_in_scope`` (``ExtQuantities.in_scope``) a single
+    segment that matches the prediction is an observation, not an instance
+    of the theorem."""
 
     n: int
-    weierstrass_degree: int | None
-    expected_wd: int | None
-    wd_matches: bool | None
-    constant_valuation: int | None
-    expected_constant_valuation: int | None
-    constant_matches: bool | None
-    polygon: NewtonPolygon | None
-    predicted_root_valuation: Fraction | None
-    single_segment_matches: bool | None
+    weierstrass_degree: int | None = None
+    expected_wd: int | None = None
+    wd_matches: bool | None = None
+    constant_valuation: int | None = None
+    expected_constant_valuation: int | None = None
+    constant_matches: bool | None = None
+    polygon: NewtonPolygon | None = None
+    predicted_root_valuation: Fraction | None = None
+    prediction_in_scope: bool | None = None
+    single_segment_matches: bool | None = None
     note: str | None = None
 
 
@@ -332,8 +341,11 @@ def analyze(u, n_max):
     rejected outright: its group closure is not infinite.
     """
     p, P, M = u.field.p, u.field.prec, u.trunc
-    if n_max < 0:
-        raise ValueError("the level count must be >= 0")
+    # the report lists every level; by Sen's congruence i_n >= i_(n-1) + p^n,
+    # so level n certifies only where p^(n-1) is below the truncation
+    if not 0 <= n_max <= 64:
+        raise ValueError(f"the level count {n_max} is outside [0, 64]: no truncation below 2^63 "
+                         "certifies a level past 64")
     if M < 2:
         raise ValueError("truncation must be >= 2 to analyze a dynamical series")
     _require_dynamical(u)
@@ -358,9 +370,11 @@ def analyze(u, n_max):
         uncertified_at = exc.level
         notes.append(f"depth at level {exc.level} uncertified at truncation {M}")
 
-    upper = upper_from_lower(p, depths) if depths else ()
+    upper = upper_from_lower(p, depths)
     index = index_of(p, upper) if len(upper) >= 2 else None
     d = index.d if index is not None and index.status == "determined" else None
+    # the coefficients lie in Z_p, so the base is unramified: e = 1
+    ext = ext_quantities(p, d, 1) if d is not None else None
 
     # once two links in a row are X (and so every later one), each level
     # divides X - X by X - X and is unavailable alike: its report is the
@@ -370,7 +384,7 @@ def analyze(u, n_max):
         if n > 1 and chain[n - 2] == x:
             levels.append(replace(levels[-1], n=n))
         else:
-            levels.append(_analyze_level(chain[n - 1], chain[n], n, depths, d))
+            levels.append(_analyze_level(chain[n - 1], chain[n], n, depths, ext))
 
     rn, flags = rn_values(p, depths, d) if depths else ((), None)
     return DynamicsReport(
@@ -380,13 +394,11 @@ def analyze(u, n_max):
     )
 
 
-def _analyze_level(prev, cur, n, depths, d):
-    p = prev.field.p
+def _analyze_level(prev, cur, n, depths, ext):
     try:
         q = _divide_level(prev, cur, n)
     except (PrecisionError, ValueError) as exc:
-        return LevelReport(n, None, None, None, None, None, None, None, None, None,
-                           note=f"quotient unavailable: {exc}")
+        return LevelReport(n, note=f"quotient unavailable: {exc}")
 
     wd = weierstrass_degree(q)
     expected_wd = None
@@ -403,7 +415,8 @@ def _analyze_level(prev, cur, n, depths, d):
     const_matches = const_val == expected_const if const_val is not None else None
 
     polygon = None
-    predicted = Fraction(1, d * p**n) if d is not None else None
+    predicted = ext.predicted_valuation(n) if ext is not None else None
+    in_scope = ext.in_scope(n) if ext is not None else None
     single_matches = None
     note = None
     if wd is not None and wd >= 1:
@@ -418,5 +431,5 @@ def _analyze_level(prev, cur, n, depths, d):
 
     return LevelReport(
         n, wd, expected_wd, wd_matches, const_val, expected_const,
-        const_matches, polygon, predicted, single_matches, note,
+        const_matches, polygon, predicted, in_scope, single_matches, note,
     )

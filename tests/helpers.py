@@ -8,7 +8,9 @@ extension-field arithmetic by schoolbook products in Y with long division
 by the modulus, powers by repeated products, piecewise-linear functions by
 walking their segments from 0, the shift function's window sum t by t and
 its value from t0 itself, m0 by scanning, the condition-1 bound as its
-literal sum and its closed form over Fractions.
+literal sum and its closed form over Fractions, the iterates of the
+multiplicative formal group by binomial coefficients, and the report
+writers key by key.
 """
 
 import math
@@ -452,3 +454,157 @@ def cyclotomic_padic(p, prec, trunc):
     from ramforge import PadicSeries
 
     return PadicSeries(p, prec, trunc, cyclotomic_coeffs(p, trunc))
+
+
+
+# -- the multiplicative formal group ------------------------------------------
+
+
+def formal_group_iterate(a, p, n, prec, trunc):
+    """Coefficients of the p^n-th iterate of u = (1+X)^a - 1 mod (p^prec,
+    X^trunc), for a = 1 mod p and a > 1.
+
+    u is the endomorphism [a] of the multiplicative formal group, so its
+    k-fold composite is (1+X)^(a^k) - 1, and the iterate is (1+X)^N - 1
+    with N = a^(p^n): coefficient k >= 1 is C(N, k).  One pass over k
+    builds C(N, k) = C(N, k-1) * (N - k + 1) / k as p^V * U, the valuation
+    V and the unit U mod p^prec kept apart, so that no division by p is
+    ever taken mod p^prec.
+
+    N is too large to write, so N - j is read from R = N mod p^(prec + K),
+    with K >= v_p(N - j) for every j < trunc: then v_p(R - j) = v_p(N - j),
+    and the unit part of N - j is known mod p^(prec + K - v_p) to at least
+    prec digits.  The bound K: let T be the largest t with p^t <= trunc - 1.
+    Two j != j' below trunc differ by less than p^(T+1), so v_p(j - j') <= T,
+    and at most one j, j* = N mod p^(T+1) when it is below trunc, can have
+    v_p(N - j) > T.  N >= trunc > j*, so N - j* != 0, and its valuation is
+    found exactly by raising the power of p until p^E no longer divides it.
+    K is the larger of T and that valuation.
+    """
+    if a % p != 1 or a < 2:
+        raise ValueError("a must be 1 mod p and above 1")
+    small = a  # N itself while it is below trunc
+    for _ in range(n):
+        if small >= trunc:
+            break
+        small **= p
+    mod = p**prec
+    if small < trunc:
+        return [0] + [math.comb(small, k) % mod for k in range(1, trunc)]
+
+    T = 0
+    while p ** (T + 1) <= trunc - 1:
+        T += 1
+    K = T
+    j_star = pow(a, p**n, p ** (T + 1))
+    if j_star < trunc:
+        E = T + 1
+        while (pow(a, p**n, p ** (E + 1)) - j_star) % p ** (E + 1) == 0:
+            E += 1
+        K = E  # v_p(N - j*)
+    big = p ** (prec + K)
+    R = pow(a, p**n, big)
+
+    coeffs = [0] * trunc
+    v, unit = 0, 1
+    for k in range(1, trunc):
+        top = (R - (k - 1)) % big
+        bottom = k
+        while top % p == 0:
+            top //= p
+            v += 1
+        while bottom % p == 0:
+            bottom //= p
+            v -= 1
+        unit = unit * top * pow(bottom, -1, mod) % mod
+        coeffs[k] = unit * p**v % mod if v < prec else 0
+    return coeffs
+
+# -- report writers, key by key ------------------------------------------------
+#
+# The JSON writers of four reports and of the Newton polygon as they were
+# written by hand, one key at a time, before ``jsonio.report_out`` wrote
+# every report from its fields.
+
+
+def reference_ram_sequence_out(rs):
+    from ramforge.jsonio import int_out
+
+    return {
+        "p": int_out(rs.p),
+        "lower": [int_out(i) for i in rs.lower],
+        "upper": [int_out(b) for b in rs.upper],
+        "certified_to": int_out(rs.certified_to),
+    }
+
+
+def reference_verdict_out(v):
+    from ramforge.jsonio import int_out
+
+    return {
+        "valid": v.valid,
+        "violations": [
+            {"rule": x.rule, "index": int_out(x.index), "detail": x.detail} for x in v.violations
+        ],
+    }
+
+
+def reference_trunc_object_out(obj):
+    from ramforge.jsonio import field_out, int_out
+
+    return {"field": field_out(obj.field), "e": int_out(obj.e)}
+
+
+def reference_polygon_out(np_):
+    from ramforge.jsonio import frac_out, int_out
+
+    return {
+        "vertices": [[int_out(i), frac_out(v)] for i, v in np_.vertices],
+        "segments": [
+            {
+                "slope": frac_out(s.slope),
+                "length": int_out(s.length),
+                "root_valuation": frac_out(s.root_valuation),
+            }
+            for s in np_.segments
+        ],
+    }
+
+
+def reference_dynamics_report_out(rep):
+    """The report without ``prediction_in_scope``, which came after it."""
+    from ramforge.jsonio import frac_out, index_report_out, int_out
+
+    return {
+        "p": int_out(rep.p),
+        "prec": int_out(rep.prec),
+        "trunc": int_out(rep.trunc),
+        "depths": [int_out(i) for i in rep.depths],
+        "depth_uncertified_at": int_out(rep.depth_uncertified_at),
+        "upper": [int_out(b) for b in rep.upper],
+        "fixed_point_counts": [int_out(c) for c in rep.fixed_point_counts],
+        "index": index_report_out(rep.index) if rep.index is not None else None,
+        "levels": [
+            {
+                "n": int_out(lv.n),
+                "weierstrass_degree": int_out(lv.weierstrass_degree),
+                "expected_wd": int_out(lv.expected_wd),
+                "wd_matches": lv.wd_matches,
+                "constant_valuation": int_out(lv.constant_valuation),
+                "expected_constant_valuation": int_out(lv.expected_constant_valuation),
+                "constant_matches": lv.constant_matches,
+                "polygon": reference_polygon_out(lv.polygon) if lv.polygon is not None else None,
+                "predicted_root_valuation": (
+                    frac_out(lv.predicted_root_valuation)
+                    if lv.predicted_root_valuation is not None
+                    else None
+                ),
+                "single_segment_matches": lv.single_segment_matches,
+                "note": lv.note,
+            }
+            for lv in rep.levels
+        ],
+        "rn": [int_out(r) for r in rep.rn],
+        "snbound": list(rep.snbound) if rep.snbound is not None else None,
+        "notes": list(rep.notes),
+    }

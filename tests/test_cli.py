@@ -378,6 +378,37 @@ class TestDynamics:
         code, doc = run(capsys, "dynamics", "analyze", "--series", padic_series, "--levels", "-1")
         assert code == 2 and doc["error"]["type"] == "input"
 
+    def test_levels_past_any_truncation_are_input_errors(self, capsys):
+        # the report lists every level asked for; 10^9 of them would not fit
+        # in memory, and none past 64 certifies at any truncation
+        inline = json.dumps({"p": 5, "prec": 3, "trunc": 20, "coeffs": cyclotomic_coeffs(5, 20)})
+        code, doc = run(capsys, "dynamics", "analyze", "--series", inline, "--levels", "64")
+        assert code == 0 and len(doc["levels"]) == 64
+        for levels in ("65", str(10**9)):
+            started = time.perf_counter()
+            code, doc = run(capsys, "dynamics", "analyze", "--series", inline, "--levels", levels)
+            assert code == 2 and "past 64" in doc["error"]["reason"]
+            assert time.perf_counter() - started < 1
+
+    @pytest.mark.parametrize("linear, exit_code", [(2, 0), (5, 0), (6, 3)])
+    def test_qn_reads_a_high_level_off_the_cycle(self, capsys, linear, exit_code):
+        # the chain of a series mod (p^P, X^M) is eventually periodic, here
+        # from link 4 on at the latest and with period 1, so level 10^30 is
+        # level 40; the chain of the 1-unit 6 reaches X, and its level is
+        # a zero divisor
+        inline = json.dumps({"p": 5, "prec": 3, "trunc": 20, "coeffs": [0, linear, 1] + [0] * 17})
+
+        def qn(n):
+            code, doc = run(capsys, "dynamics", "qn", "--series", inline, "--n", str(n))
+            if code == 3:
+                assert doc["error"].pop("level") == jsonio.int_out(n)
+            return code, doc
+
+        started = time.perf_counter()
+        huge = qn(10**30)
+        assert time.perf_counter() - started < 1
+        assert huge == qn(40) and huge[0] == exit_code
+
     def test_qn_and_newton(self, capsys, padic_series, tmp_path):
         code, doc = run(capsys, "dynamics", "qn", "--series", padic_series, "--n", "1")
         assert code == 0 and doc["coeffs"][0] == 1555
@@ -656,6 +687,21 @@ class TestContract:
         inline = json.dumps({"p": 5, "prec": 8, "trunc": 130, "coeffs": [0] * 130})
         code, doc = run(capsys, "dynamics", "qn", "--series", inline, "--n", "1")
         assert code == 2 and "RAMFORGE_MAX_PRECISION" in doc["error"]["reason"]
+
+    @pytest.mark.parametrize("p, w", [(2, 800), (10007, 80)])
+    def test_wide_extension_field_is_refused_at_the_door(self, capsys, p, w):
+        # Rabin's test of these moduli, both reducible, took 151 s and 1.3 s
+        field = {"p": p, "w": w, "modulus": [1, 1] + [0] * (w - 2) + [1]}
+        series = json.dumps({**field, "trunc": 2, "coeffs": [0, 1]})
+        f = json.dumps({"source": {"field": field, "e": 1}, "target": {"field": field, "e": 1},
+                        "r": 1, "res_twist": 0, "eta_coeff": [1]})
+        for argv in (("series", "depth", "--series", series), ("trunc", "iso", "--f", f)):
+            started = time.perf_counter()
+            code, doc = run(capsys, *argv)
+            assert time.perf_counter() - started < 1
+            reason = doc["error"]["reason"]
+            assert code == 2 and f"w^3*bits(p) = {w**3 * p.bit_length()}" in reason
+            assert f"past the bound of {jsonio._MAX_FIELD_WORK}" in reason
 
     def test_table_format(self, capsys):
         code = main(["--format", "table", "breaks", "upper", "--p", "5", "--lower", "4,24,124"])

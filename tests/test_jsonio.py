@@ -3,6 +3,7 @@ import random
 import re
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,7 @@ from ramforge import (
     lower_breaks,
     qn_divide,
 )
-from ramforge import jsonio
+from ramforge import _convolve, jsonio
 from ramforge.jsonio import (
     break_data_in,
     break_data_out,
@@ -40,10 +41,19 @@ from ramforge.jsonio import (
     series_in,
     series_out,
 )
-from ramforge.herbrand import psi_from_breaks
+from ramforge.herbrand import BreaksVerdict, Violation, psi_from_breaks
+from ramforge.nottingham import IndexReport, RamSequence
+from ramforge.pdyn import DynamicsReport, LevelReport, NewtonPolygon, Segment
 from ramforge.truncation import TruncMorphism, TruncObject
 
-from helpers import cyclotomic_coeffs
+from helpers import (
+    cyclotomic_coeffs,
+    cyclotomic_padic,
+    reference_dynamics_report_out,
+    reference_ram_sequence_out,
+    reference_trunc_object_out,
+    reference_verdict_out,
+)
 
 
 class TestScalars:
@@ -208,6 +218,23 @@ def read(reader, doc):
         return ("ValueError", str(e))
 
 
+class TestFieldDoor:
+    # the extension fields of the tests and of the benchmark's ext-field
+    # workload, F_4 to F_27
+    FIELDS = [(2, 2, (1, 1, 1)), (2, 3, (1, 1, 0, 1)), (3, 2, (1, 0, 1)), (5, 2, (3, 0, 1)), (3, 3, (1, 2, 0, 1))]
+
+    @pytest.mark.parametrize("p, w, modulus", FIELDS)
+    def test_fields_in_use_load(self, p, w, modulus):
+        field = {"p": p, "w": w, "modulus": list(modulus)}
+        want = FiniteField(p, w, modulus)
+        assert series_in({**field, "trunc": 3, "coeffs": [0, 1, 1]}).field == want
+        assert jsonio.trunc_object_in({"field": field, "e": 3}).field == want
+
+    def test_every_certifiable_field_of_degree_3_is_within_the_bound(self):
+        # a larger p is refused as uncertifiable
+        assert 3**3 * _convolve._MR_BOUND.bit_length() <= jsonio._MAX_FIELD_WORK
+
+
 class TestSeriesReader:
     """``series_in`` takes a list of plain JSON ints as it is; any other
     list gives the same series, or the same error, as reading every
@@ -325,3 +352,93 @@ class TestPrimePast2_53:
     def test_condition_report(self):
         ti = TheoremInputs(BreakData(self.P, 1, (1,)))
         assert condition_report_out(check_conditions(ti))["p"] == str(self.P)
+
+
+# -- random reports, for the field-driven writer -----------------------------------
+
+
+def random_int(rng):
+    return rng.choice([rng.randrange(-3, 200), 2**53 - 1, 2**53, -(2**53), 2**60 + rng.randrange(99)])
+
+
+def random_frac(rng):
+    return F(random_int(rng), rng.choice([1, rng.randrange(1, 50), 2**55 + 1]))
+
+
+def random_ints(rng):
+    return tuple(random_int(rng) for _ in range(rng.randrange(4)))
+
+
+def maybe(rng, make):
+    return make() if rng.random() < 0.7 else None
+
+
+def random_polygon(rng):
+    k = rng.randrange(1, 4)
+    return NewtonPolygon(tuple((random_int(rng), random_frac(rng)) for _ in range(k + 1)),
+                         tuple(Segment(random_frac(rng), random_int(rng)) for _ in range(k)))
+
+
+def random_level(rng, n):
+    if rng.random() < 0.25:
+        return LevelReport(n, note=f"quotient unavailable: {rng.random()}")
+    flag = lambda: rng.choice([None, True, False])  # noqa: E731
+    number = lambda: maybe(rng, lambda: random_int(rng))  # noqa: E731
+    return LevelReport(
+        n, number(), number(), flag(), number(), 1, flag(),
+        maybe(rng, lambda: random_polygon(rng)), maybe(rng, lambda: random_frac(rng)),
+        flag(), flag(), rng.choice([None, "polygon uncertified: x"]),
+    )
+
+
+def random_dynamics_report(rng):
+    levels = []
+    for n in range(1, rng.randrange(6)):
+        if levels and rng.random() < 0.3:  # two identity links: the last level again
+            levels.append(replace(levels[-1], n=n))
+        else:
+            levels.append(random_level(rng, n))
+    index = maybe(rng, lambda: IndexReport(
+        maybe(rng, lambda: random_int(rng)), rng.choice(["determined", "candidate", "undetermined"]),
+        maybe(rng, lambda: random_int(rng)), tuple(random_frac(rng) for _ in range(3)), random_int(rng)))
+    return DynamicsReport(
+        random_int(rng), random_int(rng), random_int(rng), random_ints(rng),
+        maybe(rng, lambda: random_int(rng)), random_ints(rng), random_ints(rng), index,
+        tuple(levels), random_ints(rng),
+        maybe(rng, lambda: tuple(rng.random() < 0.5 for _ in range(3))),
+        tuple(f"note {i}" for i in range(rng.randrange(3))),
+    )
+
+
+class TestReportWriter:
+    """``report_out`` writes each report from its fields, byte for byte as
+    the writers that named every key by hand (``helpers.reference_*``)."""
+
+    def test_dynamics_reports(self):
+        rng = random.Random(26)
+        reports = [random_dynamics_report(rng) for _ in range(300)]
+        # real ones: a chain that reaches X, levels without a quotient, and
+        # a p past 2^53
+        reports += [analyze(cyclotomic_padic(3, 20, 90), 26), analyze(cyclotomic_padic(5, 8, 130), 3),
+                    analyze(PadicSeries(5, 3, 10, [0, 6, 5] + [0] * 7), 3),
+                    analyze(PadicSeries(2**61 - 1, 1, 8, (0, 1, 1, 0, 0, 0, 0, 0)), 1)]
+        for rep in reports:
+            doc = dynamics_report_out(rep)
+            for level, lv in zip(doc["levels"], rep.levels):
+                assert level.pop("prediction_in_scope") == lv.prediction_in_scope
+            assert json.dumps(doc) == json.dumps(reference_dynamics_report_out(rep))
+
+    def test_ram_sequences_and_verdicts(self):
+        rng = random.Random(27)
+        for _ in range(200):
+            rs = RamSequence(random_int(rng), random_ints(rng), random_ints(rng), random_int(rng))
+            assert json.dumps(ram_sequence_out(rs)) == json.dumps(reference_ram_sequence_out(rs))
+            violations = tuple(Violation(f"rule {i}", random_int(rng), "detail") for i in range(rng.randrange(3)))
+            v = BreaksVerdict(not violations, violations)
+            assert json.dumps(jsonio.verdict_out(v)) == json.dumps(reference_verdict_out(v))
+
+    @pytest.mark.parametrize("field", [FiniteField(5), FiniteField(2**61 - 1), FiniteField(3, 2, (1, 0, 1))])
+    def test_trunc_objects(self, field):
+        for e in (1, 7, 2**53 + 1):
+            obj = TruncObject(field, e)
+            assert json.dumps(jsonio.trunc_object_out(obj)) == json.dumps(reference_trunc_object_out(obj))

@@ -30,7 +30,14 @@ from ramforge import (
 )
 from ramforge.gfseries import vp
 
-from helpers import cyclotomic_padic, exact_int_compose, exact_series_divide, frac_mod, vp_frac
+from helpers import (
+    cyclotomic_padic,
+    exact_int_compose,
+    exact_series_divide,
+    formal_group_iterate,
+    frac_mod,
+    vp_frac,
+)
 
 
 def closed_form_q1(p, prec, trunc):
@@ -418,9 +425,13 @@ class TestExtQuantities:
         assert not ext_quantities(5, 4, 1).admissible
 
     def test_predicted_valuation(self):
-        assert ext_quantities(7, 2, 1).predicted_valuation(3) == F(1, 686)
-        with pytest.raises(ValueError):
-            ext_quantities(7, 2, 1).predicted_valuation(2)
+        q = ext_quantities(7, 2, 1)
+        assert q.predicted_valuation(3) == F(1, 686)
+        # stated for n >= 3 and admissible d, e; below, the value is still
+        # given, and the scope predicate says it is outside
+        assert q.predicted_valuation(2) == F(1, 98)
+        assert [q.in_scope(n) for n in (1, 2, 3, 4)] == [False, False, True, True]
+        assert not any(ext_quantities(5, 4, 1).in_scope(n) for n in (1, 3, 10))
 
 
 class TestAnalyze:
@@ -482,23 +493,24 @@ class TestAnalyze:
 
     def test_chain_stops_at_x(self, monkeypatch):
         # mod (5^8, X^130) every link of (1+X)^6 - 1 from level 10 on is X:
-        # 2000 levels build links 1 .. 10, and every level past the first
-        # whose two links are X reports as that one
+        # 64 levels, the most a report lists, build links 1 .. 10, and every
+        # level past the first whose two links are X reports as that one
         u = cyclotomic_padic(5, 8, 130)
         calls = []
         build = nottingham.compose_power
         monkeypatch.setattr(nottingham, "compose_power", lambda *args: calls.append(1) or build(*args))
-        rep = analyze(u, 2000)
+        rep = analyze(u, 64)
         assert len(calls) <= 10
         monkeypatch.undo()
         short = analyze(u, 20)
-        assert rep.levels[:20] == short.levels and len(rep.levels) == 2000
+        assert rep.levels[:20] == short.levels and len(rep.levels) == 64
         assert rep.depths == short.depths and rep.notes == short.notes
         assert all(level == replace(short.levels[-1], n=n)
                    for n, level in enumerate(rep.levels[19:], start=20))
 
-    # SHA-256 of the JSON reports, as the analysis gave them when every
-    # level composed its links and divided them anew
+    # SHA-256 of the JSON reports without prediction_in_scope, as the
+    # analysis gave them when every level composed its links and divided
+    # them anew
     REPORTS = {
         (5, 8, 130, 1): "60aea2915268fecf002ca2cbab81a3db39d30c55cfd077ba69f1d979863ef5d7",
         (5, 8, 130, 2): "53043919ce2008e7fcbd14e8089a727d0ae4686a35387a1c2e272c6711f17deb",
@@ -515,9 +527,13 @@ class TestAnalyze:
     @pytest.mark.parametrize("p, prec, trunc, n_max", sorted(REPORTS))
     def test_reports_are_unchanged(self, p, prec, trunc, n_max):
         # the chain of (1+X)^4 - 1 mod (3^20, X^90) reaches X at level 23
-        doc = json.dumps(jsonio.dynamics_report_out(analyze(cyclotomic_padic(p, prec, trunc), n_max)),
-                         sort_keys=True)
-        assert hashlib.sha256(doc.encode()).hexdigest() == self.REPORTS[p, prec, trunc, n_max]
+        doc = jsonio.dynamics_report_out(analyze(cyclotomic_padic(p, prec, trunc), n_max))
+        # d = p - 1 is outside the admissible indices at every level; an
+        # unavailable level states no prediction
+        scope = [lv.pop("prediction_in_scope") for lv in doc["levels"]]
+        assert scope == [None if lv["predicted_root_valuation"] is None else False for lv in doc["levels"]]
+        text = json.dumps(doc, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.REPORTS[p, prec, trunc, n_max]
 
     def test_depths_match_lower_breaks(self):
         rng = random.Random(71)
@@ -562,3 +578,50 @@ class TestAnalyze:
     def test_requires_one_unit_derivative(self):
         with pytest.raises(ValueError, match="1-unit"):
             analyze(PadicSeries(5, 4, 10, (0, 2) + (0,) * 8), 1)
+
+
+class TestFormalGroupOracle:
+    """The cyclotomic family u = (1+X)^(p+1) - 1 is [p+1] of the
+    multiplicative formal group, whose p^n-th iterate is known in closed
+    form (``helpers.formal_group_iterate``), and so are its periodic
+    points (J. Lubin, Compositio Math. 94, 1994): i_n = p^(n+1) - 1, d =
+    p - 1, Weierstrass degree p^n (p - 1) and one root valuation
+    1/((p - 1) p^n)."""
+
+    # products mod 5^8 take the direct method at every length here, mod
+    # 7^10 direct, split and halves by length, mod 3^20 halves and mod
+    # 3^40 Kronecker
+    CASES = [(5, 8, 2000, 2), (7, 10, 1000, 2), (3, 20, 2000, 3), (3, 40, 600, 3)]
+
+    @pytest.mark.parametrize("p, prec, trunc, n", CASES)
+    def test_chain(self, p, prec, trunc, n):
+        chain = p_chain(cyclotomic_padic(p, prec, trunc), n)
+        for k, link in enumerate(chain):
+            assert list(link.packed) == formal_group_iterate(p + 1, p, k, prec, trunc)
+
+    @pytest.mark.parametrize("p, prec, trunc, n", CASES)
+    def test_analyze(self, p, prec, trunc, n):
+        # at 1,000 terms every product takes the method it takes at 2,000
+        rep = analyze(cyclotomic_padic(p, prec, min(trunc, 1000)), n)
+        assert rep.depths == tuple(p ** (k + 1) - 1 for k in range(n + 1))
+        assert rep.index.d == p - 1 and not ext_quantities(p, p - 1, 1).admissible
+        for lv in rep.levels:
+            k = lv.n
+            assert lv.note is None and lv.weierstrass_degree == p**k * (p - 1)
+            assert lv.constant_valuation == 1
+            # d = p - 1 lies outside the theorem's admissible indices: the
+            # match is an observation, and Lubin's closed form explains it
+            assert lv.prediction_in_scope is False and lv.single_segment_matches is True
+            assert lv.polygon.single_root_valuation == F(1, (p - 1) * p**k)
+
+    def test_p_2_level_1_is_an_outside_scope_mismatch(self):
+        # at p = 2, (1+X)^3 - 1 has depths 1, 7, 15, 31, not 2^(n+1) - 1,
+        # and d = 2; level 1 has two segments, at 1/2 and 1/4, against the
+        # prediction 1/4, which is outside the scope at every level
+        rep = analyze(PadicSeries(2, 10, 100, formal_group_iterate(3, 2, 0, 10, 100)), 3)
+        assert rep.depths == (1, 7, 15, 31) and rep.index.d == 2
+        level = rep.levels[0]
+        assert [s.root_valuation for s in level.polygon.segments] == [F(1, 2), F(1, 4)]
+        assert level.predicted_root_valuation == F(1, 4)
+        assert level.prediction_in_scope is False and level.single_segment_matches is False
+        assert [lv.prediction_in_scope for lv in rep.levels] == [False] * 3
