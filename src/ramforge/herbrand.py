@@ -12,6 +12,7 @@ increasing upper breaks with index jumps of p.  Repeated breaks
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from bisect import bisect_right
@@ -55,11 +56,15 @@ def frac_in(x):
     """An exact rational from a Fraction, an int (not a bool), a string "a"
     or "a/b" of decimal digits with an optional minus sign on a, or a
     [numerator, denominator] pair of integers; anything else, or a zero
-    denominator, is a ValueError."""
-    if isinstance(x, Fraction):
+    denominator, is a ValueError.  The exact types are tried first, so the
+    common inputs skip the abstract-base-class checks."""
+    kind = type(x)
+    if kind is Fraction:
         return x
-    if type(x) is int:
+    if kind is int:
         return Fraction(x)
+    if kind is not str and isinstance(x, Fraction):
+        return x
     if isinstance(x, str) and (m := _FRACTION.fullmatch(x)):
         num, den = parse_decimal(m[1]), parse_decimal(m[2]) if m[2] else 1
     elif isinstance(x, (tuple, list)) and len(x) == 2:
@@ -70,6 +75,21 @@ def frac_in(x):
         return Fraction(num, den)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {x!r}") from None
+
+
+def _over(xs):
+    """(D, [x * D for x in xs]): rationals as integers over their least
+    common denominator D."""
+    d = math.lcm(*(x.denominator for x in xs))
+    return d, [x.numerator * (d // x.denominator) for x in xs]
+
+
+def _below(x, y):
+    """x < y for rationals, as one integer cross-product."""
+    return x.numerator * y.denominator < y.numerator * x.denominator
+
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -84,13 +104,13 @@ class BreakData:
         object.__setattr__(self, "e", frac_in(self.e))
         object.__setattr__(self, "upper", tuple(frac_in(b) for b in self.upper))
         _require_prime(self.p)
-        if self.e <= 0:
+        if self.e.numerator <= 0:
             raise ValueError("ramification index e must be positive")
         if not self.upper:
             raise ValueError("at least one upper break is required")
-        if any(b <= 0 for b in self.upper):
+        if any(b.numerator <= 0 for b in self.upper):
             raise ValueError("upper breaks must be positive")
-        if any(b >= c for b, c in zip(self.upper, self.upper[1:])):
+        if any(not _below(b, c) for b, c in zip(self.upper, self.upper[1:])):
             raise ValueError("upper breaks must be strictly increasing")
 
     @property
@@ -101,8 +121,8 @@ class BreakData:
     def psi(self):
         """The lower-numbering transfer function, slope p^(j+1) after break b_j:
         built on first use and kept, outside equality, hashing and the wire format."""
-        sls = tuple(Fraction(self.p) ** j for j in range(self.n + 1))
-        return PLFunc((Fraction(0),) + self.upper, sls, Fraction(0))
+        p = self.p
+        return PLFunc._of((_ZERO,) + self.upper, tuple(Fraction(p**j) for j in range(self.n + 1)), _ZERO)
 
 
 @dataclass(frozen=True)
@@ -111,73 +131,120 @@ class PLFunc:
 
     slopes[i] applies on [breakpoints[i], breakpoints[i+1]); the last slope
     extends to infinity.  Stored in canonical form (adjacent equal slopes
-    merged), so dataclass equality is function equality.  The value at each
-    breakpoint is summed once, on construction, into ``values``; evaluation,
-    slopes, preimages and the inverse each look up one segment in it.
+    merged), so dataclass equality is function equality.
+
+    Its integer form is built once, on construction: the breakpoints are
+    ``_bnum[i] / _bden``, segment i is the line ``(_pnum[i] x + _qnum[i]) /
+    _den`` and the value at breakpoint i is ``_vnum[i] / _den``.  A point
+    x = a/b lies at or past breakpoint i exactly when _bnum[i] <= a*_bden // b,
+    and a value y = a/b at or past the value at breakpoint i exactly when
+    _vnum[i] <= a*_den // b, so evaluation, slopes and preimages find their
+    segment by an integer bisect and build one Fraction each.
     """
 
     breakpoints: tuple[Fraction, ...]
     slopes: tuple[Fraction, ...]
     value_at_origin: Fraction
-    values: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    _bden: int = field(init=False, repr=False, compare=False)
+    _bnum: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _den: int = field(init=False, repr=False, compare=False)
+    _pnum: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _qnum: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _vnum: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bps = tuple(frac_in(b) for b in self.breakpoints)
         sls = tuple(frac_in(s) for s in self.slopes)
         v0 = frac_in(self.value_at_origin)
-        if not bps or bps[0] != 0:
+        nums = _over(bps)[1]
+        if not bps or nums[0] != 0:
             raise ValueError("breakpoints must start at 0")
         if len(sls) != len(bps):
             raise ValueError("need exactly one slope per breakpoint")
-        if any(a >= b for a, b in zip(bps, bps[1:])):
+        if any(a >= b for a, b in zip(nums, nums[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if any(s <= 0 for s in sls):
+        if any(s.numerator <= 0 for s in sls):
             raise ValueError("slopes must be positive")
+        self._build(bps, sls, v0)
+
+    @classmethod
+    def _of(cls, bps, sls, v0):
+        """The function of Fraction data already known to be valid: the
+        breakpoints strictly increasing from 0, one positive slope each."""
+        f = object.__new__(cls)
+        f._build(bps, sls, v0)
+        return f
+
+    def _build(self, bps, sls, v0):
+        """Merge adjacent equal slopes and build the integer form.
+
+        With every slope over the denominator L and the breakpoints over D,
+        den = lcm(v0's denominator, L*D) puts the slope of each segment and
+        its value at 0 over den, and makes each slope numerator a multiple
+        of D; continuity at breakpoint i + 1 gives the next intercept.
+        """
         cb, cs = [bps[0]], [sls[0]]
         for b, s in zip(bps[1:], sls[1:]):
-            if s == cs[-1]:
-                continue
-            cb.append(b)
-            cs.append(s)
-        object.__setattr__(self, "breakpoints", tuple(cb))
-        object.__setattr__(self, "slopes", tuple(cs))
-        object.__setattr__(self, "value_at_origin", v0)
-        values = [v0]
-        for left, right, s in zip(cb, cb[1:], cs):
-            values.append(values[-1] + s * (right - left))
-        object.__setattr__(self, "values", tuple(values))
+            if s.numerator != cs[-1].numerator or s.denominator != cs[-1].denominator:
+                cb.append(b)
+                cs.append(s)
+        bden, bnum = _over(cb)
+        den = math.lcm(v0.denominator, math.lcm(*(s.denominator for s in cs)) * bden)
+        pnum = [s.numerator * (den // s.denominator) for s in cs]
+        qnum = [v0.numerator * (den // v0.denominator)]
+        for i in range(1, len(cs)):
+            qnum.append(qnum[-1] + (pnum[i - 1] - pnum[i]) // bden * bnum[i])
+        vnum = tuple(pn // bden * bn + qn for pn, bn, qn in zip(pnum, bnum, qnum))
+        # a frozen dataclass: its fields are set once, here
+        self.__dict__.update(
+            breakpoints=tuple(cb), slopes=tuple(cs), value_at_origin=v0, _bden=bden,
+            _bnum=tuple(bnum), _den=den, _pnum=tuple(pnum), _qnum=tuple(qnum), _vnum=vnum,
+        )
+
+    @cached_property
+    def values(self):
+        """The value at each breakpoint."""
+        return tuple(Fraction(v, self._den) for v in self._vnum)
 
     @classmethod
     def identity(cls):
-        return cls((Fraction(0),), (Fraction(1),), Fraction(0))
+        return cls((_ZERO,), (Fraction(1),), _ZERO)
+
+    def _index(self, a, b):
+        """The segment containing a/b, for integers a and b > 0."""
+        if a < 0:
+            raise ValueError("PLFunc domain starts at 0")
+        return bisect_right(self._bnum, a * self._bden // b) - 1
+
+    def _ratio(self, a, b):
+        """(num, den) with self(a/b) = num/den, for integers a and b > 0;
+        den is _den * b."""
+        i = self._index(a, b)
+        return self._pnum[i] * a + self._qnum[i] * b, self._den * b
 
     def __call__(self, x):
         x = frac_in(x)
-        if x < 0:
-            raise ValueError("PLFunc domain starts at 0")
-        i = bisect_right(self.breakpoints, x) - 1
-        return self.values[i] + self.slopes[i] * (x - self.breakpoints[i])
+        return Fraction(*self._ratio(x.numerator, x.denominator))
 
     def slope_at(self, x):
         """Slope of the segment containing x (right-continuous at kinks)."""
         x = frac_in(x)
-        if x < 0:
-            raise ValueError("PLFunc domain starts at 0")
-        return self.slopes[bisect_right(self.breakpoints, x) - 1]
+        return self.slopes[self._index(x.numerator, x.denominator)]
 
     def preimage(self, y):
         """The unique x >= 0 with self(x) = y; requires y >= self(0)."""
         y = frac_in(y)
-        if y < self.value_at_origin:
+        a, b, den = y.numerator, y.denominator, self._den
+        if a * den < self._vnum[0] * b:
             raise ValueError(f"{y} is below the range of this function")
-        i = bisect_right(self.values, y) - 1
-        return self.breakpoints[i] + (y - self.values[i]) / self.slopes[i]
+        i = bisect_right(self._vnum, a * den // b) - 1
+        return Fraction(a * den - self._qnum[i] * b, self._pnum[i] * b)
 
     def inverse(self):
         """The compositional inverse; requires self(0) = 0 so the domain is [0, oo)."""
-        if self.value_at_origin != 0:
+        if self._vnum[0] != 0:
             raise ValueError("inverse is only supported for functions fixing 0")
-        return PLFunc(self.values, tuple(1 / s for s in self.slopes), Fraction(0))
+        return PLFunc._of(self.values, tuple(Fraction(s.denominator, s.numerator) for s in self.slopes), _ZERO)
 
 
 def psi_from_breaks(bd):
@@ -191,23 +258,37 @@ def phi_from_breaks(bd):
 
 
 def pl_compose(f, g):
-    """Exact composite f(g(x)) with merged breakpoints."""
-    g0 = g.value_at_origin
-    if g0 < 0:
+    """Exact composite f(g(x)) with merged breakpoints.
+
+    Its breakpoints are g's and the preimages under g of f's breakpoints
+    above g(0), met in the order of their images: g's knot value
+    _vnum/_den against f's breakpoint _bnum/_bden, as integer
+    cross-products.  Between two of them f and g are both linear, and the
+    slope is the product of theirs.
+    """
+    if g._vnum[0] < 0:
         raise ValueError("ranges incompatible: g takes negative values at 0")
-    pts = set(g.breakpoints)
-    for bf in f.breakpoints:
-        if bf > g0:
-            pts.add(g.preimage(bf))
-    bps = tuple(sorted(pts))
-    sls = []
-    for i, left in enumerate(bps):
-        if i + 1 < len(bps):
-            mid = (left + bps[i + 1]) / 2
+    gv, gq, gp, gden = g._vnum, g._qnum, g._pnum, g._den
+    fb, fbden, fp = f._bnum, f._bden, f._pnum
+    i, j = 0, bisect_right(fb, gv[0] * fbden // gden) - 1
+    bps, sls, den = [_ZERO], [], f._den * gden
+    while True:
+        sls.append(Fraction(fp[j] * gp[i], den))
+        g_next, f_next = i + 1 < len(gv), j + 1 < len(fb)
+        if g_next and f_next:
+            order = gv[i + 1] * fbden - fb[j + 1] * gden
+        elif g_next or f_next:
+            order = -1 if g_next else 1
         else:
-            mid = left + 1
-        sls.append(f.slope_at(g(mid)) * g.slope_at(mid))
-    return PLFunc(bps, tuple(sls), f(g0))
+            break
+        if order >= 0:
+            j += 1
+        if order <= 0:
+            i += 1
+            bps.append(g.breakpoints[i])
+        else:
+            bps.append(Fraction(fb[j] * gden - gq[i] * fbden, gp[i] * fbden))
+    return PLFunc._of(tuple(bps), tuple(sls), f(g.value_at_origin))
 
 
 def tame_psi(e):
@@ -243,28 +324,39 @@ def validate_breaks(bd):
     (a) 1 <= b_0 <= pe/(p-1);
     (b) if b_i <= e/(p-1) then p*b_i <= b_{i+1} <= pe/(p-1);
     (c) if b_i >= e/(p-1) then b_{i+1} = b_i + e.
+
+    Every quantity is compared as an integer: times (p-1) and the least
+    common denominator of e and the breaks, which makes e/(p-1) an integer.
     """
     p, e, upper = bd.p, bd.e, bd.upper
-    ceiling = Fraction(p) * e / (p - 1)
-    threshold = e / (p - 1)
+    lcd = math.lcm(e.denominator, *(b.denominator for b in upper))
+    threshold = e.numerator * (lcd // e.denominator)
+    ceiling, step = p * threshold, (p - 1) * threshold
+    bs = [b.numerator * (lcd // b.denominator) * (p - 1) for b in upper]
     violations = []
-    if not (1 <= upper[0] <= ceiling):
+    if not (lcd * (p - 1) <= bs[0] <= ceiling):
         violations.append(
-            Violation("a", 0, f"b_0 = {upper[0]} outside [1, pe/(p-1) = {ceiling}]")
+            Violation("a", 0, f"b_0 = {upper[0]} outside [1, pe/(p-1) = {_ceiling(bd)}]")
         )
     for i in range(bd.n - 1):
-        b, nxt = upper[i], upper[i + 1]
+        b, nxt = bs[i], bs[i + 1]
         if b <= threshold and not (p * b <= nxt <= ceiling):
             violations.append(
                 Violation(
-                    "b", i, f"b_{i + 1} = {nxt} outside [p*b_{i} = {p * b}, {ceiling}]"
+                    "b", i,
+                    f"b_{i + 1} = {upper[i + 1]} outside [p*b_{i} = {p * upper[i]}, {_ceiling(bd)}]",
                 )
             )
-        if b >= threshold and nxt != b + e:
+        if b >= threshold and nxt != b + step:
             violations.append(
-                Violation("c", i, f"b_{i + 1} = {nxt} must equal b_{i} + e = {b + e}")
+                Violation("c", i, f"b_{i + 1} = {upper[i + 1]} must equal b_{i} + e = {upper[i] + e}")
             )
     return BreaksVerdict(not violations, tuple(violations))
+
+
+def _ceiling(bd):
+    """pe/(p-1), the bound of rules (a) and (b), as the violations print it."""
+    return Fraction(bd.p * bd.e.numerator, (bd.p - 1) * bd.e.denominator)
 
 
 @dataclass(frozen=True)
@@ -278,10 +370,10 @@ class YHZ:
 
 def extract_yhz(bd):
     """Smallest upper break exceeding e/(p-1), falling back to the largest."""
-    threshold = bd.e / (bd.p - 1)
+    en, ed = bd.e.numerator, bd.e.denominator * (bd.p - 1)
     h = bd.n - 1
     for j, b in enumerate(bd.upper):
-        if b > threshold:
+        if b.numerator * ed > en * b.denominator:
             h = j
             break
     y = bd.upper[h]
@@ -292,8 +384,12 @@ def lower_break_formula(bd, yhz, i):
     """Closed form of the i-th lower break: z + e*p^(h+1)*(p^(i-h)-1)/(p-1)."""
     if not (yhz.h <= i < bd.n):
         raise ValueError(f"index i = {i} outside [h = {yhz.h}, n = {bd.n})")
-    p = bd.p
-    return yhz.z + bd.e * p ** (yhz.h + 1) * Fraction(p ** (i - yhz.h) - 1, p - 1)
+    p, e, z = bd.p, bd.e, yhz.z
+    geometric = (p ** (i - yhz.h) - 1) // (p - 1)
+    return Fraction(
+        z.numerator * e.denominator + e.numerator * z.denominator * p ** (yhz.h + 1) * geometric,
+        z.denominator * e.denominator,
+    )
 
 
 def psi_ie_formula(bd, yhz, i):
@@ -302,11 +398,16 @@ def psi_ie_formula(bd, yhz, i):
     Valid for 0 <= i <= n-1-h, where the evaluation point falls inside the
     break range; it must equal direct piecewise-linear evaluation there.
     """
-    p, e = bd.p, bd.e
-    y, h, z = yhz.y, yhz.h, yhz.z
+    p, h = bd.p, yhz.h
     if not (0 <= i <= bd.n - 1 - h):
         raise ValueError(f"index i = {i} outside [0, n-1-h = {bd.n - 1 - h}]")
-    base = z + e * p ** (h + 1) * Fraction(p**i - 1, p - 1)
-    if y <= e:
-        return base + p ** (h + i + 1) * (e - y)
-    return base + p ** (h + i) * (e - y)
+    zn, zd = yhz.z.numerator, yhz.z.denominator
+    en, ed = bd.e.numerator, bd.e.denominator
+    yn, yd = yhz.y.numerator, yhz.y.denominator
+    # z + e*p^(h+1)*(p^i - 1)/(p - 1) + c*(e - y), over zd*ed*yd
+    c = p ** (h + i + 1) if yn * ed <= en * yd else p ** (h + i)
+    geometric = (p**i - 1) // (p - 1)
+    return Fraction(
+        zn * ed * yd + en * zd * yd * p ** (h + 1) * geometric + c * (en * yd - yn * ed) * zd,
+        zd * ed * yd,
+    )

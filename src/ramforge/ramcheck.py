@@ -160,8 +160,11 @@ def m0(ti):
     psi is strictly increasing, so that m is the largest integer below
     psi^-1(e*p^n)/e - 1 - 1/(p-1).
     """
-    x = ti.bd.psi.preimage(ti.e * ti.p**ti.n)
-    best = math.ceil(x / ti.e - 1 - Fraction(1, ti.p - 1)) - 1
+    p, e = ti.p, ti.e
+    x = ti.bd.psi.preimage(e * p**ti.n)
+    # x/e - 1 - 1/(p-1) = (x(p-1) - ep) / (e(p-1)), with x = xn/xd
+    xn, xd = x.numerator, x.denominator
+    best = -((e * p * xd - xn * (p - 1)) // (e * (p - 1) * xd)) - 1
     bound = ti.n - ti.yhz.h - 1
     if best > bound:
         raise InvariantError(f"cross-check failed: m0 = {best} exceeds n - h - 1 = {bound}")
@@ -173,11 +176,11 @@ def q_r_values(tp, yhz, m):
     if m < 1:
         raise ValueError("m must be >= 1")
     p, e, s, e0 = tp.p, tp.e, tp.s, tp.e0
-    if yhz.h == 0 and yhz.y > e:
-        q = ((yhz.y - e) * s + e0) * p**m
-        if q.denominator != 1:
+    yn, yd = yhz.y.numerator, yhz.y.denominator
+    if yhz.h == 0 and yn > e * yd:
+        q, rem = divmod(((yn - e * yd) * s + e0 * yd) * p**m, yd)
+        if rem:
             raise ValueError("q is not integral; break data is not Galois-integral")
-        q = int(q)
     else:
         q = e0 * p**m
     return q, q + e0 * (p ** (m + 1) - 1)
@@ -199,12 +202,15 @@ def psi_ML_lower_bound(ti, m, t):
 
 
 def _psi_ML_bounds(ti, m, t_max):
-    """psi_ML_lower_bound(ti, m, t) for t = 0 .. t_max, in one pass over psi."""
-    p, s, a, e, psi = ti.p, ti.tp.s, ti.a, ti.bd.e, ti.bd.psi
-    bounds, total = [Fraction(s * a)], 0
+    """psi_ML_lower_bound(ti, m, t) for t = 0 .. t_max, in one pass over psi.
+
+    psi takes the integers (m-t)e to numerators over one denominator, so
+    S(t) is summed as an integer numerator over it."""
+    p, s, a, e, psi = ti.p, ti.tp.s, ti.a, ti.e, ti.bd.psi
+    bounds, total, den = [Fraction(s * a)], 0, psi._den
     for t in range(t_max):
-        total = psi((m - t) * e) + p * total
-        bounds.append(s * p ** (t + 1) * a - s * (p - 1) * total)
+        total = psi._ratio((m - t) * e, 1)[0] + p * total
+        bounds.append(Fraction(s * p ** (t + 1) * a * den - s * (p - 1) * total, den))
     return bounds
 
 
@@ -237,11 +243,12 @@ def _ces_floor(ti, m, t):
 def phi_EK_closed_form(tp, yhz, m):
     """Upper-numbering image of r = q + e0(p^(m+1)-1) through the cyclotomic
     step, in closed form: (m+1+1/(p-1))e, plus (y-e) when h = 0 and y > e."""
-    e = tp.e
-    base = (m + 1 + Fraction(1, tp.p - 1)) * e
-    if yhz.h == 0 and yhz.y > e:
-        return base + (yhz.y - e)
-    return base
+    p, e = tp.p, tp.e
+    yn, yd = yhz.y.numerator, yhz.y.denominator
+    base = ((m + 1) * (p - 1) + 1) * e
+    if yhz.h == 0 and yn > e * yd:
+        return Fraction(base * yd + (yn - e * yd) * (p - 1), (p - 1) * yd)
+    return Fraction(base, p - 1)
 
 
 @dataclass(frozen=True)
@@ -301,19 +308,22 @@ def _evaluate(ti, m, **fields):
     p, e, n, a = ti.p, ti.e, ti.n, ti.a
     q, r = q_r_values(tp, yhz, m)
 
+    y_above = yhz.y.numerator > e * yhz.y.denominator
     ts = tuple(range(m + 1)) if yhz.y == e else (m,)
     bounds = _psi_ML_bounds(ti, m, m)
     items = []
     for t in ts:
         bound = bounds[t]
-        if m <= n - yhz.h and (yhz.y <= e or t == m):
-            if bound != _ces_floor(ti, m, t):
+        bnum, bden = bound.numerator, bound.denominator
+        if m <= n - yhz.h and (not y_above or t == m):
+            floor = _ces_floor(ti, m, t)
+            if bnum * floor.denominator != floor.numerator * bden:
                 raise InvariantError(
                     f"cross-check failed: psi_ML lower bound at m = {m}, t = {t} "
                     "differs from the ceiling-sum floor"
                 )
         threshold = p ** (n + t - m) * q
-        items.append(Cond1Item(t, bound, threshold, bound > threshold))
+        items.append(Cond1Item(t, bound, threshold, bnum > threshold * bden))
 
     cond2_lhs = psi.preimage(a)  # phi(a)
     cond2_rhs = phi_EK_closed_form(tp, yhz, m)
@@ -325,10 +335,10 @@ def _evaluate(ti, m, **fields):
         cond1=all(it.ok for it in items),
         cond1_details=tuple(items),
         psi_ml_lower_bound=min(it.bound for it in items),
-        cond2=cond2_lhs > cond2_rhs,
+        cond2=cond2_lhs.numerator * cond2_rhs.denominator > cond2_rhs.numerator * cond2_lhs.denominator,
         cond2_lhs=cond2_lhs,
         cond2_rhs=cond2_rhs,
-        cond3=Fraction(a) > cond3_rhs,
+        cond3=a * cond3_rhs.denominator > cond3_rhs.numerator,
         cond3_lhs=a,
         cond3_rhs=cond3_rhs,
         **fields,
@@ -380,7 +390,7 @@ def _proot_check(ti, m0_val):
             notes=("requires n >= 3 and m0 >= 2",),
         )
     j = ti.bd.psi(ti.bd.upper[-1])
-    l = math.ceil(Fraction(ti.p - 1, ti.p) * j)
+    l = -((-(ti.p - 1) * j.numerator) // (ti.p * j.denominator))  # ceil((p-1)j/p)
     # the sub-extension's inputs carry ti's Z_p flag into the report; the
     # conditions themselves do not read it
     sub = TheoremInputs(

@@ -367,6 +367,27 @@ def pl_walk_inverse(f):
             tuple(1 / s for s in f.slopes))
 
 
+def pl_walk_compose(f, g):
+    """(breakpoints, slopes, value_at_origin) of f(g(x)), canonical: the
+    kinks of g and the walked preimages of f's kinks above g(0), each
+    segment's slope a difference quotient of walked values, and adjacent
+    equal slopes merged."""
+    g0 = pl_walk_value(g, Fraction(0))
+    knots = sorted(set(g.breakpoints) | {pl_walk_preimage(g, b) for b in f.breakpoints if b > g0})
+    ends = knots[1:] + [knots[-1] + 1]
+
+    def fg(x):
+        return pl_walk_value(f, pl_walk_value(g, x))
+
+    bps, sls = [], []
+    for left, right in zip(knots, ends):
+        slope = (fg(right) - fg(left)) / (right - left)
+        if not sls or slope != sls[-1]:
+            bps.append(left)
+            sls.append(slope)
+    return tuple(bps), tuple(sls), fg(Fraction(0))
+
+
 # -- the condition-1 bound ----------------------------------------------------
 
 

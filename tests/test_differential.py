@@ -37,6 +37,7 @@ from helpers import (
     brute_compose,
     ext_compose,
     fraction_newton_polygon,
+    pl_walk_compose,
     pl_walk_inverse,
     pl_walk_preimage,
     pl_walk_slope,
@@ -284,3 +285,86 @@ class TestPLFunc:
         h = pl_compose(f, g)
         for x in probes(h) + probes(g) + extra:
             assert h(x) == pl_walk_value(f, pl_walk_value(g, x))
+
+
+# knots, slopes and points with numerators and denominators past 2^63
+huge = st.builds(F, st.integers(2**63 - 5, 2**80), st.integers(1, 2**66))
+wide = st.one_of(positive, huge)
+
+
+@st.composite
+def wide_plfuncs(draw, fixing_zero=False):
+    bps = [F(0)] + sorted(set(draw(st.lists(wide, max_size=6))))
+    sls = draw(st.lists(wide, min_size=len(bps), max_size=len(bps)))
+    return PLFunc(tuple(bps), tuple(sls), F(0) if fixing_zero else draw(st.one_of(fracs, huge)))
+
+
+def near_knots(f):
+    """Points a hair below and above each kink of f, where an integer bisect
+    that rounded the wrong way would pick the neighbouring segment."""
+    hair = F(1, 3 * 2**64)
+    return [b + d for b in f.breakpoints for d in (-hair, hair) if b + d >= 0]
+
+
+def rebuilt(f):
+    """f as the validating constructor builds it from f's public fields."""
+    return PLFunc(f.breakpoints, f.slopes, f.value_at_origin)
+
+
+def assert_as_validated(f):
+    """f equals, hashes, prints and evaluates as the function the validating
+    constructor builds from its fields, down to the integer form."""
+    g = rebuilt(f)
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+    assert vars(f) | {"values": None} == vars(g) | {"values": None}
+    assert f.values == g.values
+
+
+class TestPLFuncIntegerForm:
+    """Evaluation, slopes, preimages, the inverse and composition, which find
+    their segment by an integer bisect, against the Fraction segment walks of
+    helpers.py: on non-integral knots, on knots and points past 2^63, and at
+    the knots themselves."""
+
+    @PROPS
+    @given(wide_plfuncs(), st.lists(st.one_of(fracs, huge), max_size=4))
+    def test_value_and_slope(self, f, extra):
+        for x in probes(f) + near_knots(f) + extra:
+            assert f(x) == pl_walk_value(f, x)
+            assert f.slope_at(x) == pl_walk_slope(f, x)
+
+    @PROPS
+    @given(wide_plfuncs(), st.lists(st.one_of(fracs, huge), max_size=4))
+    def test_preimage(self, f, extra):
+        xs = probes(f) + near_knots(f)
+        ys = [pl_walk_value(f, x) for x in xs] + [f.value_at_origin + d for d in extra]
+        for y in ys:
+            assert f.preimage(y) == pl_walk_preimage(f, y)
+
+    @PROPS
+    @given(wide_plfuncs(fixing_zero=True))
+    def test_inverse(self, f):
+        inv = f.inverse()
+        assert inv == PLFunc(*pl_walk_inverse(f), F(0))
+        assert_as_validated(inv)
+        for x in probes(f) + near_knots(f):
+            assert inv(pl_walk_value(f, x)) == x
+
+    @PROPS
+    @given(st.one_of(wide_plfuncs(), plfuncs()), st.one_of(wide_plfuncs(), plfuncs()))
+    def test_compose(self, f, g):
+        h = pl_compose(f, g)
+        assert (h.breakpoints, h.slopes, h.value_at_origin) == pl_walk_compose(f, g)
+        assert_as_validated(h)
+
+    @PROPS
+    @given(st.randoms(use_true_random=False), st.sampled_from([1, 2, 3, 7]))
+    def test_psi_phi_and_their_composites(self, rng, den):
+        bd = random_break_data(rng, den=den)
+        psi, phi = psi_from_breaks(bd), phi_from_breaks(bd)
+        for f in (psi, phi, pl_compose(phi, psi), pl_compose(psi, psi)):
+            assert_as_validated(f)
+        assert pl_compose(phi, psi) == PLFunc.identity()
+        for x in probes(psi) + near_knots(psi) + [F(2**64 + 1, 3)]:
+            assert psi(x) == pl_walk_value(psi, x)
+            assert phi(psi(x)) == x

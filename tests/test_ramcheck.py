@@ -363,16 +363,17 @@ class TestCheckConditions:
 
     def test_psi_built_once_per_break_data(self, monkeypatch):
         # one psi for the input and one for the proot sub-data, and no other
-        # piecewise-linear function
+        # piecewise-linear function; the validating constructor and the
+        # library's own both build through _build
         built = []
-        post_init = PLFunc.__post_init__
+        build = PLFunc._build
 
-        def counted(f):
-            post_init(f)
+        def counted(f, *args):
+            build(f, *args)
             built.append(f)
 
         bd = ladder(5, 3)
-        monkeypatch.setattr(PLFunc, "__post_init__", counted)
+        monkeypatch.setattr(PLFunc, "_build", counted)
         rep = check_conditions(TheoremInputs(bd, contained_in_zp=False))
         assert rep.proot is not None and rep.proot.status == "ok"
         assert len(built) == 2 and built[0] is bd.psi
