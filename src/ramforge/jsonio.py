@@ -60,13 +60,53 @@ def int_out(v):
     return v if abs(v) < _SAFE_INT else _decimal(v)
 
 
+# -- document shapes -------------------------------------------------------------
+#
+# A field of the wrong JSON kind fails deep in a reader with Python's own
+# TypeError ("'int' object is not iterable").  Each document reader catches
+# it, so the success path does no extra work, and names the first field whose
+# kind differs from the document's shape: a shape maps each field that holds
+# a list to ``list``, and each that holds an object to that object's shape.
+# Only the fields in _NULLABLE may be null.
+
+_FIELD = {"modulus": list}
+_SERIES = {**_FIELD, "coeffs": list}
+_PADIC = {"coeffs": list}
+_BREAK_DATA = {"upper": list}
+_PLFUNC = {"breakpoints": list, "slopes": list}
+_TRUNC_OBJECT = {"field": _FIELD}
+_MORPHISM = {"source": _TRUNC_OBJECT, "target": _TRUNC_OBJECT, "eta_coeff": list, "mu_image": list}
+
+_NULLABLE = {"modulus", "mu_image"}
+_KINDS = {bool: "a boolean", int: "a number", float: "a number", str: "a string", list: "a list",
+          type(None): "null"}
+
+
+def _misshapen(doc, shape, path=None):
+    """Raise the input error for the first field of doc, named by its path,
+    whose JSON kind is not the one shape gives it; return if there is none.
+    An absent field is left to the reader."""
+    if not isinstance(doc, dict):
+        where = f'field "{path}"' if path else "the document"
+        raise ValueError(f"{where} must be an object, not {_KINDS.get(type(doc), 'an object')}")
+    for key, kind in shape.items():
+        if key not in doc or (key in _NULLABLE and doc[key] is None):
+            continue
+        value, where = doc[key], f"{path}.{key}" if path else key
+        if kind is not list:
+            _misshapen(value, kind, where)
+        elif not isinstance(value, list):
+            raise ValueError(f'field "{where}" must be a list, not {_KINDS.get(type(value), "an object")}')
+
+
 def _coeff_in(c):
     """A prime-field coefficient (an integer) or an extension-field vector."""
     return tuple(int_in(x) for x in c) if isinstance(c, list) else int_in(c)
 
 
 def frac_out(x):
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     try:
         return f"{x.numerator}/{x.denominator}"
     except ValueError:
@@ -114,12 +154,16 @@ def series_out(s):
 
 
 def series_in(doc):
-    trunc = int_in(doc["trunc"])
-    f = field_in(doc, trunc)
-    coeffs = doc["coeffs"]
-    if not all(type(c) is int for c in coeffs):
-        coeffs = [_coeff_in(c) for c in coeffs]
-    return TruncSeries(f, coeffs, trunc)
+    try:
+        trunc = int_in(doc["trunc"])
+        f = field_in(doc, trunc)
+        coeffs = doc["coeffs"]
+        if not all(type(c) is int for c in coeffs):
+            coeffs = [_coeff_in(c) for c in coeffs]
+        return TruncSeries(f, coeffs, trunc)
+    except TypeError:
+        _misshapen(doc, _SERIES)
+        raise
 
 
 # -- break sequences and transfer functions ---------------------------------
@@ -144,9 +188,12 @@ def break_data_out(bd):
 
 
 def break_data_in(doc):
-    return BreakData(
-        int_in(doc["p"]), frac_in(doc["e"]), tuple(frac_in(b) for b in doc["upper"])
-    )
+    # BreakData reads e and each break with frac_in
+    try:
+        return BreakData(int_in(doc["p"]), doc["e"], tuple(doc["upper"]))
+    except TypeError:
+        _misshapen(doc, _BREAK_DATA)
+        raise
 
 
 def plfunc_out(f):
@@ -158,11 +205,12 @@ def plfunc_out(f):
 
 
 def plfunc_in(doc):
-    return PLFunc(
-        tuple(frac_in(b) for b in doc["breakpoints"]),
-        tuple(frac_in(s) for s in doc["slopes"]),
-        frac_in(doc["value_at_origin"]),
-    )
+    # PLFunc reads each breakpoint, slope and the value at 0 with frac_in
+    try:
+        return PLFunc(tuple(doc["breakpoints"]), tuple(doc["slopes"]), doc["value_at_origin"])
+    except TypeError:
+        _misshapen(doc, _PLFUNC)
+        raise
 
 
 # -- truncated valuation rings ----------------------------------------------
@@ -185,13 +233,17 @@ def morphism_out(f):
 
 
 def morphism_in(doc):
-    src = trunc_object_in(doc["source"])
-    dst = trunc_object_in(doc["target"])
-    eta = dst.element([_coeff_in(c) for c in doc["eta_coeff"]])
-    mu = None
-    if doc.get("mu_image") is not None:
-        mu = dst.element([_coeff_in(c) for c in doc["mu_image"]])
-    return TruncMorphism(src, dst, int_in(doc["r"]), int_in(doc["res_twist"]), eta, mu)
+    try:
+        src = trunc_object_in(doc["source"])
+        dst = trunc_object_in(doc["target"])
+        eta = dst.element([_coeff_in(c) for c in doc["eta_coeff"]])
+        mu = None
+        if doc.get("mu_image") is not None:
+            mu = dst.element([_coeff_in(c) for c in doc["mu_image"]])
+        return TruncMorphism(src, dst, int_in(doc["r"]), int_in(doc["res_twist"]), eta, mu)
+    except TypeError:
+        _misshapen(doc, _MORPHISM)
+        raise
 
 
 # -- theorem inputs and reports ----------------------------------------------
@@ -257,11 +309,15 @@ def padic_out(u):
 
 
 def padic_in(doc):
-    p = int_in(doc["p"])
-    prec = int_in(doc["prec"])
-    trunc = int_in(doc["trunc"])
-    check_budget(trunc * prec * len(str(p)))
-    return PadicSeries(p, prec, trunc, tuple(int_in(c) for c in doc["coeffs"]))
+    try:
+        p = int_in(doc["p"])
+        prec = int_in(doc["prec"])
+        trunc = int_in(doc["trunc"])
+        check_budget(trunc * prec * len(str(p)))
+        return PadicSeries(p, prec, trunc, tuple(int_in(c) for c in doc["coeffs"]))
+    except TypeError:
+        _misshapen(doc, _PADIC)
+        raise
 
 
 def divided_out(q):

@@ -9,7 +9,7 @@ huge value is one past a cap (the precision budget, the extension-field
 bound, the level count), where the door must refuse it, or one the
 program reads off a cycle.  Whatever the input, a run ends in exit 0, 2
 or 3, prints one JSON document and writes nothing to stderr, so no
-traceback.
+traceback, and an input error's reason is the program's, not Python's.
 """
 
 import contextlib
@@ -188,5 +188,9 @@ def test_every_run_ends_in_one_document(group, op, flags):
         doc = json.loads(out)
         assert (code == 0) == ("error" not in doc)
         assert err == ""
+        # an input error names its cause, not Python's ("'int' object is
+        # not iterable")
+        if code == 2:
+            assert "object is not" not in doc["error"]["reason"]
 
     check()

@@ -264,6 +264,43 @@ class TestSeriesReader:
         assert isinstance(got, tuple) == fails
 
 
+class TestMisshapenFields:
+    """A nested field of the wrong JSON kind is an input error that names the
+    field, by its path, and the kind it must have."""
+
+    FIELD = {"p": 5, "w": 1}
+    TARGET = {"field": FIELD, "e": 2}
+
+    @pytest.mark.parametrize("read, doc, reason", [
+        (morphism_in, {"source": 5, "target": TARGET, "r": 2, "res_twist": 0, "eta_coeff": [1]},
+         'field "source" must be an object, not a number'),
+        (morphism_in, {"source": {"field": "F5", "e": 1}, "target": TARGET, "r": 2, "res_twist": 0,
+                       "eta_coeff": [1]},
+         'field "source.field" must be an object, not a string'),
+        (morphism_in, {"source": {"field": {"p": 5, "modulus": 3}, "e": 1}, "target": TARGET, "r": 2,
+                       "res_twist": 0, "eta_coeff": [1]},
+         'field "source.field.modulus" must be a list, not a number'),
+        (morphism_in, {"source": TARGET, "target": TARGET, "r": 1, "res_twist": 0, "eta_coeff": [1],
+                       "mu_image": 4},
+         'field "mu_image" must be a list, not a number'),
+        (series_in, {**FIELD, "trunc": 4, "coeffs": 5}, 'field "coeffs" must be a list, not a number'),
+        (series_in, [0, 1], "the document must be an object, not a list"),
+        (padic_in, {"p": 5, "prec": 2, "trunc": 4, "coeffs": True}, 'field "coeffs" must be a list, not a boolean'),
+        (break_data_in, {"p": 5, "e": 1, "upper": None}, 'field "upper" must be a list, not null'),
+        (plfunc_in, {"breakpoints": ["0/1"], "slopes": 1, "value_at_origin": "0/1"},
+         'field "slopes" must be a list, not a number'),
+    ])
+    def test_reason_names_the_field(self, read, doc, reason):
+        with pytest.raises(ValueError) as info:
+            read(json.loads(json.dumps(doc)))
+        assert str(info.value) == reason
+
+    def test_null_where_a_reader_allows_it(self):
+        # mu_image may be null: the morphism reads as one without it
+        doc = {"source": self.TARGET, "target": self.TARGET, "r": 1, "res_twist": 0, "eta_coeff": [1]}
+        assert morphism_in({**doc, "mu_image": None}) == morphism_in(doc)
+
+
 class TestBreakDataRoundTrip:
     def test_pairs(self):
         bd = BreakData(5, F(3, 2), (F(2), F(7, 2)))
