@@ -394,6 +394,23 @@ def analyze(u, n_max):
     )
 
 
+def _expected_constant_valuation(prev, n):
+    """The valuation of the constant term of level n's quotient, or None
+    where nothing is proved; prev is u^(p^(n-1)), so u itself at n = 1.
+
+    The constant term is (a^(p^n) - 1)/(a^(p^(n-1)) - 1) for a = u'(0) != 1,
+    and p for a = 1.  Lifting the exponent gives v(a^(p^k) - 1) = v(a - 1) + k
+    for odd p, and v(a - 1) + v(a + 1) + k - 1 for p = 2 and k >= 1, so the
+    valuation is 1 except at p = 2, n = 1, where it is v_2(a + 1).  a is
+    known mod 2^P, so that valuation is proved only below P.
+    """
+    f = prev.field
+    if f.p != 2 or n != 1:
+        return 1
+    v = vp((prev.packed[1] + 1) % f.mod, 2, f.prec)
+    return v if v < f.prec else None
+
+
 def _analyze_level(prev, cur, n, depths, ext):
     try:
         q = _divide_level(prev, cur, n)
@@ -408,11 +425,8 @@ def _analyze_level(prev, cur, n, depths, ext):
 
     v0, exact0 = next(_valuations(q.series, q.coeff_prec))
     const_val = v0 if exact0 else None
-    # over Z_p-coefficients the constant term of every level quotient has
-    # valuation exactly 1: each p-th power step adds v(p) = 1 to
-    # v(a0^(p^k) - 1) for a0 a 1-unit, and the a0 = 1 case gives exactly p
-    expected_const = 1
-    const_matches = const_val == expected_const if const_val is not None else None
+    expected_const = _expected_constant_valuation(prev, n)
+    const_matches = const_val == expected_const if None not in (const_val, expected_const) else None
 
     polygon = None
     predicted = ext.predicted_valuation(n) if ext is not None else None

@@ -625,3 +625,20 @@ class TestFormalGroupOracle:
         assert level.predicted_root_valuation == F(1, 4)
         assert level.prediction_in_scope is False and level.single_segment_matches is False
         assert [lv.prediction_in_scope for lv in rep.levels] == [False] * 3
+
+    @pytest.mark.parametrize("a, level_1", [(3, 2), (5, 1), (7, 3)])
+    def test_p_2_constant_term_lifts_the_exponent(self, a, level_1):
+        # the constant term of level 1 is (a^2 - 1)/(a - 1) = a + 1, of
+        # valuation v_2(a + 1): 2 for (1+X)^3 - 1, 1 for (1+X)^5 - 1 and 3
+        # for (1+X)^7 - 1; from level 2 on each squaring adds exactly 1
+        rep = analyze(PadicSeries(2, 10, 100, formal_group_iterate(a, 2, 0, 10, 100)), 3)
+        assert [lv.expected_constant_valuation for lv in rep.levels] == [level_1, 1, 1]
+        assert [lv.constant_valuation for lv in rep.levels] == [level_1, 1, 1]
+        assert all(lv.constant_matches for lv in rep.levels)
+
+    def test_p_2_constant_term_unproved_mod_2(self):
+        # over Z/2, a = 1 mod 2 says nothing of v_2(a + 1): no expectation at
+        # level 1, and the usual one from level 2 on
+        rep = analyze(PadicSeries(2, 1, 100, formal_group_iterate(3, 2, 0, 1, 100)), 2)
+        assert [lv.expected_constant_valuation for lv in rep.levels] == [None, 1]
+        assert all(lv.constant_matches is None for lv in rep.levels)
