@@ -122,7 +122,8 @@ class BreakData:
         """The lower-numbering transfer function, slope p^(j+1) after break b_j:
         built on first use and kept, outside equality, hashing and the wire format."""
         p = self.p
-        return PLFunc._of((_ZERO,) + self.upper, tuple(Fraction(p**j) for j in range(self.n + 1)), _ZERO)
+        slopes = tuple(Fraction(p**j) for j in range(self.n + 1))
+        return PLFunc._of((_ZERO,) + self.upper, slopes, _ZERO)
 
 
 @dataclass(frozen=True)
@@ -244,7 +245,8 @@ class PLFunc:
         """The compositional inverse; requires self(0) = 0 so the domain is [0, oo)."""
         if self._vnum[0] != 0:
             raise ValueError("inverse is only supported for functions fixing 0")
-        return PLFunc._of(self.values, tuple(Fraction(s.denominator, s.numerator) for s in self.slopes), _ZERO)
+        slopes = tuple(Fraction(s.denominator, s.numerator) for s in self.slopes)
+        return PLFunc._of(self.values, slopes, _ZERO)
 
 
 def psi_from_breaks(bd):
@@ -344,12 +346,15 @@ def validate_breaks(bd):
             violations.append(
                 Violation(
                     "b", i,
-                    f"b_{i + 1} = {upper[i + 1]} outside [p*b_{i} = {p * upper[i]}, {_ceiling(bd)}]",
+                    f"b_{i + 1} = {upper[i + 1]} outside "
+                    f"[p*b_{i} = {p * upper[i]}, {_ceiling(bd)}]",
                 )
             )
         if b >= threshold and nxt != b + step:
             violations.append(
-                Violation("c", i, f"b_{i + 1} = {upper[i + 1]} must equal b_{i} + e = {upper[i] + e}")
+                Violation(
+                    "c", i, f"b_{i + 1} = {upper[i + 1]} must equal b_{i} + e = {upper[i] + e}"
+                )
             )
     return BreaksVerdict(not violations, tuple(violations))
 

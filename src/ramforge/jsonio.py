@@ -82,13 +82,17 @@ _KINDS = {bool: "a boolean", int: "a number", float: "a number", str: "a string"
           type(None): "null"}
 
 
+def _kind(value):
+    return _KINDS.get(type(value), "an object")
+
+
 def _misshapen(doc, shape, path=None):
     """Raise the input error for the first field of doc, named by its path,
     whose JSON kind is not the one shape gives it; return if there is none.
     An absent field is left to the reader."""
     if not isinstance(doc, dict):
         where = f'field "{path}"' if path else "the document"
-        raise ValueError(f"{where} must be an object, not {_KINDS.get(type(doc), 'an object')}")
+        raise ValueError(f"{where} must be an object, not {_kind(doc)}")
     for key, kind in shape.items():
         if key not in doc or (key in _NULLABLE and doc[key] is None):
             continue
@@ -96,7 +100,7 @@ def _misshapen(doc, shape, path=None):
         if kind is not list:
             _misshapen(value, kind, where)
         elif not isinstance(value, list):
-            raise ValueError(f'field "{where}" must be a list, not {_KINDS.get(type(value), "an object")}')
+            raise ValueError(f'field "{where}" must be a list, not {_kind(value)}')
 
 
 def _coeff_in(c):

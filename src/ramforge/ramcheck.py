@@ -325,8 +325,7 @@ def _evaluate(ti, m, **fields):
         threshold = p ** (n + t - m) * q
         items.append(Cond1Item(t, bound, threshold, bnum > threshold * bden))
 
-    cond2_lhs = psi.preimage(a)  # phi(a)
-    cond2_rhs = phi_EK_closed_form(tp, yhz, m)
+    lhs, rhs = psi.preimage(a), phi_EK_closed_form(tp, yhz, m)  # condition 2: phi(a) > rhs
     cond3_rhs = psi(ti.bd.upper[-1])
 
     return _report(
@@ -335,9 +334,9 @@ def _evaluate(ti, m, **fields):
         cond1=all(it.ok for it in items),
         cond1_details=tuple(items),
         psi_ml_lower_bound=min(it.bound for it in items),
-        cond2=cond2_lhs.numerator * cond2_rhs.denominator > cond2_rhs.numerator * cond2_lhs.denominator,
-        cond2_lhs=cond2_lhs,
-        cond2_rhs=cond2_rhs,
+        cond2=lhs.numerator * rhs.denominator > rhs.numerator * lhs.denominator,
+        cond2_lhs=lhs,
+        cond2_rhs=rhs,
         cond3=a * cond3_rhs.denominator > cond3_rhs.numerator,
         cond3_lhs=a,
         cond3_rhs=cond3_rhs,
