@@ -84,11 +84,6 @@ def _over(xs):
     return d, [x.numerator * (d // x.denominator) for x in xs]
 
 
-def _below(x, y):
-    """x < y for rationals, as one integer cross-product."""
-    return x.numerator * y.denominator < y.numerator * x.denominator
-
-
 _ZERO = Fraction(0)
 
 
@@ -110,7 +105,8 @@ class BreakData:
             raise ValueError("at least one upper break is required")
         if any(b.numerator <= 0 for b in self.upper):
             raise ValueError("upper breaks must be positive")
-        if any(not _below(b, c) for b, c in zip(self.upper, self.upper[1:])):
+        if any(b.numerator * c.denominator >= c.numerator * b.denominator
+               for b, c in zip(self.upper, self.upper[1:])):
             raise ValueError("upper breaks must be strictly increasing")
 
     @property
