@@ -198,9 +198,9 @@ class PLFunc:
             _bnum=tuple(bnum), _den=den, _pnum=tuple(pnum), _qnum=tuple(qnum), _vnum=vnum,
         )
 
-    @cached_property
+    @property
     def values(self):
-        """The value at each breakpoint."""
+        """The value at each breakpoint, read off the integer form."""
         return tuple(Fraction(v, self._den) for v in self._vnum)
 
     @classmethod
