@@ -30,20 +30,13 @@ from .ramcheck import check_conditions, f_shift, f_shift_sum_check, m0, proot_ch
 from .truncation import compose_morphism, is_extension, is_isomorphism, r_equivalent
 
 
-class _Object(dict):
-    """A JSON object whose missing key is an input error naming the field."""
-
-    def __missing__(self, key):
-        raise ValueError(f"missing field {json.dumps(key)}")
-
-
 def _load(source):
     """Parse inline JSON or read it from a file path."""
     text = source.strip()
     if not text.startswith(("{", "[")):
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return json.loads(text, parse_int=jsonio.parse_decimal, object_hook=_Object)
+    return json.loads(text, parse_int=jsonio.parse_decimal)
 
 
 def _emit(doc, fmt):

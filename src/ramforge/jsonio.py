@@ -60,47 +60,32 @@ def int_out(v):
     return v if abs(v) < _SAFE_INT else _decimal(v)
 
 
-# -- document shapes -------------------------------------------------------------
-#
-# A field of the wrong JSON kind fails deep in a reader with Python's own
-# TypeError ("'int' object is not iterable").  Each document reader catches
-# it, so the success path does no extra work, and names the first field whose
-# kind differs from the document's shape: a shape maps each field that holds
-# a list to ``list``, and each that holds an object to that object's shape.
-# Only the fields in _NULLABLE may be null.
+# -- document fields ---------------------------------------------------------------
 
-_FIELD = {"modulus": list}
-_SERIES = {**_FIELD, "coeffs": list}
-_PADIC = {"coeffs": list}
-_BREAK_DATA = {"upper": list}
-_PLFUNC = {"breakpoints": list, "slopes": list}
-_TRUNC_OBJECT = {"field": _FIELD}
-_MORPHISM = {"source": _TRUNC_OBJECT, "target": _TRUNC_OBJECT, "eta_coeff": list, "mu_image": list}
-
-_NULLABLE = {"modulus", "mu_image"}
 _KINDS = {bool: "a boolean", int: "a number", float: "a number", str: "a string", list: "a list",
           type(None): "null"}
+_REQUIRED = object()
 
 
 def _kind(value):
     return _KINDS.get(type(value), "an object")
 
 
-def _misshapen(doc, shape, path=None):
-    """Raise the input error for the first field of doc, named by its path,
-    whose JSON kind is not the one shape gives it; return if there is none.
-    An absent field is left to the reader."""
+def _field(doc, key, kind=None, path=(), default=_REQUIRED):
+    """doc[key], where doc is the object at path (the keys leading to it
+    from the document).  The input error names the field by its path when
+    doc is not an object, when the field is absent and has no default, or
+    when its value is not of the JSON kind given; a field whose default is
+    None may also be null."""
     if not isinstance(doc, dict):
-        where = f'field "{path}"' if path else "the document"
+        where = f'field "{".".join(path)}"' if path else "the document"
         raise ValueError(f"{where} must be an object, not {_kind(doc)}")
-    for key, kind in shape.items():
-        if key not in doc or (key in _NULLABLE and doc[key] is None):
-            continue
-        value, where = doc[key], f"{path}.{key}" if path else key
-        if kind is not list:
-            _misshapen(value, kind, where)
-        elif not isinstance(value, list):
-            raise ValueError(f'field "{where}" must be a list, not {_kind(value)}')
+    value = doc.get(key, default)
+    if value is _REQUIRED:
+        raise ValueError(f'missing field "{".".join((*path, key))}"')
+    if kind is None or isinstance(value, kind) or (value is None and default is None):
+        return value
+    raise ValueError(f'field "{".".join((*path, key))}" must be {_KINDS[kind]}, not {_kind(value)}')
 
 
 def _coeff_in(c):
@@ -134,15 +119,17 @@ def field_out(f):
     return doc
 
 
-def field_in(doc, n_coeffs=0):
-    """The field of doc, built once n_coeffs coefficients over it are within
-    the budget and its irreducibility test within _MAX_FIELD_WORK."""
-    p, w = int_in(doc["p"]), int_in(doc.get("w", 1))
+def field_in(doc, n_coeffs=0, path=()):
+    """The field of doc, the object at path, built once n_coeffs
+    coefficients over it are within the budget and its irreducibility test
+    within _MAX_FIELD_WORK."""
+    p, w = int_in(_field(doc, "p", path=path)), int_in(_field(doc, "w", path=path, default=1))
     check_budget(n_coeffs * w * len(str(p)))
     if (work := w**3 * p.bit_length()) > _MAX_FIELD_WORK:
         raise ValueError(f"checking the modulus of F_{p}^{w} takes about w^3*bits(p) = {work} "
                          f"operations, past the bound of {_MAX_FIELD_WORK}")
-    return FiniteField(p, w, tuple(int_in(c) for c in doc["modulus"]) if doc.get("modulus") else None)
+    modulus = _field(doc, "modulus", list, path, None)
+    return FiniteField(p, w, tuple(int_in(c) for c in modulus) if modulus else None)
 
 
 def series_out(s):
@@ -158,16 +145,12 @@ def series_out(s):
 
 
 def series_in(doc):
-    try:
-        trunc = int_in(doc["trunc"])
-        f = field_in(doc, trunc)
-        coeffs = doc["coeffs"]
-        if not all(type(c) is int for c in coeffs):
-            coeffs = [_coeff_in(c) for c in coeffs]
-        return TruncSeries(f, coeffs, trunc)
-    except TypeError:
-        _misshapen(doc, _SERIES)
-        raise
+    trunc = int_in(_field(doc, "trunc"))
+    f = field_in(doc, trunc)
+    coeffs = _field(doc, "coeffs", list)
+    if not all(type(c) is int for c in coeffs):
+        coeffs = [_coeff_in(c) for c in coeffs]
+    return TruncSeries(f, coeffs, trunc)
 
 
 # -- break sequences and transfer functions ---------------------------------
@@ -193,11 +176,7 @@ def break_data_out(bd):
 
 def break_data_in(doc):
     # BreakData reads e and each break with frac_in
-    try:
-        return BreakData(int_in(doc["p"]), doc["e"], tuple(doc["upper"]))
-    except TypeError:
-        _misshapen(doc, _BREAK_DATA)
-        raise
+    return BreakData(int_in(_field(doc, "p")), _field(doc, "e"), tuple(_field(doc, "upper", list)))
 
 
 def plfunc_out(f):
@@ -210,19 +189,16 @@ def plfunc_out(f):
 
 def plfunc_in(doc):
     # PLFunc reads each breakpoint, slope and the value at 0 with frac_in
-    try:
-        return PLFunc(tuple(doc["breakpoints"]), tuple(doc["slopes"]), doc["value_at_origin"])
-    except TypeError:
-        _misshapen(doc, _PLFUNC)
-        raise
+    return PLFunc(tuple(_field(doc, "breakpoints", list)), tuple(_field(doc, "slopes", list)),
+                  _field(doc, "value_at_origin"))
 
 
 # -- truncated valuation rings ----------------------------------------------
 
 
-def trunc_object_in(doc):
-    e = int_in(doc["e"])
-    return TruncObject(field_in(doc["field"], e), e)
+def trunc_object_in(doc, path=()):
+    e = int_in(_field(doc, "e", path=path))
+    return TruncObject(field_in(_field(doc, "field", path=path), e, (*path, "field")), e)
 
 
 def morphism_out(f):
@@ -237,17 +213,13 @@ def morphism_out(f):
 
 
 def morphism_in(doc):
-    try:
-        src = trunc_object_in(doc["source"])
-        dst = trunc_object_in(doc["target"])
-        eta = dst.element([_coeff_in(c) for c in doc["eta_coeff"]])
-        mu = None
-        if doc.get("mu_image") is not None:
-            mu = dst.element([_coeff_in(c) for c in doc["mu_image"]])
-        return TruncMorphism(src, dst, int_in(doc["r"]), int_in(doc["res_twist"]), eta, mu)
-    except TypeError:
-        _misshapen(doc, _MORPHISM)
-        raise
+    src = trunc_object_in(_field(doc, "source"), ("source",))
+    dst = trunc_object_in(_field(doc, "target"), ("target",))
+    eta = dst.element([_coeff_in(c) for c in _field(doc, "eta_coeff", list)])
+    mu = _field(doc, "mu_image", list, default=None)
+    if mu is not None:
+        mu = dst.element([_coeff_in(c) for c in mu])
+    return TruncMorphism(src, dst, int_in(_field(doc, "r")), int_in(_field(doc, "res_twist")), eta, mu)
 
 
 # -- theorem inputs and reports ----------------------------------------------
@@ -255,11 +227,9 @@ def morphism_in(doc):
 
 def theorem_inputs_in(doc):
     bd = break_data_in(doc)
-    kwargs = {k: int_in(doc[k]) for k in ("a", "m") if doc.get(k) is not None}
-    zp = doc.get("contained_in_zp", True)
-    if type(zp) is not bool:
-        raise ValueError(f"contained_in_zp must be true or false, not {zp!r}")
-    return TheoremInputs(bd, contained_in_zp=zp, **kwargs)
+    a, m = _field(doc, "a", default=None), _field(doc, "m", default=None)
+    return TheoremInputs(bd, a if a is None else int_in(a), m if m is None else int_in(m),
+                         _field(doc, "contained_in_zp", bool, default=True))
 
 
 def condition_report_out(r):
@@ -313,15 +283,11 @@ def padic_out(u):
 
 
 def padic_in(doc):
-    try:
-        p = int_in(doc["p"])
-        prec = int_in(doc["prec"])
-        trunc = int_in(doc["trunc"])
-        check_budget(trunc * prec * len(str(p)))
-        return PadicSeries(p, prec, trunc, tuple(int_in(c) for c in doc["coeffs"]))
-    except TypeError:
-        _misshapen(doc, _PADIC)
-        raise
+    p = int_in(_field(doc, "p"))
+    prec = int_in(_field(doc, "prec"))
+    trunc = int_in(_field(doc, "trunc"))
+    check_budget(trunc * prec * len(str(p)))
+    return PadicSeries(p, prec, trunc, tuple(int_in(c) for c in _field(doc, "coeffs", list)))
 
 
 def divided_out(q):

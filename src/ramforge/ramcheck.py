@@ -12,7 +12,7 @@ just a boolean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvariantError
@@ -302,8 +302,9 @@ def _report(ti, m, **fields):
     return ConditionReport(ti.p, ti.e, ti.n, ti.a, m, contained_in_zp=ti.contained_in_zp, **fields)
 
 
-def _evaluate(ti, m, **fields):
-    """Evaluate the three conditions at level m (1 <= m <= n) for cutoff ti.a."""
+def _evaluate(ti, m):
+    """The three conditions at level m (1 <= m <= n) for cutoff ti.a, as
+    the fields of their report, and whether all three pass."""
     tp, yhz, psi = ti.tp, ti.yhz, ti.bd.psi
     p, e, n, a = ti.p, ti.e, ti.n, ti.a
     q, r = q_r_values(tp, yhz, m)
@@ -328,20 +329,16 @@ def _evaluate(ti, m, **fields):
     lhs, rhs = psi.preimage(a), phi_EK_closed_form(tp, yhz, m)  # condition 2: phi(a) > rhs
     cond3_rhs = psi(ti.bd.upper[-1])
 
-    return _report(
-        ti, m,
+    cond1 = all(it.ok for it in items)
+    cond2 = lhs.numerator * rhs.denominator > rhs.numerator * lhs.denominator
+    cond3 = a * cond3_rhs.denominator > cond3_rhs.numerator
+    fields = dict(
         y=yhz.y, h=yhz.h, z=yhz.z, q=q, r=r, t_examined=ts,
-        cond1=all(it.ok for it in items),
-        cond1_details=tuple(items),
-        psi_ml_lower_bound=min(it.bound for it in items),
-        cond2=lhs.numerator * rhs.denominator > rhs.numerator * lhs.denominator,
-        cond2_lhs=lhs,
-        cond2_rhs=rhs,
-        cond3=a * cond3_rhs.denominator > cond3_rhs.numerator,
-        cond3_lhs=a,
-        cond3_rhs=cond3_rhs,
-        **fields,
+        cond1=cond1, cond1_details=tuple(items), psi_ml_lower_bound=min(it.bound for it in items),
+        cond2=cond2, cond2_lhs=lhs, cond2_rhs=rhs,
+        cond3=cond3, cond3_lhs=a, cond3_rhs=cond3_rhs,
     )
+    return fields, cond1 and cond2 and cond3
 
 
 def check_conditions(ti):
@@ -363,14 +360,12 @@ def check_conditions(ti):
         )
     if not (1 <= m_val <= ti.n):
         raise ValueError(f"m = {m_val} outside [1, n = {ti.n}]")
-    report = _evaluate(ti, m_val, m0=m0_val)
-    if not ti.contained_in_zp:
-        proot = _proot_check(ti, m0_val)
-        path = "proot" if proot.guarantee != "none" else "main"
-        return replace(report, guarantee=proot.guarantee, path=path, proot=proot)
-    if report.all_pass:
-        return replace(report, guarantee=f"p^{m_val}")
-    return report
+    conds, passed = _evaluate(ti, m_val)
+    if ti.contained_in_zp:
+        return _report(ti, m_val, m0=m0_val, guarantee=f"p^{m_val}" if passed else "none", **conds)
+    proot = _proot_check(ti, m0_val)
+    path = "proot" if proot.guarantee != "none" else "main"
+    return _report(ti, m_val, m0=m0_val, guarantee=proot.guarantee, path=path, proot=proot, **conds)
 
 
 def proot_check(ti):
@@ -396,7 +391,6 @@ def _proot_check(ti, m0_val):
         BreakData(ti.p, ti.bd.e, ti.bd.upper[:-1]), a=l, contained_in_zp=ti.contained_in_zp
     )
     m = m0_val - 1
-    report = _evaluate(sub, m, m0=m0_val, path="proot", l=l)
-    if report.all_pass:
-        return replace(report, guarantee=f"p^{m} (proot)")
-    return report
+    conds, passed = _evaluate(sub, m)
+    guarantee = f"p^{m} (proot)" if passed else "none"
+    return _report(sub, m, m0=m0_val, path="proot", l=l, guarantee=guarantee, **conds)

@@ -617,9 +617,9 @@ class TestContract:
 
     @pytest.mark.parametrize("argv, reason", [
         (("check", "main", "--input", '{"p": 5, "e": 1, "upper": [1, 2, 3], "contained_in_zp": "no"}'),
-         "contained_in_zp must be true or false, not 'no'"),
+         'field "contained_in_zp" must be a boolean, not a string'),
         (("check", "proot", "--input", '{"p": 5, "e": 1, "upper": [1, 2], "contained_in_zp": null}'),
-         "contained_in_zp must be true or false, not None"),
+         'field "contained_in_zp" must be a boolean, not null'),
         (("breaks", "validate", "--input", '{"p": 5, "e": true, "upper": [1]}'), "not an exact rational: True"),
         (("series", "depth", "--series", '{"p": 5}'), 'missing field "trunc"'),
         (("trunc", "iso", "--f", '{"source": {"field": {"p": 5}, "e": 3}}'), 'missing field "target"'),

@@ -10,6 +10,7 @@ bound, the level count), where the door must refuse it, or one the
 program reads off a cycle.  Whatever the input, a run ends in exit 0, 2
 or 3, prints one JSON document and writes nothing to stderr, so no
 traceback, and an input error's reason is the program's, not Python's.
+A list field given junk of another kind ends in exit 2.
 """
 
 import contextlib
@@ -27,8 +28,9 @@ from helpers import random_break_data
 
 FUZZ = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
-# a JSON value of the wrong kind for any field, and the extremes of an integer
-JUNK = st.sampled_from([None, True, 2.5, "x", "", "1e3", [], {}, [1, [2]], {"p": 5}])
+# a JSON value of the wrong kind for any field, among them a string and an
+# object whose items would read as a list's; and the extremes of an integer
+JUNK = st.sampled_from([None, True, 2.5, "x", "", "1e3", "123", [], {}, [1, [2]], {"p": 5}, {"1": 1}])
 EXTREMES = st.sampled_from([0, -1, -7, 10**7, 2**64, 10**30])
 P_VALUES = st.sampled_from([2, 3, 5, 7, 4, 2**61 - 1])
 SMALL_INTS = st.integers(-2, 12)
@@ -47,27 +49,33 @@ FIELDS = st.sampled_from([
 
 @st.composite
 def spoiled(draw, docs):
-    """A document from docs, three in ten with one field missing, of the
-    wrong kind or extreme."""
+    """(text, refused): a document from docs, three in ten with one field
+    missing, of the wrong kind or extreme, and whether it must be refused
+    because a list field holds junk of another kind (the modulus may be
+    null)."""
     doc = dict(draw(docs))
-    how = draw(st.integers(0, 9))
+    how, refused = draw(st.integers(0, 9)), False
     if how >= 7 and doc:
         key = draw(st.sampled_from(sorted(doc)))
         if how == 7:
             del doc[key]
         else:
-            doc[key] = draw(JUNK if how == 8 else EXTREMES)
-    return json.dumps(doc)
+            value = draw(JUNK if how == 8 else EXTREMES)
+            refused = (how == 8 and isinstance(doc[key], list) and not isinstance(value, list)
+                       and not (key == "modulus" and value is None))
+            doc[key] = value
+    return json.dumps(doc), refused
 
 
 @st.composite
 def spoiled_text(draw, texts):
-    """A flag value from texts, three in ten of the wrong kind or extreme."""
+    """(text, False): a flag value from texts, three in ten of the wrong
+    kind or extreme."""
     how = draw(st.integers(0, 9))
     if how < 7:
-        return draw(texts)
+        return draw(texts), False
     return draw(st.sampled_from(["x", "1.5", "", "1e3", "0x10", " 7", "1/0", "-0"]) if how == 7
-                else EXTREMES.map(str))
+                else EXTREMES.map(str)), False
 
 
 def field_doc(p, w, modulus):
@@ -160,15 +168,18 @@ def test_every_reader_has_a_strategy():
 
 @st.composite
 def command_lines(draw, flags):
-    """A command's flags, one in ten lines without one of them."""
+    """(argv, refused): a command's flags, one in ten lines without one of
+    them, and whether a flag value must be refused."""
     left_out = draw(st.sampled_from(flags))[0] if draw(st.integers(0, 9)) == 9 else None
-    argv = []
+    argv, refused = [], False
     for name, read, *_ in flags:
         if read is bool:
             argv += [name] if draw(st.booleans()) else []
         elif name != left_out:
-            argv += [name, draw(READERS[read])]
-    return argv
+            text, bad = draw(READERS[read])
+            argv += [name, text]
+            refused = refused or bad
+    return argv, refused
 
 
 def run(argv):
@@ -182,9 +193,11 @@ def run(argv):
 def test_every_run_ends_in_one_document(group, op, flags):
     @FUZZ
     @given(command_lines(flags))
-    def check(argv):
+    def check(line):
+        argv, refused = line
         code, out, err = run([group, op, *argv])
         assert code in (0, 2, 3), out
+        assert code == 2 or not refused, (argv, out)
         doc = json.loads(out)
         assert (code == 0) == ("error" not in doc)
         assert err == ""

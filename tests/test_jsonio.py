@@ -40,6 +40,7 @@ from ramforge.jsonio import (
     ram_sequence_out,
     series_in,
     series_out,
+    theorem_inputs_in,
 )
 from ramforge.herbrand import BreaksVerdict, Violation, psi_from_breaks
 from ramforge.nottingham import IndexReport, RamSequence
@@ -289,6 +290,17 @@ class TestMisshapenFields:
         (break_data_in, {"p": 5, "e": 1, "upper": None}, 'field "upper" must be a list, not null'),
         (plfunc_in, {"breakpoints": ["0/1"], "slopes": 1, "value_at_origin": "0/1"},
          'field "slopes" must be a list, not a number'),
+        # a string or an object iterates, so each once read as a list
+        (break_data_in, {"p": 5, "e": 1, "upper": "123"}, 'field "upper" must be a list, not a string'),
+        (series_in, {**FIELD, "trunc": 4, "coeffs": "0110"}, 'field "coeffs" must be a list, not a string'),
+        (plfunc_in, {"breakpoints": "0", "slopes": "1", "value_at_origin": "0"},
+         'field "breakpoints" must be a list, not a string'),
+        (theorem_inputs_in, {"p": 5, "e": 1, "upper": {"1": 1}}, 'field "upper" must be a list, not an object'),
+        (morphism_in, {"source": TARGET, "target": TARGET, "r": 1, "res_twist": 0, "eta_coeff": "1"},
+         'field "eta_coeff" must be a list, not a string'),
+        (morphism_in, {"source": {"field": {"w": 1}, "e": 1}, "target": TARGET, "r": 2, "res_twist": 0,
+                       "eta_coeff": [1]},
+         'missing field "source.field.p"'),
     ])
     def test_reason_names_the_field(self, read, doc, reason):
         with pytest.raises(ValueError) as info:
