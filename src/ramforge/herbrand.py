@@ -16,7 +16,7 @@ import math
 import re
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -49,42 +49,42 @@ def int_in(v):
     raise ValueError(f"expected an integer, got {v!r}")
 
 
+def _lowest(num, den):
+    """The pair num/den in lowest terms, for den > 0."""
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
 _FRACTION = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def frac_in(x):
-    """An exact rational from a Fraction, an int (not a bool), a string "a"
-    or "a/b" of decimal digits with an optional minus sign on a, or a
-    [numerator, denominator] pair of integers; anything else, or a zero
-    denominator, is a ValueError.  The exact types are tried first, so the
-    common inputs skip the abstract-base-class checks."""
+def _rational_in(x):
+    """(numerator, denominator > 0) in lowest terms, read from a Fraction, an
+    int (not a bool), a string "a" or "a/b" of decimal digits with an
+    optional minus sign on a, or a [numerator, denominator] pair of
+    integers; anything else, or a zero denominator, is a ValueError.  The
+    exact types are tried first, so the common inputs skip the
+    abstract-base-class checks."""
     kind = type(x)
-    if kind is Fraction:
-        return x
     if kind is int:
-        return Fraction(x)
-    if kind is not str and isinstance(x, Fraction):
-        return x
+        return x, 1
+    if kind is Fraction or (kind is not str and isinstance(x, Fraction)):
+        return x.numerator, x.denominator
     if isinstance(x, str) and (m := _FRACTION.fullmatch(x)):
         num, den = parse_decimal(m[1]), parse_decimal(m[2]) if m[2] else 1
     elif isinstance(x, (tuple, list)) and len(x) == 2:
         num, den = int_in(x[0]), int_in(x[1])
     else:
         raise ValueError(f"not an exact rational: {x!r}")
-    try:
-        return Fraction(num, den)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator: {x!r}") from None
+    if den == 0:
+        raise ValueError(f"zero denominator: {x!r}")
+    return _lowest(num, den) if den > 0 else _lowest(-num, -den)
 
 
-def _over(xs):
-    """(D, [x * D for x in xs]): rationals as integers over their least
-    common denominator D."""
-    d = math.lcm(*(x.denominator for x in xs))
-    return d, [x.numerator * (d // x.denominator) for x in xs]
-
-
-_ZERO = Fraction(0)
+def frac_in(x):
+    """The rational _rational_in reads from x (a Fraction, an int, a decimal
+    string "a" or "a/b", or a [numerator, denominator] pair), as a Fraction."""
+    return x if type(x) is Fraction else Fraction(*_rational_in(x))
 
 
 @dataclass(frozen=True)
@@ -118,94 +118,131 @@ class BreakData:
         """The lower-numbering transfer function, slope p^(j+1) after break b_j:
         built on first use and kept, outside equality, hashing and the wire format."""
         p = self.p
-        slopes = tuple(Fraction(p**j) for j in range(self.n + 1))
-        return PLFunc._of((_ZERO,) + self.upper, slopes, _ZERO)
+        bps = [(0, 1)] + [(b.numerator, b.denominator) for b in self.upper]
+        return PLFunc._of(bps, [(p**j, 1) for j in range(self.n + 1)], (0, 1))
 
 
-@dataclass(frozen=True)
 class PLFunc:
     """A continuous, strictly increasing piecewise-linear function on [0, oo).
 
     slopes[i] applies on [breakpoints[i], breakpoints[i+1]); the last slope
-    extends to infinity.  Stored in canonical form (adjacent equal slopes
-    merged), so dataclass equality is function equality.
+    extends to infinity.  Kept in canonical form (adjacent equal slopes
+    merged), so equal data is function equality.
 
-    Its integer form is built once, on construction: the breakpoints are
-    ``_bnum[i] / _bden``, segment i is the line ``(_pnum[i] x + _qnum[i]) /
-    _den`` and the value at breakpoint i is ``_vnum[i] / _den``.  A point
-    x = a/b lies at or past breakpoint i exactly when _bnum[i] <= a*_bden // b,
-    and a value y = a/b at or past the value at breakpoint i exactly when
+    Its state is an integer form, built once, on construction: the
+    breakpoints are ``_bnum[i] / _bden``, segment i is the line
+    ``(_pnum[i] x + _qnum[i]) / _den``, the value at breakpoint i is
+    ``_vnum[i] / _den`` and ``_slopes[i]`` is the slope of segment i as a
+    (numerator, denominator) pair in lowest terms.  A point x = a/b lies at
+    or past breakpoint i exactly when _bnum[i] <= a*_bden // b, and a value
+    y = a/b at or past the value at breakpoint i exactly when
     _vnum[i] <= a*_den // b, so evaluation, slopes and preimages find their
-    segment by an integer bisect and build one Fraction each.
+    segment by an integer bisect and build one Fraction each.  The public
+    fields ``breakpoints``, ``slopes``, ``value_at_origin`` and ``values``
+    are Fraction tuples built when read.
     """
 
-    breakpoints: tuple[Fraction, ...]
-    slopes: tuple[Fraction, ...]
-    value_at_origin: Fraction
-    _bden: int = field(init=False, repr=False, compare=False)
-    _bnum: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _den: int = field(init=False, repr=False, compare=False)
-    _pnum: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _qnum: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _vnum: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        bps = tuple(frac_in(b) for b in self.breakpoints)
-        sls = tuple(frac_in(s) for s in self.slopes)
-        v0 = frac_in(self.value_at_origin)
-        nums = _over(bps)[1]
-        if not bps or nums[0] != 0:
+    def __init__(self, breakpoints, slopes, value_at_origin):
+        bps = [_rational_in(b) for b in breakpoints]
+        sls = [_rational_in(s) for s in slopes]
+        v0 = _rational_in(value_at_origin)
+        if not bps or bps[0][0] != 0:
             raise ValueError("breakpoints must start at 0")
         if len(sls) != len(bps):
             raise ValueError("need exactly one slope per breakpoint")
-        if any(a >= b for a, b in zip(nums, nums[1:])):
+        if any(a * d >= c * b for (a, b), (c, d) in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if any(s.numerator <= 0 for s in sls):
+        if any(n <= 0 for n, _ in sls):
             raise ValueError("slopes must be positive")
         self._build(bps, sls, v0)
 
     @classmethod
     def _of(cls, bps, sls, v0):
-        """The function of Fraction data already known to be valid: the
-        breakpoints strictly increasing from 0, one positive slope each."""
+        """The function of (numerator, denominator) pairs in lowest terms
+        already known to be valid: the breakpoints strictly increasing from
+        0, one positive slope each."""
         f = object.__new__(cls)
         f._build(bps, sls, v0)
         return f
 
     def _build(self, bps, sls, v0):
-        """Merge adjacent equal slopes and build the integer form.
+        """Merge adjacent equal slopes and build the integer form from
+        reduced pairs.
 
         With every slope over the denominator L and the breakpoints over D,
         den = lcm(v0's denominator, L*D) puts the slope of each segment and
         its value at 0 over den, and makes each slope numerator a multiple
-        of D; continuity at breakpoint i + 1 gives the next intercept.
+        of D; continuity at each breakpoint gives the next intercept.
         """
         cb, cs = [bps[0]], [sls[0]]
         for b, s in zip(bps[1:], sls[1:]):
-            if s.numerator != cs[-1].numerator or s.denominator != cs[-1].denominator:
+            if s != cs[-1]:
                 cb.append(b)
                 cs.append(s)
-        bden, bnum = _over(cb)
-        den = math.lcm(v0.denominator, math.lcm(*(s.denominator for s in cs)) * bden)
-        pnum = [s.numerator * (den // s.denominator) for s in cs]
-        qnum = [v0.numerator * (den // v0.denominator)]
-        for i in range(1, len(cs)):
-            qnum.append(qnum[-1] + (pnum[i - 1] - pnum[i]) // bden * bnum[i])
-        vnum = tuple(pn // bden * bn + qn for pn, bn, qn in zip(pnum, bnum, qnum))
-        # a frozen dataclass: its fields are set once, here
+        bden = math.lcm(*[d for _, d in cb])
+        den = math.lcm(v0[1], math.lcm(*[d for _, d in cs]) * bden)
+        bnum, pnum, qnum, vnum = [], [], [], []
+        q, last = v0[0] * (den // v0[1]), 0  # the first breakpoint is 0
+        for (n, d), (sn, sd) in zip(cb, cs):
+            b, p = n * (bden // d), sn * (den // sd)
+            q += (last - p) // bden * b
+            last = p
+            bnum.append(b)
+            pnum.append(p)
+            qnum.append(q)
+            vnum.append(p // bden * b + q)
+        # immutable: the state is set once, here
         self.__dict__.update(
-            breakpoints=tuple(cb), slopes=tuple(cs), value_at_origin=v0, _bden=bden,
-            _bnum=tuple(bnum), _den=den, _pnum=tuple(pnum), _qnum=tuple(qnum), _vnum=vnum,
+            _bden=bden, _bnum=tuple(bnum), _den=den, _pnum=tuple(pnum), _qnum=tuple(qnum),
+            _vnum=tuple(vnum), _slopes=tuple(cs),
         )
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash((self._bden, self._bnum, self._den, self._pnum, self._qnum))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(breakpoints={self.breakpoints!r}, "
+                f"slopes={self.slopes!r}, value_at_origin={self.value_at_origin!r})")
+
+    @property
+    def breakpoints(self):
+        bden = self._bden
+        return tuple(Fraction(b, bden) for b in self._bnum)
+
+    @property
+    def slopes(self):
+        return tuple(Fraction(n, d) for n, d in self._slopes)
+
+    @property
+    def value_at_origin(self):
+        return Fraction(self._vnum[0], self._den)
+
+    def _pairs(self):
+        """The breakpoints, the slopes and the value at 0 as (numerator,
+        denominator) pairs in lowest terms."""
+        bden = self._bden
+        return [_lowest(b, bden) for b in self._bnum], self._slopes, _lowest(self._vnum[0], self._den)
 
     @property
     def values(self):
-        """The value at each breakpoint, read off the integer form."""
-        return tuple(Fraction(v, self._den) for v in self._vnum)
+        """The value at each breakpoint."""
+        den = self._den
+        return tuple(Fraction(v, den) for v in self._vnum)
 
     @classmethod
     def identity(cls):
-        return cls((_ZERO,), (Fraction(1),), _ZERO)
+        return cls._of([(0, 1)], [(1, 1)], (0, 1))
 
     def _index(self, a, b):
         """The segment containing a/b, for integers a and b > 0."""
@@ -220,20 +257,18 @@ class PLFunc:
         return self._pnum[i] * a + self._qnum[i] * b, self._den * b
 
     def __call__(self, x):
-        x = frac_in(x)
-        return Fraction(*self._ratio(x.numerator, x.denominator))
+        return Fraction(*self._ratio(*_rational_in(x)))
 
     def slope_at(self, x):
         """Slope of the segment containing x (right-continuous at kinks)."""
-        x = frac_in(x)
-        return self.slopes[self._index(x.numerator, x.denominator)]
+        return Fraction(*self._slopes[self._index(*_rational_in(x))])
 
     def preimage(self, y):
         """The unique x >= 0 with self(x) = y; requires y >= self(0)."""
-        y = frac_in(y)
-        a, b, den = y.numerator, y.denominator, self._den
+        a, b = _rational_in(y)
+        den = self._den
         if a * den < self._vnum[0] * b:
-            raise ValueError(f"{y} is below the range of this function")
+            raise ValueError(f"{Fraction(a, b)} is below the range of this function")
         i = bisect_right(self._vnum, a * den // b) - 1
         return Fraction(a * den - self._qnum[i] * b, self._pnum[i] * b)
 
@@ -241,8 +276,9 @@ class PLFunc:
         """The compositional inverse; requires self(0) = 0 so the domain is [0, oo)."""
         if self._vnum[0] != 0:
             raise ValueError("inverse is only supported for functions fixing 0")
-        slopes = tuple(Fraction(s.denominator, s.numerator) for s in self.slopes)
-        return PLFunc._of(self.values, slopes, _ZERO)
+        den = self._den
+        return PLFunc._of([_lowest(v, den) for v in self._vnum],
+                          [(d, n) for n, d in self._slopes], (0, 1))
 
 
 def psi_from_breaks(bd):
@@ -266,12 +302,12 @@ def pl_compose(f, g):
     """
     if g._vnum[0] < 0:
         raise ValueError("ranges incompatible: g takes negative values at 0")
-    gv, gq, gp, gden = g._vnum, g._qnum, g._pnum, g._den
+    gb, gbden, gv, gq, gp, gden = g._bnum, g._bden, g._vnum, g._qnum, g._pnum, g._den
     fb, fbden, fp = f._bnum, f._bden, f._pnum
     i, j = 0, bisect_right(fb, gv[0] * fbden // gden) - 1
-    bps, sls, den = [_ZERO], [], f._den * gden
+    bps, sls, den = [(0, 1)], [], f._den * gden
     while True:
-        sls.append(Fraction(fp[j] * gp[i], den))
+        sls.append(_lowest(fp[j] * gp[i], den))
         g_next, f_next = i + 1 < len(gv), j + 1 < len(fb)
         if g_next and f_next:
             order = gv[i + 1] * fbden - fb[j + 1] * gden
@@ -283,10 +319,10 @@ def pl_compose(f, g):
             j += 1
         if order <= 0:
             i += 1
-            bps.append(g.breakpoints[i])
+            bps.append(_lowest(gb[i], gbden))
         else:
-            bps.append(Fraction(fb[j] * gden - gq[i] * fbden, gp[i] * fbden))
-    return PLFunc._of(tuple(bps), tuple(sls), f(g.value_at_origin))
+            bps.append(_lowest(fb[j] * gden - gq[i] * fbden, gp[i] * fbden))
+    return PLFunc._of(bps, sls, _lowest(*f._ratio(gv[0], gden)))
 
 
 def tame_psi(e):

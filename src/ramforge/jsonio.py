@@ -93,13 +93,18 @@ def _coeff_in(c):
     return tuple(int_in(x) for x in c) if isinstance(c, list) else int_in(c)
 
 
+def _ratio_out(num, den):
+    """The text "num/den" of a rational given in lowest terms."""
+    try:
+        return f"{num}/{den}"
+    except ValueError:
+        return f"{_decimal(num)}/{_decimal(den)}"
+
+
 def frac_out(x):
     if type(x) is not Fraction:
         x = Fraction(x)
-    try:
-        return f"{x.numerator}/{x.denominator}"
-    except ValueError:
-        return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+    return _ratio_out(x.numerator, x.denominator)
 
 
 def frac_pair_out(x):
@@ -180,16 +185,18 @@ def break_data_in(doc):
 
 
 def plfunc_out(f):
+    """Each rational written from its reduced pair, without a Fraction."""
+    bps, sls, v0 = f._pairs()
     return {
-        "breakpoints": [frac_out(b) for b in f.breakpoints],
-        "slopes": [frac_out(s) for s in f.slopes],
-        "value_at_origin": frac_out(f.value_at_origin),
+        "breakpoints": [_ratio_out(*b) for b in bps],
+        "slopes": [_ratio_out(*s) for s in sls],
+        "value_at_origin": _ratio_out(*v0),
     }
 
 
 def plfunc_in(doc):
-    # PLFunc reads each breakpoint, slope and the value at 0 with frac_in
-    return PLFunc(tuple(_field(doc, "breakpoints", list)), tuple(_field(doc, "slopes", list)),
+    # PLFunc reads each breakpoint, slope and the value at 0 as a reduced pair
+    return PLFunc(_field(doc, "breakpoints", list), _field(doc, "slopes", list),
                   _field(doc, "value_at_origin"))
 
 

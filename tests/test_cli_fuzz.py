@@ -31,6 +31,12 @@ FUZZ = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 # a JSON value of the wrong kind for any field, among them a string and an
 # object whose items would read as a list's; and the extremes of an integer
 JUNK = st.sampled_from([None, True, 2.5, "x", "", "1e3", "123", [], {}, [1, [2]], {"p": 5}, {"1": 1}])
+# junk for a list field: digit strings, whose characters would read as a
+# plausible list's items
+LIST_JUNK = st.sampled_from(["0", "01", "123", "0110"])
+# a rational written as a [num, den] pair, which a number or a string also
+# gives: not a list field
+PAIRS = {"e"}
 EXTREMES = st.sampled_from([0, -1, -7, 10**7, 2**64, 10**30])
 P_VALUES = st.sampled_from([2, 3, 5, 7, 4, 2**61 - 1])
 SMALL_INTS = st.integers(-2, 12)
@@ -52,16 +58,20 @@ def spoiled(draw, docs):
     """(text, refused): a document from docs, three in ten with one field
     missing, of the wrong kind or extreme, and whether it must be refused
     because a list field holds junk of another kind (the modulus may be
-    null)."""
+    null).  Junk goes to a list field, if the document has one, half the
+    time (on the simpler draw, which hypothesis makes more often), and there
+    it is a digit string."""
     doc = dict(draw(docs))
     how, refused = draw(st.integers(0, 9)), False
     if how >= 7 and doc:
-        key = draw(st.sampled_from(sorted(doc)))
+        lists = sorted(k for k, v in doc.items() if isinstance(v, list) and k not in PAIRS)
+        to_list = how == 8 and lists and not draw(st.booleans())
+        key = draw(st.sampled_from(lists if to_list else sorted(doc)))
         if how == 7:
             del doc[key]
         else:
-            value = draw(JUNK if how == 8 else EXTREMES)
-            refused = (how == 8 and isinstance(doc[key], list) and not isinstance(value, list)
+            value = draw(LIST_JUNK if to_list else JUNK if how == 8 else EXTREMES)
+            refused = (how == 8 and key in lists and not isinstance(value, list)
                        and not (key == "modulus" and value is None))
             doc[key] = value
     return json.dumps(doc), refused

@@ -1,7 +1,9 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramforge import (
     BreakData,
@@ -16,6 +18,7 @@ from ramforge import (
     tame_psi,
     validate_breaks,
 )
+from ramforge.herbrand import _rational_in, frac_in
 
 from helpers import random_break_data
 
@@ -239,3 +242,62 @@ class TestPLFuncInvariants:
             PLFunc((F(0),), (F(-1),), F(0))  # negative slope
         with pytest.raises(ValueError):
             BreakData(5, 1, (2, 2))  # not strictly increasing
+
+
+# integers whose decimal text is past what a double holds exactly
+PAST_2_53 = st.integers(2**53 + 1, 2**90) | st.integers(-(2**90), -(2**53) - 1)
+
+
+def wire_rationals():
+    """(x, value): a wire form of a rational and the rational, built here
+    from the integers behind the text.  The forms: an int, a Fraction,
+    "a" and an unreduced "a/b", and [n, d] pairs of ints or of decimal
+    strings past 2^53, with either sign on d."""
+    num, den = st.integers(-(10**30), 10**30), st.integers(1, 10**30)
+    return st.one_of(
+        num.map(lambda n: (n, F(n))),
+        st.fractions().map(lambda f: (f, f)),
+        num.map(lambda n: (str(n), F(n))),
+        st.tuples(num, den, st.integers(1, 12)).map(
+            lambda t: (f"{t[0] * t[2]}/{t[1] * t[2]}", F(t[0], t[1]))),
+        st.tuples(PAST_2_53, PAST_2_53).map(lambda t: ([str(t[0]), str(t[1])], F(*t))),
+        st.tuples(num, den, st.booleans()).map(
+            lambda t: ([t[0], -t[1]] if t[2] else [t[0], t[1]], F(t[0], -t[1] if t[2] else t[1]))),
+    )
+
+
+class TestRationalReader:
+    """The one reader of a wire rational, against frac_in and against the
+    rational built from its integers: the same value as a pair in lowest
+    terms with a positive denominator, and the same error text on every
+    refused input."""
+
+    @pytest.mark.parametrize("x, pair", [
+        ("-3/4", (-3, 4)), ("6/8", (3, 4)), ("-10/4", (-5, 2)), ("0/5", (0, 1)), ("-0", (0, 1)),
+        ("6/3", (2, 1)), ("7", (7, 1)), (-6, (-6, 1)), (F(-6, 4), (-3, 2)), ([4, -6], (-2, 3)),
+        (["-4", "6"], (-2, 3)), ((3, 1), (3, 1)),
+        ([str(2**60), str(3 * 2**55)], (32, 3)), ([str(2**53 + 1), str(-(2**54))], (-(2**53) - 1, 2**54)),
+    ])
+    def test_table(self, x, pair):
+        assert _rational_in(x) == pair
+        value = frac_in(x)
+        assert (value.numerator, value.denominator) == pair
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(wire_rationals())
+    def test_matches_frac_in(self, case):
+        x, value = case
+        num, den = _rational_in(x)
+        assert (num, den) == (value.numerator, value.denominator)
+        assert frac_in(x) == value and frac_in(x).denominator == den
+
+    @pytest.mark.parametrize("bad", [True, 2.5, "+1", "1_0", "\uff11", "3/", "-/2", "1/0", [1, 0],
+                                     "1" * (sys.get_int_max_str_digits() + 1)],
+                             ids=["true", "float", "plus", "underscore", "fullwidth", "no-den", "no-num",
+                                  "zero-den", "zero-pair", "long"])
+    def test_refused_alike(self, bad):
+        with pytest.raises(ValueError, match="not an exact rational|zero denominator|too long to read") as pair:
+            _rational_in(bad)
+        with pytest.raises(ValueError) as value:
+            frac_in(bad)
+        assert str(pair.value) == str(value.value)

@@ -42,7 +42,7 @@ from ramforge.jsonio import (
     series_out,
     theorem_inputs_in,
 )
-from ramforge.herbrand import BreaksVerdict, Violation, psi_from_breaks
+from ramforge.herbrand import BreaksVerdict, PLFunc, Violation, psi_from_breaks
 from ramforge.nottingham import IndexReport, RamSequence
 from ramforge.pdyn import DynamicsReport, LevelReport, NewtonPolygon, Segment
 from ramforge.truncation import TruncMorphism, TruncObject
@@ -55,6 +55,11 @@ from helpers import (
     reference_trunc_object_out,
     reference_verdict_out,
 )
+
+
+def plfunc_knot_out(v):
+    """plfunc_out of a function with a knot at v."""
+    return plfunc_out(PLFunc((0, v), (1, 2), 0))
 
 
 class TestScalars:
@@ -95,7 +100,7 @@ class TestScalars:
             frac_in(bad)
         assert time.perf_counter() - started < 0.1
 
-    @pytest.mark.parametrize("write", [int_out, frac_out, lambda v: frac_out(F(1, v))])
+    @pytest.mark.parametrize("write", [int_out, frac_out, lambda v: frac_out(F(1, v)), plfunc_knot_out])
     def test_too_long_to_print_names_the_cause(self, write):
         with pytest.raises(ValueError, match=r"^the result has an integer of more than \d+ digits"):
             write(10 ** (sys.get_int_max_str_digits() + 1))
