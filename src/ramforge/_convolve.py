@@ -388,16 +388,19 @@ def baby_powers(inner, n, mod, modulus, k):
 
 def frobenius_wins(p, n):
     """The size test of the Frobenius split over F_p for outer series of n
-    blocks, from its measured crossover with Paterson-Stockmeyer (tables
-    built and one composition):
-    the split wins from n = p^2 terms on, as the p - 2 products behind
-    h^2 .. h^(p-1) grow with p, and below 64 terms, where both take well
-    under a millisecond, Paterson-Stockmeyer is kept.
+    blocks, from its measured crossover with Paterson-Stockmeyer in a
+    p-step of ``nottingham.compose_power`` (tables built, then p - 1
+    compositions onto one inner, or binary powering from p = 7): the
+    split wins from n = p^2 / 2 terms on, as the p - 2 products behind
+    h^2 .. h^(p-1) grow with p; at p = 11 .. 101 the crossover fell at
+    0.4 - 0.6 p^2, and at p <= 7 the split was ahead or level at every n
+    from 8.  Below 8 terms Paterson-Stockmeyer is kept: a short outer
+    loses with the split.
 
     It also requires that the split's unreduced row sums, at most p * n
     products below (p - 1)^2 (see ``_frobenius_compose``), fit directly in
-    int64.  As n >= p^2, that refuses nothing below n = 2^24.8."""
-    return n >= max(p * p, 64) and _pieces(p, p * n) == 1
+    int64.  As n >= p^2 / 2, that refuses nothing below n = 2^24.2."""
+    return n >= 8 and 2 * n >= p * p and _pieces(p, p * n) == 1
 
 
 def compose_data(inner, n, mod, modulus, blocks):

@@ -325,14 +325,22 @@ def pl_compose(f, g):
     return PLFunc._of(bps, sls, _lowest(*f._ratio(gv[0], gden)))
 
 
+def _tame_index(e):
+    """The index e of a tame step as a Fraction; ValueError unless e > 0."""
+    e = frac_in(e)
+    if e <= 0:
+        raise ValueError(f"tame index e must be positive, got {e}")
+    return e
+
+
 def tame_psi(e):
     """Transfer function of a tame totally ramified step of index e: x -> e*x."""
-    return PLFunc((Fraction(0),), (frac_in(e),), Fraction(0))
+    return PLFunc((Fraction(0),), (_tame_index(e),), Fraction(0))
 
 
 def tame_phi(e):
     """Inverse tame step: x -> x/e on x >= 0."""
-    return PLFunc((Fraction(0),), (1 / frac_in(e),), Fraction(0))
+    return PLFunc((Fraction(0),), (1 / _tame_index(e),), Fraction(0))
 
 
 @dataclass(frozen=True)

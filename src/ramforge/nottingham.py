@@ -9,8 +9,10 @@ required N is available.
 
 The iterates g, g^(p), g^(p^2), ... come from one chain, ``p_chain``, each
 link the p-fold composite of the one before: the lower breaks are the
-depths of its links, and ``p_iterate``, the image-order search and the
-level quotients and analysis of ``ramforge.pdyn`` read their iterates off it.
+depths of its links, which ``lower_breaks`` certifies on chains of g cut
+short of its truncation (``_planned_depths``), and ``p_iterate``, the
+image-order search and the level quotients and analysis of
+``ramforge.pdyn`` read their iterates off it.
 A link is ``compose_power(prev, p)``: for p <= 5 it composes onto prev
 p - 1 times, so each p-step builds the composition data of one inner
 series, prev; from p = 7 on it powers in binary.
@@ -143,13 +145,96 @@ def lower_breaks(g, n_max):
 
     Raises PrecisionError (carrying the certified prefix in ``partial``)
     as soon as some iterate's depth cannot be certified at the working
-    truncation.
+    truncation.  The breaks and the error are those of
+    ``certified_depths(p_chain(g, n_max))``, found by ``_planned_depths``
+    on chains cut short of g's truncation.
     """
     if n_max < 0:
         raise ValueError("the level count must be >= 0")
     p = g.field.p
-    lower = certified_depths(p_chain(g, n_max))
+    lower = _planned_depths(g, n_max)
     return RamSequence(p, tuple(lower), upper_from_lower(p, lower), g.trunc)
+
+
+def _planned_depths(g, n_max):
+    """The depths of links 0 .. n_max of g's chain, each certified on the
+    chain of g mod X^t for a t predicted from the depths found so far.
+
+    Composition commutes with truncation, so a depth certified at
+    t <= N = g.trunc is the depth at N.  A chain is built for t = 2 plus
+    the depth of link n_max that ``_predicted`` gives, never below the t
+    already reached, and read link by link; each certified depth gives
+    the next prediction its difference of upper breaks, which is 1 at
+    first.  The first chain is also long enough for links 1 and 2 with
+    differences up to max(2, p - 2): on random generators over F_2, F_3
+    and F_5 that spared the dearest chains, at p = 5, a second one most
+    often, and an overshoot is paid by every later link, so it stops at
+    link 2.  An uncertified depth, at least t - 1, moves t to at least
+    2t and to the next value Sen's congruence admits, at most N.  t only
+    grows, so there are at most about n_max + log2(N) chains, and only a
+    chain at N raises.  A generator of uncertified depth or depth 0, and
+    n_max = 0, take the chain at N.
+    """
+    n = g.trunc
+    i = depth(g)
+    if n_max == 0 or isinstance(i, AtLeast) or i == 0:
+        return certified_depths(p_chain(g, n_max))
+    p = g.field.p
+    lower, diff, t, at = [i], 1, 0, 0
+    # the first chain also serves links 1 and 2 for differences up to
+    # max(2, p - 2); t never falls below it
+    least = _predicted(p, i, 1, min(2, n_max), max(2, p - 2), n) + 2
+    for j in range(1, n_max + 1):
+        q = p**j
+        want = min(n, max(t, least, _predicted(p, lower[-1], j, n_max, diff, n) + 2))
+        while True:
+            if want != t:
+                t, chain, at = want, p_chain(g.truncate(want), n_max), -1
+            while at < j:
+                h, at = next(chain), at + 1
+            d = depth(h)
+            if not isinstance(d, AtLeast):
+                break
+            if t == n:
+                raise _uncertified(j, d.bound, n, lower)
+            # the depth is at least d.bound and congruent to i_(j-1) mod p^j
+            want = min(n, max(2 * t, d.bound + (lower[-1] - d.bound) % q + 2))
+        diff = (d - lower[-1]) // q
+        lower.append(d)
+    return lower
+
+
+def _predicted(p, i, j, n_max, diff, cap):
+    """The depth of link n_max predicted from i = i_(j-1), level by level:
+    i_k is the least value congruent to i_(k-1) mod p^k (Sen's congruence)
+    and at least both i_(k-1) + diff * p^k, for diff the last difference
+    of upper breaks, and p * i_(k-1), which every sampled chain met.  The
+    prediction stops once it reaches cap, so a large n_max costs nothing."""
+    for k in range(j, n_max + 1):
+        if i >= cap:
+            break
+        q = p**k
+        least = max(i + diff * q, p * i)
+        i = least + (i - least) % q
+    return i
+
+
+def _uncertified(n, bound, trunc, partial):
+    """The PrecisionError for link n of a chain, of depth >= bound at trunc."""
+    if n == 0:
+        return PrecisionError(
+            f"depth of the generator is uncertified (>= {bound}) at truncation {trunc}",
+            quantity="lower_break",
+            level=0,
+            partial=(),
+        )
+    return PrecisionError(
+        f"depth of the p^{n}-th iterate is uncertified (>= {bound}) "
+        f"at truncation {trunc}; retry with a larger truncation",
+        quantity="lower_break",
+        level=n,
+        partial=tuple(partial),
+    )
 
 
 def certified_depths(chain):
@@ -163,20 +248,7 @@ def certified_depths(chain):
     for n, h in enumerate(chain):
         d = depth(h)
         if isinstance(d, AtLeast):
-            if n == 0:
-                raise PrecisionError(
-                    f"depth of the generator is uncertified (>= {d.bound}) at truncation {h.trunc}",
-                    quantity="lower_break",
-                    level=0,
-                    partial=(),
-                )
-            raise PrecisionError(
-                f"depth of the p^{n}-th iterate is uncertified (>= {d.bound}) "
-                f"at truncation {h.trunc}; retry with a larger truncation",
-                quantity="lower_break",
-                level=n,
-                partial=tuple(lower),
-            )
+            raise _uncertified(n, d.bound, h.trunc, lower)
         if d < 1:
             raise ValueError("generator must have linear coefficient 1 and finite depth")
         lower.append(d)
@@ -202,9 +274,15 @@ def upper_from_lower(p, lower):
 
 
 def index_of(p, upper):
-    """Detect the eventual constant difference d of an upper-break sequence."""
+    """Detect the eventual constant difference d of an upper-break sequence.
+
+    Integer breaks, as ``upper_from_lower`` gives them, are compared as
+    integers; any other breaks are read as Fractions.
+    """
     _require_prime(p)
-    upper = tuple(Fraction(b) for b in upper)
+    upper = tuple(upper)
+    if not all(type(b) is int for b in upper):
+        upper = tuple(Fraction(b) for b in upper)
     if len(upper) < 2:
         raise ValueError("need at least two upper breaks")
     if any(b <= a for a, b in zip(upper, upper[1:])) or upper[0] <= 0:
@@ -217,13 +295,14 @@ def index_of(p, upper):
 
     cands = {diffs[i] for i in forced}
     if len(cands) > 1:
-        raise ValueError(f"inconsistent break sequence: forced steps give differences {sorted(cands)}")
+        raise ValueError("inconsistent break sequence: forced steps give differences "
+                         f"{sorted(Fraction(c) for c in cands)}")
     d = cands.pop()
     if d.denominator != 1 or d <= 0:
         raise ValueError(f"forced difference {d} is not a positive integer")
     d = int(d)
     first = forced[0]
-    if upper[first] < Fraction(d, p - 1):
+    if upper[first] * (p - 1) < d:
         raise ValueError(
             f"break b_{first} = {upper[first]} is below d/(p-1) = {Fraction(d, p - 1)} "
             "yet the next step is neither a p-fold jump nor consistent"

@@ -336,10 +336,11 @@ def oracle_compose(field, outer, inner, n):
 
 class TestBabyPowerMemo:
     """An inner series keeps its baby powers mod X^trunc once a composition
-    has built them; 7^10 is past the direct int64 bound at 60 terms, so its
-    products are split."""
+    has built them; F_11 keeps Paterson-Stockmeyer below 61 terms (p^2/2),
+    and 7^10 is past the direct int64 bound at 60 terms, so its products
+    are split."""
 
-    RINGS = ((F5, 40), (F27, 20), (FiniteField(7, prec=10), 60))
+    RINGS = ((FiniteField(11), 40), (F27, 20), (FiniteField(7, prec=10), 60))
 
     @pytest.mark.parametrize("field, n", RINGS, ids=lambda x: repr(x) if isinstance(x, FiniteField) else None)
     def test_compositions_through_the_memo_match_the_oracle(self, field, n):
@@ -407,14 +408,14 @@ class TestBabyPowerMemo:
 
 
 class TestFrobeniusMemo:
-    """Over F_p from n = max(p^2, 64) terms on, an inner series keeps the
+    """Over F_p from n = max(p^2/2, 8) terms on, an inner series keeps the
     tables of the Frobenius split; Z/p^P and F_{p^w} keep baby powers."""
 
     def test_ring_and_size_test(self):
         rng = random.Random(74)
-        for field, n, kind in ((F2, 63, list), (F2, 64, FrobeniusTables), (FiniteField(11), 120, list),
-                               (FiniteField(11), 121, FrobeniusTables), (FiniteField(5, prec=2), 400, list),
-                               (F25, 400, list)):
+        for field, n, kind in ((F2, 7, list), (F2, 8, FrobeniusTables), (F5, 12, list), (F5, 13, FrobeniusTables),
+                               (FiniteField(11), 60, list), (FiniteField(11), 61, FrobeniusTables),
+                               (FiniteField(5, prec=2), 400, list), (F25, 400, list)):
             zero = 0 if field.w == 1 else (0,) * field.w
             g = TruncSeries(field, [zero] + [ring_coeff(rng, field) for _ in range(n - 1)], n)
             TruncSeries.x(field, n).compose(g)

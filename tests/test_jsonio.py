@@ -258,6 +258,10 @@ class TestSeriesReader:
         ({"p": P, "trunc": 3, "coeffs": [0, 1, str(2**53 + 1)]}, False),
         ({"p": 5, "trunc": 3, "coeffs": [0, 1, "1e3"]}, True),
         ({"p": 5, "trunc": 3, "coeffs": [0, 1]}, True),
+        ({"p": 5, "trunc": 3, "coeffs": [0, 1, 2, 3]}, True),
+        ({"p": 5, "trunc": 0, "coeffs": []}, True),
+        ({"p": 5, "trunc": 3, "coeffs": [0, 1, 10**30]}, False),
+        ({"p": 5, "trunc": 3, "coeffs": [0, 1, None]}, True),
         ({**F4, "trunc": 3, "coeffs": [[0, 0], [1, 1], [0, 1]]}, False),
         ({**F4, "trunc": 3, "coeffs": [[0, 0], 1, [0, 1]]}, False),
         ({**F4, "trunc": 3, "coeffs": [0, 1, 1]}, False),
@@ -268,6 +272,12 @@ class TestSeriesReader:
         got = read(series_in, doc)
         assert got == read(per_coefficient_series_in, doc)
         assert isinstance(got, tuple) == fails
+
+    def test_budget_refuses_a_list_of_ints(self, monkeypatch):
+        monkeypatch.setenv("RAMFORGE_MAX_PRECISION", "10")
+        doc = {"p": 5, "trunc": 12, "coeffs": [0, 1] + [2] * 10}
+        assert read(series_in, doc) == ("ValueError", "requested precision (12 coefficient-digits) "
+                                        "exceeds the RAMFORGE_MAX_PRECISION cap of 10")
 
 
 class TestMisshapenFields:

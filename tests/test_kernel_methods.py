@@ -445,8 +445,9 @@ class TestComposeData:
     def test_ring_and_size_test(self):
         inner = [0, 1, 1]
         for mod, modulus, n, blocks, split in (
-            (2, None, 64, 64, True), (2, None, 64, 63, False), (5, None, 2000, 2, False),
-            (11, None, 121, 121, True), (11, None, 200, 120, False), (7, None, 100, 100, True),
+            (2, None, 64, 8, True), (2, None, 64, 7, False), (5, None, 2000, 2, False),
+            (5, None, 13, 13, True), (5, None, 100, 12, False), (11, None, 61, 61, True),
+            (11, None, 200, 60, False), (7, None, 100, 100, True),
             (4, None, 100, 100, False), (25, None, 1000, 1000, False), (3**20, None, 100, 100, False),
             (2, (1, 1, 1), 100, 100, False), (3, (1, 0, 1), 100, 100, False),
         ):
@@ -461,19 +462,22 @@ class TestComposeData:
     def test_split_refused_past_its_row_sum_bound(self, monkeypatch, p):
         # the split's unreduced row sums, at most p * n products below
         # (p - 1)^2, must fit directly in int64, and first do not at n0; at
-        # p = 6007 they do not from n = p^2 on, so the split never wins.
+        # p = 6007, n0 is about 2.13e7, just past p^2/2, about 1.80e7, where
+        # the size test first admits the split.
         # The builders are stubbed: no data of that size is made
         n0 = -(-SAFE // ((p - 1) ** 2 * p))
         assert (p - 1) ** 2 * p * (n0 - 1) < SAFE <= (p - 1) ** 2 * p * n0
-        small = max(p * p, 64)
+        small = max(-(-p * p // 2), 8)
         assert not _convolve.frobenius_wins(p, n0)
-        assert _convolve.frobenius_wins(p, n0 - 1) == (n0 - 1 >= small) == (p < 6007)
+        assert _convolve.frobenius_wins(p, n0 - 1) and n0 - 1 >= small
+        assert not _convolve.frobenius_wins(p, small - 1)
         monkeypatch.setattr(_convolve, "frobenius_tables", lambda *args: "split")
         monkeypatch.setattr(_convolve, "baby_powers", lambda *args: "paterson-stockmeyer")
         # the size test reads the outer blocks, the row sums the precision
         assert _convolve.is_prime(p)
-        for n, want in ((n0 - 1, "split" if p < 6007 else "paterson-stockmeyer"), (n0, "paterson-stockmeyer")):
-            assert _convolve.compose_data([0, 1], n, p, None, small) == want
+        for n, blocks, want in ((n0 - 1, small, "split"), (n0 - 1, small - 1, "paterson-stockmeyer"),
+                                (n0, small, "paterson-stockmeyer")):
+            assert _convolve.compose_data([0, 1], n, p, None, blocks) == want
 
     def test_short_outer_keeps_paterson_stockmeyer(self):
         # two outer blocks into 2000 terms: the split would lose

@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from ramforge import _convolve, gfseries
+from ramforge import _convolve, gfseries, jsonio, nottingham
 from ramforge import (
     AtLeast,
     FiniteField,
@@ -14,12 +15,14 @@ from ramforge import (
     depth,
     index_of,
     lower_breaks,
+    p_chain,
     p_iterate,
     series_agree_mod,
     subgroup_equal_mod,
     unit_part,
     upper_from_lower,
 )
+from ramforge.nottingham import certified_depths
 
 from helpers import (
     brute_compose,
@@ -193,11 +196,17 @@ class TestLowerBreaks:
     ])
     def test_x_plus_x_squared(self, monkeypatch, p, trunc, lower):
         # known answers, as Paterson-Stockmeyer gave them; for odd p,
-        # i_n = (p^(n+1) - 1)/(p - 1).  Every link here composes by the
-        # Frobenius split, through two levels or more
+        # i_n = (p^(n+1) - 1)/(p - 1).  The chain at the full truncation
+        # composes every link by the Frobenius split, through two levels or
+        # more: each link is the inner series of its p-step and keeps the
+        # split's tables
         g = S(FiniteField(p), [0, 1, 1], trunc)
         assert _convolve.frobenius_wins(p, trunc)
         assert len(_convolve.frobenius_tables(g.packed, trunc, p).sizes) >= 3
+        chain = list(p_chain(g, 3))
+        assert all(isinstance(h._baby, _convolve.FrobeniusTables) for h in chain[:-1])
+        assert tuple(depth(h) for h in chain) == lower
+        assert p_iterate(g, 3) == chain[-1]
         assert lower_breaks(g, 3).lower == lower
         if p > 2:
             assert lower == tuple((p ** (n + 1) - 1) // (p - 1) for n in range(4))
@@ -220,6 +229,120 @@ class TestLowerBreaks:
         with pytest.raises(PrecisionError) as exc:
             lower_breaks(TruncSeries.x(F5, 8), 1)
         assert str(exc.value) == "depth of the generator is uncertified (>= 7) at truncation 8"
+
+
+def outcome(breaks, g, n_max):
+    """breaks(g, n_max), or the type, message, level and partial of the
+    error it raises."""
+    try:
+        return breaks(g, n_max)
+    except (PrecisionError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "level", None), getattr(exc, "partial", None)
+
+
+def full_chain_breaks(g, n_max):
+    """What ``lower_breaks`` gives, by the chain at g's full truncation."""
+    lower = certified_depths(p_chain(g, n_max))
+    return tuple(lower), upper_from_lower(g.field.p, lower), g.trunc
+
+
+def planned_breaks(g, n_max):
+    rs = lower_breaks(g, n_max)
+    return rs.lower, rs.upper, rs.certified_to
+
+
+def mobius_plus(field, k, trunc):
+    """X/(1 - X) + X^k: X/(1 - X) has order p, so the first link is X
+    below about X^k, and its depth is a little above k."""
+    coeffs = [0] + [1] * (trunc - 1)
+    coeffs[k] += 1
+    return S(field, coeffs, trunc)
+
+
+class TestPlannedBreaks:
+    """``lower_breaks`` certifies each level on a chain cut to a predicted
+    truncation, and gives what the chain at the full truncation gives: the
+    same breaks and ``certified_to``, or the same error, level, partial and
+    message."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_the_full_chain(self, p):
+        rng = random.Random(f"planned:{p}")
+        f = FiniteField(p)
+        cases = [(S(f, [0, 1, 1], 400), 3), (S(f, [0, 1, 1], 400), 10**6), (S(f, [0, 1], 9), 1),
+                 (S(f, [0, 1, 1], 40), 3), (S(f, [0, 2, 1], 30), 2), (S(f, [0, 1, 0, 0, 1], 5), 2)]
+        for _ in range(24):
+            trunc = rng.choice([rng.randrange(3, 60), rng.randrange(60, 401)])
+            lead = rng.randrange(2, max(3, trunc // 3))
+            density = rng.choice([1.0, 0.3, 0.05])
+            coeffs = [0, 1] + [rng.randrange(p) if k >= lead and rng.random() < density else 0
+                               for k in range(2, trunc)]
+            cases.append((S(f, coeffs, trunc), rng.randrange(0, 4)))
+        kinds = set()
+        for g, n_max in cases:
+            want = outcome(full_chain_breaks, g, n_max)
+            assert outcome(planned_breaks, g, n_max) == want, (p, g.trunc, n_max)
+            kinds.add(want[0] if isinstance(want[0], type) else "breaks")
+        assert kinds == {"breaks", PrecisionError, ValueError}
+
+    def test_differences_that_change_at_p_2(self):
+        # upper-break differences 1, 3, 30 for X + X^2, and random
+        # generators whose second difference is not the first
+        assert planned_breaks(S(F2, [0, 1, 1], 400), 3)[0] == (1, 3, 15, 255)
+        rng = random.Random(92)
+        changed = 0
+        for _ in range(40):
+            g = random_nottingham(rng, F2, 200)
+            want = outcome(full_chain_breaks, g, 2)
+            assert outcome(planned_breaks, g, 2) == want
+            if isinstance(want[1], tuple) and len(set(b - a for a, b in zip(want[1], want[1][1:]))) > 1:
+                changed += 1
+        assert changed >= 10
+
+    @pytest.mark.parametrize("p, k, trunc", [(2, 20, 120), (3, 30, 200), (5, 90, 300)])
+    def test_link_equal_to_x_at_the_planned_truncation(self, monkeypatch, p, k, trunc):
+        # the first chain's link 1 is X mod X^t: uncertified there, and
+        # certified once t has grown
+        f = FiniteField(p)
+        g = mobius_plus(f, k, trunc)
+        seen = []
+        chain = nottingham.p_chain
+
+        def spy(h, n):
+            for link in chain(h, n):
+                seen.append(link == TruncSeries.x(f, h.trunc) and h.trunc < trunc)
+                yield link
+
+        monkeypatch.setattr(nottingham, "p_chain", spy)
+        got = outcome(planned_breaks, g, 2)
+        monkeypatch.undo()
+        assert any(seen)
+        assert got == outcome(full_chain_breaks, g, 2)
+
+    def test_failure_at_the_full_truncation(self):
+        # the second link of X/(1 - X) + X^40 over F_5 is X mod X^200
+        g = mobius_plus(F5, 40, 200)
+        with pytest.raises(PrecisionError) as exc:
+            lower_breaks(g, 2)
+        assert (exc.value.level, exc.value.partial) == (2, (1, 51))
+        assert str(exc.value) == (
+            "depth of the p^2-th iterate is uncertified (>= 199) at truncation 200; "
+            "retry with a larger truncation"
+        )
+
+    def test_depth_zero_generator(self):
+        with pytest.raises(ValueError, match="generator must have linear coefficient 1"):
+            lower_breaks(S(F5, [0, 2, 1], 20), 2)
+
+    def test_work_is_bounded_by_the_last_depth(self, monkeypatch):
+        # X + X^2 over F_5 at N = 4000: i_3 = 156, and no link is composed
+        # at more than 2 * (i_3 + 2) terms
+        truncs = []
+        power = nottingham.compose_power
+        monkeypatch.setattr(nottingham, "compose_power", lambda h, k: truncs.append(h.trunc) or power(h, k))
+        rs = lower_breaks(S(F5, [0, 1, 1], 4000), 3)
+        assert rs.lower == (1, 6, 31, 156) and rs.certified_to == 4000
+        assert truncs and max(truncs) <= 2 * (156 + 2)
 
 
 class TestUpperFromLower:
@@ -262,6 +385,25 @@ class TestIndexOf:
     def test_break_after_stabilization_must_stay(self):
         with pytest.raises(ValueError):
             index_of(5, [4, 8, 12, 17])
+
+    @pytest.mark.parametrize("p, upper", [
+        (5, [4, 8, 12]), (5, [1, 5, 25]), (5, [1, 2, 3]), (5, [1, 5, 25, 29]), (2, [1, 6, 9]),
+        (3, [2, 5, 8, 11]), (5, [4, 8, 13]), (5, [4, 8, 12, 17]), (5, [0, 1]), (5, [3, 3]), (5, [7]),
+    ])
+    def test_integer_breaks_as_fractions(self, p, upper):
+        # integers are compared as integers and Fractions as Fractions,
+        # with the same report, document and errors
+        def run(breaks):
+            try:
+                rep = index_of(p, breaks)
+            except ValueError as exc:
+                return str(exc)
+            return rep, jsonio.index_report_out(rep)
+
+        got = run(upper)
+        assert got == run([Fraction(b) for b in upper])
+        if not isinstance(got, str):
+            assert all(type(d) is int for d in got[0].evidence)
 
 
 class TestUnitPart:

@@ -131,8 +131,8 @@ def test_series_operations(spies, field):
         assert a * g == g * a
         outer = a.compose(h)  # h._baby: the data of every composition with h
         if field is F5:
-            # the Frobenius split from 64 terms, Paterson-Stockmeyer below
-            assert isinstance(h._baby, FrobeniusTables) == (n >= 64)
+            # the Frobenius split from 13 terms (p^2/2), Paterson-Stockmeyer below
+            assert isinstance(h._baby, FrobeniusTables) == (n >= 13)
         # a shorter outer is handed no data, and the kernel builds its own
         assert a.truncate(n - 1).compose(h) == outer.truncate(n - 1)
         inv = g.comp_inverse()
