@@ -556,14 +556,10 @@ def compose_mod(outer, inner, n, mod, modulus=None, powers=None):
     chunk sums are the one matrix product ``coef @ shifted`` of
     ``_bilinear``, run once, or three times on halves.
     """
-    if n == 0:
-        return []
     s = block_size(modulus)
     w = (s + 1) // 2
     width = n * s
     blocks = -(-min(len(outer), width) // s)
-    if blocks == 0:
-        return [0] * width
     if powers is None:
         powers = compose_data(inner, n, mod, modulus, blocks)
     if isinstance(powers, FrobeniusTables):

@@ -286,10 +286,10 @@ class TruncSeries:
     def __init__(self, field, coeffs, trunc=None):
         coeffs = tuple(coeffs)
         s = block_size(field.modulus)
-        packed = [0] * (len(coeffs) * s)
-        if all(type(c) is int for c in coeffs):
-            packed[::s] = [c % field.mod for c in coeffs]
-        else:
+        # plain ints over F_p or Z/p^P, the common case, are reduced in one pass
+        packed = [c % field.mod for c in coeffs if type(c) is int]
+        if len(packed) < len(coeffs) or s > 1:
+            packed = [0] * (len(coeffs) * s)
             for k, c in enumerate(coeffs):
                 packed[k * s : k * s + field.w] = field._rep(c)
         if trunc is None:

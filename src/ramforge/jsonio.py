@@ -14,7 +14,7 @@ import sys
 from dataclasses import fields
 from fractions import Fraction
 
-from .gfseries import FiniteField, TruncSeries, _from_packed
+from .gfseries import FiniteField, TruncSeries
 from .herbrand import BreakData, PLFunc, frac_in, int_in, parse_decimal
 from .nottingham import AtLeast, IndexReport
 from .pdyn import NewtonPolygon, PadicSeries
@@ -152,16 +152,7 @@ def series_out(s):
 def series_in(doc):
     trunc = int_in(_field(doc, "trunc"))
     f = field_in(doc, trunc)
-    coeffs = _field(doc, "coeffs", list)
-    if f.w == 1 and trunc >= 1:
-        # a prime-field list of plain ints, reduced in one pass; any other
-        # list, or one of the wrong length, is refused by the path below
-        mod = f.mod
-        packed = [c % mod for c in coeffs if type(c) is int]
-        if len(packed) == len(coeffs) == trunc:
-            return _from_packed(f, packed, trunc)
-    if not all(type(c) is int for c in coeffs):
-        coeffs = [_coeff_in(c) for c in coeffs]
+    coeffs = [c if type(c) is int else _coeff_in(c) for c in _field(doc, "coeffs", list)]
     return TruncSeries(f, coeffs, trunc)
 
 

@@ -9,9 +9,9 @@ required N is available.
 
 The iterates g, g^(p), g^(p^2), ... come from one chain, ``p_chain``, each
 link the p-fold composite of the one before: the lower breaks are the
-depths of its links, which ``lower_breaks`` certifies on chains of g cut
-short of its truncation (``_planned_depths``), and ``p_iterate``, the
-image-order search and the level quotients and analysis of
+depths of its links, certified by ``certified_depths`` (on chains of g
+cut short of its truncation, for ``lower_breaks``), and ``p_iterate``,
+the image-order search and the level quotients and analysis of
 ``ramforge.pdyn`` read their iterates off it.
 A link is ``compose_power(prev, p)``: for p <= 5 it composes onto prev
 p - 1 times, so each p-step builds the composition data of one inner
@@ -143,65 +143,47 @@ def chain_link(g, n):
 def lower_breaks(g, n_max):
     """Certified lower breaks i_0..i_{n_max} of the closure of g.
 
-    Raises PrecisionError (carrying the certified prefix in ``partial``)
-    as soon as some iterate's depth cannot be certified at the working
-    truncation.  The breaks and the error are those of
-    ``certified_depths(p_chain(g, n_max))``, found by ``_planned_depths``
-    on chains cut short of g's truncation.
+    The breaks, or the PrecisionError carrying the certified prefix in
+    ``partial``, are those of ``certified_depths(p_chain(g, n_max))`` at
+    g's truncation N, read off chains of g mod X^t, t <= N: composition
+    commutes with truncation, so a depth certified there is the depth at N.
+
+    t starts at 2 plus the depth ``_predicted`` for link n_max from i_0 and
+    upper-break difference 1, or for links 1 and 2 from differences up to
+    max(2, p - 2) if more: on random generators over F_2, F_3 and F_5 that
+    spared the dearest chains, at p = 5, a second one most often, and an
+    overshoot is paid by every later link, so it stops at link 2.  Each
+    certified depth moves t up to its own prediction, plus 2, before the
+    next link is built; an uncertified link, at least t - 1, moves t to at
+    least 2t and the next value Sen's congruence admits.  t stops at N, so
+    at most about n_max + log2(N) chains are built, and only the chain at
+    N raises.  A generator of uncertified depth or depth 0, and n_max = 0,
+    start at N.
     """
     if n_max < 0:
         raise ValueError("the level count must be >= 0")
-    p = g.field.p
-    lower = _planned_depths(g, n_max)
-    return RamSequence(p, tuple(lower), upper_from_lower(p, lower), g.trunc)
-
-
-def _planned_depths(g, n_max):
-    """The depths of links 0 .. n_max of g's chain, each certified on the
-    chain of g mod X^t for a t predicted from the depths found so far.
-
-    Composition commutes with truncation, so a depth certified at
-    t <= N = g.trunc is the depth at N.  A chain is built for t = 2 plus
-    the depth of link n_max that ``_predicted`` gives, never below the t
-    already reached, and read link by link; each certified depth gives
-    the next prediction its difference of upper breaks, which is 1 at
-    first.  The first chain is also long enough for links 1 and 2 with
-    differences up to max(2, p - 2): on random generators over F_2, F_3
-    and F_5 that spared the dearest chains, at p = 5, a second one most
-    often, and an overshoot is paid by every later link, so it stops at
-    link 2.  An uncertified depth, at least t - 1, moves t to at least
-    2t and to the next value Sen's congruence admits, at most N.  t only
-    grows, so there are at most about n_max + log2(N) chains, and only a
-    chain at N raises.  A generator of uncertified depth or depth 0, and
-    n_max = 0, take the chain at N.
-    """
-    n = g.trunc
+    p, n = g.field.p, g.trunc
     i = depth(g)
-    if n_max == 0 or isinstance(i, AtLeast) or i == 0:
-        return certified_depths(p_chain(g, n_max))
-    p = g.field.p
-    lower, diff, t, at = [i], 1, 0, 0
-    # the first chain also serves links 1 and 2 for differences up to
-    # max(2, p - 2); t never falls below it
-    least = _predicted(p, i, 1, min(2, n_max), max(2, p - 2), n) + 2
-    for j in range(1, n_max + 1):
-        q = p**j
-        want = min(n, max(t, least, _predicted(p, lower[-1], j, n_max, diff, n) + 2))
-        while True:
-            if want != t:
-                t, chain, at = want, p_chain(g.truncate(want), n_max), -1
-            while at < j:
-                h, at = next(chain), at + 1
-            d = depth(h)
-            if not isinstance(d, AtLeast):
-                break
+    t = n
+    if n_max and not isinstance(i, AtLeast) and i:
+        t = min(n, 2 + max(_predicted(p, i, 1, n_max, 1, n),
+                           _predicted(p, i, 1, min(2, n_max), max(2, p - 2), n)))
+    while True:
+        lower = []
+        try:
+            for j, d in enumerate(certified_depths(p_chain(g.truncate(t), n_max)), 1):
+                lower.append(d)
+                diff = (d - lower[-2]) // p ** (j - 1) if j > 1 else 1
+                want = min(n, _predicted(p, d, j, n_max, diff, n) + 2)
+                if want > t:
+                    break
+            else:
+                return RamSequence(p, tuple(lower), upper_from_lower(p, lower), n)
+        except PrecisionError:
             if t == n:
-                raise _uncertified(j, d.bound, n, lower)
-            # the depth is at least d.bound and congruent to i_(j-1) mod p^j
-            want = min(n, max(2 * t, d.bound + (lower[-1] - d.bound) % q + 2))
-        diff = (d - lower[-1]) // q
-        lower.append(d)
-    return lower
+                raise
+            want = min(n, max(2 * t, t + 1 + (lower[-1] - t + 1) % p ** len(lower)))
+        t = want
 
 
 def _predicted(p, i, j, n_max, diff, cap):
@@ -219,40 +201,28 @@ def _predicted(p, i, j, n_max, diff, cap):
     return i
 
 
-def _uncertified(n, bound, trunc, partial):
-    """The PrecisionError for link n of a chain, of depth >= bound at trunc."""
-    if n == 0:
-        return PrecisionError(
-            f"depth of the generator is uncertified (>= {bound}) at truncation {trunc}",
-            quantity="lower_break",
-            level=0,
-            partial=(),
-        )
-    return PrecisionError(
-        f"depth of the p^{n}-th iterate is uncertified (>= {bound}) "
-        f"at truncation {trunc}; retry with a larger truncation",
-        quantity="lower_break",
-        level=n,
-        partial=tuple(partial),
-    )
-
-
 def certified_depths(chain):
     """The depths i_0, i_1, ... of a chain g, g^(p), g^(p^2), ... over F_p.
 
-    The chain is read lazily and stops at the first depth that cannot be
-    certified at the truncation of its link: that raises PrecisionError
-    carrying the certified prefix in ``partial``.
+    The chain is read lazily and each depth yielded once certified at the
+    truncation of its link; the first that cannot be certified raises
+    PrecisionError carrying the certified prefix in ``partial`` and the
+    link's index in ``level``.  ``lower_breaks`` and ``ramforge.pdyn.analyze``
+    both certify their depths here.
     """
     lower = []
     for n, h in enumerate(chain):
         d = depth(h)
         if isinstance(d, AtLeast):
-            raise _uncertified(n, d.bound, h.trunc, lower)
+            link = f"p^{n}-th iterate" if n else "generator"
+            retry = "; retry with a larger truncation" if n else ""
+            raise PrecisionError(
+                f"depth of the {link} is uncertified (>= {d.bound}) at truncation {h.trunc}{retry}",
+                quantity="lower_break", level=n, partial=tuple(lower))
         if d < 1:
             raise ValueError("generator must have linear coefficient 1 and finite depth")
         lower.append(d)
-    return lower
+        yield d
 
 
 def upper_from_lower(p, lower):

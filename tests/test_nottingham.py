@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -242,7 +243,7 @@ def outcome(breaks, g, n_max):
 
 def full_chain_breaks(g, n_max):
     """What ``lower_breaks`` gives, by the chain at g's full truncation."""
-    lower = certified_depths(p_chain(g, n_max))
+    lower = list(certified_depths(p_chain(g, n_max)))
     return tuple(lower), upper_from_lower(g.field.p, lower), g.trunc
 
 
@@ -260,10 +261,10 @@ def mobius_plus(field, k, trunc):
 
 
 class TestPlannedBreaks:
-    """``lower_breaks`` certifies each level on a chain cut to a predicted
-    truncation, and gives what the chain at the full truncation gives: the
-    same breaks and ``certified_to``, or the same error, level, partial and
-    message."""
+    """``lower_breaks`` certifies the chain of g cut to a predicted
+    truncation, retrying at a larger one on an uncertified link, and gives
+    what the chain at the full truncation gives: the same breaks and
+    ``certified_to``, or the same error, level, partial and message."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_matches_the_full_chain(self, p):
@@ -333,6 +334,50 @@ class TestPlannedBreaks:
     def test_depth_zero_generator(self):
         with pytest.raises(ValueError, match="generator must have linear coefficient 1"):
             lower_breaks(S(F5, [0, 2, 1], 20), 2)
+
+    @staticmethod
+    def chain_truncations(monkeypatch, g, n_max):
+        """The truncation of every chain ``lower_breaks(g, n_max)`` builds."""
+        truncs = []
+        chain = nottingham.p_chain
+        monkeypatch.setattr(nottingham, "p_chain", lambda h, n: truncs.append(h.trunc) or chain(h, n))
+        try:
+            lower_breaks(g, n_max)
+        except PrecisionError:
+            pass
+        monkeypatch.undo()
+        return truncs
+
+    @pytest.mark.parametrize("p, seed, want", [
+        (2, 0, [15]),  # one chain
+        (5, 0, [93]),
+        (5, 2, [120]),  # the first chain is at N
+        (3, 14, [28, 40]),  # a move to the prediction from i_1, below 2t
+        (2, 5, [15, 30]),  # a doubling
+        (3, 5, [27, 63]),  # the next Sen value, past 2t
+        (2, 1, [17, 23, 46]),
+        (3, 50, [27, 39, 78]),  # a prediction move, then a doubling
+    ])
+    def test_planned_truncations(self, monkeypatch, p, seed, want):
+        # the chains built for random generators at N = 120 and n_max = 2
+        g = random_nottingham(random.Random(seed), FiniteField(p), 120)
+        assert self.chain_truncations(monkeypatch, g, 2) == want
+
+    def test_planned_truncations_of_known_series(self, monkeypatch):
+        assert self.chain_truncations(monkeypatch, S(F5, [0, 1, 1], 4000), 3) == [158]
+        # X/(1 - X) has order p: every chain below N is uncertified
+        want = [17, 34, 68, 136, 272, 544, 1088, 2000]
+        assert self.chain_truncations(monkeypatch, S(F2, [0] + [1] * 1999), 3) == want
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("trunc", [200, 2000])
+    def test_attempt_bound(self, monkeypatch, p, trunc):
+        # X/(1 - X) is uncertified at every t: at most n_max + ceil(log2 N) + 1
+        # chains, the last of them at N
+        g = S(FiniteField(p), [0] + [1] * (trunc - 1))
+        truncs = self.chain_truncations(monkeypatch, g, 3)
+        assert len(truncs) <= 3 + math.ceil(math.log2(trunc)) + 1
+        assert truncs[-1] == trunc
 
     def test_work_is_bounded_by_the_last_depth(self, monkeypatch):
         # X + X^2 over F_5 at N = 4000: i_3 = 156, and no link is composed
