@@ -32,14 +32,30 @@ products, the chunk sums of ``compose_mod`` and the block reduction of
 ``_fold``.  The split serves series products alone: it never makes more
 numpy calls than halves, and makes fewer coefficient products.
 
-A series over F_{p^w} = F_p[Y]/(modulus) is packed into one flat list
-(Kronecker substitution in Y): the coefficient of X^k is a polynomial in Y
-of degree below w, stored in slots [k*s, k*s + w) of a block of
-s = 2w - 1 slots, the other w - 1 slots being zero.  A product of two
-such coefficients has Y-degree at most 2w - 2, so one convolution mod p
-of two packed lists multiplies the series with no overlap between blocks;
-each block is then reduced mod the modulus.  Without a modulus (the rings
-F_p and Z/p^P) s = 1, a block is one residue and nothing is reduced.
+A series over F_{p^w} = F_p[Y]/(modulus) enters and leaves the kernel
+packed into one flat list (Kronecker substitution in Y): the coefficient
+of X^k is a polynomial in Y of degree below w, stored in slots
+[k*s, k*s + w) of a block of s = 2w - 1 slots, the other w - 1 slots
+being zero.  Without a modulus (the rings F_p and Z/p^P) s = 1, a block
+is one residue and nothing is reduced.  Between a call's entry and its
+return the series takes one of two layouts:
+
+- words, where they fit: each block is one int64 word sum_t c_t 2^(bt),
+  with b bits per slot, enough for every slot sum the call can form
+  (``_word_bits`` states that bound, from p, w and the number of terms).
+  This is Kronecker substitution at the bit level (D. Harvey, "Faster
+  polynomial multiplication via multipoint Kronecker substitution",
+  J. Symbolic Comput. 44, 2009).  A product is one ``np.convolve`` of n
+  words, then one fold: the 2w - 1 slots of each word are unpacked by
+  shift and mask, taken times the rows Y^t mod the modulus, mod p, and
+  repacked.  Products of lists, compositions, the baby powers and the
+  Newton steps of ``recip_mod`` and ``reversion_mod`` all stay in words
+  (see ``_Words``).
+- slots, past that bound (as over F_{q^2} for a prime q near 2^31): a
+  product of two coefficients has Y-degree at most 2w - 2, so one
+  convolution mod p of two packed lists multiplies the series with no
+  overlap between blocks, and ``_fold`` reduces each block mod the
+  modulus.
 
 A field element is one block, and the field's product is the one-block
 ``mul_mod(a, b, 1, p, modulus)``.  Lists of at most ``_SHORT`` slots take
@@ -74,15 +90,15 @@ method's data depend on the inner series and the precision alone, and
 ``compose_mod`` takes them ready made, so compositions with one inner (as
 in ``nottingham.compose_power``) can build them once; it builds them by
 ``compose_data`` otherwise, ``reversion_mod``'s compositions included.
-Composition stays array-resident: int64 arrays while the direct or halves
-method fits, object arrays of Python ints past the halves band; see
-``compose_mod``.
+Composition stays array-resident: words over F_{p^w} where they fit,
+else int64 arrays while the direct or halves method fits, object arrays
+of Python ints past the halves band; see ``compose_mod``.
 
 Reciprocals and substitution inverses are Newton iterations.
-``recip_mod`` runs its steps on arrays, as ``divide_mod`` hands them.
-``reversion_mod`` makes one composition per step, E = g(h), and reads
-1/g'(h) off the chain rule as h'/E' (Brent and Kung, J. ACM 25, 1978),
-where 1/E' is 2 - E' to the precision the step needs.
+``recip_mod`` runs its steps on arrays, as ``divide_mod`` hands them, or
+on words.  ``reversion_mod`` makes one composition per step, E = g(h),
+and reads 1/g'(h) off the chain rule as h'/E' (Brent and Kung, J. ACM 25,
+1978), where 1/E' is 2 - E' to the precision the step needs.
 
 ``divide_mod`` divides over Z/p^P by a series whose first unit entry,
 the pivot, need not be its first: the quotient is a fixed point, reached
@@ -191,6 +207,125 @@ def _pieces(mod, terms):
     method test of the kernel reads here."""
     t = (_INT64_SAFE - 1) // ((mod - 1) * (mod - 1) or 1)
     return -(-terms // t) if t > 0 else inf
+
+
+def _word_bits(p, w, terms):
+    """The slot width b of the word layout over F_{p^w}, for products and
+    chunk sums of at most terms blocks; 0 where words do not fit in int64.
+
+    In the word layout a block c = sum_t c_t Y^t, residues c_t < p, is one
+    int64 word sum_t c_t 2^(bt).  The integer product of two words is their
+    product in Y, with the sum_{u+v=t} a_u b_v of at most w products below
+    (p - 1)^2 in slot t.  An entry of a series product sums at most terms
+    of them, and a Horner step of ``compose_mod`` adds a chunk sum, bounded
+    the same way, before its one fold: every slot stays below
+    2 * terms * w * (p - 1)^2 < 2^b, so no slot carries into the next.
+    The 2w - 1 slots of an unfolded word are then below 2^((2w - 1) b),
+    which must not pass ``_INT64_SAFE``; a fold's row sums, 2w - 1
+    products of a slot and a residue, stay below 2^(1.5 b + 6) <= 2^36.
+    This holds over every field of the benchmark (at most 67 blocks), over
+    F_27 to 170 blocks and over F_4 to 262,143; it never holds once
+    (p - 1)^2 reaches 2^18.
+    """
+    b = (2 * terms * w * (p - 1) ** 2).bit_length()
+    return b if 1 << ((2 * w - 1) * b) <= _INT64_SAFE else 0
+
+
+def _word_ring(mod, modulus, terms):
+    """The ``_Words`` of F_p[Y]/(modulus), p = mod, for products of at
+    most terms blocks where ``_word_bits`` admits them, else None; always
+    None over F_p and Z/p^P, whose blocks are single residues already."""
+    b = modulus is not None and _word_bits(mod, len(modulus) - 1, terms)
+    return _words(mod, tuple(modulus), b) if b else None
+
+
+@lru_cache(maxsize=64)
+def _words(mod, modulus, b):
+    """The ``_Words`` of slot width b over F_p[Y]/(modulus), p = mod, with
+    its tables built once."""
+    import numpy as np
+
+    w = len(modulus) - 1
+    shifts = b * np.arange(2 * w - 1, dtype=np.int64)
+    rows = np.asarray(_reduction(modulus, mod), dtype=np.int64)
+    tables = (shifts, rows, -rows % mod, np.left_shift(1, shifts[:w]))
+    for x in tables:
+        x.flags.writeable = False
+    return _Words(mod, w, (1 << b) - 1, *tables)
+
+
+class _Words(NamedTuple):
+    """Series over F_p[Y]/(modulus) with one int64 word per block (see
+    ``_word_bits``): numpy arrays of words, each a block of w slots of b
+    bits, folded, or of 2w - 1 slots, unfolded.  A product is one
+    ``np.convolve`` of words, then one fold; a negation acts per slot, in
+    the fold or in ``scale``, so words stay non-negative.  Words exist only
+    inside a kernel call: ``of`` reads the slot layout at its entry and
+    ``slots`` writes it at its return."""
+
+    mod: int
+    w: int
+    mask: int  # 2^b - 1
+    shifts: object  # b * t for the 2w - 1 slots t
+    rows: object  # Y^t mod the modulus, for t < 2w - 1 (``_reduction``)
+    negated: object  # the rows negated mod p
+    place: object  # 2^(bt) for the w slots of a folded word
+
+    def of(self, x, n):
+        """The first n blocks of the slot sequence or array x, as words."""
+        import numpy as np
+
+        s = 2 * self.w - 1
+        return _residues(x, n * s, np.int64).reshape(n, s)[:, : self.w] @ self.place
+
+    def slots(self, x):
+        """The folded words x in the slot layout: w slots, then w - 1 zeros."""
+        import numpy as np
+
+        out = np.zeros((len(x), 2 * self.w - 1), dtype=np.int64)
+        out[:, : self.w] = x[:, None] >> self.shifts[: self.w] & self.mask
+        return out.reshape(-1)
+
+    def fold(self, x, negate=False):
+        """Unfolded words x reduced mod (modulus, p), negated when negate:
+        the 2w - 1 slots by shift and mask, times the rows Y^t, mod p."""
+        slots = x[..., None] >> self.shifts & self.mask
+        return slots @ (self.negated if negate else self.rows) % self.mod @ self.place
+
+    def mul(self, x, y, n, negate=False):
+        """The first n blocks of x * y (or of -x * y), folded."""
+        import numpy as np
+
+        return self.fold(np.convolve(x[:n], y[:n])[:n], negate)
+
+    def scale(self, x, c):
+        """Block i of the folded words x times the integer c[i], mod p."""
+        slots = x[:, None] >> self.shifts[: self.w] & self.mask
+        return slots * (c[:, None] % self.mod) % self.mod @ self.place
+
+    def powers(self, x, n, k):
+        """x^0 .. x^k mod X^n, the baby powers of ``compose_mod``."""
+        out = [_residues([1], n, x.dtype), _residues(x, n, x.dtype)]
+        for _ in range(k - 1):
+            out.append(self.mul(out[-1], out[1], n))
+        return out
+
+    def compose(self, outer, powers, n):
+        """First n blocks of outer(inner), folded, from the baby powers of
+        inner mod X^n: Paterson-Stockmeyer as in ``compose_mod``, whose
+        chunk sums are here the one matrix product ``coef @ base`` of words,
+        as over F_p; a Horner step adds the unfolded chunk to the unfolded
+        product before their one fold."""
+        import numpy as np
+
+        k = len(powers) - 1
+        m = -(-len(outer) // k)
+        chunks = _residues(outer, m * k, np.int64).reshape(m, k) @ np.stack(powers[:k])
+        acc = self.fold(chunks[-1])
+        for i in range(m - 2, -1, -1):
+            width = n - i * k
+            acc = self.fold(np.convolve(acc[:width], powers[k][:width])[:width] + chunks[i, :width])
+        return acc
 
 
 def _split(x, y, n, mod, c):
@@ -337,9 +472,15 @@ def _fold(c, n, mod, modulus):
 
 
 def mul_mod(a, b, n, mod, modulus=None):
-    """First n blocks of the packed product a*b (lists, or arrays as conv_mod)."""
+    """First n blocks of the packed product a*b (lists, or arrays as conv_mod).
+
+    Lists of more than one block and ``_SHORT`` slots over F_{p^w} take
+    the word layout where it fits (see ``_word_bits``)."""
     if modulus is None:
         return conv_mod(a, b, n, mod)
+    words = n > 1 and not hasattr(a, "dtype") and max(len(a), len(b)) > _SHORT and _word_ring(mod, modulus, n)
+    if words:
+        return words.slots(words.mul(words.of(a, n), words.of(b, n), n)).tolist()
     return _fold(conv_mod(a, b, n * block_size(modulus), mod), n, mod, modulus)
 
 
@@ -371,16 +512,21 @@ def baby_powers(inner, n, mod, modulus, k):
     k - 1 products.
 
     They are read-only numpy arrays of n blocks, in the dtype compose_mod
-    works in for n blocks.  They depend on inner and n alone, so every
-    composition of n blocks with one inner can share them.
+    works in for n blocks: n words over F_{p^w} where the word layout fits
+    (see ``_word_bits``), n blocks of slots otherwise.  They depend on
+    inner and n alone, so every composition of n blocks with one inner can
+    share them.
     """
-    s = block_size(modulus)
-    width = n * s
-    dtype = array_dtype(mod, width)
-    inner = _residues(inner, width, dtype)
-    powers = [_residues([1], width, dtype), inner]
-    for _ in range(k - 1):
-        powers.append(mul_mod(powers[-1], inner, n, mod, modulus))
+    words = _word_ring(mod, modulus, n)
+    if words:
+        powers = words.powers(words.of(inner, n), n, k)
+    else:
+        width = n * block_size(modulus)
+        dtype = array_dtype(mod, width)
+        inner = _residues(inner, width, dtype)
+        powers = [_residues([1], width, dtype), inner]
+        for _ in range(k - 1):
+            powers.append(mul_mod(powers[-1], inner, n, mod, modulus))
     for x in powers:
         x.flags.writeable = False
     return powers
@@ -554,7 +700,10 @@ def compose_mod(outer, inner, n, mod, modulus=None, powers=None):
     list: int64 arrays when every product and chunk sum is exact in int64,
     directly or in halves, and object arrays of Python ints otherwise.  The
     chunk sums are the one matrix product ``coef @ shifted`` of
-    ``_bilinear``, run once, or three times on halves.
+    ``_bilinear``, run once, or three times on halves.  Over F_{p^w}, where
+    words fit, the baby powers are n words and ``_Words.compose`` runs the
+    same steps on words; given powers are read as words or slots by their
+    length.
     """
     s = block_size(modulus)
     w = (s + 1) // 2
@@ -564,6 +713,9 @@ def compose_mod(outer, inner, n, mod, modulus=None, powers=None):
         powers = compose_data(inner, n, mod, modulus, blocks)
     if isinstance(powers, FrobeniusTables):
         return _frobenius_compose(outer, n, powers)
+    if s > 1 and len(powers[0]) == n:
+        words = _word_ring(mod, modulus, n)
+        return words.slots(words.compose(words.of(outer, blocks), powers, n)).tolist()
     k = len(powers) - 1
     m = -(-blocks // k)
     import numpy as np
@@ -601,18 +753,28 @@ def recip_mod(a, n, mod, modulus=None):
     to -h * ((a*h) / X^k), a product of m - k blocks.
 
     a is a numpy residue array whose dtype covers products of n blocks
-    (see ``array_dtype``), and so is the result.
+    (see ``array_dtype``), and so is the result.  Over F_{p^w} the steps
+    run on words where they fit (see ``_word_bits``), one entry per block.
     """
     s = block_size(modulus)
-    width = n * s
-    a = _residues(a, width, a.dtype)
-    h = _residues(unit_inverse(a[:s].tolist(), mod, modulus), width, a.dtype)
+    width, dtype = n * s, a.dtype
+    unit = unit_inverse(a[:s].tolist(), mod, modulus)
+    words = _word_ring(mod, modulus, n)
+    if words:
+        a, h, s, mul = words.of(a, n), words.of(unit, n), 1, words.mul
+    else:
+        a, h = _residues(a, width, dtype), _residues(unit, width, dtype)
+
+        def mul(x, y, m, negate=False):
+            out = mul_mod(x, y, m, mod, modulus)
+            return -out % mod if negate else out
+
     m = 1
     while m < n:
         k, m = m, min(2 * m, n)
-        e = mul_mod(a[: m * s], h[: k * s], m, mod, modulus)[k * s :]
-        h[k * s : m * s] = -mul_mod(h[: (m - k) * s], e, m - k, mod, modulus) % mod
-    return h
+        e = mul(a[: m * s], h[: k * s], m)[k * s :]
+        h[k * s : m * s] = mul(h[: (m - k) * s], e, m - k, negate=True)
+    return _residues(words.slots(h), width, dtype) if words else h
 
 
 def divide_mod(num, den, i0, rounds, mod):
@@ -662,10 +824,16 @@ def reversion_mod(g, n, mod, modulus=None):
     (E - X)/X^(k+1); it fills blocks k+1 .. m-1.  E' = 1 + D with D
     vanishing below X^k, so D^2 vanishes below X^(2k), and m - k - 1 <= 2k:
     mod X^(m-k-1), 1/E' = 1 - D = 2 - E', with no reciprocal to compute.
+
+    Over F_{p^w} the steps run on words where they fit (see
+    ``_word_bits``), from the first step to the last.
     """
     s = block_size(modulus)
     g = g[: n * s]
     h = [0] * s + unit_inverse(g[s:], mod, modulus)
+    words = _word_ring(mod, modulus, n)
+    if words:
+        return words.slots(_reversion_words(words, words.of(g, n), words.of(h, n), n)).tolist()
     k = 1
     while k < n - 1:
         m = min(2 * k + 2, n)
@@ -679,3 +847,23 @@ def reversion_mod(g, n, mod, modulus=None):
         h[(k + 1) * s :] = [-c % mod for c in corr]
         k = 2 * k + 1
     return h + [0] * (n * s - len(h))
+
+
+def _reversion_words(words, g, h, n):
+    """``reversion_mod``'s Newton steps on words: h is the inverse of g
+    through X^1, and is filled in place."""
+    import numpy as np
+
+    k = 1
+    while k < n - 1:
+        m = min(2 * k + 2, n)
+        t = m - k - 1
+        e = words.compose(g[:m], words.powers(h[:m], m, isqrt(m - 1) + 1), m)
+        index = np.arange(1, t + 1)
+        inv = words.scale(e[1 : t + 1], -index)
+        low = inv[0] & words.mask
+        inv[0] += (low + 2) % words.mod - low
+        ratio = words.mul(words.scale(h[1 : t + 1], index), inv, t)
+        h[k + 1 : m] = words.mul(e[k + 1 :], ratio, t, negate=True)
+        k = 2 * k + 1
+    return h

@@ -14,8 +14,10 @@ Z/p^P) with one block of 2w - 1 slots per power of X and the
 Y-coefficients of X^k in slots [k(2w-1), k(2w-1) + w), so it is handed
 to the kernel as it is and the kernel's result (each block reduced mod
 the field's modulus) is wrapped without per-coefficient work.  For w = 1
-a block is a single residue.  The coefficients as ``FFElem`` values are
-a view built on first use.
+a block is a single residue.  (Inside a kernel call a block over F_{p^w}
+is one int64 word where that fits; the stored layout stays this one.)
+The coefficients as ``FFElem`` values are a view built on first use.
+A JSON list of plain ints is packed in one pass (``_plain_packed``).
 
 Field elements are single blocks of the same kernel: their product is
 the one-block ``mul_mod``, and powers, inverses and the Frobenius rows
@@ -285,19 +287,15 @@ class TruncSeries:
 
     def __init__(self, field, coeffs, trunc=None):
         coeffs = tuple(coeffs)
-        s = block_size(field.modulus)
-        # plain ints over F_p or Z/p^P, the common case, are reduced in one pass
-        packed = [c % field.mod for c in coeffs if type(c) is int]
-        if len(packed) < len(coeffs) or s > 1:
+        packed = _plain_packed(field, coeffs)
+        if packed is None:
+            s = block_size(field.modulus)
             packed = [0] * (len(coeffs) * s)
             for k, c in enumerate(coeffs):
                 packed[k * s : k * s + field.w] = field._rep(c)
         if trunc is None:
             trunc = len(coeffs)
-        if trunc < 1:
-            raise ValueError("truncation must be >= 1")
-        if len(coeffs) != trunc:
-            raise ValueError(f"expected {trunc} coefficients, got {len(coeffs)}")
+        _check_length(len(coeffs), trunc)
         self.field = field
         self.trunc = trunc
         self.packed = tuple(packed)
@@ -472,6 +470,29 @@ class TruncSeries:
                 terms.append(f"X^{k}" if cs == "1" else f"{cs}*X^{k}")
         body = " + ".join(terms) if terms else "0"
         return f"<{body} mod X^{self.trunc} over {self.field!r}>"
+
+
+def _plain_packed(field, coeffs):
+    """The packed residues of coeffs in one pass, where every coefficient is
+    a plain int (w = 1) or a list of at most w plain ints (w > 1), as the
+    JSON reader gives them; None for any other sequence, which is read
+    coefficient by coefficient."""
+    if field.w == 1:
+        packed = [c % field.mod for c in coeffs if type(c) is int]
+        return packed if len(packed) == len(coeffs) else None
+    w, p = field.w, field.mod
+    pad = [0] * (2 * w - 1)
+    packed = [x % p for c in coeffs if type(c) is list and len(c) <= w
+              for x in c + pad[len(c) :] if type(x) is int]
+    return packed if len(packed) == len(coeffs) * len(pad) else None
+
+
+def _check_length(count, trunc):
+    """Refuse a truncation below 1, or one that count coefficients miss."""
+    if trunc < 1:
+        raise ValueError("truncation must be >= 1")
+    if count != trunc:
+        raise ValueError(f"expected {trunc} coefficients, got {count}")
 
 
 def _from_packed(field, packed, n):

@@ -14,7 +14,7 @@ import sys
 from dataclasses import fields
 from fractions import Fraction
 
-from .gfseries import FiniteField, TruncSeries
+from .gfseries import FiniteField, TruncSeries, _check_length, _from_packed, _plain_packed
 from .herbrand import BreakData, PLFunc, frac_in, int_in, parse_decimal
 from .nottingham import AtLeast, IndexReport
 from .pdyn import NewtonPolygon, PadicSeries
@@ -152,8 +152,14 @@ def series_out(s):
 def series_in(doc):
     trunc = int_in(_field(doc, "trunc"))
     f = field_in(doc, trunc)
-    coeffs = [c if type(c) is int else _coeff_in(c) for c in _field(doc, "coeffs", list)]
-    return TruncSeries(f, coeffs, trunc)
+    coeffs = _field(doc, "coeffs", list)
+    packed = _plain_packed(f, coeffs)
+    if packed is None:
+        # digit strings, bools, floats and vectors longer than w are read,
+        # or refused, one by one
+        return TruncSeries(f, [c if type(c) is int else _coeff_in(c) for c in coeffs], trunc)
+    _check_length(len(coeffs), trunc)
+    return _from_packed(f, packed, trunc)
 
 
 # -- break sequences and transfer functions ---------------------------------

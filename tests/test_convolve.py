@@ -189,20 +189,27 @@ class TestComposeMod:
         rng = random.Random(45)
         outer = random_series(rng, mod, modulus, n, 0)
         inner = random_series(rng, mod, modulus, n, 1)
-        calls = {"conv_mod": 0, "mul_mod": 0}
-        for name in calls:
-            orig = getattr(_convolve, name)
+        calls = {"conv_mod": 0, "mul_mod": 0, "fold": 0}
+        for owner, name in ((_convolve, "conv_mod"), (_convolve, "mul_mod"), (_convolve._Words, "fold")):
+            orig = getattr(owner, name)
 
             def counted(*args, name=name, orig=orig, **kwargs):
                 calls[name] += 1
                 return orig(*args, **kwargs)
 
-            monkeypatch.setattr(_convolve, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         k = math.isqrt(n - 1) + 1  # ceil(sqrt(n)); Horner's rule needs n - 1 products
         # Paterson-Stockmeyer by its baby powers, which over F5 the kernel
         # would not choose at this size
         compose_mod(outer, None, n, mod, modulus, _convolve.baby_powers(inner, n, mod, modulus, k))
-        assert 0 < calls["mul_mod"] <= 2 * k + 1 and calls["conv_mod"] <= 2 * k + 1
+        if modulus is None:
+            assert 0 < calls["mul_mod"] <= 2 * k + 1 and calls["conv_mod"] <= 2 * k + 1
+        else:
+            # F4 and F27 at 100 blocks are inside the word bound: a product of
+            # words is one np.convolve and one fold, and the last chunk sum
+            # takes one fold more
+            assert _convolve._word_ring(mod, modulus, n)
+            assert 0 < calls["fold"] <= 2 * k + 1 and calls["conv_mod"] == calls["mul_mod"] == 0
 
 
 class TestRoundTrips:
@@ -270,10 +277,19 @@ def test_reversion_one_composition_per_step(ring, n, seed):
     mod, modulus = ring
     s = _convolve.block_size(modulus)
     g = random_series(random.Random(seed), mod, modulus, n, 1)
-    with mock.patch.object(_convolve, "compose_mod", wraps=_convolve.compose_mod) as spy:
+    with mock.patch.object(_convolve, "compose_mod", wraps=_convolve.compose_mod) as spy, \
+            mock.patch.object(_convolve._Words, "compose", autospec=True,
+                              side_effect=_convolve._Words.compose) as word_spy:
         h = reversion_mod(g, n, mod, modulus)
-    # Newton step j makes g(h) == X correct through X^(2^(j+1) - 1)
-    assert spy.call_count == (n - 1).bit_length() - 1
+    # Newton step j makes g(h) == X correct through X^(2^(j+1) - 1); over
+    # F_{p^w} inside the word bound every step composes words, and past it
+    # every step calls compose_mod, which takes words for the short steps
+    # that fit
+    steps = (n - 1).bit_length() - 1
+    if _convolve._word_ring(mod, modulus, n):
+        assert (spy.call_count, word_spy.call_count) == (0, steps)
+    else:
+        assert spy.call_count == steps and word_spy.call_count <= steps
     x = [0] * s + [1] + [0] * ((n - 1) * s - 1)
     assert compose_mod(g, h, n, mod, modulus) == x
     assert compose_mod(h, g, n, mod, modulus) == x

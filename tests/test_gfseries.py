@@ -354,6 +354,8 @@ class TestBabyPowerMemo:
             assert TruncSeries(field, outer, n).compose(g) == oracle_compose(field, outer, inner, n)
         memo = g._baby
         assert len(memo) == math.isqrt(n - 1) + 2  # inner^0 .. inner^k
+        # one entry per block: a residue, or over F_27 one int64 word
+        assert all(len(x) == n for x in memo)
         # a shorter outer composes mod X^(n // 2) < X^trunc: no memo read or built
         short = outers[0][: n // 2]
         fresh = TruncSeries(field, inner, n)
@@ -401,6 +403,8 @@ class TestBabyPowerMemo:
     def test_memo_arrays_are_read_only(self):
         g = TruncSeries(F27, [(0, 0, 0), (1, 2, 0)] + [(2, 1, 1)] * 14, 16)
         TruncSeries.x(F27, 16).compose(g)
+        # the baby powers are words, one per block, read-only as slots were
+        assert [len(x) for x in g._baby] == [16] * 5
         assert all(not x.flags.writeable for x in g._baby)
         with pytest.raises(ValueError, match="read-only"):
             g._baby[1][0] = 1
@@ -420,6 +424,8 @@ class TestFrobeniusMemo:
             g = TruncSeries(field, [zero] + [ring_coeff(rng, field) for _ in range(n - 1)], n)
             TruncSeries.x(field, n).compose(g)
             assert type(g._baby) is kind, (field, n)
+            # baby powers hold one entry per block: over F25 one int64 word
+            assert kind is FrobeniusTables or [len(x) for x in g._baby] == [n] * len(g._baby)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_shared_tables_match_paterson_stockmeyer(self, monkeypatch, p):

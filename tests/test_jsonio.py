@@ -266,6 +266,18 @@ class TestSeriesReader:
         ({**F4, "trunc": 3, "coeffs": [[0, 0], 1, [0, 1]]}, False),
         ({**F4, "trunc": 3, "coeffs": [0, 1, 1]}, False),
         ({**F4, "trunc": 3, "coeffs": [[0, 0], [1, False], [0, 1]]}, True),
+        # extension-field vectors: short, negative and long ints, digit
+        # strings, vectors longer than w, floats, nesting, and a count that
+        # misses the truncation
+        ({**F4, "trunc": 3, "coeffs": [[], [1], [-1, 10**30]]}, False),
+        ({**F4, "trunc": 3, "coeffs": [[0, 0], [1, "1"], [0, 1]]}, False),
+        ({**F4, "trunc": 3, "coeffs": [[0, 0], [1, 1, 1], [0, 1]]}, True),
+        ({**F4, "trunc": 3, "coeffs": [[0, 0], [1, 1.0], [0, 1]]}, True),
+        ({**F4, "trunc": 3, "coeffs": [[0, 0], [[1], 1], [0, 1]]}, True),
+        ({**F4, "trunc": 3, "coeffs": [[0, 0], {"1": 1}, [0, 1]]}, True),
+        ({**F4, "trunc": 3, "coeffs": [[0, 0], [1, 1]]}, True),
+        ({**F4, "trunc": 0, "coeffs": [[]]}, True),
+        ({"p": 3, "w": 3, "modulus": [1, 2, 0, 1], "trunc": 2, "coeffs": [[0, 0, 0], [2, -1, 5]]}, False),
     ], ids=lambda x: json.dumps(x["coeffs"]) if isinstance(x, dict) else None)
     def test_same_series_or_error_as_reading_each_coefficient(self, doc, fails):
         doc = json.loads(json.dumps(doc))

@@ -30,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 
 from ramforge import FiniteField, TruncMorphism, TruncObject, TruncSeries, _convolve
 from ramforge._convolve import (_SHORT, baby_powers, compose_mod, conv_mod, frobenius_tables, mul_mod,
-                                reversion_mod, row_combination)
+                                recip_mod, reversion_mod, row_combination)
 
 from helpers import (apply_ring_by_powers, brute_comp_inverse, brute_compose, cadd, cmul, exact_int_compose,
                      ext_compose, poly_mul_mod)
@@ -255,10 +255,13 @@ class TestSplit:
         assert pieces == [c] and got == poly_mul_mod(a, b, mod, 199)
 
     def test_extension_field_product(self):
-        # a packed product over F27 splits too, then folds directly
+        # a packed product over F27, whose natural layout at 12 blocks is one
+        # word per block, takes the slot layout under the lowered bound:
+        # it splits too, then folds directly
         p, modulus = EXTENSIONS["F27"]
         rng = np.random.default_rng(5)
         n, w = 12, 3
+        assert _convolve._word_ring(p, modulus, n) is not None
         a, b = (list(map(tuple, rng.integers(0, p, (n, w)).tolist())) for _ in range(2))
         got, pieces = self.run_split(lambda: mul_mod(pack(a, w), pack(b, w), n, p, modulus),
                                      p, n * (2 * w - 1), 2)
@@ -456,7 +459,8 @@ class TestComposeData:
                 assert type(data) is _convolve.FrobeniusTables and data.sizes[0] == n
             else:
                 assert type(data) is list and len(data) == isqrt(blocks - 1) + 2
-                assert len(data[0]) == n * _convolve.block_size(modulus)
+                # F4 and F9 at 100 blocks keep one word per block
+                assert len(data[0]) == n and (modulus is None or _convolve._word_ring(mod, modulus, n))
 
     @pytest.mark.parametrize("p", [2, 3, 5, 6007])
     def test_split_refused_past_its_row_sum_bound(self, monkeypatch, p):
@@ -586,3 +590,144 @@ class TestExtensionFields:
         results = run_methods(lambda: _convolve._fold([p - 1] * (n * s), n, p, modulus), p, s)
         assert results["natural"][1] > 0
         check_methods(results, want, True)
+
+
+# The word layout of F_{p^w} (see ``_convolve._word_bits``) over the fields
+# of the benchmark: for each, the last n inside the word bound, and a slot
+# width b0 whose bound 2^((2w - 1) b0), set as _INT64_SAFE, puts the last n
+# at 15 - 21 blocks, where the brute-force oracles run
+WORD_FIELDS = {
+    "F4": ((2, (1, 1, 1)), 262143, 6),
+    "F8": ((2, (1, 1, 0, 1)), 682, 7),
+    "F9": (EXTENSIONS["F9"], 65535, 8),
+    "F25": ((5, (3, 0, 1)), 16383, 10),
+    "F27": (EXTENSIONS["F27"], 170, 9),
+}
+
+
+def last_inside(p, w):
+    """The last n inside the word bound, for _INT64_SAFE a power of 2."""
+    b = (_convolve._INT64_SAFE.bit_length() - 1) // (2 * w - 1)
+    return ((1 << b) - 1) // (2 * w * (p - 1) ** 2)
+
+
+def spy_layouts(fn):
+    """fn() and the folds it made of words and of more than one slot block."""
+    calls = {"words": 0, "slots": 0}
+    fold, words_fold = _convolve._fold, _convolve._Words.fold
+
+    def slots(c, n, *args):
+        calls["slots"] += n > 1
+        return fold(c, n, *args)
+
+    def words(*args, **kwargs):
+        calls["words"] += 1
+        return words_fold(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_convolve, "_fold", slots)
+        mp.setattr(_convolve._Words, "fold", words)
+        return fn(), calls
+
+
+class TestWordLayout:
+    """Products, compositions with data handed in and built, reversion,
+    reciprocals and ring maps at the last n inside the word bound and the
+    first n past it, against the brute-force oracles, with spies on the
+    layout that ran.  Worst-case operands, every slot p - 1, carry the
+    largest slot sums the bound admits."""
+
+    @pytest.mark.parametrize("name", sorted(WORD_FIELDS))
+    def test_bound(self, name):
+        (p, modulus), last, b0 = WORD_FIELDS[name]
+        w = len(modulus) - 1
+        assert last_inside(p, w) == last
+        assert _convolve._word_bits(p, w, last) and not _convolve._word_bits(p, w, last + 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_convolve, "_INT64_SAFE", 1 << (2 * w - 1) * b0)
+            n = last_inside(p, w)
+            assert 15 <= n <= 21
+            assert _convolve._word_bits(p, w, n) == b0 and not _convolve._word_bits(p, w, n + 1)
+
+    @pytest.mark.parametrize("name", ["Fq2", "Fq3"])
+    def test_wide_fields_keep_slots(self, name):
+        p, modulus = EXTENSIONS[name]
+        assert _convolve._word_ring(p, modulus, 1) is None
+        rng = random.Random(name)
+        w, n = len(modulus) - 1, 6
+        outer = [tuple(rng.randrange(p) for _ in range(w)) for _ in range(n)]
+        inner = [(0,) * w] + outer[1:]
+        got, calls = spy_layouts(lambda: compose_mod(pack(outer, w), pack(inner, w), n, p, modulus))
+        assert calls["words"] == 0 and calls["slots"] > 0
+        assert unpack(got, w) == ext_compose(outer, inner, p, modulus, n)
+
+    @pytest.mark.parametrize("past", [False, True], ids=["last-inside", "first-past"])
+    @pytest.mark.parametrize("name", sorted(WORD_FIELDS))
+    def test_operations_at_the_bound(self, monkeypatch, name, past):
+        (p, modulus), _, b0 = WORD_FIELDS[name]
+        w = len(modulus) - 1
+        monkeypatch.setattr(_convolve, "_INT64_SAFE", 1 << (2 * w - 1) * b0)
+        n = last_inside(p, w) + past
+        layout, other = ("slots", "words") if past else ("words", "slots")
+
+        def ran(fn, only=True):
+            got, calls = spy_layouts(fn)
+            assert calls[layout] > 0 and (calls[other] == 0 or not only), calls
+            return got
+
+        rng = random.Random(f"{name}:{n}")
+        zero, top = (0,) * w, (p - 1,) * w
+        one = (1,) + zero[1:]
+        field = FiniteField(p, w, modulus)
+        cases = [[top] * n, [tuple(rng.randrange(p) for _ in range(w)) for _ in range(n)]]
+        cases[1][0] = cases[1][1] = one
+        for outer in cases:
+            inner = [zero] + outer[1:]
+            assert unpack(ran(lambda: mul_mod(pack(outer, w), pack(inner, w), n, p, modulus)), w) \
+                == ext_mul(outer, inner, p, modulus, n)
+            want = ext_compose(outer, inner, p, modulus, n)
+            assert unpack(ran(lambda: compose_mod(pack(outer, w), pack(inner, w), n, p, modulus)), w) == want
+            powers = baby_powers(pack(inner, w), n, p, modulus, isqrt(n - 1) + 1)
+            assert unpack(ran(lambda: compose_mod(pack(outer, w), None, n, p, modulus, powers)), w) == want
+            # past the bound, reversion's short steps take words
+            h = unpack(ran(lambda: reversion_mod(pack(inner, w), n, p, modulus), only=not past), w)
+            x = [zero, one] + [zero] * (n - 2)
+            assert ext_compose(inner, h, p, modulus, n) == x == ext_compose(h, inner, p, modulus, n)
+            a = np.asarray(pack(outer, w), dtype=np.int64)
+            r = ran(lambda: recip_mod(a, n, p, modulus))
+            assert r.dtype == np.int64
+            assert ext_mul(outer, unpack(r.tolist(), w), p, modulus, n) == [one] + [zero] * (n - 1)
+            src, dst = TruncObject(field, n), TruncObject(field, n)
+            ring_map = TruncMorphism(src, dst, 1, 1, dst.element(outer))
+            elem = src.element(inner[::-1])
+            assert ran(lambda: ring_map.apply_ring(elem)) == apply_ring_by_powers(ring_map, elem)
+
+    @pytest.mark.parametrize("name", ["F8", "F27"])
+    def test_real_bound_against_forced_slots(self, name):
+        # at the last n inside the real bound, words of 60 bits, and the
+        # first n past it; the slot layout is forced inside the bound by
+        # lowering _INT64_SAFE one below what the words need
+        (p, modulus), last, _ = WORD_FIELDS[name]
+        w = len(modulus) - 1
+        rng = random.Random(name)
+        top = (p - 1,) * w
+        for n in (last, last + 1):
+            inner = [(0,) * w] + [top] * (n - 1)
+            outer = [top] * n
+            # (op, whether its slot layout takes words for shorter steps)
+            ops = [(lambda: mul_mod(pack(outer, w), pack(inner, w), n, p, modulus), False),
+                   (lambda: compose_mod(pack(outer, w), pack(inner, w), n, p, modulus), False)]
+            if name == "F27":
+                inner[2:] = [tuple(rng.randrange(p) for _ in range(w)) for _ in range(n - 2)]
+                ops.append((lambda: reversion_mod(pack(inner, w), n, p, modulus), True))
+            for op, mixed in ops:
+                got, calls = spy_layouts(op)
+                assert calls["words" if n == last else "slots"] > 0
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(_convolve, "_INT64_SAFE", (1 << 60) - 1)
+                    forced, forced_calls = spy_layouts(op)
+                assert forced_calls["slots"] > 0 and (mixed or forced_calls["words"] == 0)
+                assert forced == got
+            if name == "F27":
+                assert unpack(ops[0][0](), w) == ext_mul(outer, inner, p, modulus, n)
+
