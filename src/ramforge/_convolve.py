@@ -49,8 +49,7 @@ return the series takes one of two layouts:
   words, then one fold: the 2w - 1 slots of each word are unpacked by
   shift and mask, taken times the rows Y^t mod the modulus, mod p, and
   repacked.  Products of lists, compositions, the baby powers and the
-  Newton steps of ``recip_mod`` and ``reversion_mod`` all stay in words
-  (see ``_Words``).
+  Newton steps of ``reversion_mod`` all stay in words (see ``_Words``).
 - slots, past that bound (as over F_{q^2} for a prime q near 2^31): a
   product of two coefficients has Y-degree at most 2w - 2, so one
   convolution mod p of two packed lists multiplies the series with no
@@ -95,10 +94,10 @@ else int64 arrays while the direct or halves method fits, object arrays
 of Python ints past the halves band; see ``compose_mod``.
 
 Reciprocals and substitution inverses are Newton iterations.
-``recip_mod`` runs its steps on arrays, as ``divide_mod`` hands them, or
-on words.  ``reversion_mod`` makes one composition per step, E = g(h),
-and reads 1/g'(h) off the chain rule as h'/E' (Brent and Kung, J. ACM 25,
-1978), where 1/E' is 2 - E' to the precision the step needs.
+``recip_mod`` runs its steps on arrays, as ``divide_mod`` hands them.
+``reversion_mod`` makes one composition per step, E = g(h), and reads
+1/g'(h) off the chain rule as h'/E' (Brent and Kung, J. ACM 25, 1978),
+where 1/E' is 2 - E' to the precision the step needs.
 
 ``divide_mod`` divides over Z/p^P by a series whose first unit entry,
 the pivot, need not be its first: the quotient is a fixed point, reached
@@ -753,28 +752,18 @@ def recip_mod(a, n, mod, modulus=None):
     to -h * ((a*h) / X^k), a product of m - k blocks.
 
     a is a numpy residue array whose dtype covers products of n blocks
-    (see ``array_dtype``), and so is the result.  Over F_{p^w} the steps
-    run on words where they fit (see ``_word_bits``), one entry per block.
+    (see ``array_dtype``), and so is the result.
     """
     s = block_size(modulus)
-    width, dtype = n * s, a.dtype
-    unit = unit_inverse(a[:s].tolist(), mod, modulus)
-    words = _word_ring(mod, modulus, n)
-    if words:
-        a, h, s, mul = words.of(a, n), words.of(unit, n), 1, words.mul
-    else:
-        a, h = _residues(a, width, dtype), _residues(unit, width, dtype)
-
-        def mul(x, y, m, negate=False):
-            out = mul_mod(x, y, m, mod, modulus)
-            return -out % mod if negate else out
-
+    width = n * s
+    a = _residues(a, width, a.dtype)
+    h = _residues(unit_inverse(a[:s].tolist(), mod, modulus), width, a.dtype)
     m = 1
     while m < n:
         k, m = m, min(2 * m, n)
-        e = mul(a[: m * s], h[: k * s], m)[k * s :]
-        h[k * s : m * s] = mul(h[: (m - k) * s], e, m - k, negate=True)
-    return _residues(words.slots(h), width, dtype) if words else h
+        e = mul_mod(a[: m * s], h[: k * s], m, mod, modulus)[k * s :]
+        h[k * s : m * s] = -mul_mod(h[: (m - k) * s], e, m - k, mod, modulus) % mod
+    return h
 
 
 def divide_mod(num, den, i0, rounds, mod):
@@ -808,11 +797,6 @@ def divide_mod(num, den, i0, rounds, mod):
     return q.tolist(), residual.tolist()
 
 
-def _derivative(x, n, s, mod):
-    """First n blocks of the X-derivative of the packed series x."""
-    return [(i // s) * c % mod for i, c in enumerate(x[s : (n + 1) * s], s)]
-
-
 def reversion_mod(g, n, mod, modulus=None):
     """First n blocks of the substitution inverse h of g, g(h) == X.
 
@@ -826,44 +810,53 @@ def reversion_mod(g, n, mod, modulus=None):
     mod X^(m-k-1), 1/E' = 1 - D = 2 - E', with no reciprocal to compute.
 
     Over F_{p^w} the steps run on words where they fit (see
-    ``_word_bits``), from the first step to the last.
+    ``_word_bits``), from the first step to the last: the one Newton loop
+    reads the layout's composition, derivative, product and +2 on the
+    constant term, bound before it.
     """
     s = block_size(modulus)
     g = g[: n * s]
     h = [0] * s + unit_inverse(g[s:], mod, modulus)
+    h += [0] * (n * s - len(h))
     words = _word_ring(mod, modulus, n)
     if words:
-        return words.slots(_reversion_words(words, words.of(g, n), words.of(h, n), n)).tolist()
+        import numpy as np
+
+        g, h, s, mul = words.of(g, n), words.of(h, n), 1, words.mul
+
+        def compose(outer, inner, m):
+            return words.compose(outer, words.powers(inner, m, isqrt(m - 1) + 1), m)
+
+        def deriv(x, t, sign=1):
+            return words.scale(x[1 : t + 1], sign * np.arange(1, t + 1))
+
+        def plus_two(c):
+            low = c & words.mask  # slot Y^0 of the folded word c
+            return c + (low + 2) % mod - low
+
+    else:
+
+        def compose(outer, inner, m):
+            return compose_mod(outer, inner, m, mod, modulus)
+
+        def deriv(x, t, sign=1):
+            return [sign * (i // s) * c % mod for i, c in enumerate(x[s : (t + 1) * s], s)]
+
+        def plus_two(c):
+            return (c + 2) % mod
+
+        def mul(x, y, t, negate=False):
+            out = mul_mod(x, y, t, mod, modulus)
+            return [-c % mod for c in out] if negate else out
+
     k = 1
     while k < n - 1:
         m = min(2 * k + 2, n)
         t = m - k - 1
-        h += [0] * (m * s - len(h))
-        e = compose_mod(g[: m * s], h, m, mod, modulus)
-        inv = [-c % mod for c in _derivative(e, t, s, mod)]
-        inv[0] = (inv[0] + 2) % mod
-        ratio = mul_mod(_derivative(h, t, s, mod), inv, t, mod, modulus)
-        corr = mul_mod(e[(k + 1) * s :], ratio, t, mod, modulus)
-        h[(k + 1) * s :] = [-c % mod for c in corr]
+        e = compose(g[: m * s], h[: m * s], m)
+        inv = deriv(e, t, -1)
+        inv[0] = plus_two(inv[0])
+        ratio = mul(deriv(h, t), inv, t)
+        h[(k + 1) * s : m * s] = mul(e[(k + 1) * s :], ratio, t, negate=True)
         k = 2 * k + 1
-    return h + [0] * (n * s - len(h))
-
-
-def _reversion_words(words, g, h, n):
-    """``reversion_mod``'s Newton steps on words: h is the inverse of g
-    through X^1, and is filled in place."""
-    import numpy as np
-
-    k = 1
-    while k < n - 1:
-        m = min(2 * k + 2, n)
-        t = m - k - 1
-        e = words.compose(g[:m], words.powers(h[:m], m, isqrt(m - 1) + 1), m)
-        index = np.arange(1, t + 1)
-        inv = words.scale(e[1 : t + 1], -index)
-        low = inv[0] & words.mask
-        inv[0] += (low + 2) % words.mod - low
-        ratio = words.mul(words.scale(h[1 : t + 1], index), inv, t)
-        h[k + 1 : m] = words.mul(e[k + 1 :], ratio, t, negate=True)
-        k = 2 * k + 1
-    return h
+    return words.slots(h).tolist() if words else h

@@ -30,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 
 from ramforge import FiniteField, TruncMorphism, TruncObject, TruncSeries, _convolve
 from ramforge._convolve import (_SHORT, baby_powers, compose_mod, conv_mod, frobenius_tables, mul_mod,
-                                recip_mod, reversion_mod, row_combination)
+                                reversion_mod, row_combination)
 
 from helpers import (apply_ring_by_powers, brute_comp_inverse, brute_compose, cadd, cmul, exact_int_compose,
                      ext_compose, poly_mul_mod)
@@ -66,13 +66,14 @@ def halves_floor(mod, terms):
     return max(terms << (2 * h + 2), mod << h) + 1
 
 
-def run_methods(fn, mod, terms):
+def run_methods(fn, mod, terms, forced=None):
     """{method: (fn(), calls of _halves, calls of _pack)} for each exact method.
 
     "natural" is the unforced choice; "direct" runs where every product of at
-    most terms terms fits directly, "halves" where it can be forced.
+    most terms terms fits directly, "halves" where it can be forced; forced
+    maps more methods to their bounds.
     """
-    bounds = {"natural": SAFE, "kronecker": 0}
+    bounds = {"natural": SAFE, "kronecker": 0, **(forced or {})}
     if (mod - 1) * (mod - 1) * terms < SAFE:
         bounds["direct"] = SAFE
     floor = halves_floor(mod, terms)
@@ -105,7 +106,7 @@ def check_methods(results, want, numpy_case):
         assert got == want, method
         if method == "kronecker":
             assert halves == 0
-        elif method == "direct" and numpy_case:
+        elif method in ("direct", "slots-direct") and numpy_case:
             assert halves == 0 and packs == 0
         elif method == "halves" and numpy_case:
             assert halves > 0 and packs == 0
@@ -564,22 +565,50 @@ def unpack(flat, w):
     return [tuple(flat[i : i + w]) for i in range(0, len(flat), s)]
 
 
+def run_ext_methods(fn, p, modulus, n):
+    """run_methods for fn, an op on n blocks over F_p[Y]/(modulus), and the
+    folds of words and of slots each method made (see ``spy_layouts``).
+
+    Where the word layout admits n blocks, with slot width b, the slot layout
+    is forced as "slots-direct": _INT64_SAFE one below 2^((2w - 1) b), where
+    every slot product still fits directly.
+    """
+    w = len(modulus) - 1
+    width = n * (2 * w - 1)
+    b = _convolve._word_bits(p, w, n)
+    forced = {}
+    if b:
+        forced["slots-direct"] = (1 << (2 * w - 1) * b) - 1
+        assert (p - 1) ** 2 * width < forced["slots-direct"]
+    results = run_methods(lambda: spy_layouts(fn), p, width, forced)
+    layouts = {method: calls for method, ((_, calls), *_) in results.items()}
+    return {method: (got, *counts) for method, ((got, _), *counts) in results.items()}, layouts
+
+
 class TestExtensionFields:
     @KERNEL
     @given(extension_cases())
     def test_methods_agree(self, case):
-        # over F_{q^w} the block folds of _fold take halves as well
+        # over F_{q^w} the block folds of _fold take halves as well; over F9
+        # and F27 the unforced methods take words, and "slots-direct" the
+        # direct method on slots
         p, modulus, outer, inner, n = case
         w = len(modulus) - 1
         width = n * (2 * w - 1)
-        want_comp = ext_compose(outer, inner, p, modulus, n)
-        results = run_methods(lambda: unpack(compose_mod(pack(outer, w), pack(inner, w), n, p, modulus), w),
-                              p, width)
-        check_methods(results, want_comp, True)
-        want_prod = ext_mul(outer, inner, p, modulus, n)
-        results = run_methods(lambda: unpack(mul_mod(pack(outer, w), pack(inner, w), n, p, modulus), w),
-                              p, width)
-        check_methods(results, want_prod, width > _SHORT)
+        inside = bool(_convolve._word_bits(p, w, n))
+        assert inside == (p != Q)
+        # (op, oracle, whether numpy runs, whether the unforced op takes words)
+        ops = [(lambda: compose_mod(pack(outer, w), pack(inner, w), n, p, modulus),
+                ext_compose(outer, inner, p, modulus, n), True, inside),
+               (lambda: mul_mod(pack(outer, w), pack(inner, w), n, p, modulus),
+                ext_mul(outer, inner, p, modulus, n), width > _SHORT, inside and n > 1 and width > _SHORT)]
+        for op, want, numpy_case, words in ops:
+            results, layouts = run_ext_methods(lambda: unpack(op(), w), p, modulus, n)
+            check_methods(results, want, numpy_case)
+            assert (layouts["natural"]["words"] > 0) == words
+            if inside:
+                forced = layouts["slots-direct"]
+                assert forced["words"] == 0 and (forced["slots"] > 0) == (n > 1)
 
     def test_worst_case_fold(self):
         # every slot q - 1: a direct int64 fold would overflow
@@ -631,11 +660,11 @@ def spy_layouts(fn):
 
 
 class TestWordLayout:
-    """Products, compositions with data handed in and built, reversion,
-    reciprocals and ring maps at the last n inside the word bound and the
-    first n past it, against the brute-force oracles, with spies on the
-    layout that ran.  Worst-case operands, every slot p - 1, carry the
-    largest slot sums the bound admits."""
+    """Products, compositions with data handed in and built, reversion and
+    ring maps at the last n inside the word bound and the first n past it,
+    against the brute-force oracles, with spies on the layout that ran.
+    Worst-case operands, every slot p - 1, carry the largest slot sums the
+    bound admits."""
 
     @pytest.mark.parametrize("name", sorted(WORD_FIELDS))
     def test_bound(self, name):
@@ -693,10 +722,6 @@ class TestWordLayout:
             h = unpack(ran(lambda: reversion_mod(pack(inner, w), n, p, modulus), only=not past), w)
             x = [zero, one] + [zero] * (n - 2)
             assert ext_compose(inner, h, p, modulus, n) == x == ext_compose(h, inner, p, modulus, n)
-            a = np.asarray(pack(outer, w), dtype=np.int64)
-            r = ran(lambda: recip_mod(a, n, p, modulus))
-            assert r.dtype == np.int64
-            assert ext_mul(outer, unpack(r.tolist(), w), p, modulus, n) == [one] + [zero] * (n - 1)
             src, dst = TruncObject(field, n), TruncObject(field, n)
             ring_map = TruncMorphism(src, dst, 1, 1, dst.element(outer))
             elem = src.element(inner[::-1])
