@@ -1,11 +1,11 @@
 """Dense truncated series kernels over Z/m and over F_p[Y]/(modulus).
 
-Residue vectors are sequences of ints in [0, m); ``compose_mod``,
-``recip_mod`` and ``divide_mod`` also pass numpy arrays of them to the
-product functions, which then return arrays.  That range is the kernel's
-one input contract: a ``TruncSeries`` or a field element reduces its
-coefficients once, when it is built, and the kernel reads every entry
-handed to it as a residue, never reducing it again.  This is the one
+Residue vectors are sequences of ints in [0, m); the kernel's layouts and
+``divide_mod`` also pass numpy arrays of them to ``conv_mod``, which then
+returns arrays.  That range is the kernel's one input contract: a
+``TruncSeries`` or a field element reduces its coefficients once, when it
+is built, and the kernel reads every entry handed to it as a residue,
+never reducing it again.  This is the one
 module that imports numpy, picks an array's dtype or knows the int64
 bound: every other module hands in and gets back lists.  A product takes
 one of four exact methods, chosen by one size test on m and the number of
@@ -28,33 +28,34 @@ terms a coefficient of the product sums:
 
 Every method is exact, so results are identical whichever runs.  The
 direct and halves methods serve every bilinear op of the kernel: series
-products, the chunk sums of ``compose_mod`` and the block reduction of
-``_fold``.  The split serves series products alone: it never makes more
-numpy calls than halves, and makes fewer coefficient products.
+products, the chunk sums of a composition and the block reduction of
+``_Slots.reduce``.  The split serves series products alone: it never
+makes more numpy calls than halves, and makes fewer coefficient products.
 
 A series over F_{p^w} = F_p[Y]/(modulus) enters and leaves the kernel
 packed into one flat list (Kronecker substitution in Y): the coefficient
 of X^k is a polynomial in Y of degree below w, stored in slots
 [k*s, k*s + w) of a block of s = 2w - 1 slots, the other w - 1 slots
 being zero.  Without a modulus (the rings F_p and Z/p^P) s = 1, a block
-is one residue and nothing is reduced.  Between a call's entry and its
-return the series takes one of two layouts:
+is one residue and nothing is reduced.  Inside a call a series is in one
+of two layouts, picked by ``_layout`` alone, from the ring and the number
+of blocks.  Both offer the same operations (read in, write out, product,
+fold, chunk sums, scale, +2 on the constant term), and compositions, baby
+powers and Newton steps are written once against them:
 
-- words, where they fit: each block is one int64 word sum_t c_t 2^(bt),
-  with b bits per slot, enough for every slot sum the call can form
-  (``_word_bits`` states that bound, from p, w and the number of terms).
-  This is Kronecker substitution at the bit level (D. Harvey, "Faster
-  polynomial multiplication via multipoint Kronecker substitution",
-  J. Symbolic Comput. 44, 2009).  A product is one ``np.convolve`` of n
-  words, then one fold: the 2w - 1 slots of each word are unpacked by
-  shift and mask, taken times the rows Y^t mod the modulus, mod p, and
-  repacked.  Products of lists, compositions, the baby powers and the
-  Newton steps of ``reversion_mod`` all stay in words (see ``_Words``).
-- slots, past that bound (as over F_{q^2} for a prime q near 2^31): a
-  product of two coefficients has Y-degree at most 2w - 2, so one
-  convolution mod p of two packed lists multiplies the series with no
-  overlap between blocks, and ``_fold`` reduces each block mod the
-  modulus.
+- ``_Words``, over F_{p^w} where they fit: each block is one int64 word
+  sum_t c_t 2^(bt), b bits per slot, enough for every slot sum the call
+  can form (``_word_bits``).  This is Kronecker substitution at the bit
+  level (D. Harvey, "Faster polynomial multiplication via multipoint
+  Kronecker substitution", J. Symbolic Comput. 44, 2009).  A product is
+  one ``np.convolve`` of n words, then one fold: the 2w - 1 slots of each
+  word are unpacked by shift and mask, taken times the rows Y^t mod the
+  modulus, mod p, and repacked.
+- ``_Slots``, over F_p and Z/p^P, and over F_{p^w} past the word bound
+  (as over F_{q^2} for a prime q near 2^31): arrays of the packed
+  residues.  A product of two coefficients has Y-degree at most 2w - 2, so
+  one ``conv_mod`` of two packed arrays multiplies the series with no
+  overlap between blocks, and each block is reduced mod the modulus.
 
 A field element is one block, and the field's product is the one-block
 ``mul_mod(a, b, 1, p, modulus)``.  Lists of at most ``_SHORT`` slots take
@@ -88,16 +89,14 @@ split over F_p (a prime mod, ``is_prime``, and no modulus) where
 method's data depend on the inner series and the precision alone, and
 ``compose_mod`` takes them ready made, so compositions with one inner (as
 in ``nottingham.compose_power``) can build them once; it builds them by
-``compose_data`` otherwise, ``reversion_mod``'s compositions included.
-Composition stays array-resident: words over F_{p^w} where they fit,
-else int64 arrays while the direct or halves method fits, object arrays
-of Python ints past the halves band; see ``compose_mod``.
+``compose_data`` otherwise.  A composition stays in the layout of its n
+blocks, and ``_compose``, its one body, serves ``reversion_mod`` too.
 
 Reciprocals and substitution inverses are Newton iterations.
-``recip_mod`` runs its steps on arrays, as ``divide_mod`` hands them.
-``reversion_mod`` makes one composition per step, E = g(h), and reads
-1/g'(h) off the chain rule as h'/E' (Brent and Kung, J. ACM 25, 1978),
-where 1/E' is 2 - E' to the precision the step needs.
+``recip_mod`` runs its steps over Z/p^P on arrays, as ``divide_mod`` hands
+them.  ``reversion_mod`` makes one composition per step, E = g(h), and
+reads 1/g'(h) off the chain rule as h'/E' (Brent and Kung, J. ACM 25,
+1978), where 1/E' is 2 - E' to the precision the step needs.
 
 ``divide_mod`` divides over Z/p^P by a series whose first unit entry,
 the pivot, need not be its first: the quotient is a fixed point, reached
@@ -209,33 +208,33 @@ def _pieces(mod, terms):
 
 
 def _word_bits(p, w, terms):
-    """The slot width b of the word layout over F_{p^w}, for products and
-    chunk sums of at most terms blocks; 0 where words do not fit in int64.
+    """The slot width b of the word layout over F_{p^w} where its products
+    and chunk sums of at most terms blocks fit, else 0.
 
-    In the word layout a block c = sum_t c_t Y^t, residues c_t < p, is one
-    int64 word sum_t c_t 2^(bt).  The integer product of two words is their
-    product in Y, with the sum_{u+v=t} a_u b_v of at most w products below
-    (p - 1)^2 in slot t.  An entry of a series product sums at most terms
-    of them, and a Horner step of ``compose_mod`` adds a chunk sum, bounded
-    the same way, before its one fold: every slot stays below
-    2 * terms * w * (p - 1)^2 < 2^b, so no slot carries into the next.
-    The 2w - 1 slots of an unfolded word are then below 2^((2w - 1) b),
-    which must not pass ``_INT64_SAFE``; a fold's row sums, 2w - 1
-    products of a slot and a residue, stay below 2^(1.5 b + 6) <= 2^36.
-    This holds over every field of the benchmark (at most 67 blocks), over
-    F_27 to 170 blocks and over F_4 to 262,143; it never holds once
-    (p - 1)^2 reaches 2^18.
+    A block c = sum_t c_t Y^t, residues c_t < p, is one int64 word
+    sum_t c_t 2^(bt), b the widest width whose 2w - 1 slots stay within
+    ``_INT64_SAFE``.  A slot of a product of two words sums at most w
+    products below (p - 1)^2, one of a series product terms times that,
+    and a Horner step of ``_compose`` adds a chunk sum, bounded the same
+    way, before its one fold: words fit where 2 * terms * w * (p - 1)^2
+    < 2^b, so no slot carries.  A fold's row sums stay below 2^36.  Words
+    fit over every field of the benchmark (at most 67 blocks), over F_27 to
+    170 blocks and over F_4 to 262,143, never once (p - 1)^2 reaches 2^18.
     """
-    b = (2 * terms * w * (p - 1) ** 2).bit_length()
-    return b if 1 << ((2 * w - 1) * b) <= _INT64_SAFE else 0
+    b = (_INT64_SAFE.bit_length() - 1) // (2 * w - 1)
+    return b if (2 * terms * w * (p - 1) ** 2).bit_length() <= b else 0
 
 
-def _word_ring(mod, modulus, terms):
-    """The ``_Words`` of F_p[Y]/(modulus), p = mod, for products of at
-    most terms blocks where ``_word_bits`` admits them, else None; always
-    None over F_p and Z/p^P, whose blocks are single residues already."""
-    b = modulus is not None and _word_bits(mod, len(modulus) - 1, terms)
-    return _words(mod, tuple(modulus), b) if b else None
+def _layout(mod, modulus, n):
+    """The layout of a kernel call on n blocks: ``_Words`` over
+    F_p[Y]/(modulus), p = mod, where ``_word_bits`` admits n blocks, and
+    ``_Slots`` otherwise, in the dtype of products of n blocks."""
+    if modulus is None:
+        return _slots(mod, None, 1, 1, array_dtype(mod, n))
+    modulus, w = tuple(modulus), len(modulus) - 1
+    if b := _word_bits(mod, w, n):
+        return _words(mod, modulus, b)
+    return _slots(mod, modulus, w, 2 * w - 1, array_dtype(mod, n * (2 * w - 1)))
 
 
 @lru_cache(maxsize=64)
@@ -254,13 +253,10 @@ def _words(mod, modulus, b):
 
 
 class _Words(NamedTuple):
-    """Series over F_p[Y]/(modulus) with one int64 word per block (see
-    ``_word_bits``): numpy arrays of words, each a block of w slots of b
-    bits, folded, or of 2w - 1 slots, unfolded.  A product is one
-    ``np.convolve`` of words, then one fold; a negation acts per slot, in
-    the fold or in ``scale``, so words stay non-negative.  Words exist only
-    inside a kernel call: ``of`` reads the slot layout at its entry and
-    ``slots`` writes it at its return."""
+    """Series over F_p[Y]/(modulus) as numpy arrays of int64 words (see
+    ``_word_bits``), one per block of w slots of b bits, folded, or of
+    2w - 1 slots, unfolded, as products and chunk sums come out: one fold
+    reduces a product, or a product plus a chunk sum."""
 
     mod: int
     w: int
@@ -269,6 +265,9 @@ class _Words(NamedTuple):
     rows: object  # Y^t mod the modulus, for t < 2w - 1 (``_reduction``)
     negated: object  # the rows negated mod p
     place: object  # 2^(bt) for the w slots of a folded word
+
+    stride = 1  # array entries per block
+    dtype = "int64"
 
     def of(self, x, n):
         """The first n blocks of the slot sequence or array x, as words."""
@@ -285,6 +284,12 @@ class _Words(NamedTuple):
         out[:, : self.w] = x[:, None] >> self.shifts[: self.w] & self.mask
         return out.reshape(-1)
 
+    def product(self, x, y, n):
+        """The first n blocks of x * y, unfolded: one ``np.convolve``."""
+        import numpy as np
+
+        return np.convolve(x[:n], y[:n])[:n]
+
     def fold(self, x, negate=False):
         """Unfolded words x reduced mod (modulus, p), negated when negate:
         the 2w - 1 slots by shift and mask, times the rows Y^t, mod p."""
@@ -293,39 +298,109 @@ class _Words(NamedTuple):
 
     def mul(self, x, y, n, negate=False):
         """The first n blocks of x * y (or of -x * y), folded."""
+        return self.fold(self.product(x, y, n), negate)
+
+    def chunks(self, outer, base):
+        """The chunk sums of ``_compose``, one matrix product: unfolded, but
+        for the last, where Horner's rule starts, folded."""
         import numpy as np
 
-        return self.fold(np.convolve(x[:n], y[:n])[:n], negate)
+        out = outer.reshape(-1, len(base)) @ np.stack(base)
+        out[-1] = self.fold(out[-1])
+        return out
 
     def scale(self, x, c):
         """Block i of the folded words x times the integer c[i], mod p."""
         slots = x[:, None] >> self.shifts[: self.w] & self.mask
         return slots * (c[:, None] % self.mod) % self.mod @ self.place
 
-    def powers(self, x, n, k):
-        """x^0 .. x^k mod X^n, the baby powers of ``compose_mod``."""
-        out = [_residues([1], n, x.dtype), _residues(x, n, x.dtype)]
-        for _ in range(k - 1):
-            out.append(self.mul(out[-1], out[1], n))
-        return out
+    def plus_two(self, c):
+        """The folded word c plus 2 in its slot Y^0."""
+        low = c & self.mask
+        return c + (low + 2) % self.mod - low
 
-    def compose(self, outer, powers, n):
-        """First n blocks of outer(inner), folded, from the baby powers of
-        inner mod X^n: Paterson-Stockmeyer as in ``compose_mod``, whose
-        chunk sums are here the one matrix product ``coef @ base`` of words,
-        as over F_p; a Horner step adds the unfolded chunk to the unfolded
-        product before their one fold."""
+    def data(self, x, n):
+        """What a composition mod X^n reads of the words x: its baby powers."""
+        return _powers(self, x[:n].copy(), n, isqrt(n - 1) + 1)
+
+
+class _Slots(NamedTuple):
+    """Series over Z/m, or over F_p[Y]/(modulus) past the word bound, as
+    numpy arrays of their packed residues, int64 or Python ints (see
+    ``_layout``).  Products and chunk sums come out with every block
+    reduced (``reduce``), so the fold of a Horner sum is one mod m."""
+
+    mod: int
+    modulus: object  # a tuple, or None over Z/m
+    w: int
+    stride: int  # 2w - 1 slots per block
+    dtype: object
+
+    def of(self, x, n):
+        """The first n blocks of the slot sequence or array x, as an array."""
+        return _residues(x, n * self.stride, self.dtype)
+
+    def slots(self, x):
+        return x
+
+    def reduce(self, x):
+        """Each block of the array x reduced mod the modulus, in place: the
+        2w - 1 slots times the rows Y^t, by ``_bilinear``."""
+        if self.modulus is not None:
+            import numpy as np
+
+            rows = np.asarray(_reduction(self.modulus, self.mod), dtype=self.dtype)
+            blocks = x.reshape(-1, self.stride)
+            blocks[:, : self.w] = _bilinear(np.matmul, blocks, rows, self.stride, self.mod)
+            blocks[:, self.w :] = 0
+        return x
+
+    def product(self, x, y, n):
+        """The first n blocks of x * y, reduced: ``conv_mod``, ``reduce``."""
+        return self.reduce(conv_mod(x, y, n * self.stride, self.mod))
+
+    def fold(self, x):
+        """A sum of reduced products and chunk sums, mod m."""
+        return x % self.mod
+
+    def mul(self, x, y, n, negate=False):
+        """The first n blocks of x * y (or of -x * y), reduced."""
+        out = self.product(x, y, n)
+        return -out % self.mod if negate else out
+
+    def chunks(self, outer, base):
+        """The chunk sums of ``_compose``, reduced: a block c = sum_t c_t Y^t
+        times a power is the power shifted by t slots times c_t, within each
+        block, so all chunks are one matrix product ``coef @ shifted``."""
         import numpy as np
 
-        k = len(powers) - 1
-        m = -(-len(outer) // k)
-        chunks = _residues(outer, m * k, np.int64).reshape(m, k) @ np.stack(powers[:k])
-        acc = self.fold(chunks[-1])
-        for i in range(m - 2, -1, -1):
-            width = n - i * k
-            acc = self.fold(np.convolve(acc[:width], powers[k][:width])[:width] + chunks[i, :width])
-        return acc
+        k, w, width = len(base), self.w, len(base[0])
+        # chunk i, row (j, t): the coefficient c_t of Y^t in block ik + j of outer
+        coef = outer.reshape(-1, k, self.stride)[:, :, :w].reshape(-1, k * w)
+        base = np.stack(base)
+        shifted = np.zeros((k, w, width), dtype=self.dtype)
+        for t in range(w):
+            shifted[:, t, t:] = base[:, : width - t]
+        chunks = _bilinear(np.matmul, coef, shifted.reshape(k * w, width), k * w, self.mod)
+        self.reduce(chunks.reshape(-1))
+        return chunks
 
+    def scale(self, x, c):
+        """Block i of x times the integer c[i], mod m."""
+        return (x.reshape(len(c), -1) * c[:, None] % self.mod).reshape(-1)
+
+    def plus_two(self, c):
+        """The slot c plus 2, mod m."""
+        return (c + 2) % self.mod
+
+    def data(self, x, n):
+        """What a composition mod X^n reads of the slots x: ``compose_data``."""
+        return compose_data(x, n, self.mod, self.modulus, n)
+
+
+# interned, one _Slots per ring and dtype, so that reversion_mod reads g and
+# h in again only where a step's layout is another object
+_slots = lru_cache(maxsize=64)(_Slots)
 
 def _split(x, y, n, mod, c):
     """First n entries of the product of int64 residue arrays x and y mod
@@ -367,7 +442,7 @@ def conv_mod(a, b, n, mod):
     """Truncated product: first n coefficients of a*b with entries mod m.
 
     a and b are sequences of residues below mod, or two numpy arrays of
-    them as compose_mod passes them (int64 where ``_int64_exact`` holds,
+    them as ``_Slots`` passes them (int64 where ``_int64_exact`` holds,
     Python ints in object arrays past it); arrays give an array of a's
     dtype, anything else a list.  Lists of at most ``_SHORT`` slots take
     Kronecker; longer lists and arrays take direct, split or halves where
@@ -446,41 +521,19 @@ def row_combination(vec, rows, mod):
     return [sum(c * row[j] for c, row in zip(vec, rows)) % mod for j in range(len(rows[0]))]
 
 
-def _fold(c, n, mod, modulus):
-    """Reduce each of the first n blocks of c mod the modulus.
-
-    c is a list, or a numpy array that is reduced in place.  A block of
-    2w - 1 slots is reduced as the block times the rows Y^d mod the
-    modulus: one list block in pure Python, more blocks at once in numpy.
-    """
-    w = len(modulus) - 1
-    s = 2 * w - 1
-    rows = _reduction(tuple(modulus), mod)
-    if n == 1 and not hasattr(c, "dtype"):
-        return row_combination(c, rows, mod) + [0] * (w - 1)
-    import numpy as np
-
-    arr = c
-    if not hasattr(c, "dtype"):
-        # a folded slot sums s products of two residues
-        arr = np.asarray(c, dtype=array_dtype(mod, s))
-    blocks = arr[: n * s].reshape(n, s)
-    blocks[:, :w] = _bilinear(np.matmul, blocks, np.asarray(rows, dtype=arr.dtype), s, mod)
-    blocks[:, w:] = 0
-    return arr if arr is c else arr.tolist()
-
-
 def mul_mod(a, b, n, mod, modulus=None):
-    """First n blocks of the packed product a*b (lists, or arrays as conv_mod).
+    """First n blocks of the packed product a*b, as a list.
 
-    Lists of more than one block and ``_SHORT`` slots over F_{p^w} take
-    the word layout where it fits (see ``_word_bits``)."""
+    Over Z/m this is ``conv_mod``.  Over F_{p^w} one block, a product of
+    field elements, is reduced in pure Python, and more blocks take the
+    layout of n blocks (see ``_layout``)."""
     if modulus is None:
         return conv_mod(a, b, n, mod)
-    words = n > 1 and not hasattr(a, "dtype") and max(len(a), len(b)) > _SHORT and _word_ring(mod, modulus, n)
-    if words:
-        return words.slots(words.mul(words.of(a, n), words.of(b, n), n)).tolist()
-    return _fold(conv_mod(a, b, n * block_size(modulus), mod), n, mod, modulus)
+    if n == 1:
+        c = conv_mod(a, b, block_size(modulus), mod)
+        return row_combination(c, _reduction(tuple(modulus), mod), mod) + [0] * (len(modulus) - 2)
+    layout = _layout(mod, modulus, n)
+    return layout.slots(layout.mul(layout.of(a, n), layout.of(b, n), n)).tolist()
 
 
 def power(x, k, op):
@@ -506,29 +559,26 @@ def unit_inverse(a, mod, modulus=None):
                  lambda x, y: mul_mod(x, y, 1, mod, modulus))
 
 
+def _powers(layout, x, n, k):
+    """x^0 .. x^k mod X^n in the layout, from x, an array of n blocks in it
+    that no caller writes to: k - 1 products, read-only arrays."""
+    powers = [_residues([1], n * layout.stride, layout.dtype), x]
+    for _ in range(k - 1):
+        powers.append(layout.mul(powers[-1], powers[1], n))
+    for y in powers:
+        y.flags.writeable = False
+    return powers
+
+
 def baby_powers(inner, n, mod, modulus, k):
     """The baby steps of ``compose_mod``: inner^0 .. inner^k mod X^n, in
-    k - 1 products.
-
-    They are read-only numpy arrays of n blocks, in the dtype compose_mod
-    works in for n blocks: n words over F_{p^w} where the word layout fits
-    (see ``_word_bits``), n blocks of slots otherwise.  They depend on
+    k - 1 products, as read-only numpy arrays in the layout of n blocks
+    (see ``_layout``), in which ``compose_mod`` reads them.  They depend on
     inner and n alone, so every composition of n blocks with one inner can
     share them.
     """
-    words = _word_ring(mod, modulus, n)
-    if words:
-        powers = words.powers(words.of(inner, n), n, k)
-    else:
-        width = n * block_size(modulus)
-        dtype = array_dtype(mod, width)
-        inner = _residues(inner, width, dtype)
-        powers = [_residues([1], width, dtype), inner]
-        for _ in range(k - 1):
-            powers.append(mul_mod(powers[-1], inner, n, mod, modulus))
-    for x in powers:
-        x.flags.writeable = False
-    return powers
+    layout = _layout(mod, modulus, n)
+    return _powers(layout, layout.of(inner, n), n, k)
 
 
 def frobenius_wins(p, n):
@@ -635,7 +685,8 @@ def frobenius_tables(inner, n, p):
 
 
 def _frobenius_compose(outer, n, tables):
-    """First n terms of outer(h) over F_p from h's ``frobenius_tables``.
+    """First n terms of outer(h) over F_p, as an array, from h's
+    ``frobenius_tables`` and outer, at most n terms.
 
     As h(X)^p = h(X^p) over F_p, writing outer = sum_{r<p} X^r f_r(X^p)
     gives outer(h) = sum_r h^r (f_r o h)(X^p), and mod X^n each f_r o h is
@@ -652,12 +703,12 @@ def _frobenius_compose(outer, n, tables):
 
     p, sizes, stacks, table = tables
     dtype = table.dtype
-    f = _residues(outer, n, dtype)[None, :]
+    f = np.asarray(outer, dtype=dtype)[None, :]
     for m in sizes[1:]:
         rows = np.zeros((len(f), m * p), dtype=dtype)
         rows[:, : f.shape[1]] = f
         f = rows.reshape(-1, m, p).transpose(0, 2, 1).reshape(-1, m)
-    g = _bilinear(np.matmul, f, table, sizes[-1], p)
+    g = _bilinear(np.matmul, f, table[: f.shape[1]], sizes[-1], p)
     # a row sums p - 1 products of at most n_(d+1) terms each, and g_0:
     # unreduced, at most p * n terms below (p - 1)^2, which fit directly
     # wherever frobenius_wins holds; past that bound the stacks, of about
@@ -671,98 +722,73 @@ def _frobenius_compose(outer, n, tables):
             for r in range(1, p):
                 row[:width] += np.convolve(parts[r], stack[r - 1])[:width]
         g = (acc[:, :, :m] % p).transpose(0, 2, 1).reshape(len(g), -1)[:, :nd]
-    return g[0].tolist()
+    return g[0]
+
+
+def _compose(layout, outer, data, n):
+    """First n blocks of outer(inner) in the layout, from outer (at most n
+    blocks in it) and inner's ``compose_data`` mod X^n, tables or powers.
+
+    Paterson-Stockmeyer, from the baby powers inner^0 .. inner^k: with
+    outer = sum_i C_i(X) X^(ik) in chunks C_i of k blocks, outer(inner) =
+    sum_i C_i(inner) * (inner^k)^i.  Every C_i(inner) is a linear
+    combination of the baby powers, so the chunk sums are one matrix product
+    (``chunks``), and Horner's rule in inner^k takes ceil(L/k) - 1 products
+    for the L blocks of outer, each with one fold of product plus chunk.
+    """
+    if isinstance(data, FrobeniusTables):
+        return _frobenius_compose(outer, n, data)
+    k = len(data) - 1
+    r = layout.stride
+    m = -(-len(outer) // (k * r))
+    chunks = layout.chunks(_residues(outer, m * k * r, layout.dtype), data[:k])
+    # chunk i is multiplied by (inner^k)^i, which vanishes below block ik
+    acc = chunks[-1]
+    for i in range(m - 2, -1, -1):
+        width = n - i * k
+        acc = layout.fold(layout.product(acc, data[k], width) + chunks[i, : width * r])
+    return acc
 
 
 def compose_mod(outer, inner, n, mod, modulus=None, powers=None):
     """First n blocks of outer(inner(X)); inner's first block must be 0.
 
-    Paterson-Stockmeyer.  With the baby powers inner^0 .. inner^k, cut
-    outer into chunks C_i of k blocks, outer = sum_i C_i(X) X^(ik), so
-    outer(inner) = sum_i C_i(inner) * (inner^k)^i.  Every C_i(inner) is a
-    linear combination of the baby powers: a coefficient block
-    c = sum_t c_t Y^t times a power is the sum of the power shifted by t
-    slots times c_t, and the shifts stay inside each block, so all chunks
-    are one matrix product of scalars for every ring.  Horner's rule in
-    inner^k takes the last ceil(L/k) - 1 products for the L blocks of
-    outer.
-
     powers, when given, are ``compose_data``'s for inner mod X^n, and inner
     is not read: baby powers for any k (each gives the same result), or the
-    tables of the Frobenius split (see ``_frobenius_compose``), so a caller
-    can keep one set for every composition with one inner.  Otherwise
-    ``compose_data`` builds them for the L <= n blocks of outer, with
-    k = ceil(sqrt(L)), fewer products for a short outer.
-
-    The operands are converted once, and the baby powers, the chunks and the
-    Horner accumulator stay numpy arrays until the result is returned as a
-    list: int64 arrays when every product and chunk sum is exact in int64,
-    directly or in halves, and object arrays of Python ints otherwise.  The
-    chunk sums are the one matrix product ``coef @ shifted`` of
-    ``_bilinear``, run once, or three times on halves.  Over F_{p^w}, where
-    words fit, the baby powers are n words and ``_Words.compose`` runs the
-    same steps on words; given powers are read as words or slots by their
-    length.
+    tables of the Frobenius split, so a caller can keep one set for every
+    composition with one inner.  Otherwise ``compose_data`` builds them for
+    the L <= n blocks of outer, with k = ceil(sqrt(L)).  outer is read in
+    once, to the layout of n blocks (see ``_layout``) that the baby powers
+    are in, and ``_compose`` runs in it.
     """
     s = block_size(modulus)
-    w = (s + 1) // 2
-    width = n * s
-    blocks = -(-min(len(outer), width) // s)
+    blocks = -(-min(len(outer), n * s) // s)
     if powers is None:
         powers = compose_data(inner, n, mod, modulus, blocks)
     if isinstance(powers, FrobeniusTables):
-        return _frobenius_compose(outer, n, powers)
-    if s > 1 and len(powers[0]) == n:
-        words = _word_ring(mod, modulus, n)
-        return words.slots(words.compose(words.of(outer, blocks), powers, n)).tolist()
-    k = len(powers) - 1
-    m = -(-blocks // k)
-    import numpy as np
-
-    # a product coefficient sums at most width terms, a chunk coefficient
-    # k*w <= width of them and a folded slot s <= width, so the dtype of the
-    # baby powers covers all three
-    dtype = powers[0].dtype
-    outer = _residues(outer, m * k * s, dtype)
-
-    # chunk i, row (j, t): the coefficient c_t of Y^t in block ik + j of outer
-    coef = outer.reshape(m, k, s)[:, :, :w].reshape(m, k * w)
-    base = np.stack(powers[:k])
-    shifted = np.zeros((k, w, width), dtype=dtype)
-    for t in range(w):
-        shifted[:, t, t:] = base[:, : width - t]
-    chunks = _bilinear(np.matmul, coef, shifted.reshape(k * w, width), k * w, mod)
-    if modulus is not None:
-        _fold(chunks.reshape(-1), m * n, mod, modulus)
-
-    # chunk i is multiplied by (inner^k)^i, which vanishes below block ik
-    acc = chunks[-1]
-    for i in range(m - 2, -1, -1):
-        prod = mul_mod(acc, powers[k], n - i * k, mod, modulus)
-        acc = (prod + chunks[i, : len(prod)]) % mod
-    return acc.tolist()
+        return _frobenius_compose(outer[:n], n, powers).tolist()
+    layout = _layout(mod, modulus, n)
+    return layout.slots(_compose(layout, layout.of(outer, blocks), powers, n)).tolist()
 
 
-def recip_mod(a, n, mod, modulus=None):
-    """First n >= 1 blocks of 1/a where a's first block is a unit.
+def recip_mod(a, n, mod):
+    """First n >= 1 terms of 1/a over Z/mod, where a's first term is a unit.
 
     Newton iteration h -> h - h*(a*h - 1) doubles the number of correct
-    blocks per step.  With h correct through k blocks, a*h - 1 vanishes
-    below block k, so the step to m <= 2k blocks sets blocks k .. m-1 of h
-    to -h * ((a*h) / X^k), a product of m - k blocks.
+    terms per step.  With h correct through k terms, a*h - 1 vanishes below
+    X^k, so the step to m <= 2k terms sets terms k .. m-1 of h to
+    -h * ((a*h) / X^k), a product of m - k terms.
 
-    a is a numpy residue array whose dtype covers products of n blocks
-    (see ``array_dtype``), and so is the result.
+    a is a numpy residue array whose dtype covers products of n terms (see
+    ``array_dtype``), as ``divide_mod`` hands it, and so is the result.
     """
-    s = block_size(modulus)
-    width = n * s
-    a = _residues(a, width, a.dtype)
-    h = _residues(unit_inverse(a[:s].tolist(), mod, modulus), width, a.dtype)
+    a = _residues(a, n, a.dtype)
+    h = _residues(unit_inverse(a[:1].tolist(), mod), n, a.dtype)
     m = 1
     while m < n:
         k, m = m, min(2 * m, n)
-        e = mul_mod(a[: m * s], h[: k * s], m, mod, modulus)[k * s :]
-        h[k * s : m * s] = -mul_mod(h[: (m - k) * s], e, m - k, mod, modulus) % mod
+        e = conv_mod(a[:m], h[:k], m, mod)[k:]
+        h[k:m] = -conv_mod(h[: m - k], e, m - k, mod) % mod
     return h
 
 
@@ -809,54 +835,27 @@ def reversion_mod(g, n, mod, modulus=None):
     vanishing below X^k, so D^2 vanishes below X^(2k), and m - k - 1 <= 2k:
     mod X^(m-k-1), 1/E' = 1 - D = 2 - E', with no reciprocal to compute.
 
-    Over F_{p^w} the steps run on words where they fit (see
-    ``_word_bits``), from the first step to the last: the one Newton loop
-    reads the layout's composition, derivative, product and +2 on the
-    constant term, bound before it.
+    Each step runs in the layout of its m blocks (see ``_layout``), and g
+    and h are read in again only where it changes: over F_{p^w} the steps
+    words fit run in words, the longer ones past the word bound in slots.
     """
+    import numpy as np
+
     s = block_size(modulus)
-    g = g[: n * s]
     h = [0] * s + unit_inverse(g[s:], mod, modulus)
-    h += [0] * (n * s - len(h))
-    words = _word_ring(mod, modulus, n)
-    if words:
-        import numpy as np
-
-        g, h, s, mul = words.of(g, n), words.of(h, n), 1, words.mul
-
-        def compose(outer, inner, m):
-            return words.compose(outer, words.powers(inner, m, isqrt(m - 1) + 1), m)
-
-        def deriv(x, t, sign=1):
-            return words.scale(x[1 : t + 1], sign * np.arange(1, t + 1))
-
-        def plus_two(c):
-            low = c & words.mask  # slot Y^0 of the folded word c
-            return c + (low + 2) % mod - low
-
-    else:
-
-        def compose(outer, inner, m):
-            return compose_mod(outer, inner, m, mod, modulus)
-
-        def deriv(x, t, sign=1):
-            return [sign * (i // s) * c % mod for i, c in enumerate(x[s : (t + 1) * s], s)]
-
-        def plus_two(c):
-            return (c + 2) % mod
-
-        def mul(x, y, t, negate=False):
-            out = mul_mod(x, y, t, mod, modulus)
-            return [-c % mod for c in out] if negate else out
-
-    k = 1
+    layout, k = None, 1
     while k < n - 1:
         m = min(2 * k + 2, n)
         t = m - k - 1
-        e = compose(g[: m * s], h[: m * s], m)
-        inv = deriv(e, t, -1)
-        inv[0] = plus_two(inv[0])
-        ratio = mul(deriv(h, t), inv, t)
-        h[(k + 1) * s : m * s] = mul(e[(k + 1) * s :], ratio, t, negate=True)
+        step = _layout(mod, modulus, m)
+        if step is not layout:
+            x, h = step.of(g, n), step.of(h if layout is None else layout.slots(h), n)
+            layout = step
+        r = layout.stride
+        e = _compose(layout, x[: m * r], layout.data(h, m), m)
+        inv = layout.scale(e[r : (t + 1) * r], -np.arange(1, t + 1))
+        inv[0] = layout.plus_two(inv[0])
+        ratio = layout.mul(layout.scale(h[r : (t + 1) * r], np.arange(1, t + 1)), inv, t)
+        h[(k + 1) * r : m * r] = layout.mul(e[(k + 1) * r :], ratio, t, negate=True)
         k = 2 * k + 1
-    return words.slots(h).tolist() if words else h
+    return h if layout is None else layout.slots(h).tolist()

@@ -477,6 +477,44 @@ def cyclotomic_padic(p, prec, trunc):
     return PadicSeries(p, prec, trunc, cyclotomic_coeffs(p, trunc))
 
 
+# -- an in-scope family: u = (1 + p)X + X^(d+1) --------------------------------
+
+
+def in_scope_closed_form(p, d, levels):
+    """The depths i_0 .. i_levels of u = (1 + p)X + X^(d+1) over Z_p, and
+    the Weierstrass degrees of its levels 1 .. levels, for p odd and p not
+    dividing d(d + 1):
+
+        i_n = d(p^(n+1) - 1)/(p - 1),    wd_n = i_n - i_(n-1) = d p^n.
+
+    They depend on u mod p alone, so they hold for every u' = u + p v.
+
+    Proof.  (a) Weierstrass: a series over Z_p whose reduction is nonzero
+    has as many zeros in the open unit disc as the X-order of its
+    reduction.  So u^(p^n)(X) - X has i_n + 1 zeros, i_n the depth of
+    g^(p^n) for g = u mod p = X + X^(d+1), and the level quotient
+    (u^(p^n)(X) - X)/(u^(p^(n-1))(X) - X) has degree i_n - i_(n-1).
+    (b) With s = X^d, g^m(X)^d = G^m(s) for G(s) = s(1 + s)^d, and
+    g^m(X) = X + cX^(j+1) + ... gives G^m(s) = s + dc s^(1+j/d) + ..., so
+    as p does not divide d, depth(g^m) = d depth(G^m).  It remains that
+    G^(p^n) has depth e_n = 1 + p + .. + p^n.
+    (c) In t = 1/s, G is t -> t(1 + 1/t)^(-d) = t - d + r/t + O(t^-2) with
+    r = d(d + 1)/2, a unit mod p; an element of depth e moves t by
+    -c t^(1-e) + ...  Over F_p the p translates t - jd, j = 0 .. p - 1, have
+    product t^p - d^(p-1) t, so the p steps of G^p add up to
+    sum_j r/(t - jd) + ... = -r d^(p-1) t^(-p) + ...: G^p moves t by a unit
+    times t^(1-e_1), e_1 = 1 + p.  The same sum, taken over the p steps of
+    H = G^(p^(n-1)), which moves t by a unit times t^(1-e), e = e_(n-1),
+    and whose iterates are t + j(H(t) - t) to that order, cancels the
+    translation part p(H(t) - t) and leaves the next order, of
+    t^(1 - e - p^n): e_n = e_(n-1) + p^n.  Sen's congruence e_n = e_(n-1)
+    mod p^n (Ann. of Math. 90, 1969) is the check.  For p | d + 1 the
+    formula fails: X + X^p over F_p is additive, of depth p^p - 1 at p.
+    """
+    depths = [d * (p ** (n + 1) - 1) // (p - 1) for n in range(levels + 1)]
+    return depths, [depths[n] - depths[n - 1] for n in range(1, levels + 1)]
+
+
 
 # -- the multiplicative formal group ------------------------------------------
 

@@ -189,8 +189,11 @@ class TestComposeMod:
         rng = random.Random(45)
         outer = random_series(rng, mod, modulus, n, 0)
         inner = random_series(rng, mod, modulus, n, 1)
-        calls = {"conv_mod": 0, "mul_mod": 0, "fold": 0}
-        for owner, name in ((_convolve, "conv_mod"), (_convolve, "mul_mod"), (_convolve._Words, "fold")):
+        calls = {"conv_mod": 0, "mul_mod": 0, "product": 0, "fold": 0}
+        spied = [(_convolve, "conv_mod"), (_convolve, "mul_mod")]
+        for layout in (_convolve._Words, _convolve._Slots):
+            spied += [(layout, "product"), (layout, "fold")]
+        for owner, name in spied:
             orig = getattr(owner, name)
 
             def counted(*args, name=name, orig=orig, **kwargs):
@@ -202,14 +205,19 @@ class TestComposeMod:
         # Paterson-Stockmeyer by its baby powers, which over F5 the kernel
         # would not choose at this size
         compose_mod(outer, None, n, mod, modulus, _convolve.baby_powers(inner, n, mod, modulus, k))
+        # the baby powers and the Horner steps of _compose, in either layout,
+        # take k - 1 and ceil(n / k) - 1 products
+        assert 0 < calls["product"] <= 2 * k + 1 and calls["mul_mod"] == 0
         if modulus is None:
-            assert 0 < calls["mul_mod"] <= 2 * k + 1 and calls["conv_mod"] <= 2 * k + 1
+            # a product of slots is one conv_mod
+            assert type(_convolve._layout(mod, modulus, n)) is _convolve._Slots
+            assert calls["conv_mod"] == calls["product"]
         else:
             # F4 and F27 at 100 blocks are inside the word bound: a product of
             # words is one np.convolve and one fold, and the last chunk sum
             # takes one fold more
-            assert _convolve._word_ring(mod, modulus, n)
-            assert 0 < calls["fold"] <= 2 * k + 1 and calls["conv_mod"] == calls["mul_mod"] == 0
+            assert type(_convolve._layout(mod, modulus, n)) is _convolve._Words
+            assert 0 < calls["fold"] <= 2 * k + 1 and calls["conv_mod"] == 0
 
 
 class TestRoundTrips:
@@ -217,17 +225,19 @@ class TestRoundTrips:
              (3, EXTENSIONS["F9"][1]), (3, EXTENSIONS["F27"][1])]
     IDS = ["F5", "7^25", "F4", "F9", "F27"]
 
-    @pytest.mark.parametrize("mod, modulus", RINGS, ids=IDS)
-    def test_reciprocal(self, mod, modulus):
+    # reciprocals are taken over Z/p^P alone, by divide_mod
+    RECIPROCAL_RINGS = [5, 7**25]
+    RECIPROCAL_IDS = ["F5", "7^25"]
+
+    @pytest.mark.parametrize("mod", RECIPROCAL_RINGS, ids=RECIPROCAL_IDS)
+    def test_reciprocal(self, mod):
         import numpy as np
 
-        s = _convolve.block_size(modulus)
         rng = random.Random(51)
         for n in (1, 2, 9, 30):
-            a = random_series(rng, mod, modulus, n, 0)
-            h = recip_mod(np.asarray(a, dtype=_convolve.array_dtype(mod, n * s)), n, mod, modulus)
-            one = [1] + [0] * (n * s - 1)
-            assert mul_mod(a, h.tolist(), n, mod, modulus) == one
+            a = random_series(rng, mod, None, n, 0)
+            h = recip_mod(np.asarray(a, dtype=_convolve.array_dtype(mod, n)), n, mod)
+            assert mul_mod(a, h.tolist(), n, mod) == [1] + [0] * (n - 1)
 
     @pytest.mark.parametrize("mod, modulus", RINGS, ids=IDS)
     def test_reversion(self, mod, modulus):
@@ -238,22 +248,21 @@ class TestRoundTrips:
             x = [0] * s + [1] + [0] * ((n - 1) * s - 1)
             assert compose_mod(g, reversion_mod(g, n, mod, modulus), n, mod, modulus) == x
 
-    @pytest.mark.parametrize("mod, modulus", RINGS, ids=IDS)
-    def test_reciprocal_of_arrays(self, mod, modulus):
+    @pytest.mark.parametrize("mod", RECIPROCAL_RINGS, ids=RECIPROCAL_IDS)
+    def test_reciprocal_of_arrays(self, mod):
         # the result has the operand's dtype, the kernel's own or object,
         # and the same entries in both; the operand, read-only as the baby
         # powers are, is not written
         import numpy as np
 
-        s = _convolve.block_size(modulus)
         rng = random.Random(53)
         for n in (1, 5, 30):
-            a = random_series(rng, mod, modulus, n, 0)
+            a = random_series(rng, mod, None, n, 0)
             got = []
-            for dtype in (_convolve.array_dtype(mod, n * s), object):
+            for dtype in (_convolve.array_dtype(mod, n), object):
                 x = np.asarray(a, dtype=dtype)
                 x.flags.writeable = False
-                h = recip_mod(x, n, mod, modulus)
+                h = recip_mod(x, n, mod)
                 assert isinstance(h, np.ndarray) and h.dtype == dtype and x.tolist() == a
                 got.append(h.tolist())
             assert got[0] == got[1]
@@ -278,18 +287,13 @@ def test_reversion_one_composition_per_step(ring, n, seed):
     s = _convolve.block_size(modulus)
     g = random_series(random.Random(seed), mod, modulus, n, 1)
     with mock.patch.object(_convolve, "compose_mod", wraps=_convolve.compose_mod) as spy, \
-            mock.patch.object(_convolve._Words, "compose", autospec=True,
-                              side_effect=_convolve._Words.compose) as word_spy:
+            mock.patch.object(_convolve, "_compose", wraps=_convolve._compose) as body_spy:
         h = reversion_mod(g, n, mod, modulus)
-    # Newton step j makes g(h) == X correct through X^(2^(j+1) - 1); over
-    # F_{p^w} inside the word bound every step composes words, and past it
-    # every step calls compose_mod, which takes words for the short steps
-    # that fit
+    # Newton step j makes g(h) == X correct through X^(2^(j+1) - 1), by one
+    # call of the one composition body, in words or in slots, and none of
+    # compose_mod
     steps = (n - 1).bit_length() - 1
-    if _convolve._word_ring(mod, modulus, n):
-        assert (spy.call_count, word_spy.call_count) == (0, steps)
-    else:
-        assert spy.call_count == steps and word_spy.call_count <= steps
+    assert (spy.call_count, body_spy.call_count) == (0, steps)
     x = [0] * s + [1] + [0] * ((n - 1) * s - 1)
     assert compose_mod(g, h, n, mod, modulus) == x
     assert compose_mod(h, g, n, mod, modulus) == x

@@ -262,7 +262,7 @@ class TestSplit:
         p, modulus = EXTENSIONS["F27"]
         rng = np.random.default_rng(5)
         n, w = 12, 3
-        assert _convolve._word_ring(p, modulus, n) is not None
+        assert type(_convolve._layout(p, modulus, n)) is _convolve._Words
         a, b = (list(map(tuple, rng.integers(0, p, (n, w)).tolist())) for _ in range(2))
         got, pieces = self.run_split(lambda: mul_mod(pack(a, w), pack(b, w), n, p, modulus),
                                      p, n * (2 * w - 1), 2)
@@ -461,7 +461,8 @@ class TestComposeData:
             else:
                 assert type(data) is list and len(data) == isqrt(blocks - 1) + 2
                 # F4 and F9 at 100 blocks keep one word per block
-                assert len(data[0]) == n and (modulus is None or _convolve._word_ring(mod, modulus, n))
+                layout = _convolve._Slots if modulus is None else _convolve._Words
+                assert len(data[0]) == n and type(_convolve._layout(mod, modulus, n)) is layout
 
     @pytest.mark.parametrize("p", [2, 3, 5, 6007])
     def test_split_refused_past_its_row_sum_bound(self, monkeypatch, p):
@@ -569,17 +570,19 @@ def run_ext_methods(fn, p, modulus, n):
     """run_methods for fn, an op on n blocks over F_p[Y]/(modulus), and the
     folds of words and of slots each method made (see ``spy_layouts``).
 
-    Where the word layout admits n blocks, with slot width b, the slot layout
-    is forced as "slots-direct": _INT64_SAFE one below 2^((2w - 1) b), where
-    every slot product still fits directly.
+    Where the word layout admits n blocks, the slot layout is forced as
+    "slots-direct": _INT64_SAFE one above (p - 1)^2 times the n(2w - 1)
+    slots, where every slot product still fits directly and no word does,
+    not even of one block, so the short Newton steps of ``reversion_mod``
+    take slots too.
     """
     w = len(modulus) - 1
     width = n * (2 * w - 1)
-    b = _convolve._word_bits(p, w, n)
     forced = {}
-    if b:
-        forced["slots-direct"] = (1 << (2 * w - 1) * b) - 1
-        assert (p - 1) ** 2 * width < forced["slots-direct"]
+    if _convolve._word_bits(p, w, n):
+        forced["slots-direct"] = (p - 1) ** 2 * width + 1
+        # words of one block need 2w - 1 slots of bits(2w (p - 1)^2) bits
+        assert (2 * w - 1) * (2 * w * (p - 1) ** 2).bit_length() > forced["slots-direct"].bit_length()
     results = run_methods(lambda: spy_layouts(fn), p, width, forced)
     layouts = {method: calls for method, ((_, calls), *_) in results.items()}
     return {method: (got, *counts) for method, ((got, _), *counts) in results.items()}, layouts
@@ -589,26 +592,42 @@ class TestExtensionFields:
     @KERNEL
     @given(extension_cases())
     def test_methods_agree(self, case):
-        # over F_{q^w} the block folds of _fold take halves as well; over F9
-        # and F27 the unforced methods take words, and "slots-direct" the
-        # direct method on slots
+        # over F_{q^w} the block folds of _Slots.reduce take halves as well;
+        # over F9 and F27 the unforced methods take words, and "slots-direct"
+        # the direct method on slots, for products, compositions, baby powers
+        # and every Newton step of reversion
         p, modulus, outer, inner, n = case
         w = len(modulus) - 1
-        width = n * (2 * w - 1)
         inside = bool(_convolve._word_bits(p, w, n))
         assert inside == (p != Q)
-        # (op, oracle, whether numpy runs, whether the unforced op takes words)
+        zero = (0,) * w
+        one = (1,) + zero[1:]
+        # g, with a unit linear coefficient, has a substitution inverse
+        g = [zero, one] + inner[2:]
+        k = isqrt(n - 1) + 1
+        # (op, oracle, whether numpy runs, whether the unforced op takes
+        # words, the least n at which a fold of more than one slot block runs)
         ops = [(lambda: compose_mod(pack(outer, w), pack(inner, w), n, p, modulus),
-                ext_compose(outer, inner, p, modulus, n), True, inside),
+                ext_compose(outer, inner, p, modulus, n), True, inside, 2),
+               (lambda: compose_mod(pack(outer, w), None, n, p, modulus,
+                                    baby_powers(pack(inner, w), n, p, modulus, k)),
+                ext_compose(outer, inner, p, modulus, n), True, inside, 2),
                (lambda: mul_mod(pack(outer, w), pack(inner, w), n, p, modulus),
-                ext_mul(outer, inner, p, modulus, n), width > _SHORT, inside and n > 1 and width > _SHORT)]
-        for op, want, numpy_case, words in ops:
+                ext_mul(outer, inner, p, modulus, n), n > 1, inside and n > 1, 2)]
+        if n > 1:
+            # the field inverse of the linear coefficient is a short list product
+            h = unpack(reversion_mod(pack(g, w), n, p, modulus), w)
+            x = [zero, one] + [zero] * (n - 2)
+            assert ext_compose(g, h, p, modulus, n) == x == ext_compose(h, g, p, modulus, n)
+            ops.append((lambda: reversion_mod(pack(g, w), n, p, modulus), h, False, inside and n > 2, 3))
+        for op, want, numpy_case, words, folds_from in ops:
             results, layouts = run_ext_methods(lambda: unpack(op(), w), p, modulus, n)
             check_methods(results, want, numpy_case)
             assert (layouts["natural"]["words"] > 0) == words
             if inside:
                 forced = layouts["slots-direct"]
-                assert forced["words"] == 0 and (forced["slots"] > 0) == (n > 1)
+                assert forced["words"] == 0 and (forced["slots"] > 0) == (n >= folds_from)
+                assert results["slots-direct"][1] == 0
 
     def test_worst_case_fold(self):
         # every slot q - 1: a direct int64 fold would overflow
@@ -616,7 +635,13 @@ class TestExtensionFields:
         n, s = 4, 5
         rows = _convolve._reduction(modulus, p)
         want = [x for _ in range(n) for x in row_combination([p - 1] * s, rows, p) + [0, 0]]
-        results = run_methods(lambda: _convolve._fold([p - 1] * (n * s), n, p, modulus), p, s)
+
+        def fold():
+            # a block fold sums s products: the dtype of s terms
+            layout = _convolve._slots(p, modulus, 3, s, _convolve.array_dtype(p, s))
+            return layout.reduce(layout.of([p - 1] * (n * s), n)).tolist()
+
+        results = run_methods(fold, p, s)
         assert results["natural"][1] > 0
         check_methods(results, want, True)
 
@@ -643,18 +668,18 @@ def last_inside(p, w):
 def spy_layouts(fn):
     """fn() and the folds it made of words and of more than one slot block."""
     calls = {"words": 0, "slots": 0}
-    fold, words_fold = _convolve._fold, _convolve._Words.fold
+    reduce, words_fold = _convolve._Slots.reduce, _convolve._Words.fold
 
-    def slots(c, n, *args):
-        calls["slots"] += n > 1
-        return fold(c, n, *args)
+    def slots(layout, x):
+        calls["slots"] += layout.modulus is not None and len(x) > layout.stride
+        return reduce(layout, x)
 
     def words(*args, **kwargs):
         calls["words"] += 1
         return words_fold(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_convolve, "_fold", slots)
+        mp.setattr(_convolve._Slots, "reduce", slots)
         mp.setattr(_convolve._Words, "fold", words)
         return fn(), calls
 
@@ -681,7 +706,7 @@ class TestWordLayout:
     @pytest.mark.parametrize("name", ["Fq2", "Fq3"])
     def test_wide_fields_keep_slots(self, name):
         p, modulus = EXTENSIONS[name]
-        assert _convolve._word_ring(p, modulus, 1) is None
+        assert type(_convolve._layout(p, modulus, 1)) is _convolve._Slots
         rng = random.Random(name)
         w, n = len(modulus) - 1, 6
         outer = [tuple(rng.randrange(p) for _ in range(w)) for _ in range(n)]
@@ -756,3 +781,29 @@ class TestWordLayout:
             if name == "F27":
                 assert unpack(ops[0][0](), w) == ext_mul(outer, inner, p, modulus, n)
 
+
+    # (ring, n, whether each run of Newton steps in one layout is words):
+    # inside the word bound one words layout, past it words for the steps
+    # that fit and then slots, and slots alone where no word fits
+    @pytest.mark.parametrize("name, n, runs", [
+        ("F9", 30, [True]), ("F27", 44, [True]), ("F27", 200, [True, False]), ("F8", 700, [True, False]),
+        ("Fq2", 60, [False]), ("F5", 100, [False]),
+    ])
+    def test_reversion_changes_layout_at_most_once(self, name, n, runs):
+        p, modulus = {**EXTENSIONS, **{k: v[0] for k, v in WORD_FIELDS.items()}, "F5": (5, None)}[name]
+        w = 1 if modulus is None else len(modulus) - 1
+        rng = random.Random(f"{name}:{n}")
+        one = [1] + [0] * (2 * w - 2)
+        g = [0] * (2 * w - 1) + one + [rng.randrange(p) if t < w else 0
+                                        for _ in range(n - 2) for t in range(2 * w - 1)]
+        seen, compose = [], _convolve._compose
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_convolve, "_compose", lambda layout, *args: seen.append(layout) or compose(layout, *args))
+            h = reversion_mod(g, n, p, modulus)
+        # one layout object per run of steps, and no return to an earlier one
+        changes = [x for i, x in enumerate(seen) if i == 0 or x is not seen[i - 1]]
+        assert len({id(x) for x in seen}) == len(changes) == len(runs)
+        assert [type(x) is _convolve._Words for x in changes] == runs
+        assert len(seen) == (n - 1).bit_length() - 1
+        x = [0] * (2 * w - 1) + one + [0] * ((n - 2) * (2 * w - 1))
+        assert compose_mod(g, h, n, p, modulus) == x == compose_mod(h, g, n, p, modulus)

@@ -36,6 +36,7 @@ from helpers import (
     exact_series_divide,
     formal_group_iterate,
     frac_mod,
+    in_scope_closed_form,
     vp_frac,
 )
 
@@ -455,6 +456,24 @@ class TestAnalyze:
         for n, count in enumerate(rep.fixed_point_counts):
             it = pad_iterate(u, 5**n)
             assert weierstrass_degree(it - TruncSeries.x(FiniteField(5, prec=8), 130)) == count
+
+    @pytest.mark.parametrize("p, d, P, M, levels", [(5, 1, 8, 800, 4), (5, 3, 8, 500, 3), (7, 1, 6, 500, 3)])
+    def test_in_scope_family_matches_the_closed_form(self, p, d, P, M, levels):
+        # u = (1 + p)X + X^(d+1), p-multiples added from X^2 on: the
+        # reduction, and so the closed form, is unchanged; the theorem's
+        # scope starts at level 3, and every level inside it and below it
+        # has the predicted single Newton segment
+        rng = random.Random(f"in-scope:{p}:{d}")
+        coeffs = [0, 1 + p] + [p * rng.randrange(p ** (P - 1)) for _ in range(M - 2)]
+        coeffs[d + 1] += 1
+        rep = analyze(PadicSeries(p, P, M, coeffs), levels)
+        depths, degrees = in_scope_closed_form(p, d, levels)
+        assert rep.depths == tuple(depths) and rep.depth_uncertified_at is None
+        assert [lv.n for lv in rep.levels] == list(range(1, levels + 1))
+        assert [lv.weierstrass_degree for lv in rep.levels] == degrees
+        assert all(lv.wd_matches for lv in rep.levels)
+        assert [lv.prediction_in_scope for lv in rep.levels] == [lv.n >= 3 for lv in rep.levels]
+        assert all(lv.single_segment_matches is True for lv in rep.levels)
 
     def test_level_three_valuation_law(self):
         # the exact-period valuation 1/(d*p^n) is a theorem only for n >= 3
