@@ -33,15 +33,14 @@ products, the chunk sums of a composition and the block reduction of
 makes more numpy calls than halves, and makes fewer coefficient products.
 
 A series over F_{p^w} = F_p[Y]/(modulus) enters and leaves the kernel
-packed into one flat list (Kronecker substitution in Y): the coefficient
-of X^k is a polynomial in Y of degree below w, stored in slots
-[k*s, k*s + w) of a block of s = 2w - 1 slots, the other w - 1 slots
-being zero.  Without a modulus (the rings F_p and Z/p^P) s = 1, a block
-is one residue and nothing is reduced.  Inside a call a series is in one
-of two layouts, picked by ``_layout`` alone, from the ring and the number
-of blocks.  Both offer the same operations (read in, write out, product,
-fold, chunk sums, scale, +2 on the constant term), and compositions, baby
-powers and Newton steps are written once against them:
+as one flat list of residues: the coefficient of X^k is a polynomial in Y
+of degree below w, a block of w residues in [k*w, (k+1)*w).  Without a
+modulus (the rings F_p and Z/p^P) w = 1, a block is one residue and
+nothing is reduced.  Inside a call a series is in one of two layouts,
+picked by ``_layout`` alone, from the ring and the number of blocks.  Both
+offer the same operations (read in, write out, product, fold, chunk sums,
+scale, +2 on the constant term), and compositions, baby powers and Newton
+steps are written once against them:
 
 - ``_Words``, over F_{p^w} where they fit: each block is one int64 word
   sum_t c_t 2^(bt), b bits per slot, enough for every slot sum the call
@@ -52,10 +51,12 @@ powers and Newton steps are written once against them:
   word are unpacked by shift and mask, taken times the rows Y^t mod the
   modulus, mod p, and repacked.
 - ``_Slots``, over F_p and Z/p^P, and over F_{p^w} past the word bound
-  (as over F_{q^2} for a prime q near 2^31): arrays of the packed
-  residues.  A product of two coefficients has Y-degree at most 2w - 2, so
-  one ``conv_mod`` of two packed arrays multiplies the series with no
-  overlap between blocks, and each block is reduced mod the modulus.
+  (as over F_{q^2} for a prime q near 2^31): arrays of the residues, each
+  block padded on read-in to a product block of 2w - 1 slots and cut back
+  to w on write-out.  A product of two coefficients has Y-degree at most
+  2w - 2, so one ``conv_mod`` of two such arrays (Kronecker substitution
+  in Y) multiplies the series with no overlap between blocks, and each
+  block is reduced mod the modulus.
 
 A field element is one block, and the field's product is the one-block
 ``mul_mod(a, b, 1, p, modulus)``.  Lists of at most ``_SHORT`` slots take
@@ -270,19 +271,15 @@ class _Words(NamedTuple):
     dtype = "int64"
 
     def of(self, x, n):
-        """The first n blocks of the slot sequence or array x, as words."""
+        """The first n blocks of the residue sequence or array x, w residues
+        each, as words."""
         import numpy as np
 
-        s = 2 * self.w - 1
-        return _residues(x, n * s, np.int64).reshape(n, s)[:, : self.w] @ self.place
+        return _residues(x, n * self.w, np.int64).reshape(n, self.w) @ self.place
 
     def slots(self, x):
-        """The folded words x in the slot layout: w slots, then w - 1 zeros."""
-        import numpy as np
-
-        out = np.zeros((len(x), 2 * self.w - 1), dtype=np.int64)
-        out[:, : self.w] = x[:, None] >> self.shifts[: self.w] & self.mask
-        return out.reshape(-1)
+        """The folded words x written out: w residues per word."""
+        return (x[:, None] >> self.shifts[: self.w] & self.mask).reshape(-1)
 
     def product(self, x, y, n):
         """The first n blocks of x * y, unfolded: one ``np.convolve``."""
@@ -311,7 +308,7 @@ class _Words(NamedTuple):
 
     def scale(self, x, c):
         """Block i of the folded words x times the integer c[i], mod p."""
-        slots = x[:, None] >> self.shifts[: self.w] & self.mask
+        slots = self.slots(x).reshape(-1, self.w)
         return slots * (c[:, None] % self.mod) % self.mod @ self.place
 
     def plus_two(self, c):
@@ -326,9 +323,9 @@ class _Words(NamedTuple):
 
 class _Slots(NamedTuple):
     """Series over Z/m, or over F_p[Y]/(modulus) past the word bound, as
-    numpy arrays of their packed residues, int64 or Python ints (see
-    ``_layout``).  Products and chunk sums come out with every block
-    reduced (``reduce``), so the fold of a Horner sum is one mod m."""
+    numpy arrays of their residues, int64 or Python ints (see ``_layout``),
+    in blocks of 2w - 1 slots.  Products and chunk sums come out with every
+    block reduced (``reduce``), so the fold of a Horner sum is one mod m."""
 
     mod: int
     modulus: object  # a tuple, or None over Z/m
@@ -337,11 +334,17 @@ class _Slots(NamedTuple):
     dtype: object
 
     def of(self, x, n):
-        """The first n blocks of the slot sequence or array x, as an array."""
-        return _residues(x, n * self.stride, self.dtype)
+        """The first n blocks of the residue sequence or array x, w residues
+        each, as an array, each block padded to 2w - 1 slots where w > 1."""
+        if self.w == 1:
+            return _residues(x, n, self.dtype)
+        out = _residues((), n * self.stride, self.dtype)
+        out.reshape(n, self.stride)[:, : self.w] = _residues(x, n * self.w, self.dtype).reshape(n, self.w)
+        return out
 
     def slots(self, x):
-        return x
+        """The reduced array x written out: w residues per block."""
+        return x if self.w == 1 else x.reshape(-1, self.stride)[:, : self.w].reshape(-1)
 
     def reduce(self, x):
         """Each block of the array x reduced mod the modulus, in place: the
@@ -394,8 +397,9 @@ class _Slots(NamedTuple):
         return (c + 2) % self.mod
 
     def data(self, x, n):
-        """What a composition mod X^n reads of the slots x: ``compose_data``."""
-        return compose_data(x, n, self.mod, self.modulus, n)
+        """What a composition mod X^n reads of the slots x: ``compose_data``
+        of their first n blocks, written out."""
+        return compose_data(self.slots(x[: n * self.stride]), n, self.mod, self.modulus, n)
 
 
 # interned, one _Slots per ring and dtype, so that reversion_mod reads g and
@@ -499,11 +503,6 @@ def _residues(x, length, dtype):
     return v
 
 
-def block_size(modulus):
-    """Slots per X-power in a packed list: 2w - 1, or 1 without a modulus."""
-    return 1 if modulus is None else 2 * len(modulus) - 3
-
-
 @lru_cache(maxsize=64)
 def _reduction(modulus, mod):
     """Rows Y^d mod (modulus, mod) for d = 0 .. 2w-2, w coefficients each."""
@@ -530,8 +529,9 @@ def mul_mod(a, b, n, mod, modulus=None):
     if modulus is None:
         return conv_mod(a, b, n, mod)
     if n == 1:
-        c = conv_mod(a, b, block_size(modulus), mod)
-        return row_combination(c, _reduction(tuple(modulus), mod), mod) + [0] * (len(modulus) - 2)
+        # a product of two blocks has Y-degree at most 2w - 2
+        c = conv_mod(a, b, 2 * len(modulus) - 3, mod)
+        return row_combination(c, _reduction(tuple(modulus), mod), mod)
     layout = _layout(mod, modulus, n)
     return layout.slots(layout.mul(layout.of(a, n), layout.of(b, n), n)).tolist()
 
@@ -551,11 +551,11 @@ def power(x, k, op):
 
 
 def unit_inverse(a, mod, modulus=None):
-    """Inverse of the unit block a[0:s], as a block."""
+    """Inverse of the unit block a[0:w], as a block."""
     if modulus is None:
         return [pow(a[0], -1, mod)]
     # F_{p^w}^* has order p^w - 1; mod is p here
-    return power(a[: block_size(modulus)], mod ** (len(modulus) - 1) - 2,
+    return power(a[: len(modulus) - 1], mod ** (len(modulus) - 1) - 2,
                  lambda x, y: mul_mod(x, y, 1, mod, modulus))
 
 
@@ -761,8 +761,8 @@ def compose_mod(outer, inner, n, mod, modulus=None, powers=None):
     once, to the layout of n blocks (see ``_layout``) that the baby powers
     are in, and ``_compose`` runs in it.
     """
-    s = block_size(modulus)
-    blocks = -(-min(len(outer), n * s) // s)
+    w = 1 if modulus is None else len(modulus) - 1
+    blocks = -(-min(len(outer), n * w) // w)
     if powers is None:
         powers = compose_data(inner, n, mod, modulus, blocks)
     if isinstance(powers, FrobeniusTables):
@@ -841,8 +841,8 @@ def reversion_mod(g, n, mod, modulus=None):
     """
     import numpy as np
 
-    s = block_size(modulus)
-    h = [0] * s + unit_inverse(g[s:], mod, modulus)
+    w = 1 if modulus is None else len(modulus) - 1
+    h = [0] * w + unit_inverse(g[w:], mod, modulus)
     layout, k = None, 1
     while k < n - 1:
         m = min(2 * k + 2, n)

@@ -8,15 +8,16 @@ values are immutable and every operation is a pure function, so
 concurrent use is safe.
 
 Series products, composition and substitution inverses run in the
-``_convolve`` kernel for every ring.  A series is stored in the kernel's
-layout, one flat tuple of residues mod ``field.mod`` (p, or p^P over
-Z/p^P) with one block of 2w - 1 slots per power of X and the
-Y-coefficients of X^k in slots [k(2w-1), k(2w-1) + w), so it is handed
-to the kernel as it is and the kernel's result (each block reduced mod
-the field's modulus) is wrapped without per-coefficient work.  For w = 1
-a block is a single residue.  (Inside a kernel call a block over F_{p^w}
-is one int64 word where that fits; the stored layout stays this one.)
-The coefficients as ``FFElem`` values are a view built on first use.
+``_convolve`` kernel for every ring.  A series is stored as its
+coefficients, one flat tuple of residues mod ``field.mod`` (p, or p^P
+over Z/p^P) with w per power of X, the Y-coefficients of X^k in
+[kw, (k+1)w).  That is the kernel's entry and exit form, so a series is
+handed to the kernel as it is and the kernel's result (each block reduced
+mod the field's modulus) is wrapped without per-coefficient work.  For
+w = 1 a block is a single residue.  (Inside a kernel call a block over
+F_{p^w} is one int64 word where that fits, or a product block of 2w - 1
+slots past the word bound; the stored form stays this one.)  The
+coefficients as ``FFElem`` values are a view built on first use.
 A JSON list of plain ints is packed in one pass (``_plain_packed``).
 
 Field elements are single blocks of the same kernel: their product is
@@ -33,8 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from ._convolve import (_MR_BOUND, block_size, compose_data, compose_mod, is_prime, mul_mod, power,
-                        reversion_mod, row_combination, unit_inverse)
+from ._convolve import (_MR_BOUND, compose_data, compose_mod, is_prime, mul_mod, power, reversion_mod,
+                        row_combination, unit_inverse)
 
 
 def _require_prime(n):
@@ -86,7 +87,7 @@ def _frobenius_rows(modulus, p, k):
     y = power([0, 1], p**k, mul)
     rows, r = [], [1] + [0] * (w - 1)
     for _ in range(w):
-        rows.append(tuple(r[:w]))
+        rows.append(tuple(r))
         r = mul(r, y)
     return tuple(rows)
 
@@ -191,7 +192,7 @@ class FiniteField:
 
 
 class FFElem:
-    """An element of a FiniteField: the w low slots of one reduced kernel block.
+    """An element of a FiniteField: one reduced kernel block of w residues.
 
     Products are one-block ``mul_mod`` calls; the Frobenius applies the
     cached rows (Y^t)^(p^k), as ``TruncSeries.frobenius_twist`` does per block.
@@ -224,7 +225,7 @@ class FFElem:
     def __mul__(self, other):
         self._check(other)
         f = self.field
-        return FFElem(f, tuple(mul_mod(self.rep, other.rep, 1, f.mod, f.modulus)[: f.w]))
+        return FFElem(f, tuple(mul_mod(self.rep, other.rep, 1, f.mod, f.modulus)))
 
     def __pow__(self, e):
         if e < 0:
@@ -235,7 +236,7 @@ class FFElem:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
         f = self.field
-        return FFElem(f, tuple(unit_inverse(self.rep, f.mod, f.modulus)[: f.w]))
+        return FFElem(f, tuple(unit_inverse(self.rep, f.mod, f.modulus)))
 
     def __truediv__(self, other):
         self._check(other)
@@ -272,13 +273,13 @@ class TruncSeries:
     """A power series over F_p, Z/p^P or F_{p^w} known modulo X^N.
 
     The series is stored as ``packed``, the kernel's residue list as a
-    tuple: ``trunc`` blocks of 2w - 1 slots, the reduced Y-coefficients of
-    X^k in slots [k(2w-1), k(2w-1) + w) and zeros in the rest (one slot per
-    coefficient over F_p and Z/p^P).  ``coeffs`` is a view of it as ``trunc``
-    FFElem values, built on first use; the k-th entry is the coefficient
-    of X^k.  Instances are immutable.  ``_baby`` keeps what a composition
-    mod X^trunc reads of the series as its inner series, built on first use
-    by ``_convolve.compose_data`` (see ``compose``): the tables of the
+    tuple: ``trunc`` blocks of w residues, the reduced Y-coefficients of
+    X^k in [kw, (k+1)w) (one residue per coefficient over F_p and Z/p^P).
+    ``coeffs`` is a view of it as ``trunc`` FFElem values, built on first
+    use; the k-th entry is the coefficient of X^k.  Instances are
+    immutable.  ``_baby`` keeps what a composition mod X^trunc reads of the
+    series as its inner series, built on first use by
+    ``_convolve.compose_data`` (see ``compose``): the tables of the
     Frobenius split or the Paterson-Stockmeyer baby powers, as the kernel
     chooses.  Neither view takes part in equality, hashing or repr.
     """
@@ -289,10 +290,7 @@ class TruncSeries:
         coeffs = tuple(coeffs)
         packed = _plain_packed(field, coeffs)
         if packed is None:
-            s = block_size(field.modulus)
-            packed = [0] * (len(coeffs) * s)
-            for k, c in enumerate(coeffs):
-                packed[k * s : k * s + field.w] = field._rep(c)
+            packed = [x for c in coeffs for x in field._rep(c)]
         if trunc is None:
             trunc = len(coeffs)
         _check_length(len(coeffs), trunc)
@@ -306,9 +304,7 @@ class TruncSeries:
     def coeffs(self):
         if self._coeffs is None:
             f, w = self.field, self.field.w
-            s = block_size(f.modulus)
-            self._coeffs = tuple(FFElem(f, self.packed[i : i + w])
-                                 for i in range(0, len(self.packed), s))
+            self._coeffs = tuple(FFElem(f, self.packed[i : i + w]) for i in range(0, len(self.packed), w))
         return self._coeffs
 
     # -- constructors -------------------------------------------------
@@ -317,8 +313,8 @@ class TruncSeries:
     def x(cls, field, trunc):
         if trunc < 2:
             raise ValueError("truncation must be >= 2 to represent X")
-        s = block_size(field.modulus)
-        return _from_packed(field, (0,) * s + (1,) + (0,) * ((trunc - 1) * s - 1), trunc)
+        w = field.w
+        return _from_packed(field, (0,) * w + (1,) + (0,) * ((trunc - 1) * w - 1), trunc)
 
     @classmethod
     def one(cls, field, trunc):
@@ -335,24 +331,22 @@ class TruncSeries:
             raise ValueError("field mismatch")
 
     def block(self, k):
-        """The packed block of X^k: its w Y-coefficients, then w - 1 zeros."""
-        s = block_size(self.field.modulus)
-        return self.packed[k * s : (k + 1) * s]
+        """The packed block of X^k: its w Y-coefficients."""
+        w = self.field.w
+        return self.packed[k * w : (k + 1) * w]
 
     def valuation(self, start=0):
         """Exponent of the first nonzero coefficient at or above X^start, or None."""
-        s = block_size(self.field.modulus)
-        # upper slots of a block are zero, so the first nonzero slot lies in
-        # the block of the first nonzero coefficient
-        first = next((i for i in range(start * s, len(self.packed)) if self.packed[i]), None)
-        return None if first is None else first // s
+        w = self.field.w
+        first = next((i for i in range(start * w, len(self.packed)) if self.packed[i]), None)
+        return None if first is None else first // w
 
     def shift(self, k, n):
         """X^k times the series mod X^n; k < 0 drops the first -k coefficients."""
         if n - k > self.trunc:
             raise ValueError("cannot extend precision by shifting")
-        s = block_size(self.field.modulus)
-        packed = (0,) * (min(max(k, 0), n) * s) + self.packed[max(-k, 0) * s : max(n - k, 0) * s]
+        w = self.field.w
+        packed = (0,) * (min(max(k, 0), n) * w) + self.packed[max(-k, 0) * w : max(n - k, 0) * w]
         return _from_packed(self.field, packed, n)
 
     def truncate(self, n):
@@ -361,7 +355,7 @@ class TruncSeries:
             raise ValueError("cannot extend precision by truncating")
         if n == self.trunc:
             return self
-        return _from_packed(self.field, self.packed[: n * block_size(self.field.modulus)], n)
+        return _from_packed(self.field, self.packed[: n * self.field.w], n)
 
     # -- ring operations ----------------------------------------------
 
@@ -375,7 +369,7 @@ class TruncSeries:
         self._check(other)
         n = min(self.trunc, other.trunc)
         m = self.field.mod
-        width = n * block_size(self.field.modulus)
+        width = n * self.field.w
         return _from_packed(
             self.field, [(a + sign * b) % m for a, b in zip(self.packed[:width], other.packed[:width])], n
         )
@@ -384,7 +378,7 @@ class TruncSeries:
         self._check(other)
         n = min(self.trunc, other.trunc)
         f = self.field
-        width = n * block_size(f.modulus)
+        width = n * f.w
         out = mul_mod(self.packed[:width], other.packed[:width], n, f.mod, f.modulus)
         return _from_packed(f, out, n)
 
@@ -402,7 +396,7 @@ class TruncSeries:
             raise ValueError("inner series must have zero constant term")
         n = min(self.trunc, inner.trunc)
         f = self.field
-        width = n * block_size(f.modulus)
+        width = n * f.w
         powers = None
         if n == inner.trunc:
             if inner._baby is None:
@@ -434,10 +428,10 @@ class TruncSeries:
         if f.w == 1 or j % f.w == 0:
             return self
         # x -> x^(p^j) fixes F_p, so it maps sum c_t Y^t to sum c_t (Y^t)^(p^j)
-        w, s = f.w, block_size(f.modulus)
+        w = f.w
         rows = _frobenius_rows(f.modulus, f.p, j % f.w)
         packed = list(self.packed)
-        for i in range(0, len(packed), s):
+        for i in range(0, len(packed), w):
             block = packed[i : i + w]
             if any(block):
                 packed[i : i + w] = row_combination(block, rows, f.p)
@@ -481,10 +475,10 @@ def _plain_packed(field, coeffs):
         packed = [c % field.mod for c in coeffs if type(c) is int]
         return packed if len(packed) == len(coeffs) else None
     w, p = field.w, field.mod
-    pad = [0] * (2 * w - 1)
+    pad = [0] * w
     packed = [x % p for c in coeffs if type(c) is list and len(c) <= w
               for x in c + pad[len(c) :] if type(x) is int]
-    return packed if len(packed) == len(coeffs) * len(pad) else None
+    return packed if len(packed) == len(coeffs) * w else None
 
 
 def _check_length(count, trunc):
@@ -496,8 +490,8 @@ def _check_length(count, trunc):
 
 
 def _from_packed(field, packed, n):
-    # a series from n blocks of reduced residues with zero upper slots, as
-    # the kernel returns them: no per-coefficient work
+    # a series from n blocks of w reduced residues, as the kernel returns
+    # them: no per-coefficient work
     g = object.__new__(TruncSeries)
     g.field = field
     g.trunc = n

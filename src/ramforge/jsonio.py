@@ -144,8 +144,7 @@ def series_out(s):
     if w == 1:
         doc["coeffs"] = [int_out(c) for c in packed]
     else:
-        # the first w slots of each block of 2w - 1
-        doc["coeffs"] = [[int_out(x) for x in packed[i : i + w]] for i in range(0, len(packed), 2 * w - 1)]
+        doc["coeffs"] = [[int_out(x) for x in packed[i : i + w]] for i in range(0, len(packed), w)]
     return doc
 
 

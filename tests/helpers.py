@@ -510,6 +510,12 @@ def in_scope_closed_form(p, d, levels):
     t^(1 - e - p^n): e_n = e_(n-1) + p^n.  Sen's congruence e_n = e_(n-1)
     mod p^n (Ann. of Math. 90, 1969) is the check.  For p | d + 1 the
     formula fails: X + X^p over F_p is additive, of depth p^p - 1 at p.
+    (d) The same depths hold for u = aX + cX^(d+1) + p v with a = 1 mod p
+    and c a unit: with lambda^d = c in the algebraic closure of F_p,
+    lambda g(X/lambda) = X + X^(d+1) for g = X + cX^(d+1), so g is conjugate
+    to X + X^(d+1) by X -> lambda X; conjugation maps the iterates of g to
+    those of X + X^(d+1) and X + bX^(j+1) + ... to X + b lambda^(-j) X^(j+1)
+    + ..., so it keeps depths.
     """
     depths = [d * (p ** (n + 1) - 1) // (p - 1) for n in range(levels + 1)]
     return depths, [depths[n] - depths[n - 1] for n in range(1, levels + 1)]

@@ -34,15 +34,13 @@ def exact_branch(mod, length):
 
 
 def pack(series, w):
-    """w-tuples -> flat list, one block of 2w - 1 slots per power of X."""
-    return [c for coef in series for c in tuple(coef) + (0,) * (w - 1)]
+    """w-tuples -> flat list, w residues per power of X."""
+    return [c for coef in series for c in coef]
 
 
 def unpack(flat, w):
-    s = 2 * w - 1
-    blocks = [flat[i : i + s] for i in range(0, len(flat), s)]
-    assert all(not any(b[w:]) for b in blocks), "a block was left unreduced"
-    return [tuple(b[:w]) for b in blocks]
+    assert len(flat) % w == 0, "a block was cut short"
+    return [tuple(flat[i : i + w]) for i in range(0, len(flat), w)]
 
 
 def random_elem(rng, p, w, unit=False):
@@ -241,11 +239,11 @@ class TestRoundTrips:
 
     @pytest.mark.parametrize("mod, modulus", RINGS, ids=IDS)
     def test_reversion(self, mod, modulus):
-        s = _convolve.block_size(modulus)
+        w = 1 if modulus is None else len(modulus) - 1
         rng = random.Random(52)
         for n in (2, 3, 10, 30):
             g = random_series(rng, mod, modulus, n, 1)
-            x = [0] * s + [1] + [0] * ((n - 1) * s - 1)
+            x = [0] * w + [1] + [0] * ((n - 1) * w - 1)
             assert compose_mod(g, reversion_mod(g, n, mod, modulus), n, mod, modulus) == x
 
     @pytest.mark.parametrize("mod", RECIPROCAL_RINGS, ids=RECIPROCAL_IDS)
@@ -284,7 +282,7 @@ REVERSION_RINGS = [
 @example(ring=(3, EXTENSIONS["F27"][1]), n=3, seed=0)  # one step, clipped from 4 to 3
 def test_reversion_one_composition_per_step(ring, n, seed):
     mod, modulus = ring
-    s = _convolve.block_size(modulus)
+    w = 1 if modulus is None else len(modulus) - 1
     g = random_series(random.Random(seed), mod, modulus, n, 1)
     with mock.patch.object(_convolve, "compose_mod", wraps=_convolve.compose_mod) as spy, \
             mock.patch.object(_convolve, "_compose", wraps=_convolve._compose) as body_spy:
@@ -294,7 +292,7 @@ def test_reversion_one_composition_per_step(ring, n, seed):
     # compose_mod
     steps = (n - 1).bit_length() - 1
     assert (spy.call_count, body_spy.call_count) == (0, steps)
-    x = [0] * s + [1] + [0] * ((n - 1) * s - 1)
+    x = [0] * w + [1] + [0] * ((n - 1) * w - 1)
     assert compose_mod(g, h, n, mod, modulus) == x
     assert compose_mod(h, g, n, mod, modulus) == x
     if modulus is None and mod < 7 and n <= 24:

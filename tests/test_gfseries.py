@@ -365,10 +365,9 @@ class TestBabyPowerMemo:
         assert g._baby is memo and fresh._baby is None
         # the kernel with the memo and an outer of fewer blocks than n: k is
         # taken from n, not from the outer
-        s = 2 * field.w - 1
         got = compose_mod(TruncSeries(field, short, n // 2).packed, None, n, field.mod, field.modulus, memo)
         want = oracle_compose(field, short + [zero] * (n - n // 2), inner, n)
-        assert tuple(got) == want.packed and len(got) == n * s
+        assert tuple(got) == want.packed and len(got) == n * field.w
 
     def test_binary_powering_builds_each_inner_once(self, monkeypatch):
         # g^(7): g∘g, g2∘g, g3∘g3, g6∘g; g and g3 are the inner series
@@ -592,15 +591,13 @@ class TestPackedStorage:
         rng = random.Random(61)
         for n in (2, 3, 12):
             built, returned = self.both_forms(rng, field, n)
-            s = 2 * field.w - 1
-            assert len(built.packed) == len(returned.packed) == n * s
+            assert len(built.packed) == len(returned.packed) == n * field.w
             assert built == returned and hash(built) == hash(returned)
             assert repr(built) == repr(returned)
             assert returned.coeffs == built.coeffs
             assert all(isinstance(c, FFElem) and c.field == field for c in returned.coeffs)
             assert returned.coeffs is returned.coeffs  # built once, then cached
-            assert all(returned.block(k)[: field.w] == c.rep for k, c in enumerate(returned.coeffs))
-            assert all(not any(returned.block(k)[field.w :]) for k in range(n))
+            assert all(returned.block(k) == c.rep for k, c in enumerate(returned.coeffs))
 
     @pytest.mark.parametrize("field", FIELDS, ids=repr)
     def test_operations_on_both_forms(self, field):
@@ -626,8 +623,8 @@ class TestPackedStorage:
 
     def test_construction_reduces_every_input_form(self):
         # ints, vectors and field elements give the same packed residues
-        for field, value, block in ((F5, 7, (2,)), (F5, -1, (4,)), (F4, 3, (1, 0, 0)),
-                                    (F4, (3, 2), (1, 0, 0)), (F27, (4, -1), (1, 2, 0, 0, 0))):
+        for field, value, block in ((F5, 7, (2,)), (F5, -1, (4,)), (F4, 3, (1, 0)),
+                                    (F4, (3, 2), (1, 0)), (F27, (4, -1), (1, 2, 0))):
             g = TruncSeries(field, [value, 0], 2)
             assert g.block(0) == block
             assert g == TruncSeries(field, [field.coerce(value), 0], 2)
@@ -635,3 +632,43 @@ class TestPackedStorage:
             TruncSeries(F4, [(1, 0, 1)], 1)
         with pytest.raises(ValueError, match="mismatch"):
             TruncSeries(F4, [F9.one()], 1)
+
+
+class TestCompactForm:
+    """A series holds exactly w residues per power of X, the coefficient of
+    X^k at [kw, (k+1)w), whatever built it: the constructor, the JSON
+    reader or the kernel, in words or on slots."""
+
+    CASES = [(F5, 30), (FiniteField(7, prec=10), 30), (F27, 44), (F27, 200),
+             (FiniteField(2**31 - 1, 2, (1, 0, 1)), 60)]
+
+    @pytest.mark.parametrize("field, n", CASES, ids=lambda v: repr(v) if isinstance(v, FiniteField) else str(v))
+    def test_every_operation_stores_w_residues_per_coefficient(self, field, n):
+        rng = random.Random(f"compact:{field!r}:{n}")
+        w = field.w
+
+        def coeff():
+            return tuple(rng.randrange(field.mod) for _ in range(w))
+
+        unit = (rng.randrange(1, field.p),) + coeff()[1:]
+        g = TruncSeries(field, [(0,) * w, unit] + [coeff() for _ in range(n - 2)], n)
+        outer = TruncSeries(field, [coeff() for _ in range(n)], n)
+        h = g.comp_inverse()
+        # a series over Z/p^P is read and written as a p-adic document
+        read, write = (jsonio.padic_in, jsonio.padic_out) if field.prec > 1 else (jsonio.series_in, jsonio.series_out)
+        made = {
+            "TruncSeries": g,
+            "series_in": read(write(g)),
+            "*": outer * g,
+            "compose": outer.compose(g),
+            "comp_inverse": h,
+            "frobenius_twist": g.frobenius_twist(1),
+            "shift": g.shift(3, n),
+            "shift back": g.shift(-2, n - 2),
+            "truncate": g.truncate(n // 2),
+        }
+        for name, s in made.items():
+            assert len(s.packed) == s.trunc * s.field.w, name
+            assert len(s.coeffs) == s.trunc, name
+            assert all(s.block(k) == c.rep for k, c in enumerate(s.coeffs)), name
+        assert made["series_in"] == g and g.compose(h) == TruncSeries.x(field, n)

@@ -558,12 +558,11 @@ def ext_mul(a, b, p, modulus, n):
 
 
 def pack(coeffs, w):
-    return [c for coef in coeffs for c in tuple(coef) + (0,) * (w - 1)]
+    return [c for coef in coeffs for c in coef]
 
 
 def unpack(flat, w):
-    s = 2 * w - 1
-    return [tuple(flat[i : i + w]) for i in range(0, len(flat), s)]
+    return [tuple(flat[i : i + w]) for i in range(0, len(flat), w)]
 
 
 def run_ext_methods(fn, p, modulus, n):
@@ -639,7 +638,7 @@ class TestExtensionFields:
         def fold():
             # a block fold sums s products: the dtype of s terms
             layout = _convolve._slots(p, modulus, 3, s, _convolve.array_dtype(p, s))
-            return layout.reduce(layout.of([p - 1] * (n * s), n)).tolist()
+            return layout.reduce(_convolve._residues([p - 1] * (n * s), n * s, layout.dtype)).tolist()
 
         results = run_methods(fold, p, s)
         assert results["natural"][1] > 0
@@ -793,9 +792,8 @@ class TestWordLayout:
         p, modulus = {**EXTENSIONS, **{k: v[0] for k, v in WORD_FIELDS.items()}, "F5": (5, None)}[name]
         w = 1 if modulus is None else len(modulus) - 1
         rng = random.Random(f"{name}:{n}")
-        one = [1] + [0] * (2 * w - 2)
-        g = [0] * (2 * w - 1) + one + [rng.randrange(p) if t < w else 0
-                                        for _ in range(n - 2) for t in range(2 * w - 1)]
+        one = [1] + [0] * (w - 1)
+        g = [0] * w + one + [rng.randrange(p) for _ in range((n - 2) * w)]
         seen, compose = [], _convolve._compose
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_convolve, "_compose", lambda layout, *args: seen.append(layout) or compose(layout, *args))
@@ -805,5 +803,5 @@ class TestWordLayout:
         assert len({id(x) for x in seen}) == len(changes) == len(runs)
         assert [type(x) is _convolve._Words for x in changes] == runs
         assert len(seen) == (n - 1).bit_length() - 1
-        x = [0] * (2 * w - 1) + one + [0] * ((n - 2) * (2 * w - 1))
+        x = [0] * w + one + [0] * ((n - 2) * w)
         assert compose_mod(g, h, n, p, modulus) == x == compose_mod(h, g, n, p, modulus)

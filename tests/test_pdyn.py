@@ -435,6 +435,12 @@ class TestExtQuantities:
         assert not any(ext_quantities(5, 4, 1).in_scope(n) for n in (1, 3, 10))
 
 
+def in_scope_case(p, d, P, M, levels, draw=None):
+    """A case of the in-scope family, its id the numbers and the draw."""
+    name = "-".join(map(str, (p, d, P, M, levels))) + ("" if draw is None else f"-draw{draw}")
+    return pytest.param(p, d, P, M, levels, draw, id=name)
+
+
 class TestAnalyze:
     def test_cyclotomic_end_to_end(self):
         rep = analyze(cyclotomic_padic(5, 8, 130), 2)
@@ -457,21 +463,32 @@ class TestAnalyze:
             it = pad_iterate(u, 5**n)
             assert weierstrass_degree(it - TruncSeries.x(FiniteField(5, prec=8), 130)) == count
 
-    @pytest.mark.parametrize("p, d, P, M, levels", [(5, 1, 8, 800, 4), (5, 3, 8, 500, 3), (7, 1, 6, 500, 3)])
-    def test_in_scope_family_matches_the_closed_form(self, p, d, P, M, levels):
+    @pytest.mark.parametrize("p, d, P, M, levels, draw", [
+        in_scope_case(5, 1, 8, 800, 4), in_scope_case(5, 3, 8, 500, 3), in_scope_case(7, 1, 6, 500, 3),
+    ] + [in_scope_case(p, d, 6, in_scope_closed_form(p, d, 3)[0][3] + 32, 3, draw)
+         for p, d in ((5, 1), (5, 2), (5, 3), (7, 1), (7, 2)) for draw in (0, 1)])
+    def test_in_scope_family_matches_the_closed_form(self, p, d, P, M, levels, draw):
         # u = (1 + p)X + X^(d+1), p-multiples added from X^2 on: the
         # reduction, and so the closed form, is unchanged; the theorem's
         # scope starts at level 3, and every level inside it and below it
-        # has the predicted single Newton segment
-        rng = random.Random(f"in-scope:{p}:{d}")
+        # has the predicted single Newton segment and constant valuation.
+        # A draw takes u = aX + cX^(d+1) + p-multiples at every other
+        # degree, a = 1 + p*r (r = 0 mod p in draw 0) and c a random unit:
+        # X + cX^(d+1) is conjugate to X + X^(d+1), so the closed form holds
+        rng = random.Random(f"in-scope:{p}:{d}" + ("" if draw is None else f":{draw}"))
         coeffs = [0, 1 + p] + [p * rng.randrange(p ** (P - 1)) for _ in range(M - 2)]
         coeffs[d + 1] += 1
+        if draw is not None:
+            r = rng.randrange(p ** (P - 1))
+            coeffs[1] = 1 + p * (p * r if draw == 0 else r)
+            coeffs[d + 1] = rng.randrange(1, p) + p * rng.randrange(p ** (P - 1))
         rep = analyze(PadicSeries(p, P, M, coeffs), levels)
         depths, degrees = in_scope_closed_form(p, d, levels)
         assert rep.depths == tuple(depths) and rep.depth_uncertified_at is None
         assert [lv.n for lv in rep.levels] == list(range(1, levels + 1))
         assert [lv.weierstrass_degree for lv in rep.levels] == degrees
         assert all(lv.wd_matches for lv in rep.levels)
+        assert all(lv.constant_matches is True for lv in rep.levels)
         assert [lv.prediction_in_scope for lv in rep.levels] == [lv.n >= 3 for lv in rep.levels]
         assert all(lv.single_segment_matches is True for lv in rep.levels)
 
