@@ -20,8 +20,6 @@ from .herbrand import (
     pl_compose,
     psi_from_breaks,
     psi_ie_formula,
-    tame_phi,
-    tame_psi,
     validate_breaks,
 )
 from .nottingham import (
@@ -29,15 +27,12 @@ from .nottingham import (
     IndexReport,
     RamSequence,
     compose_power,
-    conjugate,
     depth,
     index_of,
     lower_breaks,
     p_chain,
     p_iterate,
-    series_agree_mod,
     subgroup_equal_mod,
-    unit_part,
     upper_from_lower,
 )
 from .pdyn import (
@@ -64,7 +59,6 @@ from .ramcheck import (
     check_conditions,
     f_shift,
     f_shift_sum_check,
-    g_floor,
     m0,
     proot_check,
     psi_ML_lower_bound,
@@ -75,7 +69,6 @@ from .truncation import (
     TruncMorphism,
     TruncObject,
     compose_morphism,
-    identity_morphism,
     is_extension,
     is_isomorphism,
     r_equivalent,

@@ -83,7 +83,7 @@ def _each(read):
 
 _INT, _FRAC = jsonio.int_in, jsonio.frac_in
 _INTS, _FRACS = _each(_INT), _each(_FRAC)
-_SERIES, _PADIC = _doc(jsonio.series_in), _doc(jsonio.padic_in)
+_SERIES = _doc(jsonio.series_in)
 _BREAKS, _INPUTS = _doc(jsonio.break_data_in), _doc(jsonio.theorem_inputs_in)
 _PLFUNC, _MORPHISM = _doc(jsonio.plfunc_in), _doc(jsonio.morphism_in)
 
@@ -144,11 +144,11 @@ _COMMANDS = {
     }),
     "dynamics": ("p-adic dynamical systems", {
         "analyze": (lambda series, levels: jsonio.dynamics_report_out(analyze(series, levels)),
-                    ("--series", _PADIC), ("--levels", _INT)),
+                    ("--series", _SERIES), ("--levels", _INT)),
         "newton": (lambda series, degree: jsonio.polygon_out(newton_polygon(series, degree)),
-                   ("--series", _PADIC), ("--degree", _INT)),
+                   ("--series", _SERIES), ("--degree", _INT)),
         "qn": (lambda series, n: jsonio.divided_out(qn_divide(series, n)),
-               ("--series", _PADIC), ("--n", _INT)),
+               ("--series", _SERIES), ("--n", _INT)),
     }),
 }
 

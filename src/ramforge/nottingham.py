@@ -290,24 +290,6 @@ def index_of(p, upper):
     return IndexReport(d, "candidate", stabilized_at, diffs, n_max)
 
 
-def unit_part(g):
-    """h with g(X) = X*h(X); truncation drops by one."""
-    if any(g.block(0)):
-        raise ValueError("constant term must vanish")
-    if g.trunc < 2:
-        raise ValueError("truncation too small to shift")
-    return g.shift(-1, g.trunc - 1)
-
-
-def series_agree_mod(a, b, m):
-    """True iff the coefficients of a and b agree below X^m."""
-    if m > a.trunc or m > b.trunc:
-        raise ValueError(f"m = {m} exceeds a truncation ({a.trunc}, {b.trunc})")
-    if a.field != b.field:
-        raise ValueError("field mismatch")
-    return a.truncate(m) == b.truncate(m)
-
-
 def _image_order_exponent(g, m):
     # j with p^j = order of the image of <g> in A(k)/{h : h == X mod X^{m+1}}:
     # the first link of the chain mod X^(m+1) equal to X.  Depth >= 1 rises
@@ -348,8 +330,3 @@ def subgroup_equal_mod(g, g2, m):
             return True
         acc = acc.compose(gq)
     return False
-
-
-def conjugate(h, g):
-    """h o g o h^{-1} at the common truncation."""
-    return h.compose(g).compose(h.comp_inverse())

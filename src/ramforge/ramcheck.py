@@ -105,12 +105,6 @@ def f_shift_sum_check(tp, m):
     return total == (m + 1) * e0 * (p ** (m + 1) - p**m)
 
 
-def g_floor(tp, m, n_val):
-    """ceil((n_val - e0*(p^(m+1)+p^m-1)) / (s*p^m))."""
-    p, s, e0 = tp.p, tp.s, tp.e0
-    return math.ceil(Fraction(n_val - e0 * (p ** (m + 1) + p**m - 1), s * p**m))
-
-
 @dataclass(frozen=True)
 class TheoremInputs:
     """Inputs to the condition checker.

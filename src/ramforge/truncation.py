@@ -115,10 +115,6 @@ class TruncMorphism:
         )
 
 
-def identity_morphism(obj):
-    return TruncMorphism(obj, obj, 1, 0, obj.one())
-
-
 def compose_morphism(g, f):
     """g o f = (s*r, nu o mu, theta^(x r) o eta); endpoints must match."""
     if f.target != g.source:
@@ -133,12 +129,8 @@ def compose_morphism(g, f):
     return out
 
 
-def is_extension(f, src=None, dst=None):
+def is_extension(f):
     """True iff length(A_2) = r * length(A_1)."""
-    if src is not None and src != f.source:
-        raise ValueError("src does not match the morphism's source")
-    if dst is not None and dst != f.target:
-        raise ValueError("dst does not match the morphism's target")
     return f.target.e == f.r * f.source.e
 
 

@@ -22,7 +22,6 @@ from ramforge import (
     extract_yhz,
     f_shift,
     f_shift_sum_check,
-    identity_morphism,
     lower_break_formula,
     lower_breaks,
     m0,
@@ -180,8 +179,8 @@ def test_criterion_09_category_laws():
         assert compose_morphism(h, compose_morphism(g, f)) == compose_morphism(
             compose_morphism(h, g), f
         )
-        assert compose_morphism(f, identity_morphism(objs[0])) == f
-        assert compose_morphism(identity_morphism(objs[1]), f) == f
+        assert compose_morphism(f, TruncMorphism(objs[0], objs[0], 1, 0, objs[0].one())) == f
+        assert compose_morphism(TruncMorphism(objs[1], objs[1], 1, 0, objs[1].one()), f) == f
     src, dst = TruncObject(F5, 2), TruncObject(F5, 8)
     fs = [
         TruncMorphism(src, dst, 4, 0,

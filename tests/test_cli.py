@@ -102,6 +102,48 @@ class TestSeries:
             assert not any(doc["coeffs"][2:])
 
 
+class TestRings:
+    """Every series document is read in the ring it names, and a command
+    that cannot work in that ring refuses it."""
+
+    def test_compose_over_z_mod_p_power(self, capsys):
+        # (X + 7X^2) o (X + 7X^2) = X + 14X^2 mod X^3; read over F_5, the
+        # document would give 4 at X^2
+        inline = json.dumps({"p": 5, "prec": 3, "trunc": 3, "coeffs": [0, 1, 7]})
+        code, doc = run(capsys, "series", "compose", "--outer", inline, "--inner", inline)
+        assert code == 0 and doc == {"p": 5, "prec": 3, "trunc": 3, "coeffs": [0, 1, 14]}
+
+    def test_inverse_over_z_mod_p_power(self, capsys):
+        # X - 7X^2 + 98X^3 inverts X + 7X^2 mod (5^3, X^4)
+        inline = json.dumps({"p": 5, "prec": 3, "trunc": 4, "coeffs": [0, 1, 7, 0]})
+        code, doc = run(capsys, "series", "inverse", "--series", inline)
+        assert code == 0 and doc == {"p": 5, "prec": 3, "trunc": 4, "coeffs": [0, 1, 118, 98]}
+        code, doc = run(capsys, "series", "compose", "--outer", inline, "--inner", json.dumps(doc))
+        assert code == 0 and doc["coeffs"] == [0, 1, 0, 0]
+
+    @pytest.mark.parametrize("argv", [
+        ["series", "depth"], ["series", "iterate", "--n", "1"], ["breaks", "lower", "--n-max", "1"],
+    ], ids=["depth", "iterate", "lower"])
+    def test_breaks_and_depths_refuse_z_mod_p_power(self, capsys, argv):
+        code, doc = run(capsys, *argv, "--series", PADIC)
+        assert code == 2 and doc["error"]["type"] == "input"
+        assert "reduce a Z/p^P series mod p" in doc["error"]["reason"]
+
+    @pytest.mark.parametrize("field", [
+        {"p": 3, "w": 2, "modulus": [1, 0, 1], "prec": 3}, {"p": 3, "w": 2, "modulus": [1, 0, 1]},
+    ], ids=["with-prec", "without-prec"])
+    def test_newton_refuses_an_extension_field(self, capsys, field):
+        inline = json.dumps({**field, "trunc": 3, "coeffs": [3, 0, 1]})
+        code, doc = run(capsys, "dynamics", "newton", "--series", inline, "--degree", "2")
+        assert code == 2 and doc["error"]["type"] == "input"
+
+    def test_trunc_refuses_z_mod_p_power(self, capsys):
+        obj = {"field": {"p": 5, "prec": 3}, "e": 1}
+        f = {"source": obj, "target": {**obj, "e": 2}, "r": 2, "res_twist": 0, "eta_coeff": [1]}
+        code, doc = run(capsys, "trunc", "extension", "--f", json.dumps(f))
+        assert code == 2 and "not the ring Z/5^3" in doc["error"]["reason"]
+
+
 class TestBreaks:
     def test_lower(self, capsys, cyclotomic_series):
         code, doc = run(capsys, "breaks", "lower", "--series", cyclotomic_series, "--n-max", "2")

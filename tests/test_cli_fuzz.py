@@ -11,6 +11,11 @@ program reads off a cycle.  Whatever the input, a run ends in exit 0, 2
 or 3, prints one JSON document and writes nothing to stderr, so no
 traceback, and an input error's reason is the program's, not Python's.
 A list field given junk of another kind ends in exit 2.
+
+A series document names its ring, F_{p^w} or Z/p^P, and the series
+strategy draws both kinds, two in ten with a ring key of the other kind
+added.  A run that answers writes every output series in the ring its
+input series name: a ring key is never dropped.
 """
 
 import contextlib
@@ -118,6 +123,42 @@ def padic_docs(draw):
     return {"p": p, "prec": prec, "trunc": trunc, "coeffs": [0, linear] + tail}
 
 
+@st.composite
+def foreign_ring(draw, docs):
+    """A document from docs, two in ten with a ring key of the other kind:
+    "prec" in an F_{p^w} document, "w" and "modulus" in a p-adic one."""
+    doc = dict(draw(docs))
+    if draw(st.integers(0, 9)) >= 8:
+        if "prec" in doc:
+            _, w, modulus = draw(FIELDS)
+            doc.update(field_doc(doc["p"], w, modulus))
+        else:
+            doc["prec"] = draw(st.sampled_from([2, 3, 8]))
+    return doc
+
+
+def ring_of(doc):
+    """(p, w, prec) of a series document, each read as the reader reads it,
+    or None where one of them does not read."""
+    try:
+        return jsonio.int_in(doc["p"]), jsonio.int_in(doc.get("w", 1)), jsonio.int_in(doc.get("prec", 1))
+    except (ValueError, KeyError):
+        return None
+
+
+def output_rings(doc):
+    """(p, w, prec) of each object of an output document that has a
+    truncation: a series, a level quotient or a dynamics report."""
+    if isinstance(doc, list):
+        for v in doc:
+            yield from output_rings(v)
+    elif isinstance(doc, dict):
+        if "trunc" in doc:
+            yield ring_of(doc)
+        for v in doc.values():
+            yield from output_rings(v)
+
+
 def break_data(seed, den=1):
     return jsonio.break_data_out(random_break_data(random.Random(seed), primes=(5, 7), n_max=4, den=den))
 
@@ -159,8 +200,7 @@ READERS = {
     cli._FRAC: spoiled_text(st.tuples(SMALL_INTS, st.integers(1, 9)).map(lambda t: f"{t[0]}/{t[1]}")),
     cli._INTS: spoiled_text(st.one_of(SEN_LOWER, comma_list(SMALL_INTS))),
     cli._FRACS: spoiled_text(st.one_of(UPPER, comma_list(SMALL_INTS))),
-    cli._SERIES: spoiled(series_docs()),
-    cli._PADIC: spoiled(padic_docs()),
+    cli._SERIES: spoiled(foreign_ring(st.one_of(series_docs(), padic_docs()))),
     cli._BREAKS: spoiled(BREAK_DATA),
     cli._INPUTS: spoiled(theorem_inputs()),
     cli._PLFUNC: spoiled(BREAK_DATA.map(lambda bd: jsonio.plfunc_out(psi_from_breaks(jsonio.break_data_in(bd))))),
@@ -178,10 +218,11 @@ def test_every_reader_has_a_strategy():
 
 @st.composite
 def command_lines(draw, flags):
-    """(argv, refused): a command's flags, one in ten lines without one of
-    them, and whether a flag value must be refused."""
+    """(argv, refused, rings): a command's flags, one in ten lines without
+    one of them, whether a flag value must be refused, and the rings its
+    series documents name."""
     left_out = draw(st.sampled_from(flags))[0] if draw(st.integers(0, 9)) == 9 else None
-    argv, refused = [], False
+    argv, refused, rings = [], False, set()
     for name, read, *_ in flags:
         if read is bool:
             argv += [name] if draw(st.booleans()) else []
@@ -189,7 +230,9 @@ def command_lines(draw, flags):
             text, bad = draw(READERS[read])
             argv += [name, text]
             refused = refused or bad
-    return argv, refused
+            if read is cli._SERIES:
+                rings.add(ring_of(json.loads(text)))
+    return argv, refused, rings
 
 
 def run(argv):
@@ -204,7 +247,7 @@ def test_every_run_ends_in_one_document(group, op, flags):
     @FUZZ
     @given(command_lines(flags))
     def check(line):
-        argv, refused = line
+        argv, refused, rings = line
         code, out, err = run([group, op, *argv])
         assert code in (0, 2, 3), out
         assert code == 2 or not refused, (argv, out)
@@ -215,5 +258,8 @@ def test_every_run_ends_in_one_document(group, op, flags):
         # not iterable")
         if code == 2:
             assert "object is not" not in doc["error"]["reason"]
+        # an answer is in the ring its input series name
+        if code == 0:
+            assert all({ring} == rings for ring in output_rings(doc)), (argv, out)
 
     check()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ramforge
-from ramforge import FFElem, FiniteField, TruncSeries, _convolve, gfseries, jsonio, series_agree_mod, unit_part
+from ramforge import FFElem, FiniteField, TruncSeries, _convolve, gfseries, jsonio
 from ramforge._convolve import FrobeniusTables, compose_mod
 from ramforge.nottingham import compose_power
 
@@ -608,12 +608,11 @@ class TestPackedStorage:
         for m in (1, 4, n):
             assert a_built.truncate(m) == a_ret.truncate(m)
             assert a_ret.truncate(m).coeffs == a_built.coeffs[:m]
-        assert unit_part(a_built) == unit_part(a_ret)
-        assert unit_part(a_ret).coeffs == a_built.coeffs[1:]
-        assert series_agree_mod(a_built, a_ret, n)
+        assert a_built.shift(-1, n - 1) == a_ret.shift(-1, n - 1)
+        assert a_ret.shift(-1, n - 1).coeffs == a_built.coeffs[1:]
         changed = TruncSeries(field, a_built.coeffs[:5] + (field.one(),) + a_built.coeffs[6:], n)
         if changed != a_built:
-            assert series_agree_mod(changed, a_ret, 5) and not series_agree_mod(changed, a_ret, 6)
+            assert changed.truncate(5) == a_ret.truncate(5) and changed.truncate(6) != a_ret.truncate(6)
         for x, y in ((a_built, b_ret), (a_ret, b_built), (a_ret, b_ret)):
             total, diff = x + y, x - y
             assert total == a_built + b_built and diff == a_built - b_built
@@ -654,11 +653,9 @@ class TestCompactForm:
         g = TruncSeries(field, [(0,) * w, unit] + [coeff() for _ in range(n - 2)], n)
         outer = TruncSeries(field, [coeff() for _ in range(n)], n)
         h = g.comp_inverse()
-        # a series over Z/p^P is read and written as a p-adic document
-        read, write = (jsonio.padic_in, jsonio.padic_out) if field.prec > 1 else (jsonio.series_in, jsonio.series_out)
         made = {
             "TruncSeries": g,
-            "series_in": read(write(g)),
+            "series_in": jsonio.series_in(jsonio.series_out(g)),
             "*": outer * g,
             "compose": outer.compose(g),
             "comp_inverse": h,

@@ -14,8 +14,6 @@ from ramforge import (
     pl_compose,
     psi_from_breaks,
     psi_ie_formula,
-    tame_phi,
-    tame_psi,
     validate_breaks,
 )
 from ramforge.herbrand import _rational_in, frac_in
@@ -93,20 +91,6 @@ class TestPLCompose:
             x = F(k, 4)
             assert composite(x) == direct(x)
 
-    def test_tame_step(self):
-        assert pl_compose(tame_phi(3), tame_psi(3)) == PLFunc.identity()
-        assert tame_psi(4)(F(5, 2)) == 10
-
-    def test_tame_step_of_fractional_index(self):
-        assert tame_psi(F(3, 2))(2) == 3 and tame_phi(F(3, 2))(3) == 2
-        assert pl_compose(tame_psi("3/2"), tame_phi([3, 2])) == PLFunc.identity()
-
-    @pytest.mark.parametrize("e", [0, -1, F(-1, 2), "0/5"])
-    def test_tame_index_must_be_positive(self, e):
-        # both directions refuse the index with one input error
-        for step in (tame_psi, tame_phi):
-            with pytest.raises(ValueError, match=r"^tame index e must be positive, got "):
-                step(e)
 
 
 class TestValidateBreaks:

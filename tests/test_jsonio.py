@@ -313,7 +313,10 @@ class TestMisshapenFields:
          'field "mu_image" must be a list, not a number'),
         (series_in, {**FIELD, "trunc": 4, "coeffs": 5}, 'field "coeffs" must be a list, not a number'),
         (series_in, [0, 1], "the document must be an object, not a list"),
-        (padic_in, {"p": 5, "prec": 2, "trunc": 4, "coeffs": True}, 'field "coeffs" must be a list, not a boolean'),
+        # padic_in is series_in, and keeps its name in this case's id
+        pytest.param(padic_in, {"p": 5, "prec": 2, "trunc": 4, "coeffs": True},
+                     'field "coeffs" must be a list, not a boolean',
+                     id='padic_in-doc6-field "coeffs" must be a list, not a boolean'),
         (break_data_in, {"p": 5, "e": 1, "upper": None}, 'field "upper" must be a list, not null'),
         (plfunc_in, {"breakpoints": ["0/1"], "slopes": 1, "value_at_origin": "0/1"},
          'field "slopes" must be a list, not a number'),
@@ -387,10 +390,31 @@ class TestPadicRoundTrip:
             "coeff_prec": [3, 2, 2, 1, 1],
         }
 
-    def test_series_document_refuses_padic_series(self):
-        # an F_p document would drop the precision and read back mod p
-        with pytest.raises(ValueError, match="padic_out"):
-            series_out(PadicSeries(5, 8, 3, (0, 6, 25)))
+    def test_series_document_writes_padic_series(self):
+        # a series over Z/p^P is written with its precision, as padic_out
+        # writes it, and read back in its own ring
+        u = PadicSeries(5, 8, 3, (0, 6, 25))
+        assert series_out(u) == padic_out(u) == {"p": 5, "prec": 8, "trunc": 3, "coeffs": [0, 6, 25]}
+        assert series_in(series_out(u)) == u
+
+    def test_one_reader(self):
+        assert padic_in is series_in
+
+    @pytest.mark.parametrize("doc, reason", [
+        ({"p": 3, "w": 2, "modulus": [1, 0, 1], "prec": 3}, "only for w = 1"),
+        ({"p": 5, "prec": 0}, "precision must be >= 1"),
+    ])
+    def test_a_ring_that_does_not_build_is_refused(self, doc, reason):
+        with pytest.raises(ValueError, match=reason):
+            series_in({**doc, "trunc": 2, "coeffs": [0, 1]})
+
+    def test_budget_counts_precision(self, monkeypatch):
+        # trunc * w * prec * digits(p): 10 * 1 * 3 * 1 coefficient-digits
+        monkeypatch.setenv("RAMFORGE_MAX_PRECISION", "29")
+        with pytest.raises(ValueError, match=r"\(30 coefficient-digits\)"):
+            series_in({"p": 5, "prec": 3, "trunc": 10, "coeffs": [0] * 10})
+        monkeypatch.setenv("RAMFORGE_MAX_PRECISION", "30")
+        assert series_in({"p": 5, "prec": 3, "trunc": 10, "coeffs": [0] * 10}).field.prec == 3
 
     def test_big_coefficients_as_strings(self):
         p, prec = 5, 40

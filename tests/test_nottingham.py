@@ -12,15 +12,12 @@ from ramforge import (
     SenViolationError,
     TruncSeries,
     compose_power,
-    conjugate,
     depth,
     index_of,
     lower_breaks,
     p_chain,
     p_iterate,
-    series_agree_mod,
     subgroup_equal_mod,
-    unit_part,
     upper_from_lower,
 )
 from ramforge.nottingham import certified_depths
@@ -451,38 +448,6 @@ class TestIndexOf:
             assert all(type(d) is int for d in got[0].evidence)
 
 
-class TestUnitPart:
-    def test_x(self):
-        assert unit_part(TruncSeries.x(F5, 5)) == TruncSeries.one(F5, 4)
-
-    def test_scaled(self):
-        assert unit_part(S(F5, [0, 2, 0, 1], 4)) == S(F5, [2, 0, 1], 3)
-
-    def test_cyclotomic(self):
-        g = cyclotomic_reduction(5, 7)
-        assert unit_part(g) == S(F5, [1, 0, 0, 0, 1, 1], 6)
-
-    def test_rejects_nonzero_constant(self):
-        with pytest.raises(ValueError):
-            unit_part(S(F5, [1, 1], 2))
-
-
-class TestSeriesAgreeMod:
-    def test_equal_series(self):
-        g = S(F5, [0, 1, 2, 3], 4)
-        assert series_agree_mod(g, g, 4)
-
-    def test_agree_below_divergence(self):
-        a = S(F5, [0, 1, 0, 0, 0, 1, 0], 7)
-        b = S(F5, [0, 1, 0, 0, 0, 1, 1], 7)
-        assert series_agree_mod(a, b, 6)
-        assert not series_agree_mod(a, b, 7)
-
-    def test_m_exceeding_truncation(self):
-        with pytest.raises(ValueError):
-            series_agree_mod(S(F5, [0, 1], 2), S(F5, [0, 1], 2), 3)
-
-
 class TestSubgroupEqualMod:
     def test_reflexive(self):
         g = S(F2, [0, 1, 1], 8)
@@ -531,12 +496,13 @@ class TestSubgroupEqualMod:
 class TestConjugate:
     def test_identity_conjugator(self):
         g = S(F5, [0, 1, 2, 3], 4)
-        assert conjugate(TruncSeries.x(F5, 4), g) == g
+        x = TruncSeries.x(F5, 4)
+        assert x.compose(g).compose(x.comp_inverse()) == g
 
     def test_linear_conjugator(self):
         h = S(F5, [0, 2, 0], 3)
         g = S(F5, [0, 1, 1], 3)
-        assert conjugate(h, g) == S(F5, [0, 1, 3], 3)
+        assert h.compose(g).compose(h.comp_inverse()) == S(F5, [0, 1, 3], 3)
 
     def test_depth_preserved(self):
         rng = random.Random(43)
@@ -544,7 +510,7 @@ class TestConjugate:
             n = rng.randint(4, 12)
             g = random_nottingham(rng, F5, n)
             h = S(F5, [0, rng.randrange(1, 5)] + [rng.randrange(5) for _ in range(n - 2)], n)
-            assert depth(conjugate(h, g)) == depth(g)
+            assert depth(h.compose(g).compose(h.comp_inverse())) == depth(g)
 
 
 class TestBreakInvariants:
@@ -578,7 +544,7 @@ class TestBreakInvariants:
         g = cyclotomic_reduction(5, 40)
         for _ in range(5):
             h = S(F5, [0, rng.randrange(1, 5)] + [rng.randrange(5) for _ in range(38)], 40)
-            assert lower_breaks(conjugate(h, g), 1).lower == lower_breaks(g, 1).lower
+            assert lower_breaks(h.compose(g).compose(h.comp_inverse()), 1).lower == lower_breaks(g, 1).lower
 
     def test_generator_independence(self):
         g = cyclotomic_reduction(5, 40)

@@ -17,7 +17,6 @@ from ramforge import (
     extract_yhz,
     f_shift,
     f_shift_sum_check,
-    g_floor,
     m0,
     phi_from_breaks,
     proot_check,
@@ -164,19 +163,6 @@ class TestFShiftSumCheck:
                     f_shift_sum_check(tp, 1074)
         finally:
             sys.set_int_max_str_digits(limit)
-
-
-class TestGFloor:
-    def test_above_boundary(self):
-        assert g_floor(tame_params(5, 1), 1, 30) == 1
-
-    def test_boundary(self):
-        tp = tame_params(5, 1)
-        assert g_floor(tp, 1, tp.e0 * (5**2 + 5 - 1)) == 0
-
-    def test_one_period_up(self):
-        tp = tame_params(5, 1)
-        assert g_floor(tp, 1, tp.e0 * (5**2 + 5 - 1) + tp.s * 5) == 1
 
 
 class TestM0:

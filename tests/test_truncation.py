@@ -7,7 +7,6 @@ from ramforge import (
     TruncMorphism,
     TruncObject,
     compose_morphism,
-    identity_morphism,
     is_extension,
     is_isomorphism,
     r_equivalent,
@@ -73,8 +72,8 @@ class TestCompose:
         rng = random.Random(5)
         src, dst = TruncObject(F5, 2), TruncObject(F5, 6)
         f = make_morphism(src, dst, 3, 1, rng=rng)
-        assert compose_morphism(identity_morphism(dst), f) == f
-        assert compose_morphism(f, identity_morphism(src)) == f
+        assert compose_morphism(TruncMorphism(dst, dst, 1, 0, dst.one()), f) == f
+        assert compose_morphism(f, TruncMorphism(src, src, 1, 0, src.one())) == f
 
     def test_rank_multiplies(self):
         rng = random.Random(7)
@@ -134,7 +133,7 @@ class TestIsExtension:
 
     def test_identity(self):
         obj = TruncObject(F5, 4)
-        assert is_extension(identity_morphism(obj), obj, obj)
+        assert is_extension(TruncMorphism(obj, obj, 1, 0, obj.one()))
 
 
 class TestREquivalent:
@@ -197,7 +196,8 @@ class TestREquivalent:
 
 class TestIsIsomorphism:
     def test_identity(self):
-        assert is_isomorphism(identity_morphism(TruncObject(F5, 3)))
+        obj = TruncObject(F5, 3)
+        assert is_isomorphism(TruncMorphism(obj, obj, 1, 0, obj.one()))
 
     def test_higher_rank_fails(self):
         f = TruncMorphism(TruncObject(F5, 2), TruncObject(F5, 4), 2, 0,
