@@ -159,6 +159,11 @@ class FiniteField:
     def order(self):
         return self.p ** (self.w * self.prec)
 
+    def is_unit(self, block):
+        """Whether a block of w residues is a unit of the ring: nonzero mod p
+        (in F_{p^w} every nonzero element, in Z/p^P a residue prime to p)."""
+        return any(c % self.p for c in block)
+
     def coerce(self, value):
         """Wrap an int, coefficient vector, or FFElem as an element."""
         rep = self._rep(value)
@@ -233,9 +238,9 @@ class FFElem:
         return power(self, e, FFElem.__mul__) if e else self.field.one()
 
     def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero field element")
         f = self.field
+        if not f.is_unit(self.rep):
+            raise ZeroDivisionError(f"{self!r} is not a unit of {f!r}")
         return FFElem(f, tuple(unit_inverse(self.rep, f.mod, f.modulus)))
 
     def __truediv__(self, other):
@@ -330,6 +335,13 @@ class TruncSeries:
         if not isinstance(other, TruncSeries) or other.field != self.field:
             raise ValueError("field mismatch")
 
+    def _require_substitution(self, kind):
+        """Raise ValueError unless the series is X times a unit of its ring."""
+        if any(self.block(0)):
+            raise ValueError(f"not a {kind}: constant term is nonzero")
+        if not self.field.is_unit(self.block(1)):
+            raise ValueError(f"not a {kind}: linear coefficient is not a unit of {self.field!r}")
+
     def block(self, k):
         """The packed block of X^k: its w Y-coefficients."""
         w = self.field.w
@@ -408,16 +420,13 @@ class TruncSeries:
     def comp_inverse(self):
         """Substitution inverse h with g(h) == h(g) == X mod X^N.
 
-        Requires zero constant term and an invertible linear coefficient.
+        Requires zero constant term and a unit linear coefficient.
         Computed by Newton iteration on h -> h - (g(h) - X)/g'(h), which
         doubles the number of correct coefficients per step, with one
         composition per step; the kernel picks each one's method as for
         ``compose``, so over F_p the long steps take the Frobenius split.
         """
-        if any(self.block(0)):
-            raise ValueError("not a substitution unit: constant term is nonzero")
-        if self.trunc < 2 or not any(self.block(1)):
-            raise ValueError("not a substitution unit: linear coefficient is zero")
+        self._require_substitution("substitution unit")
         f = self.field
         n = self.trunc
         return _from_packed(f, reversion_mod(self.packed, n, f.mod, f.modulus), n)
@@ -501,5 +510,4 @@ def _from_packed(field, packed, n):
     return g
 
 
-def frobenius_twist(g, j):
-    return g.frobenius_twist(j)
+frobenius_twist = TruncSeries.frobenius_twist

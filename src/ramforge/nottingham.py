@@ -69,10 +69,7 @@ class IndexReport:
 def _require_group_element(g):
     if g.field.prec > 1:
         raise ValueError("breaks and depths are over F_{p^w}: reduce a Z/p^P series mod p first")
-    if any(g.block(0)):
-        raise ValueError("not a substitution-group element: constant term is nonzero")
-    if g.trunc < 2 or not any(g.block(1)):
-        raise ValueError("not a substitution-group element: linear coefficient is zero")
+    g._require_substitution("substitution-group element")
 
 
 def depth(g):

@@ -45,9 +45,7 @@ def _require_dynamical(u):
         raise ValueError("dynamical series must satisfy u(0) = 0")
 
 
-def pad_compose(outer, inner):
-    """outer(inner(X)) mod (p^P, X^M); inner must have zero constant term."""
-    return outer.compose(inner)
+pad_compose = TruncSeries.compose  # outer(inner(X)) mod (p^P, X^M), by name for the tracer
 
 
 def pad_iterate(u, k):
@@ -149,13 +147,7 @@ def _divide_level(prev, cur, n):
             "Weierstrass degree of the divisor is undetermined below the truncation",
             quantity="qn_divisor", level=n,
         )
-    K = L - i0
-    if K < 1:
-        raise PrecisionError(
-            f"truncation too small: only {L} quotient coefficients available "
-            f"against divisor degree {i0}",
-            quantity="qn_quotient", level=n,
-        )
+    K = L - i0  # >= 1: i0 indexes den, which has L entries
 
     v_lo = min((vp(c, p, P) for c in den[:i0]), default=P)
     q, residual = divide_mod(num, den, i0, -(-P // v_lo), mod)
@@ -163,7 +155,7 @@ def _divide_level(prev, cur, n):
     if i0 == 0:
         coeff_prec = (P,) * K  # unit divisor: division is exact
     else:
-        coeff_prec = tuple(min(P, max(0, v_lo * ((L - 1 - k) // i0))) for k in range(K))
+        coeff_prec = tuple(min(P, v_lo * ((L - 1 - k) // i0)) for k in range(K))
 
     # residual j < i0 sums q_k * den_(j-k) over k <= min(j, K - 1), each
     # den_(j-k) of valuation >= v_lo; coeff_prec falls with k, so residual j

@@ -303,14 +303,13 @@ def _evaluate(ti, m):
     p, e, n, a = ti.p, ti.e, ti.n, ti.a
     q, r = q_r_values(tp, yhz, m)
 
-    y_above = yhz.y.numerator > e * yhz.y.denominator
     ts = tuple(range(m + 1)) if yhz.y == e else (m,)
     bounds = _psi_ML_bounds(ti, m, m)
     items = []
     for t in ts:
         bound = bounds[t]
         bnum, bden = bound.numerator, bound.denominator
-        if m <= n - yhz.h and (not y_above or t == m):
+        if m <= n - yhz.h:
             floor = _ces_floor(ti, m, t)
             if bnum * floor.denominator != floor.numerator * bden:
                 raise InvariantError(

@@ -58,7 +58,7 @@ class TruncMorphism:
         if r < 1:
             raise ValueError("r must be a positive integer")
         eta_coeff = target.element(eta_coeff.coeffs if isinstance(eta_coeff, TruncSeries) else eta_coeff)
-        if not any(eta_coeff.block(0)):
+        if not target.field.is_unit(eta_coeff.block(0)):
             raise ValueError("eta coefficient must be a unit of the target ring")
         derived = eta_coeff.shift(r, target.e)  # eta_coeff * pi^r in A_2
         if mu_image is None:
@@ -155,11 +155,9 @@ def r_equivalent(f, f2, c):
 
 
 def is_isomorphism(f):
-    """True iff r = 1, mu is an isomorphism, and eta is an isomorphism."""
-    if f.r != 1 or f.source.e != f.target.e:
-        return False
-    # for e >= 2 the uniformizer must map to an exact uniformizer; for
-    # e = 1 the ring is the residue field and mu is already bijective
-    if f.target.e > 1 and f.mu_image.valuation() != 1:
-        return False
-    return any(f.eta_coeff.block(0))
+    """True iff r = 1 and both rings have the same length e.
+
+    The constructor has proved eta a unit, so with r = 1 mu(pi) = eta * pi
+    is a uniformizer: mu and eta are then isomorphisms.
+    """
+    return f.r == 1 and f.source.e == f.target.e

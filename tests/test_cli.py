@@ -121,6 +121,22 @@ class TestRings:
         code, doc = run(capsys, "series", "compose", "--outer", inline, "--inner", json.dumps(doc))
         assert code == 0 and doc["coeffs"] == [0, 1, 0, 0]
 
+    def test_inverse_refuses_a_non_unit_linear_coefficient(self, capsys):
+        # 5X + 7X^2 over Z/5^3: 5 is nonzero but not a unit
+        inline = json.dumps({"p": 5, "prec": 3, "trunc": 3, "coeffs": [0, 5, 7]})
+        code, doc = run(capsys, "series", "inverse", "--series", inline)
+        assert code == 2 and doc["error"]["type"] == "input"
+        assert doc["error"]["reason"] == "not a substitution unit: linear coefficient is not a unit of Z/5^3"
+
+    def test_inverse_with_a_unit_linear_coefficient_composes_back(self, capsys):
+        # 6X + 7X^2 + X^3 over Z/5^3: 6 is a unit, not 1
+        inline = json.dumps({"p": 5, "prec": 3, "trunc": 4, "coeffs": [0, 6, 7, 1]})
+        code, inverse = run(capsys, "series", "inverse", "--series", inline)
+        assert code == 0 and inverse["coeffs"] == [0, 21, 48, 42]
+        for outer, inner in ((inline, json.dumps(inverse)), (json.dumps(inverse), inline)):
+            code, doc = run(capsys, "series", "compose", "--outer", outer, "--inner", inner)
+            assert code == 0 and doc == {"p": 5, "prec": 3, "trunc": 4, "coeffs": [0, 1, 0, 0]}
+
     @pytest.mark.parametrize("argv", [
         ["series", "depth"], ["series", "iterate", "--n", "1"], ["breaks", "lower", "--n-max", "1"],
     ], ids=["depth", "iterate", "lower"])

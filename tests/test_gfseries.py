@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import ramforge
 from ramforge import FFElem, FiniteField, TruncSeries, _convolve, gfseries, jsonio
 from ramforge._convolve import FrobeniusTables, compose_mod
+from ramforge.gfseries import _frobenius_rows
 from ramforge.nottingham import compose_power
 
 from helpers import brute_comp_inverse, brute_compose, cfrob, cmul, cpow, exact_int_compose, ext_compose
@@ -25,6 +26,7 @@ F9 = FiniteField(3, 2, (1, 0, 1))
 F25 = FiniteField(5, 2, (3, 0, 1))
 F27 = FiniteField(3, 3, (1, 2, 0, 1))
 EXTENSIONS = (F4, F8, F9, F25, F27)
+F16 = FiniteField(2, 4, (1, 1, 0, 0, 1))  # Y^4 + Y + 1, of composite degree
 
 
 def elem(rng, field, unit=False):
@@ -95,6 +97,18 @@ class TestFiniteField:
         # Y^3 - Y over F_3, the product of its three roots
         with pytest.raises(ValueError, match="gcd condition fails"):
             FiniteField(3, 3, (0, 2, 0, 1))
+        # at composite degree: over F_3, (Y^2 + 1)(Y^2 + Y + 2) =
+        # Y^4 + Y^3 + Y + 2 and Y^4 - 1 both divide X^81 - X, and share a
+        # factor with X^9 - X
+        for modulus in ((2, 1, 0, 1, 1), (2, 0, 0, 0, 1)):
+            assert _frobenius_rows(modulus, 3, 4)[1] == (0, 1, 0, 0)
+            with pytest.raises(ValueError, match="gcd condition fails"):
+                FiniteField(3, 4, modulus)
+
+    def test_accepts_irreducible_modulus_of_composite_degree(self):
+        # Y^4 + Y + 1 and Y^6 + Y + 1 over F_2: degrees 4 = 2^2 and 6 = 2 * 3
+        assert FiniteField(2, 4, (1, 1, 0, 0, 1)).order == 16
+        assert FiniteField(2, 6, (1, 1, 0, 0, 0, 0, 1)).order == 64
 
     def test_rejects_non_monic_modulus(self):
         with pytest.raises(ValueError, match="monic"):
@@ -151,6 +165,21 @@ class TestPadicRing:
         c = g.coeffs[1]
         assert (c * c.inverse()).rep == (1,) and (c - c).is_zero()
 
+    def test_inverse_requires_a_unit(self):
+        # 5 is nonzero in Z/5^3 but not a unit; 6 is
+        ring = FiniteField(5, prec=3)
+        for value in (5, 25, 0):
+            x = ring.coerce(value)
+            with pytest.raises(ZeroDivisionError, match=r"not a unit of Z/5\^3"):
+                x.inverse()
+            with pytest.raises(ZeroDivisionError, match=r"Z/5\^3"):
+                x ** -1
+        assert (ring.coerce(6).inverse() * ring.coerce(6)).rep == (1,)
+
+    def test_is_unit(self):
+        assert [self.Z5_8.is_unit((c,)) for c in (0, 1, 5, 6, 5**7)] == [False, True, False, True, False]
+        assert F9.is_unit((0, 1)) and not F9.is_unit((0, 0)) and not F9.is_unit(())
+
     def test_equals_padic_series(self):
         coeffs = (0, 6, 15, 20, 15, 6)
         assert TruncSeries(self.Z5_8, coeffs) == ramforge.PadicSeries(5, 8, 6, coeffs)
@@ -159,7 +188,7 @@ class TestPadicRing:
 class TestFieldArithmetic:
     """Every element of each extension field against the schoolbook oracles."""
 
-    @pytest.mark.parametrize("field", EXTENSIONS, ids=repr)
+    @pytest.mark.parametrize("field", EXTENSIONS + (F16,), ids=repr)
     def test_exhaustive(self, field):
         p, w, mod = field.p, field.w, field.modulus
         reps = list(itertools.product(range(p), repeat=w))
@@ -509,6 +538,17 @@ class TestCompInverse:
             S(F5, [1, 1], 2).comp_inverse()
         with pytest.raises(ValueError, match="linear coefficient"):
             S(F5, [0, 0, 1], 3).comp_inverse()
+        # 5X + 7X^2: the linear coefficient is nonzero in Z/5^3 but not a unit
+        with pytest.raises(ValueError, match=r"linear coefficient is not a unit of Z/5\^3"):
+            TruncSeries(FiniteField(5, prec=3), (0, 5, 7)).comp_inverse()
+
+    def test_unit_linear_coefficient_over_z_mod_p_power(self):
+        ring = FiniteField(5, prec=3)
+        g = TruncSeries(ring, (0, 6, 7, 1))
+        h = g.comp_inverse()
+        assert h.packed == (0, 21, 48, 42)
+        x = TruncSeries.x(ring, 4)
+        assert g.compose(h) == x and h.compose(g) == x
 
 
 class TestFrobeniusTwist:

@@ -34,6 +34,8 @@ from helpers import (
 
 F2 = FiniteField(2)
 F5 = FiniteField(5)
+F4 = FiniteField(2, 2, (1, 1, 1))
+F9 = FiniteField(3, 2, (1, 0, 1))
 
 
 def S(field, coeffs, trunc=None):
@@ -487,6 +489,14 @@ class TestSubgroupEqualMod:
             expected = enumerate_subgroup(gi, p, m) == enumerate_subgroup(g2i, p, m)
             assert subgroup_equal_mod(g, g2, m) == expected
 
+    def test_both_trivial_in_the_quotient(self):
+        # X + X^5 and X + X^4 + X^7 are both X mod X^4: both images are
+        # trivial, so they generate the same subgroup there
+        g = S(F2, [0, 1, 0, 0, 0, 1], 8)
+        g2 = S(F2, [0, 1, 0, 0, 1, 0, 0, 1], 8)
+        assert subgroup_equal_mod(g, g2, 3)
+        assert subgroup_equal_mod(g, TruncSeries.x(F2, 8), 3)
+
     def test_requires_truncation_above_level(self):
         g = S(F2, [0, 1, 1], 3)
         with pytest.raises(ValueError):
@@ -545,6 +555,30 @@ class TestBreakInvariants:
         for _ in range(5):
             h = S(F5, [0, rng.randrange(1, 5)] + [rng.randrange(5) for _ in range(38)], 40)
             assert lower_breaks(h.compose(g).compose(h.comp_inverse()), 1).lower == lower_breaks(g, 1).lower
+
+    @pytest.mark.parametrize("field", [F2, FiniteField(3), F4, F9], ids=repr)
+    def test_breaks_invariant_under_conjugation_over_every_field(self, field):
+        # h o g o h^-1 for h a random element of the Nottingham group and
+        # h = lambda X: the same lower breaks, or the same uncertified level
+        def elem(unit=False):
+            while True:
+                c = tuple(rng.randrange(field.p) for _ in range(field.w))
+                if not unit or any(c):
+                    return c
+
+        def outcome(g):
+            try:
+                return lower_breaks(g, 2).lower
+            except PrecisionError as exc:
+                return exc.level, exc.partial
+
+        rng = random.Random(67)
+        n = 80
+        for _ in range(4):
+            g = S(field, [0, 1, elem(unit=True)] + [elem() for _ in range(n - 3)], n)
+            want = outcome(g)
+            for h in (S(field, [0, 1] + [elem() for _ in range(n - 2)], n), S(field, [0, elem(unit=True)], n)):
+                assert outcome(h.compose(g).compose(h.comp_inverse())) == want
 
     def test_generator_independence(self):
         g = cyclotomic_reduction(5, 40)

@@ -455,6 +455,29 @@ class TestAnalyze:
         assert lv1.single_segment_matches
         assert rep.rn == (4, 20, 100) and rep.snbound == (True, True, True)
 
+    @pytest.mark.parametrize("p, P, M, n_max", [(5, 8, 100, 2), (3, 10, 120, 3), (7, 9, 100, 2)])
+    def test_invariant_under_conjugation(self, p, P, M, n_max):
+        # h = X + p c(X) reduces to X mod p, and maps the periodic points of
+        # u to those of h^-1 o u o h without changing their valuations
+        u = cyclotomic_padic(p, P, M)
+        rng = random.Random(p)
+        want = analyze(u, n_max)
+        for _ in range(3):
+            h = TruncSeries(u.field, [0, 1] + [p * rng.randrange(p ** (P - 1)) for _ in range(M - 2)], M)
+            v = h.comp_inverse().compose(u.compose(h))
+            assert v != u
+            got = analyze(v, n_max)
+            assert (got.depths, got.upper) == (want.depths, want.upper)
+            compared = 0
+            for a, b in zip(got.levels, want.levels):
+                if None not in (a.weierstrass_degree, b.weierstrass_degree):
+                    assert a.weierstrass_degree == b.weierstrass_degree
+                    compared += 1
+                if None not in (a.polygon, b.polygon):
+                    assert a.polygon == b.polygon
+                    compared += 1
+            assert compared >= 2
+
     def test_fixed_point_count_is_wd_of_iterate(self):
         # i_n + 1 equals the Weierstrass degree of u^(p^n)(X) - X
         u = cyclotomic_padic(5, 8, 130)

@@ -215,6 +215,35 @@ class TestIsIsomorphism:
         f = TruncMorphism(obj, obj, 1, 1, obj.one())
         assert is_isomorphism(f)
 
+    @staticmethod
+    def oracle(f):
+        # the three tests is_isomorphism made before the constructor's unit
+        # check settled the last two: r = 1 with equal lengths, mu(pi) a
+        # uniformizer for e >= 2, and eta a unit
+        if f.r != 1 or f.source.e != f.target.e:
+            return False
+        if f.target.e > 1 and f.mu_image.valuation() != 1:
+            return False
+        return any(f.eta_coeff.block(0))
+
+    @pytest.mark.parametrize("field", [F5, F9], ids=repr)
+    def test_matches_the_three_tests(self, field):
+        rng = random.Random(61)
+        seen = set()
+        for _ in range(200):
+            r = rng.choice((1, 2))
+            e1 = rng.randint(1, 6)
+            e2 = rng.randint(1, min(6, r * e1))
+            dst = TruncObject(field, e2)
+            eta = [tuple(rng.randrange(field.p) for _ in range(field.w)) for _ in range(e2)]
+            while not any(eta[0]):
+                eta[0] = tuple(rng.randrange(field.p) for _ in range(field.w))
+            f = TruncMorphism(TruncObject(field, e1), dst, r, rng.randrange(1, 4), dst.element(eta))
+            verdict = is_isomorphism(f)
+            assert verdict == self.oracle(f), f
+            seen.add(verdict)
+        assert seen == {True, False}
+
 
 class TestApplyRing:
     # (e1, e2, r) with r*e1 >= e2: e1 < e2, e1 = e2 and e1 > e2
