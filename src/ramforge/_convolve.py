@@ -78,8 +78,10 @@ Composition takes one of two methods:
   compositions mod X^ceil(n/p) and p - 1 products, recursively
   (D. J. Bernstein, "Composing power series over a finite ring in
   essentially linear time", J. Symbolic Comput. 26, 1998).  What it reads
-  of the inner series is built by ``frobenius_tables``, its powers of h
-  by ``baby_powers``.  A level sums its products unreduced in int64, and
+  of the inner series is built by ``frobenius_tables``: the powers of h
+  its levels read by ``baby_powers``, and its base table, h^0 .. h^(B-1)
+  mod X^B, from packed Python ints, one product and one multiply-shift
+  fold per row.  A level sums its products unreduced in int64, and
   ``frobenius_wins`` takes the split only where those sums fit, so it
   has one product path.  The identity fails over Z/p^P, and over F_{p^w}
   it twists the coefficients of h.
@@ -111,6 +113,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import inf, isqrt
 from typing import NamedTuple
+
+from .errors import InvariantError
 
 _INT64_SAFE = 2**62
 _SHORT = 8
@@ -412,8 +416,9 @@ def _split(x, y, n, mod, c):
     ceil(len / c) entries, so that each piece's product fits directly in
     int64 (see ``_pieces``).
 
-    Each piece takes one ``np.convolve`` with the other array.  The products
-    are reduced, added at the offsets of their pieces, and reduced again.
+    Each piece takes one ``np.convolve`` with the part of the other array
+    that reaches the first n entries at its offset.  The products are
+    reduced, added at the offsets of their pieces, and reduced again.
     ``conv_mod`` takes it for c <= 3, where it makes no more numpy products
     than ``_halves`` and fewer coefficient products.
     """
@@ -424,7 +429,7 @@ def _split(x, y, n, mod, c):
     piece = -(-len(x) // c)
     out = np.zeros(min(n, len(x) + len(y) - 1), dtype=np.int64)
     for i in range(0, len(x), piece):
-        part = np.convolve(x[i : i + piece], y)[: len(out) - i]
+        part = np.convolve(x[i : i + piece], y[: len(out) - i])[: len(out) - i]
         out[i : i + len(part)] += part % mod
     return out % mod
 
@@ -626,16 +631,54 @@ class FrobeniusTables(NamedTuple):
     table: object  # the base table
 
 
-def _toeplitz(v, size):
-    """The size x size matrix with entry v[j - i] at (i, j), 0 below the
-    diagonal: a row vector times it is the vector's product with v mod
-    X^size."""
+def _base_table(inner, size, p, dtype):
+    """h^0 .. h^(B-1) mod X^B over F_p, B = size, as the rows of a B x B
+    array of dtype, from B - 1 products of packed Python ints.
+
+    h and each row are packed into one int, W bits per slot (Kronecker
+    substitution at the bit level, as in ``_Words``).  Row j + 1 is
+    fold((row_j * h) & cut), where cut keeps the B low slots and
+    fold(x) = x - (((x * M) >> s) & low) * p reduces every slot mod p at
+    once by multiply-shift (T. Granlund and P. L. Montgomery, "Division by
+    invariant integers using multiplication", PLDI 1994):
+
+    - a slot of row_j * h sums at most B products below (p - 1)^2, so it is
+      below 2^b for b = bits(B * (p - 1)^2), and carries into no other slot
+      while b <= W;
+    - with s = b + bits(p) and M = ceil(2^s / p) = (2^s + e) / p, 0 <= e < p,
+      a slot v < 2^b has v * e < 2^s, so for v = q * p + r, v * M / 2^s =
+      q + (r + v * e / 2^s) / p with r + v * e / 2^s < p: floor(v * M / 2^s)
+      = floor(v / p);
+    - W is the least of 8, 16, 32 and 64 with W >= b + bits(M), so each
+      v * M < 2^W stays in its slot of x * M, floor(v * M / 2^s) < 2^(W - s),
+      and low, the low W - s bits of every slot, keeps exactly floor(v / p):
+      each slot of the fold is v mod p, with no borrow between slots.
+
+    As M <= 2^(b+1), b + bits(M) <= 2b + 2.  ``frobenius_wins`` admits
+    p * n * (p - 1)^2 < 2^62 only with 2n >= p^2, so p <= 6208, and
+    B <= ``_FROBENIUS_BASE`` = 32 then gives b <= 31: every table the split
+    builds fits slots of 64 bits.  A direct call past them raises
+    ``InvariantError`` rather than build a wrong table.
+    """
     import numpy as np
 
-    z = np.zeros(2 * size - 1, dtype=v.dtype)
-    z[size - 1 :] = v[:size]
-    i = np.arange(size)
-    return z[size - 1 + i[None, :] - i[:, None]]
+    b = (size * (p - 1) ** 2).bit_length()
+    s = b + p.bit_length()
+    mult = -(-(1 << s) // p)
+    width = next((w for w in (8, 16, 32, 64) if w >= b + mult.bit_length()), None)
+    if width is None:
+        raise InvariantError(f"the Frobenius base table over F_{p} at {size} terms needs slots past 64 bits")
+    slot = np.dtype(f"<u{width // 8}")
+    cut = (1 << (width * size)) - 1
+    low = cut // ((1 << width) - 1) * ((1 << (width - s)) - 1)
+    h = int.from_bytes(_residues(inner, size, slot).tobytes(), "little")
+    row, rows = 1, [1]
+    for _ in range(size - 1):
+        x = row * h & cut
+        row = x - ((x * mult >> s) & low) * p
+        rows.append(row)
+    raw = b"".join([r.to_bytes(slot.itemsize * size, "little") for r in rows])
+    return np.frombuffer(raw, dtype=slot).reshape(size, size).astype(dtype)
 
 
 def frobenius_tables(inner, n, p):
@@ -649,10 +692,9 @@ def frobenius_tables(inner, n, p):
     block of 2m - 1 slots for m = n_(d+1): one product of a series of m
     terms with that stack gives its p products with the phases, in
     separate blocks.  The base table holds h^0 .. h^(B-1) mod X^B,
-    B = n_D, as rows.  Rows 1 .. min(p - 1, B - 1) are the baby powers,
-    cut to B terms, and the rest are built by doubling: with rows 0 .. k
-    known, rows k .. 2k are they times h^k, row k, one matrix product with
-    the Toeplitz matrix of row k.
+    B = n_D, as rows, built from packed ints by ``_base_table``.  With no
+    level (n <= ``_FROBENIUS_BASE``) the table is all the split reads, and
+    no baby powers are built.
     """
     import numpy as np
 
@@ -660,25 +702,18 @@ def frobenius_tables(inner, n, p):
     while sizes[-1] > _FROBENIUS_BASE:
         sizes.append(-(-sizes[-1] // p))
     # every product and matrix product here and in _frobenius_compose sums
-    # at most n terms, so the dtype of the baby powers covers them all
-    powers = np.stack(baby_powers(inner, n, p, None, p - 1)[1:])
-    dtype = powers.dtype
+    # at most n terms, so this dtype, the baby powers', covers them all
+    dtype = array_dtype(p, n)
     stacks = []
-    for nd, m in zip(sizes, sizes[1:]):
-        phases = np.zeros((p - 1, m * p), dtype=dtype)
-        phases[:, :nd] = powers[:, :nd]
-        stack = np.zeros((p - 1, p, 2 * m - 1), dtype=dtype)
-        stack[:, :, :m] = phases.reshape(p - 1, m, p).transpose(0, 2, 1)
-        stacks.append(stack.reshape(p - 1, -1))
-    size = sizes[-1]
-    table = np.zeros((size, size), dtype=dtype)
-    table[0, 0] = 1
-    k = min(p - 1, size - 1)
-    table[1 : k + 1] = powers[:k, :size]
-    while k < size - 1:
-        t = min(k, size - 1 - k)
-        table[k : k + t + 1] = _bilinear(np.matmul, table[: t + 1], _toeplitz(table[k], size), size, p)
-        k += t
+    if len(sizes) > 1:
+        powers = np.stack(baby_powers(inner, n, p, None, p - 1)[1:])
+        for nd, m in zip(sizes, sizes[1:]):
+            phases = np.zeros((p - 1, m * p), dtype=dtype)
+            phases[:, :nd] = powers[:, :nd]
+            stack = np.zeros((p - 1, p, 2 * m - 1), dtype=dtype)
+            stack[:, :, :m] = phases.reshape(p - 1, m, p).transpose(0, 2, 1)
+            stacks.append(stack.reshape(p - 1, -1))
+    table = _base_table(inner, sizes[-1], p, dtype)
     for x in stacks + [table]:
         x.flags.writeable = False
     return FrobeniusTables(p, tuple(sizes), tuple(stacks), table)

@@ -21,14 +21,18 @@ and so pick their method in the kernel, in reversion and in the ring maps
 of truncated rings, against the same ones forced to Paterson-Stockmeyer.
 """
 
+import os
 import random
+import subprocess
+import sys
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramforge import FiniteField, TruncMorphism, TruncObject, TruncSeries, _convolve
+from ramforge import FiniteField, InvariantError, TruncMorphism, TruncObject, TruncSeries, _convolve
 from ramforge._convolve import (_SHORT, baby_powers, compose_mod, conv_mod, frobenius_tables, mul_mod,
                                 reversion_mod, row_combination)
 
@@ -376,7 +380,7 @@ class TestFrobeniusSplit:
     def test_halves_in_the_base_table(self, n):
         # mod 1031 one product fits directly and, under the forced bound, a
         # sum of n of them only in halves; at n <= 32 the base table, built
-        # by doubling, and its one matrix product are the whole split
+        # from packed ints, and its one matrix product are the whole split
         p = 1031
         outer = [p - 1] * n
         inner = [0] + [p - 1] * (n - 1)
@@ -385,9 +389,18 @@ class TestFrobeniusSplit:
         check_methods(results, [c % p for c in exact_int_compose(outer, inner, n)], True)
 
 
+def repeated_products(inner, p, size):
+    """h^0 .. h^(size-1) mod X^size over F_p, one schoolbook product each."""
+    power, rows = [1] + [0] * (size - 1), []
+    for _ in range(size):
+        rows.append(power)
+        power = poly_mul_mod(power, inner, p, size)
+    return rows
+
+
 class TestFrobeniusTables:
-    # the base table's rows 1 .. min(p - 1, B - 1) are the baby powers, the
-    # rest are built by doubling.  n = p - 1, p, p + 1 and 32 are their own
+    # the base table's rows are h^0 .. h^(B-1) mod X^B, each one packed
+    # product after the last.  n = p - 1, p, p + 1 and 32 are their own
     # base sizes B, below p, equal to it and above it; n = 100 has levels
     # above its base, B = 25, 12, 20, 15 and 10 for p = 2 .. 11
     @pytest.mark.parametrize("p", FROBENIUS_PRIMES)
@@ -403,11 +416,62 @@ class TestFrobeniusTables:
             tables = frobenius_tables(inner, n, p)
             size = tables.sizes[-1]
             assert size == n or n == 100
-            power, rows = [1] + [0] * (size - 1), []
-            for _ in range(size):
-                rows.append(power)
-                power = poly_mul_mod(power, inner, p, size)
-            assert tables.table.tolist() == rows
+            assert tables.table.tolist() == repeated_products(inner, p, size)
+
+    # (p, n, slot width): each of the four widths the base table takes.
+    # p = 47 at n = 1105, where the size test first admits it, has levels
+    # down to B = 24; p = 6197 at B = 32 is near the largest p the size test
+    # admits (6208), and needs 63 of its 64 bits
+    @pytest.mark.parametrize("p, n, width", [
+        (2, 7, 8), (2, 32, 16), (3, 27, 16), (7, 9, 32), (11, 32, 32), (1031, 32, 64), (47, 1105, 64),
+        (6197, 32, 64),
+    ])
+    def test_slot_widths_at_the_worst_slot_sums(self, monkeypatch, p, n, width):
+        # every residue of the inner is p - 1, so every slot sums its most
+        widths = []
+        frombuffer = np.frombuffer
+        monkeypatch.setattr(np, "frombuffer", lambda raw, dtype: widths.append(8 * dtype.itemsize)
+                            or frombuffer(raw, dtype=dtype))
+        inner = [0] + [p - 1] * (n - 1)
+        tables = frobenius_tables(inner, n, p)
+        assert widths == [width]
+        assert tables.table.tolist() == repeated_products(inner, p, tables.sizes[-1])
+        assert p != 47 or (_convolve.frobenius_wins(p, n) and not _convolve.frobenius_wins(p, n - 1))
+
+    def test_past_64_bit_slots_raises_also_under_optimize(self):
+        # mod q = 2^31 - 1 one slot sum alone takes 64 bits, so a direct call
+        # (the size test admits no such p) raises rather than build a table
+        with pytest.raises(InvariantError, match="past 64 bits"):
+            frobenius_tables([0, 1, 1, 1], 4, Q)
+        script = (
+            "import sys\n"
+            "from ramforge import InvariantError\n"
+            "from ramforge._convolve import frobenius_tables\n"
+            "if not sys.flags.optimize:\n"
+            "    sys.exit(5)\n"
+            "try:\n"
+            f"    frobenius_tables([0, 1, 1, 1], 4, {Q})\n"
+            "except InvariantError:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(1)\n"
+        )
+        src = str(Path(_convolve.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_baby_powers_only_where_levels_read_them(self, monkeypatch, p):
+        # at n <= 32 the base table is the whole split, built from h alone;
+        # above that the stacks read h .. h^(p-1), built once per call
+        calls = []
+        build = _convolve.baby_powers
+        monkeypatch.setattr(_convolve, "baby_powers", lambda *args: calls.append(args[1]) or build(*args))
+        rng = random.Random(f"levels:{p}")
+        for n in (8, 31, 32, 33, 100):
+            frobenius_tables([0] + [rng.randrange(p) for _ in range(n - 1)], n, p)
+        assert calls == [33, 100]
 
 
 def forced_paterson_stockmeyer(fn):
