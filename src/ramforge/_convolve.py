@@ -6,10 +6,10 @@ returns arrays.  That range is the kernel's one input contract: a
 ``TruncSeries`` or a field element reduces its coefficients once, when it
 is built, and the kernel reads every entry handed to it as a residue,
 never reducing it again.  This is the one
-module that imports numpy, picks an array's dtype or knows the int64
-bound: every other module hands in and gets back lists.  A product takes
-one of four exact methods, chosen by one size test on m and the number of
-terms a coefficient of the product sums:
+module that imports numpy, picks an array's dtype or knows the int64 and
+float64 bounds: every other module hands in and gets back lists.  A
+product takes one of four exact methods, chosen by one size test on m and
+the number of terms a coefficient of the product sums:
 
 - direct: one numpy int64 op, when the worst-case accumulator, terms
   products below (m - 1)^2, provably fits (the one statement of that
@@ -78,13 +78,16 @@ Composition takes one of two methods:
   compositions mod X^ceil(n/p) and p - 1 products, recursively
   (D. J. Bernstein, "Composing power series over a finite ring in
   essentially linear time", J. Symbolic Comput. 26, 1998).  What it reads
-  of the inner series is built by ``frobenius_tables``: the powers of h
-  its levels read by ``baby_powers``, and its base table, h^0 .. h^(B-1)
-  mod X^B, from packed Python ints, one product and one multiply-shift
-  fold per row.  A level sums its products unreduced in int64, and
-  ``frobenius_wins`` takes the split only where those sums fit, so it
-  has one product path.  The identity fails over Z/p^P, and over F_{p^w}
-  it twists the coefficients of h.
+  of the inner series is built by ``frobenius_tables``: for its levels,
+  h^0 .. h^(p-1) mod X^n by float64 products, and its base table,
+  h^0 .. h^(B-1) mod X^B, from packed Python ints, one product and one
+  multiply-shift fold per row.  The split runs in float64 alone, and
+  ``frobenius_wins`` takes it only where every sum it forms is exact
+  there (``_float64_exact``).  A small level is one BLAS matrix product
+  of its rows with a matrix of shifted powers of h, a big one float64
+  convolutions with the phases of the powers, by one size test,
+  ``_matrix_level``.  The identity fails over Z/p^P, and over F_{p^w} it
+  twists the coefficients of h.
 
 ``compose_data`` makes the one choice, by one ring and size test: the
 split over F_p (a prime mod, ``is_prime``, and no modulus) where
@@ -117,8 +120,10 @@ from typing import NamedTuple
 from .errors import InvariantError
 
 _INT64_SAFE = 2**62
+_FLOAT64_SAFE = 2**53
 _SHORT = 8
 _FROBENIUS_BASE = 32
+_LEVEL_MATRIX = 2**18
 
 # Miller-Rabin with the first 13 prime bases decides primality of every n
 # below this bound (Sorenson and Webster, Math. Comp. 2017)
@@ -210,6 +215,17 @@ def _pieces(mod, terms):
     method test of the kernel reads here."""
     t = (_INT64_SAFE - 1) // ((mod - 1) * (mod - 1) or 1)
     return -(-terms // t) if t > 0 else inf
+
+
+def _float64_exact(mod, terms):
+    """Whether float64 is exact for a bilinear op on residues below mod,
+    each output entry a sum of at most terms products: terms * (mod - 1)^2
+    < 2^53, the float64 bound beside the int64 one of ``_pieces``.  Every
+    partial sum, in any order and fused or not, is then an integer below
+    2^53, which float64 holds exactly (D. Goldberg, "What every computer
+    scientist should know about floating-point arithmetic", ACM Computing
+    Surveys 23, 1991)."""
+    return terms * (mod - 1) ** 2 < _FLOAT64_SAFE
 
 
 def _word_bits(p, w, terms):
@@ -591,16 +607,43 @@ def frobenius_wins(p, n):
     blocks, from its measured crossover with Paterson-Stockmeyer in a
     p-step of ``nottingham.compose_power`` (tables built, then p - 1
     compositions onto one inner, or binary powering from p = 7): the
-    split wins from n = p^2 / 2 terms on, as the p - 2 products behind
-    h^2 .. h^(p-1) grow with p; at p = 11 .. 101 the crossover fell at
-    0.4 - 0.6 p^2, and at p <= 7 the split was ahead or level at every n
-    from 8.  Below 8 terms Paterson-Stockmeyer is kept: a short outer
-    loses with the split.
+    split wins from n = p^2 / 4 terms on, as the p - 2 products behind
+    h^2 .. h^(p-1) grow with p.  In 10 alternating pairs at n = p^2 / 4 it
+    won 9 or 10 for each p = 11, 13, 17, 23 and 31, at 0.53 - 0.76 of the
+    time, and at n = p^2 / 10 it won 7 - 10 (p = 11 .. 211), so the
+    crossover is below p^2 / 4 but not steadily below p^2 / 10; at
+    p <= 7 the split was ahead at every n from 8 (0.3 - 0.5 of the time).
+    Below 8 terms Paterson-Stockmeyer is kept: a short outer loses with
+    the split.
 
-    It also requires that the split's unreduced row sums, at most p * n
-    products below (p - 1)^2 (see ``_frobenius_compose``), fit directly in
-    int64.  As n >= p^2 / 2, that refuses nothing below n = 2^24.2."""
-    return n >= 8 and 2 * n >= p * p and _pieces(p, p * n) == 1
+    It also requires that the split's float64 sums be exact
+    (``_float64_exact``): an entry of a power of h, of the base product or
+    of a level sums fewer than n + p products below (p - 1)^2, bounded
+    here by p * n.  As n >= p^2 / 4, that refuses every p from 2,053 on,
+    whose n start at 1.05M terms, and no n below 1.06M for smaller p."""
+    return n >= 8 and 4 * n >= p * p and _float64_exact(p, p * n)
+
+
+def _matrix_level(p, m, nd, rows):
+    """Whether a level of the Frobenius split, rows composites of n_d = nd
+    terms, each put together from p children of m terms, is one matrix
+    product: where rows times the p * m x n_d entries of its matrix stay
+    within ``_LEVEL_MATRIX``.  Past that, float64 convolutions take less
+    time, and the matrix would take memory of order n_d^2 (see
+    ``frobenius_tables``).  That work, about n^2 / p^d at depth d, falls
+    with the depth, so the matrix levels are the deepest ones, and a split
+    of up to about 500 terms has no other.
+
+    Measured on 2 vCPUs with OpenBLAS's default threading, tables plus one
+    composition, against this test: a matrix on every level took 25 + 5 ms
+    at p = 5, n = 3200, against 5 + 5 ms, and 42 + 82 ms at p = 2, with
+    peak RSS 246 MB against 31 MB; bounding the matrix alone,
+    p * m * n_d, and not the rows, p = 2 at n = 3200 took 15 - 18 ms a
+    composition in three runs of four, against 3 - 5 ms, its levels of
+    8 - 64 rows running as threaded products; and a bound of 2^20 took
+    1.4 + 0.8 ms at p = 2, n = 1000, against 0.2 + 0.5 ms, with 18 MB
+    more peak RSS."""
+    return rows * p * m * nd <= _LEVEL_MATRIX
 
 
 def compose_data(inner, n, mod, modulus, blocks):
@@ -612,7 +655,7 @@ def compose_data(inner, n, mod, modulus, blocks):
     This is the one choice of composition method.  The test reads the
     blocks the data will serve, as a short outer loses with the split: a
     caller that keeps the data for every composition mod X^n passes n.
-    The split's row sums grow with n, whatever the blocks, so its int64
+    The split's sums grow with n, whatever the blocks, so its float64
     bound is read at n too.
     """
     if modulus is None and frobenius_wins(mod, blocks) and frobenius_wins(mod, n) and is_prime(mod):
@@ -622,28 +665,31 @@ def compose_data(inner, n, mod, modulus, blocks):
 
 class FrobeniusTables(NamedTuple):
     """What the Frobenius split keeps of an inner series mod X^n over F_p
-    (see ``frobenius_tables``): read-only numpy arrays of O(p*n + n_D^2)
-    entries in all."""
+    (see ``frobenius_tables``): read-only float64 arrays, about 2p * n_d
+    entries for a convolution level, at most ``_LEVEL_MATRIX`` for a
+    matrix level, and n_D^2 for the base table."""
 
     p: int
     sizes: tuple  # the level lengths n = n_0 > n_1 > .. > n_D
-    stacks: tuple  # one per level d < D
+    levels: tuple  # one per level d < D, a matrix or a phase stack
     table: object  # the base table
 
 
-def _base_table(inner, size, p, dtype):
+def _base_table(inner, size, p):
     """h^0 .. h^(B-1) mod X^B over F_p, B = size, as the rows of a B x B
-    array of dtype, from B - 1 products of packed Python ints.
+    float64 array, from B - 1 products of packed Python ints.
 
     h and each row are packed into one int, W bits per slot (Kronecker
-    substitution at the bit level, as in ``_Words``).  Row j + 1 is
+    substitution at the bit level, as in ``_Words``), slot 0 of h cleared:
+    the inner series of every composition has h(0) = 0.  Row j + 1 is
     fold((row_j * h) & cut), where cut keeps the B low slots and
     fold(x) = x - (((x * M) >> s) & low) * p reduces every slot mod p at
     once by multiply-shift (T. Granlund and P. L. Montgomery, "Division by
     invariant integers using multiplication", PLDI 1994):
 
-    - a slot of row_j * h sums at most B products below (p - 1)^2, so it is
-      below 2^b for b = bits(B * (p - 1)^2), and carries into no other slot
+    - slot k < B of row_j * h sums at most k <= B - 1 products below
+      (p - 1)^2, as h's slot 0 is 0, so it is below 2^b for
+      b = bits(max(B - 1, 1) * (p - 1)^2), and carries into no other slot
       while b <= W;
     - with s = b + bits(p) and M = ceil(2^s / p) = (2^s + e) / p, 0 <= e < p,
       a slot v < 2^b has v * e < 2^s, so for v = q * p + r, v * M / 2^s =
@@ -652,17 +698,19 @@ def _base_table(inner, size, p, dtype):
     - W is the least of 8, 16, 32 and 64 with W >= b + bits(M), so each
       v * M < 2^W stays in its slot of x * M, floor(v * M / 2^s) < 2^(W - s),
       and low, the low W - s bits of every slot, keeps exactly floor(v / p):
-      each slot of the fold is v mod p, with no borrow between slots.
+      each slot of the fold is v mod p, with no borrow between slots; and
+      W >= s, as M >= 2^b and b >= bits(p) - 1 give b + bits(M) >= 2b + 1
+      >= s.
 
     As M <= 2^(b+1), b + bits(M) <= 2b + 2.  ``frobenius_wins`` admits
-    p * n * (p - 1)^2 < 2^62 only with 2n >= p^2, so p <= 6208, and
-    B <= ``_FROBENIUS_BASE`` = 32 then gives b <= 31: every table the split
+    p * n * (p - 1)^2 < 2^53 only with 4n >= p^2, so p <= 2039, and
+    B <= ``_FROBENIUS_BASE`` = 32 then gives b <= 27: every table the split
     builds fits slots of 64 bits.  A direct call past them raises
     ``InvariantError`` rather than build a wrong table.
     """
     import numpy as np
 
-    b = (size * (p - 1) ** 2).bit_length()
+    b = (max(size - 1, 1) * (p - 1) ** 2).bit_length()
     s = b + p.bit_length()
     mult = -(-(1 << s) // p)
     width = next((w for w in (8, 16, 32, 64) if w >= b + mult.bit_length()), None)
@@ -671,56 +719,74 @@ def _base_table(inner, size, p, dtype):
     slot = np.dtype(f"<u{width // 8}")
     cut = (1 << (width * size)) - 1
     low = cut // ((1 << width) - 1) * ((1 << (width - s)) - 1)
-    h = int.from_bytes(_residues(inner, size, slot).tobytes(), "little")
+    h = int.from_bytes(_residues(inner, size, slot).tobytes(), "little") >> width << width
     row, rows = 1, [1]
     for _ in range(size - 1):
         x = row * h & cut
         row = x - ((x * mult >> s) & low) * p
         rows.append(row)
     raw = b"".join([r.to_bytes(slot.itemsize * size, "little") for r in rows])
-    return np.frombuffer(raw, dtype=slot).reshape(size, size).astype(dtype)
+    return np.frombuffer(raw, dtype=slot).reshape(size, size).astype(np.float64)
 
 
 def frobenius_tables(inner, n, p):
     """The per-inner data of ``compose_mod``'s Frobenius split over F_p.
 
     The levels run n_0 = n, n_(d+1) = ceil(n_d / p), down to the first
-    n_D <= ``_FROBENIUS_BASE``.  The stack of level d < D holds, for
-    r = 1 .. p - 1, the phases t = 0 .. p - 1 of h^r mod X^(n_d), the
-    powers of h being ``baby_powers``'s,
-    phase t being h^r's coefficients t, t + p, t + 2p, .., each phase in a
-    block of 2m - 1 slots for m = n_(d+1): one product of a series of m
-    terms with that stack gives its p products with the phases, in
-    separate blocks.  The base table holds h^0 .. h^(B-1) mod X^B,
-    B = n_D, as rows, built from packed ints by ``_base_table``.  With no
-    level (n <= ``_FROBENIUS_BASE``) the table is all the split reads, and
-    no baby powers are built.
+    n_D <= ``_FROBENIUS_BASE``.  Level d < D puts p^d composites of n_d
+    terms together from children of m = n_(d+1) terms, and keeps, as
+    ``_matrix_level`` picks:
+
+    - a matrix of p * m rows of n_d terms, row r * m + i being
+      X^(p * i) * h^r mod X^(n_d): the n_d terms of the powers of h, padded
+      in front by zeros, that start p * i before them, so the matrix is one
+      strided view of the padded powers, copied once;
+    - or a phase stack: for r = 1 .. p - 1, the phases t = 0 .. p - 1 of
+      h^r mod X^(n_d), phase t being h^r's coefficients t, t + p, .., each
+      in a block of 2m - 1 slots, so that one product of a child with the
+      stack gives its p products with the phases, in separate blocks.
+
+    Both read h^0 .. h^(p-1) mod X^n, p - 2 float64 products, each reduced
+    mod p, padded in front by p * (n_1 - 1) zeros, the most a level reads.
+    The base table holds h^0 .. h^(B-1) mod X^B, B = n_D, as rows, built
+    from packed ints by ``_base_table``; with no level
+    (n <= ``_FROBENIUS_BASE``) it is all the split reads.
     """
     import numpy as np
+    from numpy.lib.stride_tricks import as_strided
 
     sizes = [n]
     while sizes[-1] > _FROBENIUS_BASE:
         sizes.append(-(-sizes[-1] // p))
-    # every product and matrix product here and in _frobenius_compose sums
-    # at most n terms, so this dtype, the baby powers', covers them all
-    dtype = array_dtype(p, n)
-    stacks = []
+    levels = []
     if len(sizes) > 1:
-        powers = np.stack(baby_powers(inner, n, p, None, p - 1)[1:])
-        for nd, m in zip(sizes, sizes[1:]):
-            phases = np.zeros((p - 1, m * p), dtype=dtype)
-            phases[:, :nd] = powers[:, :nd]
-            stack = np.zeros((p - 1, p, 2 * m - 1), dtype=dtype)
+        pad = p * (sizes[1] - 1)
+        padded = np.zeros((p, pad + n))
+        powers = padded[:, pad:]
+        powers[0, 0] = 1
+        powers[1] = _residues(inner, n, np.float64)
+        for r in range(2, p):
+            powers[r] = np.convolve(powers[r - 1], powers[1])[:n] % p
+    for d, (nd, m) in enumerate(zip(sizes, sizes[1:])):
+        if _matrix_level(p, m, nd, p**d):
+            # row (r, i) starts p * i entries before h^r, in its zero padding
+            step = padded.strides[1]
+            windows = as_strided(powers, (p, m, nd), (padded.strides[0], -p * step, step))
+            levels.append(windows.reshape(p * m, nd))
+        else:
+            phases = np.zeros((p - 1, m * p))
+            phases[:, :nd] = powers[1:, :nd]
+            stack = np.zeros((p - 1, p, 2 * m - 1))
             stack[:, :, :m] = phases.reshape(p - 1, m, p).transpose(0, 2, 1)
-            stacks.append(stack.reshape(p - 1, -1))
-    table = _base_table(inner, sizes[-1], p, dtype)
-    for x in stacks + [table]:
+            levels.append(stack.reshape(p - 1, -1))
+    table = _base_table(inner, sizes[-1], p)
+    for x in levels + [table]:
         x.flags.writeable = False
-    return FrobeniusTables(p, tuple(sizes), tuple(stacks), table)
+    return FrobeniusTables(p, tuple(sizes), tuple(levels), table)
 
 
 def _frobenius_compose(outer, n, tables):
-    """First n terms of outer(h) over F_p, as an array, from h's
+    """First n terms of outer(h) over F_p, as an int64 array, from h's
     ``frobenius_tables`` and outer, at most n terms.
 
     As h(X)^p = h(X^p) over F_p, writing outer = sum_{r<p} X^r f_r(X^p)
@@ -729,35 +795,38 @@ def _frobenius_compose(outer, n, tables):
     same inner h, so the levels are run on all their outers at once:
     splitting the rows of outers D times leaves p^D rows of n_D terms,
     composed by one matrix product with the base table; each level up
-    then puts a row together from its p children g_r = f_r o h.  Phase t
-    of sum_r h^r g_r(X^p) is sum_r g_r times phase t of h^r, so the row
-    takes p - 1 products of g_r with the stack of h^r, and g_0 adds to
-    phase 0.
+    then puts a row together from its p children g_r = f_r o h, as
+    sum_r h^r g_r(X^p) mod X^(n_d).  On a matrix level that is one
+    product of the rows, children g_0 .. g_(p-1) side by side, with the
+    level's matrix, h^0 = 1 carrying g_0.  On a convolution level phase t
+    of the sum is sum_r g_r times phase t of h^r: a row takes p - 1
+    products of g_r with the stack of h^r, and g_0 adds to phase 0.  All
+    of it runs in float64, exact where ``frobenius_wins`` holds, and each
+    level is reduced mod p once.
     """
     import numpy as np
 
-    p, sizes, stacks, table = tables
-    dtype = table.dtype
-    f = np.asarray(outer, dtype=dtype)[None, :]
+    p, sizes, levels, table = tables
+    f = np.asarray(outer, dtype=np.float64)[None, :]
     for m in sizes[1:]:
-        rows = np.zeros((len(f), m * p), dtype=dtype)
-        rows[:, : f.shape[1]] = f
-        f = rows.reshape(-1, m, p).transpose(0, 2, 1).reshape(-1, m)
-    g = _bilinear(np.matmul, f, table[: f.shape[1]], sizes[-1], p)
-    # a row sums p - 1 products of at most n_(d+1) terms each, and g_0:
-    # unreduced, at most p * n terms below (p - 1)^2, which fit directly
-    # wherever frobenius_wins holds; past that bound the stacks, of about
-    # 2 * p * n entries and at least p^2, would hold over 2^31
-    for nd, m, stack in reversed(list(zip(sizes, sizes[1:], stacks))):
-        g = g.reshape(-1, p, m)
-        acc = np.zeros((len(g), p, 2 * m - 1), dtype=dtype)
+        padded = np.zeros((len(f), m * p))
+        padded[:, : f.shape[1]] = f
+        f = padded.reshape(-1, m, p).transpose(0, 2, 1).reshape(-1, m)
+    g = f @ table[: f.shape[1]] % p
+    for nd, m, level in reversed(list(zip(sizes, sizes[1:], levels))):
+        rows = len(g) // p
+        if _matrix_level(p, m, nd, rows):
+            g = g.reshape(rows, p * m) @ level % p
+            continue
+        g = g.reshape(rows, p, m)
+        acc = np.zeros((rows, p, 2 * m - 1))
         acc[:, 0, :m] = g[:, 0]
         width = (p - 1) * (2 * m - 1) + m
-        for row, parts in zip(acc.reshape(len(g), -1), g):
+        for row, parts in zip(acc.reshape(rows, -1), g):
             for r in range(1, p):
-                row[:width] += np.convolve(parts[r], stack[r - 1])[:width]
-        g = (acc[:, :, :m] % p).transpose(0, 2, 1).reshape(len(g), -1)[:, :nd]
-    return g[0]
+                row[:width] += np.convolve(parts[r], level[r - 1])[:width]
+        g = (acc[:, :, :m] % p).transpose(0, 2, 1).reshape(rows, -1)[:, :nd]
+    return g[0].astype(np.int64)
 
 
 def _compose(layout, outer, data, n):

@@ -7,13 +7,18 @@ first repeated link, and the image order mod X^(m+1) against it and
 against repeated composition.  ``PLFunc``, which sums its knot values once,
 is checked against the segment-walk oracle in ``helpers.py`` at its kinks
 and between them, and the integer Newton hull and the Weierstrass degree
-against the Fraction-hull and digit-scan oracles there.
+against the Fraction-hull and digit-scan oracles there.  Long iterates over
+F_p, whose p-steps take the Frobenius split through both its level forms,
+are checked against the closed form of the multiplicative formal group.
 """
 
+import math
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from ramforge import _convolve
 from ramforge import (
     DividedSeries,
     FiniteField,
@@ -36,6 +41,7 @@ from ramforge.nottingham import _image_order_exponent
 from helpers import (
     brute_compose,
     ext_compose,
+    formal_group_iterate,
     fraction_newton_polygon,
     pl_walk_compose,
     pl_walk_inverse,
@@ -141,6 +147,24 @@ class TestPIterate:
         # period above 1 without reaching X
         g = TruncSeries(field, field_series(data.draw, field, trunc), trunc)
         assert p_iterate(g, n) == list(p_chain(g, n))[-1]
+
+
+class TestLongIterates:
+    # u = (1+X)^a - 1, a = 1 mod p, is the endomorphism [a] of the
+    # multiplicative formal group, so its p^n-th iterate is
+    # (1+X)^(a^(p^n)) - 1 (``formal_group_iterate``).  At 2,000 - 3,200
+    # terms every p-step composes by the Frobenius split, its top levels by
+    # float64 convolutions and its deeper ones by matrix products
+    @pytest.mark.parametrize("p, a, n, trunc", [
+        (2, 3, 3, 3200), (3, 4, 2, 3200), (3, 7, 2, 2000), (5, 6, 2, 2500), (5, 11, 1, 2000),
+    ])
+    def test_p_iterate_of_the_multiplicative_formal_group(self, monkeypatch, p, a, n, trunc):
+        forms = []
+        test = _convolve._matrix_level
+        monkeypatch.setattr(_convolve, "_matrix_level", lambda *args: forms.append(test(*args)) or forms[-1])
+        g = TruncSeries(FiniteField(p), [math.comb(a, k) % p if k else 0 for k in range(trunc)], trunc)
+        assert list(p_iterate(g, n).packed) == formal_group_iterate(a, p, n, 1, trunc)
+        assert set(forms) == {True, False}
 
 
 class TestImageOrder:

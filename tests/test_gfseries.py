@@ -365,11 +365,11 @@ def oracle_compose(field, outer, inner, n):
 
 class TestBabyPowerMemo:
     """An inner series keeps its baby powers mod X^trunc once a composition
-    has built them; F_11 keeps Paterson-Stockmeyer below 61 terms (p^2/2),
+    has built them; F_11 keeps Paterson-Stockmeyer below 31 terms (p^2/4),
     and 7^10 is past the direct int64 bound at 60 terms, so its products
     are split."""
 
-    RINGS = ((FiniteField(11), 40), (F27, 20), (FiniteField(7, prec=10), 60))
+    RINGS = ((FiniteField(11), 30), (F27, 20), (FiniteField(7, prec=10), 60))
 
     @pytest.mark.parametrize("field, n", RINGS, ids=lambda x: repr(x) if isinstance(x, FiniteField) else None)
     def test_compositions_through_the_memo_match_the_oracle(self, field, n):
@@ -440,13 +440,13 @@ class TestBabyPowerMemo:
 
 
 class TestFrobeniusMemo:
-    """Over F_p from n = max(p^2/2, 8) terms on, an inner series keeps the
+    """Over F_p from n = max(p^2/4, 8) terms on, an inner series keeps the
     tables of the Frobenius split; Z/p^P and F_{p^w} keep baby powers."""
 
     def test_ring_and_size_test(self):
         rng = random.Random(74)
-        for field, n, kind in ((F2, 7, list), (F2, 8, FrobeniusTables), (F5, 12, list), (F5, 13, FrobeniusTables),
-                               (FiniteField(11), 60, list), (FiniteField(11), 61, FrobeniusTables),
+        for field, n, kind in ((F2, 7, list), (F2, 8, FrobeniusTables), (F5, 7, list), (F5, 8, FrobeniusTables),
+                               (FiniteField(11), 30, list), (FiniteField(11), 31, FrobeniusTables),
                                (FiniteField(5, prec=2), 400, list), (F25, 400, list)):
             zero = 0 if field.w == 1 else (0,) * field.w
             g = TruncSeries(field, [zero] + [ring_coeff(rng, field) for _ in range(n - 1)], n)
@@ -465,7 +465,7 @@ class TestFrobeniusMemo:
         outers = [TruncSeries(f, [rng.randrange(p) for _ in range(k)], k) for k in (n, n, 140, 70)]
         got = [outers[0].compose(g)]
         tables = g._baby
-        arrays = (*tables.stacks, tables.table)
+        arrays = (*tables.levels, tables.table)
         copies = [x.copy() for x in arrays]
         got += [outer.compose(g) for outer in outers[1:]]
         assert type(tables) is FrobeniusTables and g._baby is tables

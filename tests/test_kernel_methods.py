@@ -19,6 +19,8 @@ run on the same inputs, under every forced product method, and against
 the brute-force oracles; so do the compositions that are handed no data
 and so pick their method in the kernel, in reversion and in the ring maps
 of truncated rings, against the same ones forced to Paterson-Stockmeyer.
+The split's two level forms, matrix products and float64 convolutions,
+run on both sides of the size test that picks them.
 """
 
 import os
@@ -365,28 +367,106 @@ class TestFrobeniusSplit:
     @settings(KERNEL, max_examples=80)
     @given(frobenius_cases(max_n=70))
     def test_methods_agree(self, case):
-        # both composition methods under each forced product method: the
-        # split's level products are raw np.convolve calls, which its size
-        # test keeps direct, and the forced methods reach its powers of h
-        # and its base table
+        # Paterson-Stockmeyer under each forced product method, and the
+        # split under the same forced int64 bounds: the split runs in
+        # float64 alone, so no int64 bound reaches it and no call of it
+        # takes halves or Kronecker
         p, outer, inner, n = case
         want = [c % p for c in exact_int_compose(outer, inner, n)]
-        for compose in (frobenius_compose, paterson_stockmeyer):
-            results = run_methods(lambda: compose(outer, inner, n, p), p, n)
-            assert {"natural", "kronecker", "direct"} <= set(results)
-            check_methods(results, want, True)
+        results = run_methods(lambda: paterson_stockmeyer(outer, inner, n, p), p, n)
+        assert {"natural", "kronecker", "direct"} <= set(results)
+        check_methods(results, want, True)
+        results = run_methods(lambda: frobenius_compose(outer, inner, n, p), p, n)
+        assert {"natural", "kronecker", "direct"} <= set(results)
+        assert all(r == (want, 0, 0) for r in results.values())
 
     @pytest.mark.parametrize("n", [1, 9, 20, 32])
     def test_halves_in_the_base_table(self, n):
-        # mod 1031 one product fits directly and, under the forced bound, a
-        # sum of n of them only in halves; at n <= 32 the base table, built
-        # from packed ints, and its one matrix product are the whole split
+        # mod 1031 one product fits int64 directly and, under the forced
+        # bound, a sum of n of them only in halves; at n <= 32 the base
+        # table, built from packed ints, and its one matrix product are the
+        # whole split, both float64 whatever the int64 bound: no call takes
+        # halves
         p = 1031
         outer = [p - 1] * n
         inner = [0] + [p - 1] * (n - 1)
         results = run_methods(lambda: frobenius_compose(outer, inner, n, p), p, n)
-        assert results["halves"][1] > 0
-        check_methods(results, [c % p for c in exact_int_compose(outer, inner, n)], True)
+        assert "halves" in results
+        want = [c % p for c in exact_int_compose(outer, inner, n)]
+        assert all(r == (want, 0, 0) for r in results.values())
+
+
+def level_forms(fn):
+    """fn() and, for each level the split put together, in the order run,
+    whether ``_matrix_level`` made it a matrix level."""
+    forms = []
+    test = _convolve._matrix_level
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_convolve, "_matrix_level", lambda *args: forms.append(test(*args)) or forms[-1])
+        return fn(), forms
+
+
+def level_work(p, n):
+    """rows * p * m * n_d, what ``_matrix_level`` bounds, for each level d
+    of a split of n terms, top level first."""
+    sizes = frobenius_tables([0, 1], n, p).sizes
+    return [p**d * p * m * nd for d, (nd, m) in enumerate(zip(sizes, sizes[1:]))]
+
+
+class TestLevelForms:
+    """Each level of the split is a matrix product or float64 convolutions,
+    as ``_matrix_level`` picks from (p, m, n_d, rows).  Both forms run on
+    the same inputs at the boundary: the last matrix level, at the bound,
+    and the first convolution level, just past it.  Residues p - 1 give
+    every sum its most."""
+
+    @pytest.mark.parametrize("p", FROBENIUS_PRIMES)
+    def test_forced_boundary_against_the_oracle(self, p):
+        # n with two levels at p = 2 and 3, one from p = 5; the bound is
+        # forced to each level's work and one below it, so each level is in
+        # turn the last matrix level and the first convolution level
+        n = {2: 70, 3: 100}.get(p, 64)
+        outer = [p - 1] * n
+        inner = [0] + [p - 1] * (n - 1)
+        want = brute_compose(outer, inner, p, n)
+        work = level_work(p, n)
+        assert len(work) == (2 if p <= 3 else 1) and work == sorted(work, reverse=True)
+        seen = set()
+        for bound in sorted({w - e for w in work for e in (0, 1)}):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(_convolve, "_LEVEL_MATRIX", bound)
+                got, forms = level_forms(lambda: frobenius_compose(outer, inner, n, p))
+            # the tables ask for each level top first, the composition deepest first
+            assert forms == [w <= bound for w in work] + [w <= bound for w in reversed(work)]
+            assert got == want
+            seen.update(forms)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("p", FROBENIUS_PRIMES)
+    def test_natural_boundary(self, p):
+        # the largest n whose top level, one row, is a matrix level, and the
+        # next n, whose top level is convolutions; the deeper levels, of less
+        # work, stay matrix levels
+        n = max(k for k in range(33, 600) if _convolve._matrix_level(p, -(-k // p), k, 1))
+        for size, top in ((n, True), (n + 1, False)):
+            rng = random.Random(f"boundary:{p}:{size}")
+            outer = [p - 1] * size
+            inner = [0] + [p - 1 if rng.random() < 0.5 else rng.randrange(p) for _ in range(size - 1)]
+            got, forms = level_forms(lambda: frobenius_compose(outer, inner, size, p))
+            depth = len(forms) // 2
+            assert forms[0] == forms[-1] == top and all(forms[1:depth]) and all(forms[depth:-1])
+            assert got == paterson_stockmeyer(outer, inner, size, p)
+
+
+def run_optimized(body):
+    """Run body, a script that exits 0 on success, in a fresh interpreter
+    under ``python -O`` with ramforge importable; it must exit 0."""
+    script = "import sys\nif not sys.flags.optimize:\n    sys.exit(5)\n" + body
+    src = str(Path(_convolve.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def repeated_products(inner, p, size):
@@ -419,9 +499,9 @@ class TestFrobeniusTables:
             assert tables.table.tolist() == repeated_products(inner, p, size)
 
     # (p, n, slot width): each of the four widths the base table takes.
-    # p = 47 at n = 1105, where the size test first admits it, has levels
-    # down to B = 24; p = 6197 at B = 32 is near the largest p the size test
-    # admits (6208), and needs 63 of its 64 bits
+    # p = 47 at n = 1105, which the size test admits, has levels down to
+    # B = 24, in 64-bit slots; p = 6197 at B = 32, which a direct call
+    # builds though the size test refuses it, needs 63 of its 64 bits
     @pytest.mark.parametrize("p, n, width", [
         (2, 7, 8), (2, 32, 16), (3, 27, 16), (7, 9, 32), (11, 32, 32), (1031, 32, 64), (47, 1105, 64),
         (6197, 32, 64),
@@ -436,42 +516,36 @@ class TestFrobeniusTables:
         tables = frobenius_tables(inner, n, p)
         assert widths == [width]
         assert tables.table.tolist() == repeated_products(inner, p, tables.sizes[-1])
-        assert p != 47 or (_convolve.frobenius_wins(p, n) and not _convolve.frobenius_wins(p, n - 1))
+        assert p != 47 or _convolve.frobenius_wins(p, n)
 
     def test_past_64_bit_slots_raises_also_under_optimize(self):
         # mod q = 2^31 - 1 one slot sum alone takes 64 bits, so a direct call
         # (the size test admits no such p) raises rather than build a table
         with pytest.raises(InvariantError, match="past 64 bits"):
             frobenius_tables([0, 1, 1, 1], 4, Q)
-        script = (
-            "import sys\n"
+        run_optimized(
             "from ramforge import InvariantError\n"
             "from ramforge._convolve import frobenius_tables\n"
-            "if not sys.flags.optimize:\n"
-            "    sys.exit(5)\n"
             "try:\n"
             f"    frobenius_tables([0, 1, 1, 1], 4, {Q})\n"
             "except InvariantError:\n"
             "    sys.exit(0)\n"
             "sys.exit(1)\n"
         )
-        src = str(Path(_convolve.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env,
-                              timeout=120)
-        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_baby_powers_only_where_levels_read_them(self, monkeypatch, p):
-        # at n <= 32 the base table is the whole split, built from h alone;
-        # above that the stacks read h .. h^(p-1), built once per call
+        # no level reads baby powers: at n <= 32 the base table is the whole
+        # split, and above it the levels read h^0 .. h^(p-1) mod X^n, float64
+        # products of their own; every array the split keeps is float64
         calls = []
         build = _convolve.baby_powers
         monkeypatch.setattr(_convolve, "baby_powers", lambda *args: calls.append(args[1]) or build(*args))
         rng = random.Random(f"levels:{p}")
         for n in (8, 31, 32, 33, 100):
-            frobenius_tables([0] + [rng.randrange(p) for _ in range(n - 1)], n, p)
-        assert calls == [33, 100]
+            tables = frobenius_tables([0] + [rng.randrange(p) for _ in range(n - 1)], n, p)
+            assert all(x.dtype == np.float64 for x in (*tables.levels, tables.table))
+        assert calls == []
 
 
 def forced_paterson_stockmeyer(fn):
@@ -514,8 +588,8 @@ class TestComposeData:
         inner = [0, 1, 1]
         for mod, modulus, n, blocks, split in (
             (2, None, 64, 8, True), (2, None, 64, 7, False), (5, None, 2000, 2, False),
-            (5, None, 13, 13, True), (5, None, 100, 12, False), (11, None, 61, 61, True),
-            (11, None, 200, 60, False), (7, None, 100, 100, True),
+            (5, None, 8, 8, True), (5, None, 100, 7, False), (11, None, 31, 31, True),
+            (11, None, 200, 30, False), (7, None, 100, 100, True),
             (4, None, 100, 100, False), (25, None, 1000, 1000, False), (3**20, None, 100, 100, False),
             (2, (1, 1, 1), 100, 100, False), (3, (1, 0, 1), 100, 100, False),
         ):
@@ -528,26 +602,43 @@ class TestComposeData:
                 layout = _convolve._Slots if modulus is None else _convolve._Words
                 assert len(data[0]) == n and type(_convolve._layout(mod, modulus, n)) is layout
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 6007])
+    @pytest.mark.parametrize("p", [2, 3, 5, 2039, 2053, 6007])
     def test_split_refused_past_its_row_sum_bound(self, monkeypatch, p):
-        # the split's unreduced row sums, at most p * n products below
-        # (p - 1)^2, must fit directly in int64, and first do not at n0; at
-        # p = 6007, n0 is about 2.13e7, just past p^2/2, about 1.80e7, where
-        # the size test first admits the split.
+        # the split's float64 sums, at most p * n products below (p - 1)^2,
+        # must stay exact, and first may not at n0.  p = 2039 is the largest
+        # prime with n0 past p^2/4, where the size test first admits the
+        # split (about 1.04M and 1.06M terms); from p = 2053 on, n0 falls
+        # below p^2/4, and the split is refused at every n.
         # The builders are stubbed: no data of that size is made
-        n0 = -(-SAFE // ((p - 1) ** 2 * p))
-        assert (p - 1) ** 2 * p * (n0 - 1) < SAFE <= (p - 1) ** 2 * p * n0
-        small = max(-(-p * p // 2), 8)
-        assert not _convolve.frobenius_wins(p, n0)
-        assert _convolve.frobenius_wins(p, n0 - 1) and n0 - 1 >= small
-        assert not _convolve.frobenius_wins(p, small - 1)
+        n0 = -(-(2**53) // ((p - 1) ** 2 * p))
+        assert (p - 1) ** 2 * p * (n0 - 1) < 2**53 <= (p - 1) ** 2 * p * n0
+        small = max(-(-p * p // 4), 8)
+        assert (small < n0) == (p <= 2039)
+        for n in (small - 1, small, n0 - 1, n0):
+            assert _convolve.frobenius_wins(p, n) == (small <= n < n0)
         monkeypatch.setattr(_convolve, "frobenius_tables", lambda *args: "split")
         monkeypatch.setattr(_convolve, "baby_powers", lambda *args: "paterson-stockmeyer")
-        # the size test reads the outer blocks, the row sums the precision
+        # the size test reads the outer blocks, the sums the precision
         assert _convolve.is_prime(p)
-        for n, blocks, want in ((n0 - 1, small, "split"), (n0 - 1, small - 1, "paterson-stockmeyer"),
-                                (n0, small, "paterson-stockmeyer")):
+        top = max(n0 - 1, small)
+        for n, blocks in ((top, small), (top, small - 1), (max(n0, small), small)):
+            want = "split" if small <= blocks and n < n0 else "paterson-stockmeyer"
             assert _convolve.compose_data([0, 1], n, p, None, blocks) == want
+
+    def test_split_refused_past_its_row_sum_bound_under_optimize(self):
+        # the same refusal with assertions stripped, the builders stubbed
+        run_optimized(
+            "from ramforge import _convolve\n"
+            "_convolve.frobenius_tables = lambda *args: 'split'\n"
+            "_convolve.baby_powers = lambda *args: 'paterson-stockmeyer'\n"
+            "for p in (2, 5, 2039):\n"
+            "    n0 = -(-(2**53) // ((p - 1) ** 2 * p))\n"
+            "    small = max(-(-p * p // 4), 8)\n"
+            "    got = [_convolve.compose_data([0, 1], n, p, None, small) for n in (n0 - 1, n0)]\n"
+            "    if got != ['split', 'paterson-stockmeyer']:\n"
+            "        sys.exit(1)\n"
+            "sys.exit(0 if not _convolve.frobenius_wins(2053, 2053**2 // 4 + 1) else 1)\n"
+        )
 
     def test_short_outer_keeps_paterson_stockmeyer(self):
         # two outer blocks into 2000 terms: the split would lose
